@@ -62,7 +62,7 @@
 //! are therefore bit-identical to the scalar [`mod@reference`] path, which
 //! the equivalence suites assert.
 
-use crate::incremental::{AdmissionState, AdmissionStats, Committed, IncrementalTest};
+use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use crate::workspace::{AnalysisWorkspace, SoaTasks, WorkspaceRef};
 use crate::SchedulabilityTest;
 use mcsched_model::{Criticality, SystemUtilization, Task, TaskId, TaskSet, Time};
@@ -168,34 +168,15 @@ fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
     });
 }
 
-/// Iterates the standard RTA fixpoint `R = wcet + interference(R)`,
-/// bailing out as soon as `R` exceeds `deadline`.
-fn fixpoint(wcet: Time, deadline: Time, interference: impl Fn(Time) -> Time) -> Option<Time> {
-    fixpoint_from(wcet, wcet, deadline, interference)
-}
-
-/// [`fixpoint`] warm-started at `start`.
-///
-/// Exactness: for a monotone interference function whose least fixed point
-/// is `R*`, Kleene iteration from any `start ≤ R*` with
-/// `wcet + interference(start) ≥ start` converges to the same `R*` (the
-/// iterates stay monotone nondecreasing and bounded by `R*`). The
-/// incremental AMC state warm-starts from the response computed *before* a
-/// task was added — interference only grows when the higher-priority set
-/// grows, so the old response is such a valid lower bound and the returned
-/// fixed point (and verdict) is identical to a cold start, only cheaper.
+/// Iterates the standard RTA fixpoint `R = wcet + interference(R)` from
+/// `R = wcet`, bailing out as soon as `R` exceeds `deadline`.
 ///
 /// The `wcet + interference` accumulation saturates: a mathematically
 /// overflowing response also exceeds every `deadline < u64::MAX`, so the
 /// saturated value fails the deadline test just the same instead of
 /// wrapping (or panicking) near `Time::MAX`.
-fn fixpoint_from(
-    start: Time,
-    wcet: Time,
-    deadline: Time,
-    interference: impl Fn(Time) -> Time,
-) -> Option<Time> {
-    let mut r = start.max(wcet);
+fn fixpoint(wcet: Time, deadline: Time, interference: impl Fn(Time) -> Time) -> Option<Time> {
+    let mut r = wcet;
     loop {
         let next = wcet.saturating_add(interference(r));
         if next > deadline {
@@ -920,17 +901,11 @@ impl AmcContext<'_> {
         &self.order[..pos]
     }
 
+    /// The AMC-rtb high-mode response of the task at priority position
+    /// `pos`. The LC charge is frozen at the low-mode response — constant
+    /// across iterations — so it is folded once and only the HC terms are
+    /// re-derived per iteration.
     fn rtb_response(&self, pos: usize) -> Option<Time> {
-        let i = self.order[pos];
-        self.rtb_response_from(pos, self.tasks[i].wcet_hi())
-    }
-
-    /// [`AmcContext::rtb_response`] with a warm-started fixpoint (see
-    /// [`fixpoint_from`] for why the result is identical). The LC charge
-    /// is frozen at the low-mode response — constant across iterations —
-    /// so it is folded once and only the HC terms are re-derived per
-    /// iteration.
-    fn rtb_response_from(&self, pos: usize, start: Time) -> Option<Time> {
         let i = self.order[pos];
         let ti = &self.tasks[i];
         let hp = self.hp(pos);
@@ -945,7 +920,7 @@ impl AmcContext<'_> {
                 }
             })
             .fold(Time::ZERO, Time::saturating_add);
-        fixpoint_from(start, ti.wcet_hi(), ti.deadline(), |r| {
+        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
             hp.iter()
                 .map(|&j| {
                     let tj = &self.tasks[j];
@@ -1280,7 +1255,7 @@ pub struct AmcRtb {
 
 impl AmcRtb {
     /// AMC-rtb under deadline-monotonic priorities.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         AmcRtb { audsley: false }
     }
 
@@ -1289,7 +1264,7 @@ impl AmcRtb {
     /// low-mode RTA and (for HC tasks) rtb high-mode RTA pass with *all*
     /// remaining tasks as higher-priority interference can take the level.
     /// Accepts a superset of the DM variant.
-    pub fn with_audsley() -> Self {
+    pub const fn with_audsley() -> Self {
         AmcRtb { audsley: true }
     }
 
@@ -1442,26 +1417,8 @@ impl SchedulabilityTest for AmcRtb {
     }
 
     // mclint: cold — one boxed state per session, reused across every probe
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per session, reused across every probe
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(AmcState::with_workspace(self.variant(), ws.clone()))
-    }
-}
-
-impl IncrementalTest for AmcRtb {
-    type State = AmcState;
-
-    fn new_state(&self) -> AmcState {
-        AmcState::with_workspace(self.variant(), WorkspaceRef::new())
-    }
-
-    // mclint: cold — session construction; the Rc bump happens once per processor
-    fn new_state_in(&self, ws: &WorkspaceRef) -> AmcState {
-        AmcState::with_workspace(self.variant(), ws.clone())
     }
 }
 
@@ -1494,7 +1451,7 @@ pub struct AmcMax {
 
 impl AmcMax {
     /// Creates the test.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         AmcMax { _priv: () }
     }
 }
@@ -1512,26 +1469,8 @@ impl SchedulabilityTest for AmcMax {
     }
 
     // mclint: cold — one boxed state per session, reused across every probe
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per session, reused across every probe
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(AmcState::with_workspace(AmcVariant::Max, ws.clone()))
-    }
-}
-
-impl IncrementalTest for AmcMax {
-    type State = AmcState;
-
-    fn new_state(&self) -> AmcState {
-        AmcState::with_workspace(AmcVariant::Max, WorkspaceRef::new())
-    }
-
-    // mclint: cold — session construction; the Rc bump happens once per processor
-    fn new_state_in(&self, ws: &WorkspaceRef) -> AmcState {
-        AmcState::with_workspace(AmcVariant::Max, ws.clone())
     }
 }
 
@@ -1548,7 +1487,9 @@ enum AmcVariant {
 }
 
 /// The cached per-processor analysis of a committed, schedulable set:
-/// the DM priority order plus every response-time fixed point.
+/// the DM priority order plus every response-time fixed point. The
+/// one-shot path reuses the same type as workspace scratch (see
+/// [`amc_schedulable_in`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AmcCache {
     /// Task indices from highest to lowest priority.
@@ -1568,11 +1509,6 @@ impl AmcCache {
     }
 }
 
-/// The workspace's name for the same buffers: the one-shot path reuses
-/// the incremental layer's cache type as scratch (see
-/// [`amc_schedulable_in`]).
-pub(crate) type AmcScratch = AmcCache;
-
 /// Incremental admission for the AMC response-time analyses.
 ///
 /// Inserting a candidate into the deadline-monotonic order leaves every
@@ -1580,7 +1516,7 @@ pub(crate) type AmcScratch = AmcCache;
 /// unchanged), so those response times are reused verbatim; the candidate
 /// and the tasks below it re-run their fixed-point iterations
 /// **warm-started** from the previous responses, which converge to the
-/// same least fixed points (see `fixpoint_from`) — the verdict is
+/// same least fixed points (see the module docs) — the verdict is
 /// exactly the one-shot test's, at a fraction of the iterations.
 /// All buffers — the committed cache, the candidate scratch cache and the
 /// shared [`AnalysisWorkspace`] — are reused across admission queries, so
@@ -1951,7 +1887,9 @@ impl AdmissionState for AmcState {
     fn take_tasks(&mut self) -> TaskSet {
         let tasks = self.committed.take();
         self.pending = None;
+        self.pending_insert = None;
         self.cache.clear();
+        self.soa.clear();
         self.cache_valid = self.variant != AmcVariant::RtbAudsley;
         tasks
     }
@@ -1959,22 +1897,6 @@ impl AdmissionState for AmcState {
     fn stats(&self) -> AdmissionStats {
         self.committed.stats
     }
-}
-
-/// The batched kernel's low-mode response times, indexed by task; `None`
-/// when some task misses its deadline in low mode. Must equal
-/// [`reference::lo_responses`] bit-identically (asserted by
-/// `tests/analysis_workspace.rs` and the `micro_tests` bench).
-#[doc(hidden)]
-// mclint: cold — equivalence-suite entry point; allocates caller-owned results once per call
-pub fn lo_responses_batched(ts: &TaskSet) -> Option<Vec<Time>> {
-    let order = dm_order(ts);
-    let mut lo = vec![Time::ZERO; ts.len()];
-    AnalysisWorkspace::with(|ws| {
-        ws.soa.load_primary(ts.as_slice(), &order);
-        lo_rta_batched(&ws.soa, &order, 0, |_| 0, &mut lo)
-    })
-    .then_some(lo)
 }
 
 /// The batched AMC-rtb analysis: `None` when low-mode RTA fails,
@@ -2396,7 +2318,7 @@ mod tests {
             Box::new(AmcMax::new()),
         ];
         for test in &tests {
-            let mut state = test.admission_state();
+            let mut state = test.admission_state_in(&WorkspaceRef::new());
             for t in &sequence {
                 let expected = clone_and_retest(test, state.tasks(), t);
                 assert_eq!(state.try_admit(t), expected, "{} on {t}", test.name());
@@ -2425,7 +2347,7 @@ mod tests {
         // commit() without a matching try_admit must stay correct (the
         // cache is rebuilt from scratch).
         let test = AmcMax::new();
-        let mut state = test.new_state();
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         let a = Task::hi(0, 10, 2, 4).unwrap();
         let b = Task::lo(1, 20, 5).unwrap();
         assert!(state.try_admit(&a));
@@ -2491,7 +2413,8 @@ mod tests {
         assert!(AmcMax::new().is_schedulable(&ts));
         assert!(AmcRtb::new().is_schedulable(&ts));
         // And the incremental state handles it identically.
-        let mut state = AmcMax::new().new_state();
+        let test = AmcMax::new();
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         assert!(state.try_admit(&ts.as_slice()[0]));
         state.commit(ts.as_slice()[0]);
         assert!(state.try_admit(&ts.as_slice()[1]));
@@ -2622,7 +2545,7 @@ mod tests {
 
     #[test]
     fn fixpoint_add_saturates_at_near_max_wcet() {
-        // Regression: `wcet + interference(r)` in `fixpoint_from` was an
+        // Regression: `wcet + interference(r)` in `fixpoint` was an
         // unguarded add that wrapped for parameters near 2^63 (each
         // product stays in range — 2^63 · ⌈2^63/(2^63+2)⌉ = 2^63 — but
         // the final add reaches 2^64). The saturated sum exceeds every
@@ -2633,7 +2556,6 @@ mod tests {
             Task::hi_constrained(1, big + 4, big, big, big + 2).unwrap(),
         ]);
         assert!(LoRta::compute(&ts).is_none());
-        assert!(lo_responses_batched(&ts).is_none());
         assert_eq!(reference::lo_responses(&ts), None);
         assert!(!AmcRtb::new().is_schedulable(&ts));
         assert!(!reference::amc_rtb_is_schedulable(&ts));
@@ -2647,7 +2569,7 @@ mod tests {
         assert!(AmcRtb::new().is_schedulable(&alone));
         assert!(AmcRtb::with_audsley().is_schedulable(&alone));
         assert_eq!(
-            lo_responses_batched(&alone),
+            LoRta::compute(&alone),
             Some(vec![Time::new(big)]),
             "lone near-max task's LO response is its own budget"
         );
@@ -2666,7 +2588,7 @@ mod tests {
                         Task::lo(2, 15, c3).unwrap(),
                     ]);
                     assert_eq!(
-                        lo_responses_batched(&ts),
+                        LoRta::compute(&ts),
                         reference::lo_responses(&ts),
                         "LO responses diverged on {ts}"
                     );

@@ -215,15 +215,6 @@ pub fn check_hi_mode(tasks: &[VdTask]) -> DemandCheck {
     })
 }
 
-/// As [`check_hi_mode`]. The signature (with its caller-provided HC
-/// scratch buffer) predates the incremental demand kernel, which now owns
-/// the single HC-subset copy path internally; `hc_scratch` is no longer
-/// read and the parameter is retained only for API compatibility.
-pub fn check_hi_mode_in(tasks: &[VdTask], hc_scratch: &mut Vec<VdTask>) -> DemandCheck {
-    let _ = hc_scratch;
-    check_hi_mode(tasks)
-}
-
 /// Seed (flat, per-call) demand checks retained **verbatim** as the
 /// equivalence reference for the incremental demand kernel — the
 /// counterpart of [`crate::amc::reference`] / [`crate::vdtune::reference`].
@@ -703,11 +694,6 @@ mod tests {
                 check_hi_mode(&tasks),
                 reference::check_hi_mode(&tasks),
                 "hi diverged on {tasks:?}"
-            );
-            let mut scratch = Vec::new();
-            assert_eq!(
-                check_hi_mode_in(&tasks, &mut scratch),
-                check_hi_mode(&tasks)
             );
         }
     }

@@ -15,7 +15,7 @@
 //!
 //! ## What the kernel caches
 //!
-//! * **SoA demand lanes** ([`DemandSoa`]) — the
+//! * **SoA demand lanes** (`DemandSoa`) — the
 //!   `(C^L, C^H, T, V, d = D − V)` terms of the Ekberg–Yi demand bounds
 //!   as contiguous `u64` lanes plus precomputed `⌊2^64/T⌋` reciprocals,
 //!   so each `Σ dbf` evaluation is a branch-free lane sweep (floor
@@ -23,14 +23,14 @@
 //!   sum iterates a compacted HC-only lane view (one HC-subset copy
 //!   path, shared by every public entry point). When the assignment
 //!   carries the demand fast-kernel certificate (see
-//!   [`DemandSoa::fast`] in [`crate::workspace`]) and a descent starts
+//!   `DemandSoa::fast` in [`crate::workspace`]) and a descent starts
 //!   below `2^32`, the sweeps run the `const FAST` route: plain
 //!   arithmetic and no-fixup reciprocal floors, provably equal to the
 //!   guarded saturating route ([`TaskDemand`] remains the scalar
 //!   per-task view used for memo deltas). The batching that pays is
 //!   per *point* — one branch-free pass over all lanes; speculative
 //!   multi-point ladder passes were benchmarked a net loss (see
-//!   [`DemandKernel::descend_fast`]).
+//!   `DemandKernel::descend_fast`).
 //! * **Violation anchors** — a bounded set of exact `(t, Σ dbf_LO(t))`
 //!   pairs at instants where earlier QPA descents found demand exceeding
 //!   supply. All memo arithmetic is integer ([`mcsched_model::Time`]),

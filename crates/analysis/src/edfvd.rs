@@ -33,8 +33,8 @@
 //! length); the DATE 2017 evaluation only exercises EDF-VD on
 //! implicit-deadline systems, matching the paper.
 
-use crate::incremental::{AdmissionState, AdmissionStats, Committed, IncrementalTest};
-use crate::SchedulabilityTest;
+use crate::incremental::{AdmissionState, AdmissionStats, Committed};
+use crate::{SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
@@ -128,7 +128,7 @@ pub(crate) fn scaling_factor_from(s: &Sums) -> Option<f64> {
 
 impl EdfVd {
     /// Creates the test.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         EdfVd { _priv: () }
     }
 
@@ -191,19 +191,9 @@ impl SchedulabilityTest for EdfVd {
         self.scaling_factor(ts).is_some()
     }
 
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
-}
-
-impl IncrementalTest for EdfVd {
-    type State = EdfVdState;
-
-    fn new_state(&self) -> EdfVdState {
-        EdfVdState {
-            committed: Committed::default(),
-            sums: Sums::default(),
-        }
+    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
+        let _ = ws;
+        Box::new(EdfVdState::default())
     }
 }
 
@@ -423,7 +413,7 @@ mod tests {
     #[test]
     fn incremental_state_matches_one_shot_exactly() {
         let test = EdfVd::new();
-        let mut state = test.new_state();
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         let tasks = [
             hc(0, 10, 2, 5),
             lc(1, 10, 4),

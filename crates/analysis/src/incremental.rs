@@ -4,11 +4,18 @@
 //!
 //! The paper's Algorithm 1 asks, for every `(task, processor)` pair, "does
 //! `τ(φk) ∪ {τi}` pass the uniprocessor test?". The one-shot
-//! [`SchedulabilityTest`] answers that by analysing the whole candidate set
-//! from scratch — O(n·m) full analyses per partitioning run. An
-//! [`AdmissionState`] instead *remembers* the processor's committed
-//! contents and the reusable intermediate results of the last analysis, so
-//! each admission query costs only the work the new task actually adds:
+//! [`SchedulabilityTest::is_schedulable`] answers that by analysing the
+//! whole candidate set from scratch — O(n·m) full analyses per
+//! partitioning run. An [`AdmissionState`] instead *remembers* the
+//! processor's committed contents and the reusable intermediate results of
+//! the last analysis, so each admission query costs only the work the new
+//! task actually adds.
+//!
+//! Two traits make up the layer: [`SchedulabilityTest`] creates states
+//! through its one constructor,
+//! [`admission_state_in`](SchedulabilityTest::admission_state_in), and
+//! [`AdmissionState`] answers the queries. The five native tests return
+//! their own state types:
 //!
 //! * [`EdfVd`](crate::EdfVd) keeps the running `(U_LL, U_HL, U_HH)` density
 //!   sums and evaluates the closed-form condition in **O(1)**;
@@ -30,17 +37,19 @@
 //! fixed point). Incremental partitioning therefore reproduces the
 //! clone-and-retest partitions **bit-identically**; the property tests in
 //! `tests/incremental_equivalence.rs` enforce this against the [`OneShot`]
-//! reference bridge for all five tests.
+//! wrapper, whose states are [`CloneRetestState`]s, for all five tests.
+//! Any other test gets a [`CloneRetestState`] from the default
+//! constructor.
 //!
 //! ## Example
 //!
 //! ```
 //! use mcsched_model::{Task, TaskSet};
-//! use mcsched_analysis::{AdmissionState, EdfVd, IncrementalTest, SchedulabilityTest};
+//! use mcsched_analysis::{EdfVd, SchedulabilityTest, WorkspaceRef};
 //!
 //! # fn main() -> Result<(), mcsched_model::ModelError> {
 //! let test = EdfVd::new();
-//! let mut state = test.new_state();
+//! let mut state = test.admission_state_in(&WorkspaceRef::new());
 //!
 //! let heavy = Task::hi(0, 10, 3, 9)?;
 //! let light = Task::lo(1, 10, 1)?;
@@ -151,9 +160,27 @@ impl fmt::Display for AdmissionStats {
 /// 3. [`remove`](AdmissionState::remove) takes a task back out,
 ///    invalidating whatever cached state depended on it.
 ///
-/// States are created by [`IncrementalTest::new_state`] (typed) or
-/// [`SchedulabilityTest::admission_state`] (object-safe; defaults to the
-/// clone-and-retest bridge).
+/// States are created by [`SchedulabilityTest::admission_state_in`], which
+/// defaults to the clone-and-retest [`CloneRetestState`].
+///
+/// # Example
+///
+/// ```
+/// use mcsched_model::Task;
+/// use mcsched_analysis::{AmcMax, SchedulabilityTest, WorkspaceRef};
+///
+/// # fn main() -> Result<(), mcsched_model::ModelError> {
+/// let test = AmcMax::new();
+/// let mut state = test.admission_state_in(&WorkspaceRef::new());
+/// let t = Task::hi(0, 10, 2, 4)?;
+/// assert!(state.try_admit(&t));
+/// state.commit(t);
+/// assert_eq!(state.tasks().len(), 1);
+/// assert!(state.remove(t.id()));
+/// assert!(state.tasks().is_empty());
+/// # Ok(())
+/// # }
+/// ```
 pub trait AdmissionState {
     /// Would the committed tasks plus `task` pass the test?
     ///
@@ -183,104 +210,6 @@ pub trait AdmissionState {
 
     /// Counters accumulated since the state was created.
     fn stats(&self) -> AdmissionStats;
-}
-
-/// A [`SchedulabilityTest`] with a native incremental admission state.
-///
-/// The one-shot [`is_schedulable`](SchedulabilityTest::is_schedulable)
-/// remains the semantic ground truth; `new_state` produces a state whose
-/// admissions are exactly equivalent but reuse cached per-processor work.
-/// The [`OneShot`] wrapper provides the blanket bridge in the other
-/// direction: it equips *any* one-shot test with a (clone-and-retest)
-/// admission state, so generic partitioning code can require
-/// `IncrementalTest` without excluding foreign tests.
-///
-/// # Example
-///
-/// ```
-/// use mcsched_model::Task;
-/// use mcsched_analysis::{AdmissionState, AmcMax, IncrementalTest};
-///
-/// # fn main() -> Result<(), mcsched_model::ModelError> {
-/// let mut state = AmcMax::new().new_state();
-/// let t = Task::hi(0, 10, 2, 4)?;
-/// assert!(state.try_admit(&t));
-/// state.commit(t);
-/// assert_eq!(state.tasks().len(), 1);
-/// assert!(state.remove(t.id()));
-/// assert!(state.tasks().is_empty());
-/// # Ok(())
-/// # }
-/// ```
-pub trait IncrementalTest: SchedulabilityTest {
-    /// The per-processor admission state this test maintains.
-    type State: AdmissionState;
-
-    /// Creates an empty per-processor state.
-    fn new_state(&self) -> Self::State;
-
-    /// As [`new_state`](IncrementalTest::new_state), sharing the caller's
-    /// analysis workspace for scratch buffers — a *cluster* of states (one
-    /// per processor, queried one at a time) reuses the same buffers
-    /// instead of allocating per state. Verdicts are identical; the
-    /// default ignores `ws` for tests whose state needs no scratch.
-    fn new_state_in(&self, ws: &crate::WorkspaceRef) -> Self::State {
-        let _ = ws;
-        self.new_state()
-    }
-}
-
-/// The **session-facing** admission surface: owning (`'static`) admission
-/// states for long-lived clusters.
-///
-/// [`SchedulabilityTest::admission_state`] returns a state that *borrows*
-/// the test — perfect for the partitioning inner loop, useless for a
-/// service session that must own its per-processor states across
-/// requests. `SessionTest` closes that gap: every [`IncrementalTest`]
-/// whose typed state is owning (all five native tests, plus any
-/// [`OneShot`]-bridged test) can mint boxed states with no borrowed
-/// lifetime, so a session struct can hold the states directly.
-///
-/// # Example
-///
-/// ```
-/// use mcsched_model::Task;
-/// use mcsched_analysis::{AdmissionState, Ecdf, SessionTest};
-///
-/// # fn main() -> Result<(), mcsched_model::ModelError> {
-/// // An owning state: no borrow of the test survives this call.
-/// let mut state: Box<dyn AdmissionState> = Ecdf::new().owned_admission_state();
-/// let t = Task::hi(0, 10, 2, 4)?;
-/// assert!(state.try_admit(&t));
-/// state.commit(t);
-/// assert_eq!(state.tasks().len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-pub trait SessionTest: SchedulabilityTest {
-    /// Creates an owning per-processor admission state.
-    fn owned_admission_state(&self) -> Box<dyn AdmissionState>;
-
-    /// As [`owned_admission_state`](SessionTest::owned_admission_state),
-    /// with all states minted from one call site sharing the given
-    /// workspace's scratch buffers (see [`IncrementalTest::new_state_in`]).
-    fn owned_admission_state_in(&self, ws: &crate::WorkspaceRef) -> Box<dyn AdmissionState>;
-}
-
-impl<T> SessionTest for T
-where
-    T: IncrementalTest,
-    T::State: 'static,
-{
-    // mclint: cold — one boxed state per server session, reused across probes
-    fn owned_admission_state(&self) -> Box<dyn AdmissionState> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per server session, reused across probes
-    fn owned_admission_state_in(&self, ws: &crate::WorkspaceRef) -> Box<dyn AdmissionState> {
-        Box::new(self.new_state_in(ws))
-    }
 }
 
 /// The committed contents shared by every admission state: the task set,
@@ -345,6 +274,10 @@ pub(crate) fn clone_and_retest<T: SchedulabilityTest + ?Sized>(
 /// candidate, re-run the one-shot test. This is exactly the seed path of
 /// the paper's Algorithm 1 and the reference the native states are
 /// validated against.
+///
+/// Over a `'static` test (such as `mcsched_core`'s `TestName::test`) the
+/// state is `'static` too, so a session can hold clone-and-retest
+/// mirrors of its native states.
 pub struct CloneRetestState<'a, T: SchedulabilityTest + ?Sized> {
     test: &'a T,
     committed: Committed,
@@ -395,29 +328,28 @@ impl<T: SchedulabilityTest + ?Sized> AdmissionState for CloneRetestState<'_, T> 
 /// Wraps any one-shot test, forcing the clone-and-retest admission path
 /// even when the inner test has a native incremental state.
 ///
-/// Two uses:
-///
-/// * the **blanket bridge**: `OneShot<T>` implements [`IncrementalTest`]
-///   for every cloneable one-shot test, so generic code can demand the
-///   incremental interface without excluding tests that lack a native
-///   state;
-/// * the **reference implementation**: benchmarks and the equivalence
-///   property tests compare a test's native state against
-///   `OneShot(test)`, which is the seed behaviour by construction.
+/// `OneShot(test)` forwards [`name`](SchedulabilityTest::name) and
+/// [`is_schedulable`](SchedulabilityTest::is_schedulable) but keeps the
+/// default [`admission_state_in`](SchedulabilityTest::admission_state_in),
+/// so its states are [`CloneRetestState`]s — the seed behaviour by
+/// construction. Benchmarks and the equivalence property tests compare a
+/// test's native state against it.
 ///
 /// # Example
 ///
 /// ```
-/// use mcsched_model::{Task, TaskSet};
-/// use mcsched_analysis::{AdmissionState, EdfVd, IncrementalTest, OneShot, SchedulabilityTest};
+/// use mcsched_model::Task;
+/// use mcsched_analysis::{EdfVd, OneShot, SchedulabilityTest, WorkspaceRef};
 ///
 /// # fn main() -> Result<(), mcsched_model::ModelError> {
-/// let reference = OneShot(EdfVd::new());
+/// let (native, reference) = (EdfVd::new(), OneShot(EdfVd::new()));
 /// assert_eq!(reference.name(), "EDF-VD");
-/// let mut fast = EdfVd::new().new_state();
-/// let mut slow = reference.new_state();
+/// let ws = WorkspaceRef::new();
+/// let mut fast = native.admission_state_in(&ws);
+/// let mut slow = reference.admission_state_in(&ws);
 /// let t = Task::hi(0, 10, 2, 5)?;
 /// assert_eq!(fast.try_admit(&t), slow.try_admit(&t));
+/// assert_eq!(slow.stats().full, 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -433,66 +365,14 @@ impl<T: SchedulabilityTest> SchedulabilityTest for OneShot<T> {
         self.0.is_schedulable(ts)
     }
 
-    // Note: `admission_state` is deliberately *not* overridden — the whole
-    // point of the wrapper is to keep the clone-and-retest default.
-}
-
-impl<T: SchedulabilityTest + Clone> IncrementalTest for OneShot<T> {
-    type State = OneShotState<T>;
-
-    // mclint: cold — session construction, once per processor
-    fn new_state(&self) -> OneShotState<T> {
-        OneShotState {
-            test: self.0.clone(),
-            committed: Committed::default(),
-        }
-    }
-}
-
-/// The owning variant of [`CloneRetestState`] used by the
-/// [`OneShot`] bridge (the typed [`IncrementalTest`] interface cannot
-/// borrow the test).
-pub struct OneShotState<T> {
-    test: T,
-    committed: Committed,
-}
-
-impl<T: SchedulabilityTest> AdmissionState for OneShotState<T> {
-    fn try_admit(&mut self, task: &Task) -> bool {
-        let ok = clone_and_retest(&self.test, &self.committed.tasks, task);
-        self.committed.record(false, ok);
-        ok
-    }
-
-    fn commit(&mut self, task: Task) {
-        self.committed.push(task);
-    }
-
-    fn remove(&mut self, id: TaskId) -> bool {
-        self.committed.remove(id).is_some()
-    }
-
-    fn summary(&self) -> SystemUtilization {
-        self.committed.summary
-    }
-
-    fn tasks(&self) -> &TaskSet {
-        &self.committed.tasks
-    }
-
-    fn take_tasks(&mut self) -> TaskSet {
-        self.committed.take()
-    }
-
-    fn stats(&self) -> AdmissionStats {
-        self.committed.stats
-    }
+    // Note: `admission_state_in` is deliberately *not* overridden — the
+    // whole point of the wrapper is to keep the clone-and-retest default.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey};
+    use crate::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, WorkspaceRef};
 
     fn hi(id: u32, t: u64, cl: u64, ch: u64) -> Task {
         Task::hi(id, t, cl, ch).unwrap()
@@ -501,10 +381,12 @@ mod tests {
         Task::lo(id, t, c).unwrap()
     }
 
-    /// Drives a state through admit/commit/reject/remove and checks it
-    /// agrees with the one-shot test at every step.
+    /// Drives a state through admit/commit/reject/remove/take and checks
+    /// it agrees with the one-shot test at every step, then reuses the
+    /// emptied state and checks it answers exactly like a fresh one.
     fn exercise_state(test: &dyn SchedulabilityTest) {
-        let mut state = test.admission_state();
+        let ws = WorkspaceRef::new();
+        let mut state = test.admission_state_in(&ws);
         let tasks = vec![hi(0, 10, 2, 4), lo(1, 20, 6), hi(2, 25, 3, 8), lo(3, 10, 3)];
         for t in &tasks {
             let expected = clone_and_retest(&test, state.tasks(), t);
@@ -532,6 +414,24 @@ mod tests {
         let n = state.tasks().len();
         assert_eq!(state.take_tasks().len(), n);
         assert!(state.tasks().is_empty());
+        assert_eq!(state.summary(), SystemUtilization::default());
+        // An emptied state is as good as a fresh one.
+        let mut fresh = test.admission_state_in(&ws);
+        for t in tasks.iter().chain(&[hi(7, 40, 5, 9)]) {
+            let expected = fresh.try_admit(t);
+            assert_eq!(
+                state.try_admit(t),
+                expected,
+                "{} after take_tasks on {t}",
+                test.name()
+            );
+            assert_eq!(expected, clone_and_retest(&test, fresh.tasks(), t));
+            if expected {
+                state.commit(*t);
+                fresh.commit(*t);
+            }
+        }
+        assert_eq!(state.tasks(), fresh.tasks());
     }
 
     #[test]
@@ -552,7 +452,7 @@ mod tests {
     #[test]
     fn bridge_state_counts_full_analyses() {
         let test = OneShot(EdfVd::new());
-        let mut state = test.new_state();
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         assert!(state.try_admit(&lo(0, 10, 1)));
         state.commit(lo(0, 10, 1));
         assert!(!state.try_admit(&lo(1, 10, 10)));
@@ -618,7 +518,7 @@ mod tests {
             }
         }
         let t = AlwaysYes;
-        let mut state = t.admission_state();
+        let mut state = t.admission_state_in(&WorkspaceRef::new());
         assert!(state.try_admit(&lo(0, 10, 9)));
         state.commit(lo(0, 10, 9));
         assert_eq!(state.stats().full, 1);

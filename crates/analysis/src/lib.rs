@@ -22,17 +22,17 @@
 //!
 //! * **one-shot** — [`SchedulabilityTest::is_schedulable`] analyses a
 //!   whole task set from scratch; use it when a set is judged once.
-//! * **incremental** — the admission layer of [`incremental`]
-//!   ([`IncrementalTest`] / [`AdmissionState`]): a stateful per-processor
-//!   object that remembers the committed tasks and the reusable parts of
-//!   the last analysis, so partitioning inner loops pay only for what a
-//!   candidate task adds (O(1) closed forms for EDF-VD, a warm
-//!   [`demand::DemandKernel`] with O(1) overload rejection for EY/ECDF,
-//!   warm-started response-time
-//!   fixed points for AMC). Admission verdicts are *exactly* the one-shot
-//!   verdicts on the union — incremental partitions are bit-identical to
-//!   clone-and-retest ones. Tests without a native state fall back to the
-//!   clone-and-retest bridge ([`OneShot`] forces it explicitly).
+//! * **incremental** — [`SchedulabilityTest::admission_state_in`] creates
+//!   an [`AdmissionState`] (see [`incremental`]): a stateful
+//!   per-processor object that remembers the committed tasks and the
+//!   reusable parts of the last analysis, so partitioning inner loops pay
+//!   only for what a candidate task adds (O(1) closed forms for EDF-VD, a
+//!   warm [`demand::DemandKernel`] with O(1) overload rejection for
+//!   EY/ECDF, warm-started response-time fixed points for AMC). Admission
+//!   verdicts are *exactly* the one-shot verdicts on the union —
+//!   incremental partitions are bit-identical to clone-and-retest ones.
+//!   Tests without a native state fall back to the clone-and-retest
+//!   [`CloneRetestState`] ([`OneShot`] forces it explicitly).
 //!
 //! All arithmetic is exact over integer ticks ([`mcsched_model::Time`]);
 //! floating point only appears in the closed-form EDF-VD utilization test,
@@ -75,10 +75,7 @@ pub use classic::{ClassicEdf, ClassicFp};
 pub use dbf::{DemandCheck, DemandCurve, VdTask};
 pub use demand::{DemandKernel, QpaCounters, TaskDemand};
 pub use edfvd::{EdfVd, EdfVdState};
-pub use incremental::{
-    AdmissionState, AdmissionStats, CloneRetestState, IncrementalTest, OneShot, OneShotState,
-    SessionTest,
-};
+pub use incremental::{AdmissionState, AdmissionStats, CloneRetestState, OneShot};
 pub use sufficient::{FastRule, FastState};
 pub use vdtune::{Ecdf, Ey, VdAssignment, VdTuneState};
 pub use workspace::{AnalysisWorkspace, PooledWorkspace, WorkspaceRef};
@@ -120,28 +117,23 @@ pub trait SchedulabilityTest {
     }
 
     /// Creates an empty per-processor admission state (the stateful layer
-    /// of [`incremental`]).
+    /// of [`incremental`]), its scratch buffers shared through `ws`.
     ///
-    /// The default is the clone-and-retest bridge — exactly the seed
-    /// behaviour of the paper's Algorithm 1, one full analysis per query.
-    /// The five native tests override this with states whose admissions
-    /// are exactly equivalent but reuse cached per-processor work; see
-    /// [`IncrementalTest`] for the typed interface.
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(CloneRetestState::new(self))
-    }
-
-    /// As [`admission_state`](SchedulabilityTest::admission_state), with
-    /// the state's scratch buffers shared through `ws`.
+    /// The default is the clone-and-retest [`CloneRetestState`] — exactly
+    /// the seed behaviour of the paper's Algorithm 1, one full analysis
+    /// per query. The five native tests override this with states whose
+    /// admissions are exactly equivalent but reuse cached per-processor
+    /// work; those states own everything but the workspace handle, so a
+    /// `'static` test yields a `'static` state a service session can keep.
     ///
     /// `Partition::build_reporting` passes one [`WorkspaceRef`] to all `m`
     /// per-processor states of a run, so the whole build shares a single
     /// set of scratch buffers and the admission path allocates nothing in
-    /// steady state. Verdicts are identical to `admission_state` — the
-    /// workspace holds scratch only. The default ignores `ws`.
+    /// steady state. Verdicts never depend on `ws` — it holds scratch
+    /// only.
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         let _ = ws;
-        self.admission_state()
+        Box::new(CloneRetestState::new(self))
     }
 }
 
@@ -154,9 +146,6 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
     }
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
         (**self).is_schedulable_in(ts, ws)
-    }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        (**self).admission_state()
     }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         (**self).admission_state_in(ws)
@@ -172,9 +161,6 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
     }
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
         (**self).is_schedulable_in(ts, ws)
-    }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        (**self).admission_state()
     }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         (**self).admission_state_in(ws)

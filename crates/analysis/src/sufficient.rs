@@ -203,7 +203,7 @@ impl AdmissionState for FastState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdfVd, IncrementalTest, SchedulabilityTest};
+    use crate::{EdfVd, SchedulabilityTest, WorkspaceRef};
 
     fn lo(id: u32, period: u64, wcet: u64) -> Task {
         Task::lo(id, period, wcet).expect("valid LC task")
@@ -216,7 +216,8 @@ mod tests {
     #[test]
     fn edfvd_rule_matches_the_exact_state_verdicts() {
         let mut fast = FastState::new(FastRule::EdfVdClosedForm);
-        let mut exact = EdfVd::new().new_state();
+        let test = EdfVd::new();
+        let mut exact = test.admission_state_in(&WorkspaceRef::new());
         let tasks = [
             lo(1, 10, 3),
             hi(2, 20, 4, 9),

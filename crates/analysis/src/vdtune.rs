@@ -27,7 +27,7 @@
 
 use crate::dbf::{self, DemandCheck, VdTask};
 use crate::demand::DemandKernel;
-use crate::incremental::{AdmissionState, AdmissionStats, Committed, IncrementalTest};
+use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use crate::workspace::{AnalysisWorkspace, WorkspaceRef};
 use crate::SchedulabilityTest;
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
@@ -370,7 +370,7 @@ pub struct Ey {
 
 impl Ey {
     /// Creates the test.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Ey { _priv: () }
     }
 
@@ -391,23 +391,8 @@ impl SchedulabilityTest for Ey {
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
         tune_in(ts, EY_EFFORT, ws)
     }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(VdTuneState::with_workspace(false, ws.clone()))
-    }
-}
-
-impl IncrementalTest for Ey {
-    type State = VdTuneState;
-
-    fn new_state(&self) -> VdTuneState {
-        VdTuneState::with_workspace(false, WorkspaceRef::new())
-    }
-
-    fn new_state_in(&self, ws: &WorkspaceRef) -> VdTuneState {
-        VdTuneState::with_workspace(false, ws.clone())
     }
 }
 
@@ -438,7 +423,7 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Creates the test.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Ecdf { _priv: () }
     }
 
@@ -473,23 +458,8 @@ impl SchedulabilityTest for Ecdf {
         demand.reseed(|t| t.deadline());
         greedy_kernel(demand, EY_EFFORT, moves)
     }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(VdTuneState::with_workspace(true, ws.clone()))
-    }
-}
-
-impl IncrementalTest for Ecdf {
-    type State = VdTuneState;
-
-    fn new_state(&self) -> VdTuneState {
-        VdTuneState::with_workspace(true, WorkspaceRef::new())
-    }
-
-    fn new_state_in(&self, ws: &WorkspaceRef) -> VdTuneState {
-        VdTuneState::with_workspace(true, ws.clone())
     }
 }
 
@@ -917,10 +887,9 @@ mod tests {
             union.push_unchecked(*t);
             test.is_schedulable(&union)
         };
-        for (test, mut state) in [
-            (&ey as &dyn SchedulabilityTest, ey.new_state()),
-            (&ecdf as &dyn SchedulabilityTest, ecdf.new_state()),
-        ] {
+        let ws = WorkspaceRef::new();
+        for test in [&ey as &dyn SchedulabilityTest, &ecdf] {
+            let mut state = test.admission_state_in(&ws);
             for t in &sequence {
                 let expected = one_shot(test, state.tasks(), t);
                 assert_eq!(state.try_admit(t), expected, "{} on {t}", test.name());

@@ -37,8 +37,8 @@
 //!
 //! ## The demand fast-kernel certificate
 //!
-//! [`DemandSoa`] carries the demand stack's analogue of the response
-//! -time certificate on [`SoaTasks::fast`]. Its argument (the QPA
+//! `DemandSoa` carries the demand stack's analogue of the response
+//! -time certificate on `SoaTasks::fast`. Its argument (the QPA
 //! counterpart of the Kleene note in `amc.rs`): when every `C^L`, `C^H`
 //! is in `[1, 2^32)`, every `T` in `[2, 2^32)`, every `D = V + d` below
 //! `2^32`, and the worst-case demand budget
@@ -60,7 +60,7 @@
 //! [`SchedulabilityTest::is_schedulable`]: crate::SchedulabilityTest::is_schedulable
 //! [`SchedulabilityTest::admission_state_in`]: crate::SchedulabilityTest::admission_state_in
 
-use crate::amc::{AmcScratch, CandStream, HcSlot};
+use crate::amc::{AmcCache, CandStream, HcSlot};
 use crate::demand::DemandKernel;
 use crate::vdtune::Move;
 use mcsched_model::{Criticality, Task};
@@ -780,7 +780,7 @@ pub struct AnalysisWorkspace {
     pub(crate) hc: Vec<HcSlot>,
     /// The one-shot AMC analysis (order / responses) — the workspace path
     /// runs exactly the incremental layer's `analyze_into` over it.
-    pub(crate) amc: AmcScratch,
+    pub(crate) amc: AmcCache,
     /// SoA lane view for the batched response-time kernels (the one-shot
     /// and Audsley paths; the incremental `AmcState`s keep their own
     /// per-processor view mirroring the committed cache).

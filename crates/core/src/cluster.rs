@@ -44,7 +44,7 @@
 //! ```
 
 use crate::strategy::PartitionStrategy;
-use mcsched_analysis::{AdmissionState, AdmissionStats, SessionTest, WorkspaceRef};
+use mcsched_analysis::{AdmissionState, AdmissionStats};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 use std::error::Error;
 use std::fmt;
@@ -98,8 +98,9 @@ impl Error for AdmitError {}
 /// A persistent `m`-processor cluster with live per-processor admission
 /// states (see the [module docs](self)).
 ///
-/// Created by [`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster)
-/// or [`AlgorithmRegistry::open_session`](crate::AlgorithmRegistry::open_session).
+/// Created by [`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster),
+/// [`AlgorithmRegistry::open_session`](crate::AlgorithmRegistry::open_session)
+/// or [`ClusterSession::from_states`].
 /// The states share one analysis workspace, so steady-state admissions
 /// allocate nothing; the session is single-threaded by construction
 /// (states hold `Rc` scratch handles) — a service runs one session per
@@ -117,43 +118,29 @@ pub struct ClusterSession {
 }
 
 impl ClusterSession {
-    /// Assembles a session from its parts; `states` must be one fresh
-    /// admission state per processor for the strategy's test (the typed
-    /// constructors in [`AlgorithmSpec`](crate::AlgorithmSpec) handle
-    /// this).
-    pub(crate) fn from_parts(
-        name: String,
+    /// Assembles a session over `states`, one fresh admission state per
+    /// processor, placed by `strategy`'s fit rules.
+    ///
+    /// [`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster)
+    /// passes the test's native states. Passing
+    /// [`CloneRetestState`](mcsched_analysis::CloneRetestState)s over
+    /// [`TestName::test`](crate::TestName::test) instead builds a
+    /// clone-and-retest mirror of that session, the oracle for
+    /// bit-identical equivalence checks.
+    pub fn from_states(
+        name: impl Into<String>,
         strategy: PartitionStrategy,
         states: Vec<Box<dyn AdmissionState>>,
     ) -> Self {
         let m = states.len();
         ClusterSession {
-            name,
+            name: name.into(),
             strategy,
             states,
             summaries: vec![SystemUtilization::default(); m],
             order: Vec::with_capacity(m),
             placements: Vec::new(),
         }
-    }
-
-    /// Assembles a session whose processors run fresh admission states
-    /// of an arbitrary [`SessionTest`] under `strategy`'s placement
-    /// policy.
-    ///
-    /// This is the oracle hook: wrapping a reference test in
-    /// [`OneShot`](mcsched_analysis::OneShot) builds a clone-and-retest
-    /// mirror of a production session
-    /// ([`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster))
-    /// for bit-identical equivalence checks.
-    pub fn with_test<T: SessionTest>(
-        name: impl Into<String>,
-        strategy: PartitionStrategy,
-        test: &T,
-        m: usize,
-    ) -> ClusterSession {
-        let states = owned_states(test, m);
-        ClusterSession::from_parts(name.into(), strategy, states)
     }
 
     /// The algorithm display name (e.g. `"CU-UDP-EDF-VD"`).
@@ -322,23 +309,12 @@ impl fmt::Debug for ClusterSession {
     }
 }
 
-/// Builds the per-processor owning admission states for a test, all
-/// sharing one workspace (see [`SessionTest`]).
-pub(crate) fn owned_states<T>(test: &T, m: usize) -> Vec<Box<dyn AdmissionState>>
-where
-    T: SessionTest,
-{
-    let ws = WorkspaceRef::new();
-    (0..m).map(|_| test.owned_admission_state_in(&ws)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{AlgorithmRegistry, TestName};
     use crate::{presets, AlgorithmSpec};
-    use mcsched_analysis::{IncrementalTest, OneShot, SchedulabilityTest};
-    use std::rc::Rc;
+    use mcsched_analysis::CloneRetestState;
 
     fn hi(id: u32, t: u64, cl: u64, ch: u64) -> Task {
         Task::hi(id, t, cl, ch).unwrap()
@@ -443,7 +419,7 @@ mod tests {
         for test in TestName::ALL {
             let spec = AlgorithmSpec::new(presets::ca_udp(), test);
             let mut c = spec.open_cluster(2);
-            let one_shot = uni_test(test);
+            let one_shot = test.test();
             let tasks = [
                 hi(0, 10, 2, 4),
                 lo(1, 20, 6),
@@ -488,15 +464,12 @@ mod tests {
         for name in ["CA-UDP-EY", "CU-UDP-AMC-max", "CA-F-F-ECDF"] {
             let spec = registry.spec(name).unwrap();
             let mut fast = spec.open_cluster(2);
-            let mirror = CloneBox(Rc::new(uni_test(spec.test)));
-            let mut slow = ClusterSession::from_parts(
+            let mut slow = ClusterSession::from_states(
                 spec.name(),
                 spec.strategy.clone(),
                 (0..2)
                     .map(|_| {
-                        let state: Box<dyn AdmissionState> =
-                            Box::new(OneShot(mirror.clone()).new_state());
-                        state
+                        Box::new(CloneRetestState::new(spec.test.test())) as Box<dyn AdmissionState>
                     })
                     .collect(),
             );
@@ -515,32 +488,6 @@ mod tests {
             let extra = hi(5, 18, 2, 7);
             assert_eq!(fast.probe(&extra), slow.probe(&extra), "{name}: probe");
             assert_eq!(fast.snapshot(), slow.snapshot(), "{name}: snapshot");
-        }
-    }
-
-    /// The uniprocessor test a [`TestName`] denotes, boxed.
-    fn uni_test(t: TestName) -> Box<dyn SchedulabilityTest> {
-        use mcsched_analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey};
-        match t {
-            TestName::EdfVd => Box::new(EdfVd::new()),
-            TestName::Ey => Box::new(Ey::new()),
-            TestName::Ecdf => Box::new(Ecdf::new()),
-            TestName::AmcRtb => Box::new(AmcRtb::new()),
-            TestName::AmcMax => Box::new(AmcMax::new()),
-        }
-    }
-
-    /// A cloneable handle to a boxed test, so the `OneShot`
-    /// clone-and-retest bridge can mirror any registry test.
-    #[derive(Clone)]
-    struct CloneBox(Rc<Box<dyn SchedulabilityTest>>);
-
-    impl SchedulabilityTest for CloneBox {
-        fn name(&self) -> &'static str {
-            "mirror"
-        }
-        fn is_schedulable(&self, ts: &TaskSet) -> bool {
-            self.0.is_schedulable(ts)
         }
     }
 }

@@ -60,5 +60,5 @@ pub use strategy::{AllocationOrder, BalanceMetric, FitRule, PartitionStrategy, S
 // together with the analysis workspace the partitioner threads through
 // the per-processor states (see `mcsched_analysis::workspace`).
 pub use mcsched_analysis::{
-    AdmissionState, AdmissionStats, AnalysisWorkspace, IncrementalTest, OneShot, WorkspaceRef,
+    AdmissionState, AdmissionStats, AnalysisWorkspace, OneShot, WorkspaceRef,
 };

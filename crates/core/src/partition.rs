@@ -81,7 +81,7 @@ impl Partition {
     /// processor where the test accepts `τ(φk) ∪ {τi}` receives the task.
     ///
     /// Admission runs through the test's stateful per-processor
-    /// [`AdmissionState`]s (`test.admission_state()`): rejected attempts
+    /// [`AdmissionState`]s (`test.admission_state_in`): rejected attempts
     /// cost no `TaskSet` clone, fit rules read the cached utilization
     /// summaries, and the five native tests reuse incremental analysis
     /// state. Tests without a native state transparently fall back to the

@@ -41,7 +41,10 @@
 use crate::algorithm::{MultiprocessorTest, PartitionedAlgorithm};
 use crate::presets;
 use crate::strategy::{AllocationOrder, BalanceMetric, FitRule, PartitionStrategy};
-use mcsched_analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState};
+use mcsched_analysis::{
+    AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState, SchedulabilityTest,
+    WorkspaceRef,
+};
 use serde::{Deserialize, Serialize, Value};
 use std::error::Error;
 use std::fmt;
@@ -97,6 +100,44 @@ impl TestName {
             .iter()
             .copied()
             .find(|t| t.canonical() == s || variant_ident(*t) == s)
+    }
+
+    /// The test this name denotes, as a `'static` instance: its
+    /// [`admission_state_in`](SchedulabilityTest::admission_state_in)
+    /// states borrow nothing, so a long-lived session can own them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcsched_analysis::{AdmissionState, SchedulabilityTest, WorkspaceRef};
+    /// use mcsched_core::TestName;
+    /// use mcsched_model::Task;
+    ///
+    /// # fn main() -> Result<(), mcsched_model::ModelError> {
+    /// let test = TestName::Ecdf.test();
+    /// assert_eq!(test.name(), "ECDF");
+    /// // An owning state: no borrow of a local test survives this call.
+    /// let mut state: Box<dyn AdmissionState> = test.admission_state_in(&WorkspaceRef::new());
+    /// let t = Task::hi(0, 10, 2, 4)?;
+    /// assert!(state.try_admit(&t));
+    /// state.commit(t);
+    /// assert_eq!(state.tasks().len(), 1);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn test(self) -> &'static (dyn SchedulabilityTest + Send + Sync) {
+        static EDF_VD: EdfVd = EdfVd::new();
+        static EY: Ey = Ey::new();
+        static ECDF: Ecdf = Ecdf::new();
+        static AMC_RTB: AmcRtb = AmcRtb::new();
+        static AMC_MAX: AmcMax = AmcMax::new();
+        match self {
+            TestName::EdfVd => &EDF_VD,
+            TestName::Ey => &EY,
+            TestName::Ecdf => &ECDF,
+            TestName::AmcRtb => &AMC_RTB,
+            TestName::AmcMax => &AMC_MAX,
+        }
     }
 }
 
@@ -175,29 +216,13 @@ impl AlgorithmSpec {
     /// workspace-aware entry points
     /// ([`MultiprocessorTest::try_partition_reporting_in`] /
     /// [`MultiprocessorTest::accepts_in`]) with real scratch reuse —
-    /// batch harnesses hand each worker one
-    /// [`WorkspaceRef`](mcsched_analysis::WorkspaceRef) and judge every
-    /// item through it.
+    /// batch harnesses hand each worker one [`WorkspaceRef`] and judge
+    /// every item through it.
     pub fn build(&self) -> AlgoBox {
-        let name = self.name();
-        let strategy = self.strategy.clone();
-        match self.test {
-            TestName::EdfVd => {
-                Box::new(PartitionedAlgorithm::new(strategy, EdfVd::new()).with_name(name))
-            }
-            TestName::Ey => {
-                Box::new(PartitionedAlgorithm::new(strategy, Ey::new()).with_name(name))
-            }
-            TestName::Ecdf => {
-                Box::new(PartitionedAlgorithm::new(strategy, Ecdf::new()).with_name(name))
-            }
-            TestName::AmcRtb => {
-                Box::new(PartitionedAlgorithm::new(strategy, AmcRtb::new()).with_name(name))
-            }
-            TestName::AmcMax => {
-                Box::new(PartitionedAlgorithm::new(strategy, AmcMax::new()).with_name(name))
-            }
-        }
+        Box::new(
+            PartitionedAlgorithm::new(self.strategy.clone(), self.test.test())
+                .with_name(self.name()),
+        )
     }
 
     /// Opens a live [`ClusterSession`](crate::ClusterSession) over `m`
@@ -211,15 +236,10 @@ impl AlgorithmSpec {
     /// All `m` states share one analysis workspace; the session is
     /// single-threaded (see [`ClusterSession`](crate::ClusterSession)).
     pub fn open_cluster(&self, m: usize) -> crate::ClusterSession {
-        use crate::cluster::owned_states;
-        let states = match self.test {
-            TestName::EdfVd => owned_states(&EdfVd::new(), m),
-            TestName::Ey => owned_states(&Ey::new(), m),
-            TestName::Ecdf => owned_states(&Ecdf::new(), m),
-            TestName::AmcRtb => owned_states(&AmcRtb::new(), m),
-            TestName::AmcMax => owned_states(&AmcMax::new(), m),
-        };
-        crate::ClusterSession::from_parts(self.name(), self.strategy.clone(), states)
+        let test = self.test.test();
+        let ws = WorkspaceRef::new();
+        let states = (0..m).map(|_| test.admission_state_in(&ws)).collect();
+        crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
     }
 
     /// The sufficient-tier rule that is provably sound for this spec's
@@ -249,10 +269,10 @@ impl AlgorithmSpec {
     /// clients retry on an exact worker for a definitive verdict.
     pub fn open_degraded_cluster(&self, m: usize) -> crate::ClusterSession {
         let rule = self.fast_rule();
-        let states: Vec<Box<dyn mcsched_analysis::AdmissionState>> = (0..m)
-            .map(|_| Box::new(FastState::new(rule)) as Box<dyn mcsched_analysis::AdmissionState>)
+        let states = (0..m)
+            .map(|_| Box::new(FastState::new(rule)) as Box<dyn AdmissionState>)
             .collect();
-        crate::ClusterSession::from_parts(self.name(), self.strategy.clone(), states)
+        crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
     }
 
     /// Reconstructs a spec from a parsed JSON tree (the inverse of the

@@ -18,7 +18,7 @@
 //! 2. **Recovered** — the session rebuilt from the journal by
 //!    [`Journal::recover`] + [`ClusterSession::restore`], i.e. what a
 //!    crashed server would come back with.
-//! 3. **Oracle** — a clone-and-retest [`OneShot`] cluster restored from
+//! 3. **Oracle** — a clone-and-retest [`CloneRetestState`] cluster restored from
 //!    the same journal rows: the seed implementation this repo grew out
 //!    of, with none of the incremental-state machinery.
 //!
@@ -37,8 +37,8 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use mcsched_analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, OneShot, SchedulabilityTest};
-use mcsched_core::{AlgorithmRegistry, AlgorithmSpec, ClusterSession, TestName};
+use mcsched_analysis::{AdmissionState, CloneRetestState};
+use mcsched_core::{AlgorithmRegistry, AlgorithmSpec, ClusterSession};
 use mcsched_model::{Task, TaskId, TaskSet};
 use netframe::fault::{FaultConfig, FaultPlan, FaultyReader, FaultyWriter};
 use rand::rngs::StdRng;
@@ -226,26 +226,10 @@ fn scripted_session(seed: u64, steps: usize) -> Script {
 /// The exact clone-and-retest cluster for `spec` — the oracle every
 /// recovered session is held against.
 fn oracle_cluster(spec: &AlgorithmSpec, m: usize) -> ClusterSession {
-    let name = spec.name();
-    let strategy = spec.strategy.clone();
-    match spec.test {
-        TestName::EdfVd => ClusterSession::with_test(name, strategy, &OneShot(EdfVd::new()), m),
-        TestName::Ey => ClusterSession::with_test(name, strategy, &OneShot(Ey::new()), m),
-        TestName::Ecdf => ClusterSession::with_test(name, strategy, &OneShot(Ecdf::new()), m),
-        TestName::AmcRtb => ClusterSession::with_test(name, strategy, &OneShot(AmcRtb::new()), m),
-        TestName::AmcMax => ClusterSession::with_test(name, strategy, &OneShot(AmcMax::new()), m),
-    }
-}
-
-/// The exact one-shot verdict for one processor's committed set.
-fn uni_schedulable(test: TestName, ts: &TaskSet) -> bool {
-    match test {
-        TestName::EdfVd => EdfVd::new().is_schedulable(ts),
-        TestName::Ey => Ey::new().is_schedulable(ts),
-        TestName::Ecdf => Ecdf::new().is_schedulable(ts),
-        TestName::AmcRtb => AmcRtb::new().is_schedulable(ts),
-        TestName::AmcMax => AmcMax::new().is_schedulable(ts),
-    }
+    let states = (0..m)
+        .map(|_| Box::new(CloneRetestState::new(spec.test.test())) as Box<dyn AdmissionState>)
+        .collect();
+    ClusterSession::from_states(spec.name(), spec.strategy.clone(), states)
 }
 
 /// Per-processor utilization summaries as raw bits, for bit-identical
@@ -443,7 +427,7 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
                                         ts.push_unchecked(*task);
                                     }
                                 }
-                                if !ts.is_empty() && !uni_schedulable(spec.test, &ts) {
+                                if !ts.is_empty() && !spec.test.test().is_schedulable(&ts) {
                                     report.mismatches.push(format!(
                                         "processor {k} holds {} tasks the exact test rejects",
                                         ids.len()

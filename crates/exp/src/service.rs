@@ -42,19 +42,9 @@
 
 use crate::protocol::{parse_envelope, Reply, Request};
 use mcsched_core::AlgorithmRegistry;
-use serde::Serialize;
 use std::io::{BufRead, Write};
 
 pub use crate::protocol::{EvalRequest, EvalResponse, MAX_PROCESSORS};
-
-/// An in-band error verdict (`{"error": "..."}` — the pre-versioning
-/// error shape, kept for callers that build one directly; the service
-/// itself now answers with the typed [`Reply::Error`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct EvalError {
-    /// What went wrong with the request line.
-    pub error: String,
-}
 
 /// Totals of one [`run_eval`] stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -9,9 +9,11 @@
 //! * both hold across unconstrained proptest sets *and* a deterministic
 //!   generator-shaped corpus.
 
-use mcsched::analysis::amc::{amc_rtb_bounds_batched, lo_responses_batched, reference};
+use mcsched::analysis::amc::{amc_rtb_bounds_batched, reference};
 use mcsched::analysis::vdtune::reference as vd_reference;
-use mcsched::analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
+use mcsched::analysis::{
+    AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
+};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use proptest::prelude::*;
@@ -52,7 +54,7 @@ fn arb_taskset() -> impl Strategy<Value = TaskSet> {
 /// for bit**: the low-mode vector, the AMC-rtb verdict, and (on an
 /// accepting verdict) every HC task's high-mode bound.
 fn assert_batched_bounds_equivalent(ts: &TaskSet) {
-    let lo = lo_responses_batched(ts);
+    let lo = LoRta::compute(ts);
     assert_eq!(
         lo,
         reference::lo_responses(ts),
@@ -168,7 +170,7 @@ proptest! {
         let tests: Vec<Box<dyn SchedulabilityTest>> =
             vec![Box::new(AmcRtb::new()), Box::new(AmcMax::new())];
         for test in &tests {
-            let mut state = test.admission_state();
+            let mut state = test.admission_state_in(&WorkspaceRef::new());
             let mut pending: Vec<Task> = ts.iter().copied().collect();
             for &op in &ops {
                 let admit = op & 1 == 0 || state.tasks().is_empty();
@@ -308,7 +310,7 @@ fn near_max_periods_run_end_to_end() {
     assert!(AmcMax::new().is_schedulable(&ts));
     // The admission layer sees the same instants.
     let test = AmcMax::new();
-    let mut state = test.admission_state();
+    let mut state = test.admission_state_in(&WorkspaceRef::new());
     for t in &ts {
         assert!(state.try_admit(t));
         state.commit(*t);

@@ -92,12 +92,6 @@ fn assert_checks_equivalent(tasks: &[VdTask]) {
         dbf::reference::check_hi_mode(tasks),
         "hi-mode check diverged on {tasks:?}"
     );
-    let mut scratch = Vec::new();
-    assert_eq!(
-        dbf::check_hi_mode_in(tasks, &mut scratch),
-        dbf::check_hi_mode(tasks),
-        "legacy scratch entry point diverged on {tasks:?}"
-    );
 }
 
 /// Asserts kernel-backed EY/ECDF verdicts and tuned assignments equal the
@@ -267,7 +261,7 @@ fn seeded_corpus_kernel_equivalence() {
 /// agreeing with the one-shot tuner on every probe.
 #[test]
 fn admission_probes_reuse_fixpoints() {
-    use mcsched::analysis::{AdmissionState, IncrementalTest};
+    use mcsched::analysis::WorkspaceRef;
     let tasks = vec![
         Task::hi(0, 10, 1, 3).unwrap(),
         Task::lo(1, 20, 4).unwrap(),
@@ -276,21 +270,13 @@ fn admission_probes_reuse_fixpoints() {
         Task::lo(4, 15, 3).unwrap(),
         Task::hi(5, 40, 3, 9).unwrap(),
     ];
-    for ecdf in [false, true] {
-        let mut state: Box<dyn AdmissionState> = if ecdf {
-            Box::new(Ecdf::new().new_state())
-        } else {
-            Box::new(Ey::new().new_state())
-        };
+    for test in [&Ey::new() as &dyn SchedulabilityTest, &Ecdf::new()] {
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         for t in &tasks {
             let mut union = state.tasks().clone();
             union.push_unchecked(*t);
-            let expected = if ecdf {
-                Ecdf::new().is_schedulable(&union)
-            } else {
-                Ey::new().is_schedulable(&union)
-            };
-            assert_eq!(state.try_admit(t), expected, "ecdf={ecdf} on {t}");
+            let expected = test.is_schedulable(&union);
+            assert_eq!(state.try_admit(t), expected, "{} on {t}", test.name());
             if expected {
                 state.commit(*t);
             }
@@ -298,11 +284,13 @@ fn admission_probes_reuse_fixpoints() {
         let stats = state.stats();
         assert!(
             stats.qpa_cold > 0,
-            "no cold descents recorded (ecdf={ecdf}): {stats:?}"
+            "no cold descents recorded ({}): {stats:?}",
+            test.name()
         );
         assert!(
             stats.qpa_resumed > 0,
-            "no warm fixpoint reuse recorded (ecdf={ecdf}): {stats:?}"
+            "no warm fixpoint reuse recorded ({}): {stats:?}",
+            test.name()
         );
     }
 }

@@ -14,7 +14,7 @@
 //!   acceptance criterion of the incremental-admission milestone.
 
 use mcsched::analysis::{
-    AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, IncrementalTest, OneShot, SchedulabilityTest,
+    AmcMax, AmcRtb, Ecdf, EdfVd, Ey, OneShot, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched::core::{presets, Partition};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
@@ -123,7 +123,7 @@ proptest! {
         // Below the partitioner: drive each native state task by task and
         // compare every single admission verdict with the one-shot test.
         for (incremental, _, name) in test_pairs() {
-            let mut state = incremental.admission_state();
+            let mut state = incremental.admission_state_in(&WorkspaceRef::new());
             for task in &ts {
                 let mut union = state.tasks().clone();
                 union.push_unchecked(*task);
@@ -199,28 +199,4 @@ fn edfvd_states_never_run_full_analyses() {
     assert!(stats.attempts > 0);
     assert_eq!(stats.full, 0);
     assert_eq!(stats.incremental, stats.attempts);
-}
-
-/// The typed `IncrementalTest` interface and the object-safe
-/// `admission_state` hook hand out equivalent states.
-#[test]
-fn typed_and_dyn_states_agree() {
-    let test = AmcMax::new();
-    let mut typed = test.new_state();
-    let mut dynamic = (&test as &dyn SchedulabilityTest).admission_state();
-    let tasks = [
-        Task::hi(0, 10, 2, 4).unwrap(),
-        Task::lo(1, 15, 4).unwrap(),
-        Task::hi(2, 30, 3, 9).unwrap(),
-    ];
-    for t in tasks {
-        let a = typed.try_admit(&t);
-        let b = dynamic.try_admit(&t);
-        assert_eq!(a, b);
-        if a {
-            typed.commit(t);
-            dynamic.commit(t);
-        }
-    }
-    assert_eq!(typed.tasks(), dynamic.tasks());
 }

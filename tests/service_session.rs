@@ -3,8 +3,7 @@
 //! * a randomized admit/remove/query lifecycle served over the
 //!   connection state machine is **bit-identical** to a clone-and-retest
 //!   oracle — a [`ClusterSession`] running the same placement policy on
-//!   [`OneShot`]-bridged reference tests (cold full re-analysis per
-//!   verdict);
+//!   [`CloneRetestState`]s (cold full re-analysis per verdict);
 //! * protocol v1 envelopes round-trip through render/parse, and legacy
 //!   `eval` lines still parse;
 //! * malformed and oversized frames are answered in-band (echoing the
@@ -12,7 +11,7 @@
 //! * a real TCP server sheds connections beyond its pool + queue with a
 //!   typed overload reply and shuts down cleanly.
 
-use mcsched::analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, OneShot};
+use mcsched::analysis::{AdmissionState, CloneRetestState};
 use mcsched::core::ClusterSession;
 use mcsched::exp::protocol::{
     parse_envelope, parse_reply, Envelope, EvalRequest, Reply, Request, RequestId,
@@ -28,15 +27,10 @@ use std::time::Duration;
 /// The oracle: the same cluster placement policy, but every processor
 /// verdict is a from-scratch one-shot analysis (clone-and-retest).
 fn oracle_cluster(spec: &AlgorithmSpec, m: usize) -> ClusterSession {
-    let name = spec.name();
-    let strategy = spec.strategy.clone();
-    match spec.test {
-        TestName::EdfVd => ClusterSession::with_test(name, strategy, &OneShot(EdfVd::new()), m),
-        TestName::Ey => ClusterSession::with_test(name, strategy, &OneShot(Ey::new()), m),
-        TestName::Ecdf => ClusterSession::with_test(name, strategy, &OneShot(Ecdf::new()), m),
-        TestName::AmcRtb => ClusterSession::with_test(name, strategy, &OneShot(AmcRtb::new()), m),
-        TestName::AmcMax => ClusterSession::with_test(name, strategy, &OneShot(AmcMax::new()), m),
-    }
+    let states = (0..m)
+        .map(|_| Box::new(CloneRetestState::new(spec.test.test())) as Box<dyn AdmissionState>)
+        .collect();
+    ClusterSession::from_states(spec.name(), spec.strategy.clone(), states)
 }
 
 /// One scripted session operation (mirrors the protocol verbs).
