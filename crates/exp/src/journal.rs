@@ -13,8 +13,9 @@
 //!
 //! ## Format
 //!
-//! One JSON object per line (the same self-describing [`Value`] tree
-//! the wire protocol uses), distinguished by the `"j"` field:
+//! One JSON object per line, written by the wire protocol's JSON-line
+//! writer into one reused buffer and parsed back into a [`Value`] tree
+//! only on recovery. Records are distinguished by the `"j"` field:
 //!
 //! ```text
 //! {"j":"open","s":NAME,"algorithm":ALGO,"m":M}
@@ -54,7 +55,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use crate::protocol::{task_from_value, task_to_value};
+use crate::protocol::{task_from_value, JsonObject};
 use mcsched_model::{Task, TaskId};
 use serde::Value;
 
@@ -198,6 +199,9 @@ pub struct JournalStats {
 
 struct JournalInner {
     file: File,
+    /// The line buffer every appended record is written into, reused
+    /// across appends.
+    line: String,
     images: HashMap<String, SessionImage>,
     attached: std::collections::HashSet<String>,
     appended_since_compaction: usize,
@@ -237,6 +241,7 @@ impl Journal {
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             inner: Mutex::new(JournalInner {
                 file,
+                line: String::new(),
                 images: HashMap::new(),
                 attached: std::collections::HashSet::new(),
                 appended_since_compaction: 0,
@@ -315,6 +320,7 @@ impl Journal {
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             inner: Mutex::new(JournalInner {
                 file,
+                line: String::new(),
                 images,
                 attached: std::collections::HashSet::new(),
                 appended_since_compaction: 0,
@@ -368,13 +374,7 @@ impl Journal {
         inner
             .images
             .insert(name.to_owned(), SessionImage::new(algorithm, m));
-        let record = Value::Map(vec![
-            ("j".to_owned(), Value::Str("open".to_owned())),
-            ("s".to_owned(), Value::Str(name.to_owned())),
-            ("algorithm".to_owned(), Value::Str(algorithm.to_owned())),
-            ("m".to_owned(), Value::UInt(m as u64)),
-        ]);
-        append(&mut inner, &record);
+        append(&mut inner, |out| open_record(out, name, algorithm, m));
         self.maybe_compact(&mut inner);
         Ok(None)
     }
@@ -399,17 +399,9 @@ impl Journal {
         if let Some(img) = inner.images.get_mut(name) {
             img.apply_admit(*task, k, tasks, op_id);
         }
-        let mut entries = vec![
-            ("j".to_owned(), Value::Str("admit".to_owned())),
-            ("s".to_owned(), Value::Str(name.to_owned())),
-            ("task".to_owned(), task_to_value(task)),
-            ("k".to_owned(), Value::UInt(k as u64)),
-            ("tasks".to_owned(), Value::UInt(tasks as u64)),
-        ];
-        if let Some(op) = op_id {
-            entries.push(("op".to_owned(), Value::Str(op.to_owned())));
-        }
-        append(&mut inner, &Value::Map(entries));
+        append(&mut inner, |out| {
+            admit_record(out, name, task, k, tasks, op_id);
+        });
         self.maybe_compact(&mut inner);
     }
 
@@ -427,17 +419,18 @@ impl Journal {
         if let Some(img) = inner.images.get_mut(name) {
             img.apply_remove(task_id, k, tasks, op_id);
         }
-        let mut entries = vec![
-            ("j".to_owned(), Value::Str("remove".to_owned())),
-            ("s".to_owned(), Value::Str(name.to_owned())),
-            ("task_id".to_owned(), Value::UInt(u64::from(task_id.0))),
-            ("k".to_owned(), Value::UInt(k as u64)),
-            ("tasks".to_owned(), Value::UInt(tasks as u64)),
-        ];
-        if let Some(op) = op_id {
-            entries.push(("op".to_owned(), Value::Str(op.to_owned())));
-        }
-        append(&mut inner, &Value::Map(entries));
+        append(&mut inner, |out| {
+            let mut o = JsonObject::open(out);
+            o.str("j", "remove")
+                .str("s", name)
+                .uint("task_id", u64::from(task_id.0))
+                .uint("k", k as u64)
+                .uint("tasks", tasks as u64);
+            if let Some(op) = op_id {
+                o.str("op", op);
+            }
+            o.close();
+        });
         self.maybe_compact(&mut inner);
     }
 
@@ -490,20 +483,49 @@ impl Journal {
     }
 }
 
-/// Serializes one record and appends it (newline-terminated), flushing
-/// to the OS so a SIGKILL after the reply cannot lose it.
-fn append(inner: &mut JournalInner, record: &Value) {
+/// Writes one record into the journal's reused line buffer and appends
+/// it (newline-terminated), flushing to the OS so a SIGKILL after the
+/// reply cannot lose it.
+fn append(inner: &mut JournalInner, record: impl FnOnce(&mut String)) {
     inner.appended_since_compaction += 1;
     inner.stats.appended += 1;
-    match serde_json::to_string(record) {
-        Ok(mut line) => {
-            line.push('\n');
-            if inner.file.write_all(line.as_bytes()).is_err() || inner.file.flush().is_err() {
-                inner.stats.io_errors += 1;
-            }
-        }
-        Err(_) => inner.stats.io_errors += 1,
+    inner.line.clear();
+    record(&mut inner.line);
+    inner.line.push('\n');
+    if inner.file.write_all(inner.line.as_bytes()).is_err() || inner.file.flush().is_err() {
+        inner.stats.io_errors += 1;
     }
+}
+
+/// `{"j":"open","s":NAME,"algorithm":ALGO,"m":M}`
+fn open_record(out: &mut String, name: &str, algorithm: &str, m: usize) {
+    let mut o = JsonObject::open(out);
+    o.str("j", "open")
+        .str("s", name)
+        .str("algorithm", algorithm)
+        .uint("m", m as u64);
+    o.close();
+}
+
+/// `{"j":"admit","s":NAME,"task":{...},"k":PROC,"tasks":N,"op":OP?}`
+fn admit_record(
+    out: &mut String,
+    name: &str,
+    task: &Task,
+    k: usize,
+    tasks: usize,
+    op_id: Option<&str>,
+) {
+    let mut o = JsonObject::open(out);
+    o.str("j", "admit")
+        .str("s", name)
+        .task("task", task)
+        .uint("k", k as u64)
+        .uint("tasks", tasks as u64);
+    if let Some(op) = op_id {
+        o.str("op", op);
+    }
+    o.close();
 }
 
 /// Writes a full snapshot of `images` to `path` and returns the handle
@@ -522,61 +544,34 @@ fn write_snapshot(path: &Path, images: &HashMap<String, SessionImage>) -> std::i
         let Some(img) = images.get(name) else {
             continue;
         };
-        push_line(
-            &mut out,
-            &Value::Map(vec![
-                ("j".to_owned(), Value::Str("open".to_owned())),
-                ("s".to_owned(), Value::Str(name.clone())),
-                ("algorithm".to_owned(), Value::Str(img.algorithm.clone())),
-                ("m".to_owned(), Value::UInt(img.m as u64)),
-            ]),
-        );
+        open_record(&mut out, name, &img.algorithm, img.m);
+        out.push('\n');
         for (i, (task, k)) in img.rows.iter().enumerate() {
-            push_line(
-                &mut out,
-                &Value::Map(vec![
-                    ("j".to_owned(), Value::Str("admit".to_owned())),
-                    ("s".to_owned(), Value::Str(name.clone())),
-                    ("task".to_owned(), task_to_value(task)),
-                    ("k".to_owned(), Value::UInt(*k as u64)),
-                    ("tasks".to_owned(), Value::UInt(i as u64 + 1)),
-                ]),
-            );
+            admit_record(&mut out, name, task, *k, i + 1, None);
+            out.push('\n');
         }
         for (op, outcome) in &img.applied {
-            push_line(
-                &mut out,
-                &Value::Map(vec![
-                    ("j".to_owned(), Value::Str("applied".to_owned())),
-                    ("s".to_owned(), Value::Str(name.clone())),
-                    ("op".to_owned(), Value::Str(op.clone())),
-                    (
-                        "kind".to_owned(),
-                        Value::Str(
-                            match outcome.kind {
-                                OpKind::Admit => "admit",
-                                OpKind::Remove => "remove",
-                            }
-                            .to_owned(),
-                        ),
-                    ),
-                    ("task".to_owned(), Value::UInt(u64::from(outcome.task))),
-                    ("k".to_owned(), Value::UInt(outcome.processor as u64)),
-                    ("tasks".to_owned(), Value::UInt(outcome.tasks as u64)),
-                ]),
-            );
+            let mut o = JsonObject::open(&mut out);
+            o.str("j", "applied")
+                .str("s", name)
+                .str("op", op)
+                .str(
+                    "kind",
+                    match outcome.kind {
+                        OpKind::Admit => "admit",
+                        OpKind::Remove => "remove",
+                    },
+                )
+                .uint("task", u64::from(outcome.task))
+                .uint("k", outcome.processor as u64)
+                .uint("tasks", outcome.tasks as u64);
+            o.close();
+            out.push('\n');
         }
     }
     file.write_all(out.as_bytes())?;
     file.flush()?;
     Ok(file)
-}
-
-fn push_line(out: &mut String, record: &Value) {
-    if let Ok(line) = serde_json::to_string(record) {
-        out.push_str(&line);
-        out.push('\n');
-    }
 }
 
 /// Replays one journal line into the image map. Returns `false` when

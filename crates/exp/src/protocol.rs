@@ -24,9 +24,23 @@
 //! `"id"` when one was given. [`Reply::render`] and [`parse_reply`] are
 //! exact inverses, as are [`Envelope::render`] and [`parse_envelope`] —
 //! the round-trip property the protocol tests pin.
+//!
+//! ## Encoding
+//!
+//! Replies, request lines and journal records are written directly as
+//! text by one small JSON-line writer, with no intermediate tree. Fields
+//! are written in a fixed order, and strings go through the vendored
+//! `serde_json::write_escaped`, the escaper `serde_json::to_string` uses.
+//! The server's connection loop renders every reply into one reused buffer
+//! ([`Reply::render_into`]), and the journal does the same for every
+//! record. Incoming lines are parsed by `serde_json::parse_value`, whose
+//! work is linear in the line length. The parsed `Value` tree is used
+//! only to look up request fields and on cold paths (reports, the
+//! algorithm registry, journal recovery).
 
 use mcsched_model::{Criticality, Task, TaskId, TaskSet};
-use serde::{Serialize, Value};
+use serde::Value;
+use std::fmt::Write as _;
 
 /// The wire protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -46,13 +60,6 @@ pub enum RequestId {
 }
 
 impl RequestId {
-    fn to_value(&self) -> Value {
-        match self {
-            RequestId::Num(n) => Value::UInt(*n),
-            RequestId::Str(s) => Value::Str(s.clone()),
-        }
-    }
-
     fn from_value(v: &Value) -> Option<RequestId> {
         match v {
             Value::Str(s) => Some(RequestId::Str(s.clone())),
@@ -99,57 +106,48 @@ impl Envelope {
     /// Renders the request as one JSON line (no trailing newline) —
     /// the client side of [`parse_envelope`].
     pub fn render(&self) -> String {
-        let mut entries = vec![
-            (
-                "type".to_owned(),
-                Value::Str(self.request.kind().to_owned()),
-            ),
-            ("v".to_owned(), Value::UInt(PROTOCOL_VERSION)),
-        ];
-        if let Some(id) = &self.id {
-            entries.push(("id".to_owned(), id.to_value()));
-        }
+        let mut out = String::new();
+        let mut o = JsonObject::open(&mut out);
+        o.str("type", self.request.kind())
+            .uint("v", PROTOCOL_VERSION)
+            .id(self.id.as_ref());
         match &self.request {
             Request::Eval(req) => {
-                entries.push(("algorithm".to_owned(), Value::Str(req.algorithm.clone())));
-                entries.push(("m".to_owned(), Value::UInt(req.m as u64)));
-                entries.push((
-                    "tasks".to_owned(),
-                    Value::Seq(req.tasks.iter().map(task_to_value).collect()),
-                ));
+                o.str("algorithm", &req.algorithm)
+                    .uint("m", req.m as u64)
+                    .tasks("tasks", &req.tasks);
             }
             Request::OpenSession {
                 algorithm,
                 m,
                 session,
             } => {
-                entries.push(("algorithm".to_owned(), Value::Str(algorithm.clone())));
-                entries.push(("m".to_owned(), Value::UInt(*m as u64)));
+                o.str("algorithm", algorithm).uint("m", *m as u64);
                 if let Some(name) = session {
-                    entries.push(("session".to_owned(), Value::Str(name.clone())));
+                    o.str("session", name);
                 }
             }
             Request::Admit { task, op_id } => {
-                entries.push(("task".to_owned(), task_to_value(task)));
+                o.task("task", task);
                 if let Some(op) = op_id {
-                    entries.push(("op_id".to_owned(), Value::Str(op.clone())));
+                    o.str("op_id", op);
                 }
             }
             Request::Remove { task_id, op_id } => {
-                entries.push(("task_id".to_owned(), Value::UInt(u64::from(task_id.0))));
+                o.uint("task_id", u64::from(task_id.0));
                 if let Some(op) = op_id {
-                    entries.push(("op_id".to_owned(), Value::Str(op.clone())));
+                    o.str("op_id", op);
                 }
             }
             Request::Query { probe } => {
                 if let Some(task) = probe {
-                    entries.push(("task".to_owned(), task_to_value(task)));
+                    o.task("task", task);
                 }
             }
             Request::Close | Request::Shutdown => {}
         }
-        // mclint: allow(no-panic) reason="Value-tree serialization has no Err path in the vendored stub; an Err here is a build break, not a request-time state"
-        serde_json::to_string(&Value::Map(entries)).expect("stub serialization is infallible")
+        o.close();
+        out
     }
 }
 
@@ -426,36 +424,10 @@ pub(crate) fn task_from_value(v: &Value) -> Result<Task, String> {
     builder.try_build().map_err(|e| e.to_string())
 }
 
-/// Renders one task as its wire object (the inverse of the parser's
-/// defaulting: all fields explicit).
-pub(crate) fn task_to_value(task: &Task) -> Value {
-    Value::Map(vec![
-        ("id".to_owned(), Value::UInt(u64::from(task.id().0))),
-        ("period".to_owned(), Value::UInt(task.period().as_ticks())),
-        (
-            "criticality".to_owned(),
-            Value::Str(
-                if task.criticality().is_high() {
-                    "HI"
-                } else {
-                    "LO"
-                }
-                .to_owned(),
-            ),
-        ),
-        ("wcet_lo".to_owned(), Value::UInt(task.wcet_lo().as_ticks())),
-        ("wcet_hi".to_owned(), Value::UInt(task.wcet_hi().as_ticks())),
-        (
-            "deadline".to_owned(),
-            Value::UInt(task.deadline().as_ticks()),
-        ),
-    ])
-}
-
 // ------------------------------------------------------------- replies
 
 /// The verdict for one `eval` request.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalResponse {
     /// Echo of the requested algorithm name.
     pub algorithm: String,
@@ -472,7 +444,7 @@ pub struct EvalResponse {
 }
 
 /// The reply to `open_session`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReply {
     /// The resolved algorithm display name.
     pub algorithm: String,
@@ -486,7 +458,7 @@ pub struct SessionReply {
 }
 
 /// The reply to `admit`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmitReply {
     /// Whether the task was admitted (and committed).
     pub admitted: bool,
@@ -506,7 +478,7 @@ pub struct AdmitReply {
 }
 
 /// The reply to `remove`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoveReply {
     /// Whether the task was found and removed.
     pub removed: bool,
@@ -519,7 +491,7 @@ pub struct RemoveReply {
 }
 
 /// The probe half of a `query` reply.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeReply {
     /// Whether the probed task would be admitted right now.
     pub fits: bool,
@@ -528,7 +500,7 @@ pub struct ProbeReply {
 }
 
 /// The reply to `query`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryReply {
     /// The session's algorithm display name.
     pub algorithm: String,
@@ -605,37 +577,77 @@ impl Reply {
     /// Renders the reply as one JSON line (no trailing newline),
     /// echoing `id` when present — the inverse of [`parse_reply`].
     pub fn render(&self, id: Option<&RequestId>) -> String {
-        let mut entries = vec![
-            ("type".to_owned(), Value::Str(self.kind().to_owned())),
-            ("v".to_owned(), Value::UInt(PROTOCOL_VERSION)),
-        ];
-        if let Some(id) = id {
-            entries.push(("id".to_owned(), id.to_value()));
-        }
-        let body = match self {
-            Reply::Eval(r) => r.to_value(),
-            Reply::Session(r) => r.to_value(),
-            Reply::Admit(r) => r.to_value(),
-            Reply::Remove(r) => r.to_value(),
-            Reply::Query(r) => r.to_value(),
+        let mut out = String::new();
+        self.render_into(id, &mut out);
+        out
+    }
+
+    /// Writes the reply line of [`Reply::render`] into `out`, replacing
+    /// its contents, so a connection can reuse one buffer for every
+    /// reply it sends.
+    pub fn render_into(&self, id: Option<&RequestId>, out: &mut String) {
+        out.clear();
+        let mut o = JsonObject::open(out);
+        o.str("type", self.kind())
+            .uint("v", PROTOCOL_VERSION)
+            .id(id);
+        match self {
+            Reply::Eval(r) => {
+                o.str("algorithm", &r.algorithm)
+                    .uint("m", r.m as u64)
+                    .bool("schedulable", r.schedulable);
+                match &r.partition {
+                    Some(p) => o.partition("partition", p),
+                    None => o.null("partition"),
+                };
+                o.opt_uint("rejected_task", r.rejected_task.map(u64::from))
+                    .opt_str("detail", r.detail.as_deref());
+            }
+            Reply::Session(r) => {
+                o.str("algorithm", &r.algorithm)
+                    .uint("m", r.m as u64)
+                    .degraded(r.degraded);
+            }
+            Reply::Admit(r) => {
+                o.bool("admitted", r.admitted)
+                    .opt_uint("processor", r.processor.map(|k| k as u64))
+                    .uint("task", u64::from(r.task))
+                    .uint("tasks", r.tasks as u64)
+                    .opt_str("detail", r.detail.as_deref())
+                    .degraded(r.degraded);
+            }
+            Reply::Remove(r) => {
+                o.bool("removed", r.removed)
+                    .opt_uint("processor", r.processor.map(|k| k as u64))
+                    .uint("task", u64::from(r.task))
+                    .uint("tasks", r.tasks as u64);
+            }
+            Reply::Query(r) => {
+                o.str("algorithm", &r.algorithm)
+                    .uint("m", r.m as u64)
+                    .uint("tasks", r.tasks as u64)
+                    .partition("partition", &r.partition);
+                match &r.probe {
+                    Some(probe) => {
+                        let mut p = JsonObject::open(o.key("probe"));
+                        p.bool("fits", probe.fits)
+                            .opt_uint("processor", probe.processor.map(|k| k as u64));
+                        p.close();
+                    }
+                    None => {
+                        o.null("probe");
+                    }
+                }
+                o.degraded(r.degraded);
+            }
             Reply::Closed { reason } => {
-                Value::Map(vec![("reason".to_owned(), Value::Str(reason.clone()))])
+                o.str("reason", reason);
             }
             Reply::Overload { error } | Reply::Error { error } => {
-                Value::Map(vec![("error".to_owned(), Value::Str(error.clone()))])
+                o.str("error", error);
             }
-        };
-        if let Value::Map(body) = body {
-            // `degraded` is a v1 extension: absent means `false`, so a
-            // false flag is dropped from the wire and pre-extension
-            // clients never see an unfamiliar field on normal replies.
-            entries.extend(
-                body.into_iter()
-                    .filter(|(k, v)| !(k == "degraded" && *v == Value::Bool(false))),
-            );
         }
-        // mclint: allow(no-panic) reason="Value-tree serialization has no Err path in the vendored stub; an Err here is a build break, not a request-time state"
-        serde_json::to_string(&Value::Map(entries)).expect("stub serialization is infallible")
+        o.close();
     }
 }
 
@@ -774,6 +786,145 @@ fn partition_from_value(v: &Value) -> Result<Vec<Vec<u32>>, String> {
                 .collect()
         })
         .collect()
+}
+
+// -------------------------------------------------------------- writer
+
+/// Writes one JSON object into a caller-owned line buffer, field by
+/// field, with no intermediate [`Value`] tree. Replies, request
+/// envelopes and journal records all go through it.
+///
+/// Keys are `&'static str` identifiers and are written without
+/// escaping. Fields appear in call order, so the call sequence is the
+/// wire shape. Writing to a `String` cannot fail, so nothing here has an
+/// error path.
+pub(crate) struct JsonObject<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonObject<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonObject { out, empty: true }
+    }
+
+    /// Closes the object.
+    pub(crate) fn close(self) {
+        self.out.push('}');
+    }
+
+    /// Writes `"key":` and returns the buffer for the value.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    pub(crate) fn str(&mut self, key: &'static str, value: &str) -> &mut Self {
+        serde_json::write_escaped(value, self.key(key));
+        self
+    }
+
+    pub(crate) fn uint(&mut self, key: &'static str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    fn bool(&mut self, key: &'static str, value: bool) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    fn null(&mut self, key: &'static str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// `null` when absent: optional reply fields are always present.
+    fn opt_str(&mut self, key: &'static str, value: Option<&str>) -> &mut Self {
+        match value {
+            Some(v) => self.str(key, v),
+            None => self.null(key),
+        }
+    }
+
+    /// `null` when absent, as [`JsonObject::opt_str`].
+    fn opt_uint(&mut self, key: &'static str, value: Option<u64>) -> &mut Self {
+        match value {
+            Some(v) => self.uint(key, v),
+            None => self.null(key),
+        }
+    }
+
+    /// The echoed correlation id: omitted, not `null`, when absent.
+    fn id(&mut self, id: Option<&RequestId>) -> &mut Self {
+        match id {
+            Some(RequestId::Num(n)) => self.uint("id", *n),
+            Some(RequestId::Str(s)) => self.str("id", s),
+            None => self,
+        }
+    }
+
+    /// `degraded` is a v1 extension: absent means `false`, so a false
+    /// flag stays off the wire and pre-extension clients never see an
+    /// unfamiliar field on normal replies.
+    fn degraded(&mut self, degraded: bool) -> &mut Self {
+        if degraded {
+            self.bool("degraded", true);
+        }
+        self
+    }
+
+    /// One task as its wire object, every field explicit (the inverse of
+    /// the parser's defaulting in [`task_from_value`]).
+    pub(crate) fn task(&mut self, key: &'static str, task: &Task) -> &mut Self {
+        write_task(self.key(key), task);
+        self
+    }
+
+    fn tasks(&mut self, key: &'static str, tasks: &TaskSet) -> &mut Self {
+        let tasks = tasks.as_slice();
+        serde_json::write_array(self.key(key), tasks.len(), |out, i| {
+            write_task(out, &tasks[i]);
+        });
+        self
+    }
+
+    /// Task ids per processor, as an array of arrays.
+    fn partition(&mut self, key: &'static str, partition: &[Vec<u32>]) -> &mut Self {
+        serde_json::write_array(self.key(key), partition.len(), |out, k| {
+            let ids = &partition[k];
+            serde_json::write_array(out, ids.len(), |out, i| {
+                let _ = write!(out, "{}", ids[i]);
+            });
+        });
+        self
+    }
+}
+
+fn write_task(out: &mut String, task: &Task) {
+    let mut o = JsonObject::open(out);
+    o.uint("id", u64::from(task.id().0))
+        .uint("period", task.period().as_ticks())
+        .str(
+            "criticality",
+            if task.criticality().is_high() {
+                "HI"
+            } else {
+                "LO"
+            },
+        )
+        .uint("wcet_lo", task.wcet_lo().as_ticks())
+        .uint("wcet_hi", task.wcet_hi().as_ticks())
+        .uint("deadline", task.deadline().as_ticks());
+    o.close();
 }
 
 #[cfg(test)]
@@ -1043,8 +1194,13 @@ mod tests {
         assert!(task.criticality().is_low());
         assert_eq!(task.wcet_hi().as_ticks(), 3);
         assert_eq!(task.deadline().as_ticks(), 20);
-        let rendered = task_to_value(&task);
-        let back = task_from_value(&rendered).unwrap();
+        let mut rendered = String::new();
+        write_task(&mut rendered, &task);
+        assert_eq!(
+            rendered,
+            r#"{"id":7,"period":20,"criticality":"LO","wcet_lo":3,"wcet_hi":3,"deadline":20}"#
+        );
+        let back = task_from_value(&serde_json::parse_value(&rendered).unwrap()).unwrap();
         assert_eq!(back, task);
     }
 }

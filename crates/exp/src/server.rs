@@ -432,6 +432,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
     let mut session: Option<ConnSession> = None;
     let mut frames = FrameReader::new(BufReader::new(reader), config.max_frame_len)
         .with_frame_deadline(config.frame_deadline);
+    // Every reply line is written into this one buffer.
+    let mut out = String::new();
     loop {
         let line = match frames.next_frame() {
             Ok(Some(line)) => line,
@@ -441,7 +443,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
                 totals.errors += 1;
                 let reply = Reply::error(format!("frame exceeds the {max}-byte limit"));
                 // mclint: allow(reply-id) reason="the oversized frame was never parsed, so its id is unknown by construction"
-                if write_frame(&mut writer, &reply.render(None)).is_err() {
+                reply.render_into(None, &mut out);
+                if write_frame(&mut writer, &out).is_err() {
                     break;
                 }
                 continue;
@@ -451,7 +454,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
                     reason: "idle timeout".to_owned(),
                 };
                 // mclint: allow(reply-id) reason="timeout fires between requests; no request is in flight to correlate"
-                let _ = write_frame(&mut writer, &reply.render(None));
+                reply.render_into(None, &mut out);
+                let _ = write_frame(&mut writer, &out);
                 break;
             }
             Err(FrameError::DeadlineExceeded) => {
@@ -462,7 +466,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
                     reason: "frame deadline exceeded".to_owned(),
                 };
                 // mclint: allow(reply-id) reason="the frame never completed, so no request id exists to echo"
-                let _ = write_frame(&mut writer, &reply.render(None));
+                reply.render_into(None, &mut out);
+                let _ = write_frame(&mut writer, &out);
                 break;
             }
             Err(FrameError::Io(_)) => break,
@@ -476,7 +481,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
                 reason: format!("request cap ({}) reached", config.max_requests),
             };
             // mclint: allow(reply-id) reason="the cap notice is unsolicited (no request being answered), so no id exists"
-            let _ = write_frame(&mut writer, &reply.render(None));
+            reply.render_into(None, &mut out);
+            let _ = write_frame(&mut writer, &out);
             break;
         }
         let (id, reply, control) =
@@ -484,7 +490,8 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
         if matches!(reply, Reply::Error { .. }) {
             totals.errors += 1;
         }
-        if write_frame(&mut writer, &reply.render(id.as_ref())).is_err() {
+        reply.render_into(id.as_ref(), &mut out);
+        if write_frame(&mut writer, &out).is_err() {
             break;
         }
         match control {

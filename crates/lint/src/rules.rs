@@ -614,14 +614,15 @@ fn check_float_sum(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule `reply-id`: `.render(…)` in the protocol-speaking files must
-/// pass the request id through.
+/// Rule `reply-id`: `.render(…)` and the buffer-writing
+/// `.render_into(…)` in the protocol-speaking files must pass the
+/// request id through.
 fn check_reply_id(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if !REPLY_FILES.contains(&ctx.path.as_str()) {
         return;
     }
     for ci in 0..ctx.code.len() {
-        if ctx.ckind(ci) != TokenKind::Ident || ctx.ctext(ci) != "render" {
+        if ctx.ckind(ci) != TokenKind::Ident || !matches!(ctx.ctext(ci), "render" | "render_into") {
             continue;
         }
         if ctx.in_test(ctx.ctok(ci).start) {

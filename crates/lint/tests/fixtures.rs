@@ -103,7 +103,13 @@ fn float_sum_fixture() {
 #[test]
 fn reply_id_fixture() {
     let (rows, suppressed) = lint_as("crates/exp/src/service.rs", "reply_id.rs");
-    assert_eq!(rows, vec![row("reply-id", 12, 25, 6, "render")]);
+    assert_eq!(
+        rows,
+        vec![
+            row("reply-id", 13, 25, 6, "render"),
+            row("reply-id", 19, 11, 11, "render_into"),
+        ]
+    );
     assert_eq!(suppressed, 0);
 }
 

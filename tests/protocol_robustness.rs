@@ -9,9 +9,11 @@
 //! answered on their own ids — the state machine resynchronizes at the
 //! next newline no matter what the damage did.
 
-use mcsched::exp::protocol::{parse_envelope, parse_reply, Envelope, Reply, Request, RequestId};
+use mcsched::exp::protocol::{
+    parse_envelope, parse_reply, Envelope, EvalRequest, Reply, Request, RequestId,
+};
 use mcsched::exp::server::{serve_connection, ServerConfig};
-use mcsched::model::Task;
+use mcsched::model::{Task, TaskSet};
 use mcsched_core::AlgorithmRegistry;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -152,4 +154,65 @@ proptest! {
             "close answered: {text}"
         );
     }
+}
+
+/// One admit line of exactly `len` bytes whose `op_id` is one long
+/// string of one-, two- and three-byte characters with escapes between
+/// the runs. Returns the line and the `op_id`.
+fn long_admit_line(len: usize) -> (String, String) {
+    let task = Task::hi(7, 100, 10, 20).expect("valid HC task");
+    let render = |op_id: &str| {
+        Envelope::with_id(
+            RequestId::Num(1),
+            Request::Admit {
+                task,
+                op_id: Some(op_id.to_owned()),
+            },
+        )
+        .render()
+    };
+    let mut op_id = "aé☃\"\\\t".repeat(len / 16);
+    let short = len - render(&op_id).len();
+    op_id.push_str(&"x".repeat(short));
+    (render(&op_id), op_id)
+}
+
+/// The largest inputs a worker can be handed parse to their typed
+/// requests: a full frame (the server's `max_frame_len`) holding one
+/// long string, and an `eval` line of 700 tasks.
+#[test]
+fn largest_frames_parse_to_typed_requests() {
+    let max = ServerConfig::default().max_frame_len;
+    let (line, op_id) = long_admit_line(max);
+    assert_eq!(line.len(), max, "the frame fills the limit exactly");
+    let env = parse_envelope(&line).unwrap_or_else(|e| panic!("{}", e.message));
+    assert_eq!(env.id, Some(RequestId::Num(1)));
+    assert_eq!(
+        env.request,
+        Request::Admit {
+            task: Task::hi(7, 100, 10, 20).expect("valid HC task"),
+            op_id: Some(op_id)
+        }
+    );
+
+    let tasks: Vec<Task> = (0..700u32)
+        .map(|i| {
+            let period = 1_000 + u64::from(i);
+            if i % 2 == 0 {
+                Task::hi(i, period, 1, 2).expect("valid HC task")
+            } else {
+                Task::lo(i, period, 1).expect("valid LC task")
+            }
+        })
+        .collect();
+    let request = Request::Eval(EvalRequest {
+        algorithm: "CU-UDP-ECDF".to_owned(),
+        m: 4,
+        tasks: TaskSet::try_from_tasks(tasks).expect("distinct ids"),
+    });
+    let line = Envelope::with_id(RequestId::Str("big-eval".to_owned()), request.clone()).render();
+    assert!(line.len() > 50_000, "{} bytes", line.len());
+    let env = parse_envelope(&line).unwrap_or_else(|e| panic!("{}", e.message));
+    assert_eq!(env.id, Some(RequestId::Str("big-eval".to_owned())));
+    assert_eq!(env.request, request);
 }
