@@ -27,26 +27,27 @@
 //!   `C^H_k`. The final bound takes the best of AMC-max and AMC-rtb, so
 //!   AMC-max dominates AMC-rtb by construction (as published).
 //!
-//! # Batched lane evaluation
+//! # Lane evaluation
 //!
 //! The LO-mode and rtb fixpoints on the hot path do not chase `tasks[j]`
 //! through `Task` structs: they run over a structure-of-arrays view
 //! (`SoaTasks` in [`crate::workspace`]) holding one contiguous `u64` lane
-//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`) in
-//! priority order, plus *compacted* HC/LC sub-views. A block of up to
-//! `RTA_LANES` consecutive priority positions iterates its fixpoints
-//! together (`lo_rta_batched` / `rtb_batched`): each sweep walks the
-//! block's shared higher-priority lanes **once**, charging every live
-//! iterate — independent integer divisions the CPU can overlap — and
-//! converged slots are compacted out so no division is spent on a
-//! finished task. The rtb iteration additionally hoists the LC
+//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the
+//! `⌊2^64/T⌋` reciprocals and the `hc` flags) in priority order. Each
+//! kernel (`lo_rta` / `rtb`) walks the positions one task at a time and
+//! iterates that task's fixpoint over the higher-priority lanes, dividing
+//! by multiplication. The rtb iteration additionally hoists the LC
 //! interference term `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
 //! depends only on the already-fixed low-mode response) and then touches
-//! exclusively the compacted hp-HC lanes.
+//! only the hp-HC positions, through per-class position lists it builds
+//! as it walks. Each kernel has one body, monomorphised on the
+//! fast-kernel certificate (`SoaTasks::fast`): the certified instance
+//! drops the saturation guards and the reciprocal fixup, which the
+//! certificate proves are no-ops.
 //!
 //! # Seeding soundness
 //!
-//! Every batched fixpoint is seeded at
+//! Every lane fixpoint is seeded at
 //! `max(C_i, cached bound, C_i + Σ_{j∈hp} C_j)`:
 //!
 //! * the *cached bound* is the task's response before the probe's
@@ -76,10 +77,6 @@ pub(crate) fn dm_order(ts: &TaskSet) -> Vec<usize> {
     idx
 }
 
-/// [`dm_order`] into a caller-supplied buffer (cleared first), over a raw
-/// task slice — the incremental states and the workspace-backed one-shot
-/// path analyse `committed + candidate` unions without materialising a
-/// `TaskSet` or allocating the index vector.
 /// Sorts 8 keys with the optimal 19-comparator network (Knuth, TAOCP
 /// vol. 3, Fig. 49); correctness is pinned by the exhaustive 0-1
 /// principle test below.
@@ -111,6 +108,10 @@ fn cas_sort8<T: Ord>(keys: &mut [T; 8]) {
     }
 }
 
+/// [`dm_order`] into a caller-supplied buffer (cleared first), over a raw
+/// task slice — the incremental states and the workspace-backed one-shot
+/// path analyse `committed + candidate` unions without materialising a
+/// `TaskSet` or allocating the index vector.
 fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
     idx.clear();
     let n = tasks.len();
@@ -275,32 +276,29 @@ pub(crate) fn df_fast(a: u64, m1: u64) -> u64 {
     ((a as u128 * m1 as u128) >> 64) as u64
 }
 
-/// Width of one batched fixpoint block: how many consecutive
-/// priority-order positions iterate their response-time fixpoints
-/// simultaneously. Eight keeps the per-sweep slot state (positions,
-/// iterates, accumulators) in registers while giving the divider pipeline
-/// several independent `⌈r/T⌉` chains per interference lane.
-const RTA_LANES: usize = 8;
+/// One interference term `c·⌈r/t⌉` added onto `acc`, with `m = inv64(t)`.
+/// The fast arm is plain arithmetic and the no-fixup reciprocal ceiling,
+/// both exact under [`SoaTasks::fast`]; the guarded arm saturates, and a
+/// saturated sum exceeds every `deadline < u64::MAX` and rejects exactly
+/// like the scalar fixpoint.
+#[inline(always)]
+fn charge<const FAST: bool>(acc: u64, c: u64, r: u64, t: u64, m: u64) -> u64 {
+    if FAST {
+        acc + c * dc_fast(r, m.wrapping_add(1))
+    } else {
+        acc.saturating_add(c.saturating_mul(dc_inv(r, t, m)))
+    }
+}
 
-/// Batched low-mode RTA over the SoA lanes for positions `from..`.
-///
-/// Blocks of up to [`RTA_LANES`] consecutive positions run as a
-/// synchronous Jacobi iteration: one sweep walks the shared
-/// higher-priority lanes (`j < base`) once, loading each `(C^L_j, T_j)`
-/// pair a single time and charging it against every live iterate, then
-/// adds the small per-slot triangle of in-block predecessors. Each slot
-/// performs exactly Kleene iteration of its own monotone interference
-/// function from a sound lower bound (see the module docs), so the
-/// responses and the verdict are bit-identical to the scalar path;
-/// converged slots are compacted out so no division is spent on a
-/// finished task. Arithmetic saturates — a saturated sum exceeds every
-/// `deadline < u64::MAX` and rejects exactly like the guarded scalar
-/// fixpoint.
+/// Low-mode RTA over the SoA lanes for positions `from..`, one task at a
+/// time.
 ///
 /// `seed(pos)` must return a sound lower bound on the position's response
-/// (0 when unknown). Responses land in `lo_resp` **by task index** via
-/// `order`. Returns `false` iff some analysed task misses its deadline.
-fn lo_rta_batched(
+/// (0 when unknown); the iteration also starts no lower than the one-job
+/// bound (see the module docs). Responses land in `lo_resp` **by task
+/// index** via `order`. Returns `false` iff some analysed task misses its
+/// deadline.
+fn lo_rta(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
@@ -309,40 +307,17 @@ fn lo_rta_batched(
 ) -> bool {
     // Monomorphise on the small-value certificate: the fast kernel drops
     // the saturation guards and the reciprocal fixup, both provably
-    // no-ops under the certificate (see [`SoaTasks::fast`]), so the two
-    // instantiations compute bit-identical responses. Small certified
-    // sets skip the lane machinery entirely: at a handful of tasks the
-    // shared-rectangle sweep has nothing to share and the slot state
-    // costs more than it saves.
+    // no-ops under the certificate, so both instantiations compute
+    // bit-identical responses.
     if soa.fast() {
-        if soa.len() <= RTA_SCALAR_MAX {
-            lo_rta_scalar_fast(soa, order, from, seed, lo_resp)
-        } else {
-            lo_rta_block::<true>(soa, order, from, seed, lo_resp)
-        }
+        lo_rta_kernel::<true>(soa, order, from, seed, lo_resp)
     } else {
-        lo_rta_block::<false>(soa, order, from, seed, lo_resp)
+        lo_rta_kernel::<false>(soa, order, from, seed, lo_resp)
     }
 }
 
-/// Below this set size the certified kernels run scalar, task at a time,
-/// over the same SoA lanes: one lane block covers the whole set, so the
-/// batched sweep degenerates to a Jacobi iteration whose slot
-/// bookkeeping outweighs the shared loads it exists to amortise. The
-/// division count is identical either way (every task still iterates its
-/// own Kleene chain to the same fixed point), so verdicts and responses
-/// stay bit-identical.
-const RTA_SCALAR_MAX: usize = 10;
-
-/// Scalar low-mode RTA over the SoA lanes — the [`RTA_SCALAR_MAX`] route
-/// of [`lo_rta_batched`]. Requires the fast-kernel certificate
-/// ([`SoaTasks::fast`]): all arithmetic is plain (the certificate rules
-/// out overflow) and every ceiling division is the no-fixup reciprocal
-/// multiply. Seeds are the one-job bound and the caller's warm bound —
-/// both sound lower bounds on the fixed point, so the computed responses
-/// equal the batched kernel's (Kleene iteration from any sound seed
-/// converges to the same least fixed point).
-fn lo_rta_scalar_fast(
+/// The monomorphised body of [`lo_rta`].
+fn lo_rta_kernel<const FAST: bool>(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
@@ -350,29 +325,30 @@ fn lo_rta_scalar_fast(
     lo_resp: &mut [Time],
 ) -> bool {
     let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let inv = &soa.inv_period;
-    let dl = &soa.deadline;
-    // Under the certificate Σ C^L is bounded by the interference budget
-    // (each budget term is at least its task's `max(C^L, C^H)`), so the
-    // prefix sums below cannot overflow. No linear utilisation seed
-    // here: at scalar-route sizes the handful of extra sweeps it saves
-    // costs less than computing it (the batched kernel, which pays the
-    // seed once per eight lanes, keeps it).
-    let mut below: u64 = wl[..from].iter().sum();
+    let (wl, per, inv, dl) = (
+        &soa.wcet_lo[..n],
+        &soa.period[..n],
+        &soa.inv_period[..n],
+        &soa.deadline[..n],
+    );
+    // Σ C^L above the current position, for the one-job seed.
+    let mut below: u64 = wl[..from].iter().fold(0, |a, &c| a.saturating_add(c));
     for p in from..n {
-        let one_job = wl[p] + below;
-        below += wl[p];
+        let one_job = wl[p].saturating_add(below);
+        below = below.saturating_add(wl[p]);
         let mut r = wl[p].max(seed(p)).max(one_job);
+        // The seed is a sound lower bound on the fixed point, so a seed
+        // past the deadline already decides the verdict (and keeps
+        // fast-kernel iterates below `2^32`).
         if r > dl[p] {
             return false;
         }
         loop {
             let mut acc = 0u64;
-            for j in 0..p {
-                acc += wl[j] * dc_fast(r, inv[j].wrapping_add(1));
+            for ((&c, &t), &m) in wl[..p].iter().zip(&per[..p]).zip(&inv[..p]) {
+                acc = charge::<FAST>(acc, c, r, t, m);
             }
-            let next = wl[p] + acc;
+            let next = wl[p].saturating_add(acc);
             if next > dl[p] {
                 return false;
             }
@@ -386,182 +362,62 @@ fn lo_rta_scalar_fast(
     true
 }
 
-/// The monomorphised body of [`lo_rta_batched`].
-fn lo_rta_block<const FAST: bool>(
-    soa: &SoaTasks,
-    order: &[usize],
-    from: usize,
-    seed: impl Fn(usize) -> u64,
-    lo_resp: &mut [Time],
-) -> bool {
-    let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let per = &soa.period;
-    let inv = &soa.inv_period;
-    let dl = &soa.deadline;
-    // Fixed-point (32 fraction bits) underestimate of the task's
-    // utilisation `C^L/T`, derived from the reciprocal lane:
-    // `C·⌊2^64/T⌋/2^32 ≤ C·2^32/T`. Clamped at 1.0 — once the running
-    // prefix reaches that, the linear seed below is skipped anyway.
-    const FP32: u64 = 1 << 32;
-    let util = |j: usize| ((wl[j] as u128 * inv[j] as u128) >> 32).min(FP32 as u128) as u64;
-    // Σ C^L (and Σ util) above the first analysed position, for the
-    // one-job and linear seeds.
-    let mut below: u64 = wl[..from].iter().fold(0, |a, &c| a.saturating_add(c));
-    let mut usum: u64 = (0..from).fold(0, |a, j| a.saturating_add(util(j)));
-    let mut base = from;
-    while base < n {
-        let width = RTA_LANES.min(n - base);
-        let mut pos = [0usize; RTA_LANES];
-        let mut r = [0u64; RTA_LANES];
-        for k in 0..width {
-            let p = base + k;
-            pos[k] = p;
-            let one_job = wl[p].saturating_add(below);
-            below = below.saturating_add(wl[p]);
-            // Linear lower bound on the fixed point: in the reals,
-            // `R* = C + Σ C_j·⌈R*/T_j⌉ ≥ C + R*·U_hp`, so
-            // `R* ≥ C·2^32/den` with `den = 2^32 − usum` (substituting
-            // the *under*estimate `usum/2^32 ≤ U_hp` only lowers the
-            // bound). Two division-free consequences, both sound:
-            //
-            //  * reject: `C·2^32 > D·den` implies `R* > D` — checked by
-            //    widening multiply, no quotient needed;
-            //  * seed: `(C·2^32) >> bitlen(den) ≤ C·2^32/den ≤ R*`
-            //    (within 2× of the exact bound), so seeding from it
-            //    converges to the same fixed point (module docs).
-            //
-            // Skipped when `usum` saturates — the other seeds still
-            // apply.
-            let mut lin = 0;
-            if usum < FP32 {
-                let den = FP32 - usum;
-                let scaled = (wl[p] as u128) << 32;
-                if scaled > dl[p] as u128 * den as u128 {
-                    return false;
-                }
-                lin = (scaled >> (128 - u128::from(den).leading_zeros())) as u64;
-            }
-            usum = usum.saturating_add(util(p));
-            r[k] = wl[p].max(seed(p)).max(one_job).max(lin);
-            // Every seed component is a sound lower bound on R*, so a
-            // seed past the deadline already decides the verdict.
-            if r[k] > dl[p] {
-                return false;
-            }
-        }
-        let mut live = width;
-        while live > 0 {
-            let mut acc = [0u64; RTA_LANES];
-            // Shared rectangle: lanes above the whole block.
-            for j in 0..base {
-                let (c, t, m) = (wl[j], per[j], inv[j]);
-                let m1 = m.wrapping_add(1);
-                for a in acc[..live].iter_mut().zip(&r[..live]) {
-                    *a.0 = if FAST {
-                        *a.0 + c * dc_fast(*a.1, m1)
-                    } else {
-                        a.0.saturating_add(c.saturating_mul(dc_inv(*a.1, t, m)))
-                    };
-                }
-            }
-            // Per-slot triangle: in-block predecessors.
-            for k in 0..live {
-                let mut a = acc[k];
-                for j in base..pos[k] {
-                    a = if FAST {
-                        a + wl[j] * dc_fast(r[k], inv[j].wrapping_add(1))
-                    } else {
-                        a.saturating_add(wl[j].saturating_mul(dc_inv(r[k], per[j], inv[j])))
-                    };
-                }
-                acc[k] = a;
-            }
-            // Advance every live iterate; compact converged slots out
-            // (order-preserving, so in-block hp relationships survive).
-            let mut w = 0;
-            for k in 0..live {
-                let p = pos[k];
-                let next = if FAST {
-                    wl[p] + acc[k]
-                } else {
-                    wl[p].saturating_add(acc[k])
-                };
-                if next > dl[p] {
-                    return false;
-                }
-                if next == r[k] {
-                    lo_resp[order[p]] = Time::new(next);
-                } else {
-                    pos[w] = p;
-                    r[w] = next;
-                    w += 1;
-                }
-            }
-            live = w;
-        }
-        base += width;
-    }
-    true
-}
-
-/// Batched AMC-rtb high-mode bounds over the compacted HC lanes, for HC
-/// ranks `from_rank..`.
+/// AMC-rtb high-mode bounds over the SoA lanes for the HC tasks at
+/// positions `from..`, one task at a time.
 ///
 /// The LC contribution `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` is constant across
 /// a task's fixpoint iterations (it depends only on the already-computed
 /// low-mode response), so it is folded once per task; each sweep then
-/// touches exclusively the compact hp-HC lanes. Block structure, seeding
-/// and saturation are as in [`lo_rta_batched`].
-fn rtb_batched(
+/// touches only the hp-HC positions. `hp` is scratch for the two
+/// per-class position lists, built while the kernel walks the lanes.
+/// Seeding and saturation are as in [`lo_rta`].
+fn rtb(
     soa: &SoaTasks,
     order: &[usize],
-    from_rank: usize,
+    from: usize,
     lo_resp: &[Time],
     seed: impl Fn(usize) -> u64,
+    hp: &mut Vec<usize>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
-    // Same certificate-driven monomorphisation (and small-set scalar
-    // route) as [`lo_rta_batched`].
+    // Same certificate-driven monomorphisation as [`lo_rta`].
     if soa.fast() {
-        if soa.len() <= RTA_SCALAR_MAX {
-            rtb_scalar_fast(soa, order, from_rank, lo_resp, seed, hi_resp)
-        } else {
-            rtb_block::<true>(soa, order, from_rank, lo_resp, seed, hi_resp)
-        }
+        rtb_kernel::<true>(soa, order, from, lo_resp, seed, hp, hi_resp)
     } else {
-        rtb_block::<false>(soa, order, from_rank, lo_resp, seed, hi_resp)
+        rtb_kernel::<false>(soa, order, from, lo_resp, seed, hp, hi_resp)
     }
 }
 
-/// Scalar AMC-rtb bounds — the [`RTA_SCALAR_MAX`] route of
-/// [`rtb_batched`]. Walks the primary lanes with the `hc` flags instead
-/// of the compacted criticality views (so it runs even before
-/// [`SoaTasks::build_compact`]); interference terms accumulate in
-/// position order, exactly the compacted lanes' order, and the
-/// fast-kernel certificate makes every sum exact — responses are
-/// bit-identical to the batched kernel's.
-fn rtb_scalar_fast(
+/// The monomorphised body of [`rtb`].
+fn rtb_kernel<const FAST: bool>(
     soa: &SoaTasks,
     order: &[usize],
-    from_rank: usize,
+    from: usize,
     lo_resp: &[Time],
     seed: impl Fn(usize) -> u64,
+    hp: &mut Vec<usize>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
     let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let wh = &soa.wcet_hi;
-    let inv = &soa.inv_period;
-    let dl = &soa.deadline;
-    let hc = &soa.hc;
-    // Stack-local criticality split: the positions ahead of `p` in each
-    // class, appended as `p` advances. The fixpoint loops then run over
-    // dense index lists instead of testing the (data-random) `hc` flag
-    // per element per sweep.
-    let mut hj = [0usize; RTA_SCALAR_MAX];
-    let mut lj = [0usize; RTA_SCALAR_MAX];
+    let (wl, wh, per, inv, dl, hc) = (
+        &soa.wcet_lo[..n],
+        &soa.wcet_hi[..n],
+        &soa.period[..n],
+        &soa.inv_period[..n],
+        &soa.deadline[..n],
+        &soa.hc[..n],
+    );
+    // The positions ahead of `p` in each class, appended as `p` advances,
+    // so the fixpoint loops run over dense index lists instead of testing
+    // the (data-random) `hc` flag per element per sweep. Pre-sized to
+    // `n` each and filled through local counters: no push, no allocation
+    // once the scratch has grown to the set size.
+    if hp.len() < 2 * n {
+        hp.resize(2 * n, 0);
+    }
+    let (hj, lj) = hp.split_at_mut(n);
     let (mut hn, mut ln) = (0usize, 0usize);
+    // Σ C^H of the hp-HC tasks, for the one-job seed.
     let mut below = 0u64;
     for p in 0..n {
         if !hc[p] {
@@ -569,149 +425,37 @@ fn rtb_scalar_fast(
             ln += 1;
             continue;
         }
-        if hn < from_rank {
-            below += wh[p];
-            hj[hn] = p;
-            hn += 1;
-            continue;
-        }
-        // LC charge, frozen at the task's own low-mode response.
-        let cap = lo_resp[order[p]].as_ticks();
-        let mut c0 = 0u64;
-        for &j in &lj[..ln] {
-            c0 += wl[j] * dc_fast(cap, inv[j].wrapping_add(1));
-        }
-        let one_job = wh[p] + below + c0;
-        below += wh[p];
-        let mut r = wh[p].max(seed(p)).max(one_job);
-        if r > dl[p] {
-            return false;
-        }
-        loop {
-            let mut acc = c0;
-            for &j in &hj[..hn] {
-                acc += wh[j] * dc_fast(r, inv[j].wrapping_add(1));
-            }
-            let next = wh[p] + acc;
-            if next > dl[p] {
-                return false;
-            }
-            if next == r {
-                break;
-            }
-            r = next;
-        }
-        hi_resp[order[p]] = Some(Time::new(r));
-        hj[hn] = p;
-        hn += 1;
-    }
-    true
-}
-
-/// The monomorphised body of [`rtb_batched`].
-fn rtb_block<const FAST: bool>(
-    soa: &SoaTasks,
-    order: &[usize],
-    from_rank: usize,
-    lo_resp: &[Time],
-    seed: impl Fn(usize) -> u64,
-    hi_resp: &mut [Option<Time>],
-) -> bool {
-    let hn = soa.hc_len();
-    let wh = &soa.wcet_hi;
-    let dl = &soa.deadline;
-    let hw = &soa.hc_wcet_hi;
-    let ht = &soa.hc_period;
-    let hm = &soa.hc_inv_period;
-    let (lw, lt, lm) = (&soa.lc_wcet_lo, &soa.lc_period, &soa.lc_inv_period);
-    let mut below: u64 = hw[..from_rank].iter().fold(0, |a, &c| a.saturating_add(c));
-    let mut base = from_rank;
-    while base < hn {
-        let width = RTA_LANES.min(hn - base);
-        let mut rank = [0usize; RTA_LANES];
-        let mut pos = [0usize; RTA_LANES];
-        let mut lcc = [0u64; RTA_LANES];
-        let mut r = [0u64; RTA_LANES];
-        for k in 0..width {
-            let q = base + k;
-            let p = soa.hc_pos[q];
-            rank[k] = q;
-            pos[k] = p;
-            // The LC lanes above position p are exactly the first p − q
-            // compacted LC entries; their charge is frozen at the task's
-            // own low-mode response.
+        if p >= from {
+            // LC charge, frozen at the task's own low-mode response.
             let cap = lo_resp[order[p]].as_ticks();
             let mut c0 = 0u64;
-            for l in 0..(p - q) {
-                c0 = if FAST {
-                    c0 + lw[l] * dc_fast(cap, lm[l].wrapping_add(1))
-                } else {
-                    c0.saturating_add(lw[l].saturating_mul(dc_inv(cap, lt[l], lm[l])))
-                };
+            for &j in &lj[..ln] {
+                c0 = charge::<FAST>(c0, wl[j], cap, per[j], inv[j]);
             }
-            lcc[k] = c0;
             let one_job = wh[p].saturating_add(below).saturating_add(c0);
-            below = below.saturating_add(hw[q]);
-            r[k] = wh[p].max(seed(p)).max(one_job);
-            // Every seed component is a sound lower bound on the
-            // fixed point (the one-job bound: each hp-HC term counts at
-            // least one job, the LC charge is the frozen constant), so a
-            // seed past the deadline already decides the verdict — and
-            // keeps fast-kernel iterates below `2^32`.
-            if r[k] > dl[p] {
+            let mut r = wh[p].max(seed(p)).max(one_job);
+            if r > dl[p] {
                 return false;
             }
-        }
-        let mut live = width;
-        while live > 0 {
-            let mut acc = [0u64; RTA_LANES];
-            acc[..live].copy_from_slice(&lcc[..live]);
-            for q in 0..base {
-                let (c, t, m) = (hw[q], ht[q], hm[q]);
-                let m1 = m.wrapping_add(1);
-                for a in acc[..live].iter_mut().zip(&r[..live]) {
-                    *a.0 = if FAST {
-                        *a.0 + c * dc_fast(*a.1, m1)
-                    } else {
-                        a.0.saturating_add(c.saturating_mul(dc_inv(*a.1, t, m)))
-                    };
+            loop {
+                let mut acc = c0;
+                for &j in &hj[..hn] {
+                    acc = charge::<FAST>(acc, wh[j], r, per[j], inv[j]);
                 }
-            }
-            for k in 0..live {
-                let mut a = acc[k];
-                for q in base..rank[k] {
-                    a = if FAST {
-                        a + hw[q] * dc_fast(r[k], hm[q].wrapping_add(1))
-                    } else {
-                        a.saturating_add(hw[q].saturating_mul(dc_inv(r[k], ht[q], hm[q])))
-                    };
-                }
-                acc[k] = a;
-            }
-            let mut w = 0;
-            for k in 0..live {
-                let p = pos[k];
-                let next = if FAST {
-                    wh[p] + acc[k]
-                } else {
-                    wh[p].saturating_add(acc[k])
-                };
+                let next = wh[p].saturating_add(acc);
                 if next > dl[p] {
                     return false;
                 }
-                if next == r[k] {
-                    hi_resp[order[p]] = Some(Time::new(next));
-                } else {
-                    rank[w] = rank[k];
-                    pos[w] = p;
-                    lcc[w] = lcc[k];
-                    r[w] = next;
-                    w += 1;
+                if next == r {
+                    break;
                 }
+                r = next;
             }
-            live = w;
+            hi_resp[order[p]] = Some(Time::new(r));
         }
-        base += width;
+        below = below.saturating_add(wh[p]);
+        hj[hn] = p;
+        hn += 1;
     }
     true
 }
@@ -750,24 +494,24 @@ impl LoRta {
     /// As [`LoRta::compute`], under a caller-supplied priority order
     /// (indices from highest to lowest priority).
     ///
-    /// Runs the batched SoA kernel over pooled workspace lanes; responses
-    /// are bit-identical to scalar per-task iteration (see the module
+    /// Runs the SoA lane kernel over pooled workspace lanes; responses
+    /// are bit-identical to the seed per-task iteration (see the module
     /// docs).
     // mclint: cold — allocates only the caller-owned result, once per judgement
     pub fn compute_with_order(ts: &TaskSet, order: &[usize]) -> Option<Vec<Time>> {
         let tasks = ts.as_slice();
         let mut resp = vec![Time::ZERO; tasks.len()];
         AnalysisWorkspace::with(|ws| {
-            ws.soa.load_primary(tasks, order);
-            lo_rta_batched(&ws.soa, order, 0, |_| 0, &mut resp)
+            ws.soa.load(tasks, order);
+            lo_rta(&ws.soa, order, 0, |_| 0, &mut resp)
         })
         .then_some(resp)
     }
 }
 
 /// The seed low-mode RTA: one scalar fixpoint per task, chasing the AoS
-/// `Task` structs. Retained for the [`reference`] module (the hot path
-/// runs [`lo_rta_batched`] instead).
+/// `Task` structs. Retained for the [`mod@reference`] module (the hot
+/// path runs [`lo_rta`] instead).
 // mclint: cold — seed implementation kept for the reference module, never on the probe path
 fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
     let mut resp = vec![Time::ZERO; tasks.len()];
@@ -789,7 +533,7 @@ fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
 
 /// Shared AMC machinery: low-mode RTA plus per-variant high-mode RTA,
 /// allocating its index and response vectors per call. Only the
-/// [`reference`] module still runs this; the hot path goes through
+/// [`mod@reference`] module still runs this; the hot path goes through
 /// [`amc_schedulable_in`].
 fn amc_schedulable(ts: &TaskSet, hi_rta: impl Fn(&AmcContext<'_>, usize) -> Option<Time>) -> bool {
     if ts.is_empty() {
@@ -827,11 +571,12 @@ fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorksp
     let AnalysisWorkspace {
         streams,
         hc,
+        rtb_pos,
         amc,
         soa,
         ..
     } = ws;
-    analyze_into(ts.as_slice(), variant, false, soa, streams, hc, amc)
+    analyze_into(ts.as_slice(), variant, soa, streams, hc, rtb_pos, amc)
 }
 
 /// One step sequence of a single interference term in the streaming
@@ -886,7 +631,7 @@ struct AmcContext<'a> {
 
 impl AmcContext<'_> {
     /// The priority position of task index `i` — a linear scan, used only
-    /// by the [`reference`] paths (the hot paths already know their
+    /// by the [`mod@reference`] paths (the hot paths already know their
     /// position and pass it straight through).
     fn pos_of(&self, i: usize) -> usize {
         self.order
@@ -935,7 +680,7 @@ impl AmcContext<'_> {
     }
 
     /// The seed rtb fixpoint: re-derives every hp term — LC included —
-    /// on every iteration. Retained for the [`reference`] paths.
+    /// on every iteration. Retained for the [`mod@reference`] paths.
     fn rtb_response_reference(&self, pos: usize) -> Option<Time> {
         let i = self.order[pos];
         let ti = &self.tasks[i];
@@ -1318,16 +1063,20 @@ fn audsley_lowest_first(
 /// Checks the unassigned task at lane `p` at the lowest priority level,
 /// below every other unassigned lane (low-mode RTA, and the rtb high-mode
 /// bound when it is HC). The higher-priority set is `all lanes except p`,
-/// iterated as two contiguous ranges — no index filtering, no
-/// materialised `hp` vector; the HI fixpoint folds the constant LC charge
-/// once and then iterates over the compacted HC lanes only. Interference
-/// sums are integer, so the order of terms is irrelevant to the fixed
-/// points.
+/// iterated as two contiguous ranges — no materialised `hp` vector; the
+/// HI fixpoint folds the constant LC charge once and then iterates over
+/// the lanes whose `hc` flag is set. Interference sums are integer (and a
+/// saturating sum of non-negative terms is order-free), so the order of
+/// terms is irrelevant to the fixed points.
 fn rtb_feasible_at(soa: &SoaTasks, p: usize) -> bool {
     let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let per = &soa.period;
-    let inv = &soa.inv_period;
+    let (wl, wh, per, inv, hc) = (
+        &soa.wcet_lo,
+        &soa.wcet_hi,
+        &soa.period,
+        &soa.inv_period,
+        &soa.hc,
+    );
     let d = soa.deadline[p];
     let ci = wl[p];
     let mut r = ci;
@@ -1348,31 +1097,21 @@ fn rtb_feasible_at(soa: &SoaTasks, p: usize) -> bool {
         }
         r = next;
     };
-    if !soa.is_hc(p) {
+    if !hc[p] {
         return true;
     }
     // p is HC, so every LC lane interferes; its charge is frozen at the
     // low-mode response just computed.
     let mut lcc = 0u64;
-    for ((&c, &t), &m) in soa
-        .lc_wcet_lo
-        .iter()
-        .zip(&soa.lc_period)
-        .zip(&soa.lc_inv_period)
-    {
-        lcc = lcc.saturating_add(c.saturating_mul(dc_inv(lo_resp, t, m)));
+    for j in (0..n).filter(|&j| !hc[j]) {
+        lcc = charge::<false>(lcc, wl[j], lo_resp, per[j], inv[j]);
     }
-    let prank = soa.hc_rank_below(p);
-    let (hw, ht, hm) = (&soa.hc_wcet_hi, &soa.hc_period, &soa.hc_inv_period);
-    let ch = soa.wcet_hi[p];
+    let ch = wh[p];
     let mut r = ch;
     loop {
         let mut acc = lcc;
-        for q in 0..prank {
-            acc = acc.saturating_add(hw[q].saturating_mul(dc_inv(r, ht[q], hm[q])));
-        }
-        for q in prank + 1..hw.len() {
-            acc = acc.saturating_add(hw[q].saturating_mul(dc_inv(r, ht[q], hm[q])));
+        for j in (0..p).chain(p + 1..n).filter(|&j| hc[j]) {
+            acc = charge::<false>(acc, wh[j], r, per[j], inv[j]);
         }
         let next = ch.saturating_add(acc);
         if next > d {
@@ -1541,7 +1280,7 @@ pub struct AmcState {
     /// union, as the full-analysis fallback does).
     pending_insert: Option<usize>,
     /// SoA lane view of the committed set in `cache.order` — maintained
-    /// by delta under probes/commits so the batched kernels never rebuild
+    /// by delta under probes/commits so the lane kernels never rebuild
     /// it. Meaningful only while `cache_valid`.
     soa: SoaTasks,
     /// Scratch buffers shared with the other states of the same
@@ -1575,10 +1314,10 @@ impl AmcState {
                 self.cache_valid = analyze_into(
                     self.committed.tasks.as_slice(),
                     self.variant,
-                    true,
                     &mut self.soa,
                     &mut ws.streams,
                     &mut ws.hc,
+                    &mut ws.rtb_pos,
                     &mut self.cache,
                 );
             }
@@ -1588,18 +1327,17 @@ impl AmcState {
 
 /// Full analysis of `tasks` into `out` (used for the non-incremental
 /// paths and cache rebuilds); `soa` receives the DM-ordered lane view
-/// (left holding it — with the criticality views built when `views` is
-/// set — on success, for delta reuse by the incremental state);
-/// `streams`/`slots` are candidate-walk scratch. Returns `false` iff the
-/// one-shot test rejects — `out` is then partial and must be treated as
-/// invalid.
+/// (left holding it on success, for delta reuse by the incremental
+/// state); `streams`/`slots` are candidate-walk scratch and `hp` is the
+/// rtb kernel's position-list scratch. Returns `false` iff the one-shot
+/// test rejects — `out` is then partial and must be treated as invalid.
 fn analyze_into(
     tasks: &[Task],
     variant: AmcVariant,
-    views: bool,
     soa: &mut SoaTasks,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
+    hp: &mut Vec<usize>,
     out: &mut AmcCache,
 ) -> bool {
     out.clear();
@@ -1609,25 +1347,14 @@ fn analyze_into(
         hi_resp,
     } = out;
     dm_order_into(tasks, order);
-    soa.load_primary(tasks, order);
+    soa.load(tasks, order);
     lo_resp.resize(tasks.len(), Time::ZERO);
-    if !lo_rta_batched(soa, order, 0, |_| 0, lo_resp) {
+    if !lo_rta(soa, order, 0, |_| 0, lo_resp) {
         return false;
     }
-    // The criticality views are only needed past low mode — a set
-    // rejected above never pays for them — and the scalar rtb route
-    // reads the primary lanes directly, so a one-shot verdict
-    // (`views == false`) can skip them entirely. A failed analysis
-    // leaves the view partial, which is fine: the admission states treat
-    // the SoA mirror as meaningful only while their cache is valid, and
-    // every rebuild goes through a full reload.
-    let scalar_rtb = variant == AmcVariant::RtbDm && soa.fast() && soa.len() <= RTA_SCALAR_MAX;
-    if !scalar_rtb {
-        soa.build_compact();
-    }
     hi_resp.resize(tasks.len(), None);
-    let ok = match variant {
-        AmcVariant::RtbDm => rtb_batched(soa, order, 0, lo_resp, |_| 0, hi_resp),
+    match variant {
+        AmcVariant::RtbDm => rtb(soa, order, 0, lo_resp, |_| 0, hp, hi_resp),
         AmcVariant::Max => {
             let ctx = AmcContext {
                 tasks,
@@ -1646,13 +1373,7 @@ fn analyze_into(
             true
         }
         AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
-    };
-    if ok && views && scalar_rtb {
-        // The incremental states delta-update the criticality views on
-        // every probe, so a successful rebuild must leave them in place.
-        soa.build_compact();
     }
-    ok
 }
 
 /// DM insertion position of `cand` in the cached (sorted,
@@ -1682,6 +1403,7 @@ fn admit_incremental_into(
     union: &mut Vec<Task>,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
+    hp: &mut Vec<usize>,
     out: &mut AmcCache,
 ) -> bool {
     let n = committed.len();
@@ -1706,7 +1428,7 @@ fn admit_incremental_into(
     for &i in &cache.order[..p] {
         lo_resp[i] = cache.lo_resp[i];
     }
-    if !lo_rta_batched(
+    if !lo_rta(
         soa,
         order,
         p,
@@ -1730,10 +1452,10 @@ fn admit_incremental_into(
         hi_resp[i] = cache.hi_resp[i];
     }
     match variant {
-        AmcVariant::RtbDm => rtb_batched(
+        AmcVariant::RtbDm => rtb(
             soa,
             order,
-            soa.hc_rank_below(p),
+            p,
             lo_resp,
             |pos| {
                 let i = order[pos];
@@ -1743,6 +1465,7 @@ fn admit_incremental_into(
                     cache.hi_resp[i].map_or(0, Time::as_ticks)
                 }
             },
+            hp,
             hi_resp,
         ),
         AmcVariant::Max => {
@@ -1797,7 +1520,7 @@ impl AdmissionState for AmcState {
             // whole committed suffix at or below the insertion point.
             let warm = (committed.len() - p)
                 + match self.variant {
-                    AmcVariant::RtbDm => self.soa.hc_len() - self.soa.hc_rank_below(p),
+                    AmcVariant::RtbDm => self.soa.hc[p..].iter().filter(|&&hc| hc).count(),
                     _ => 0,
                 };
             self.committed.stats.rta_seeded += warm as u64;
@@ -1814,6 +1537,7 @@ impl AdmissionState for AmcState {
                 &mut ws.tasks,
                 &mut ws.streams,
                 &mut ws.hc,
+                &mut ws.rtb_pos,
                 &mut self.scratch,
             );
             self.soa.remove(p);
@@ -1827,7 +1551,11 @@ impl AdmissionState for AmcState {
             // `soa` holding the union's lanes, which is precisely the
             // committed view if this probe gets committed.
             let AnalysisWorkspace {
-                tasks, streams, hc, ..
+                tasks,
+                streams,
+                hc,
+                rtb_pos,
+                ..
             } = ws;
             tasks.clear();
             tasks.extend_from_slice(self.committed.tasks.as_slice());
@@ -1835,10 +1563,10 @@ impl AdmissionState for AmcState {
             let ok = analyze_into(
                 tasks,
                 self.variant,
-                true,
                 &mut self.soa,
                 streams,
                 hc,
+                rtb_pos,
                 &mut self.scratch,
             );
             self.committed.record(false, ok);
@@ -1899,25 +1627,25 @@ impl AdmissionState for AmcState {
     }
 }
 
-/// The batched AMC-rtb analysis: `None` when low-mode RTA fails,
+/// The lane-kernel AMC-rtb analysis: `None` when low-mode RTA fails,
 /// otherwise `(verdict, bounds)` where `bounds[i]` is the high-mode bound
 /// of HC task `i` **if its fixpoint was reached** (on a `false` verdict
-/// the kernel stops at the first infeasible block, so later tasks stay
+/// the kernel stops at the first infeasible task, so later tasks stay
 /// `None`). On a `true` verdict every HC bound must equal
 /// [`reference::amc_rtb_response`] bit-identically.
 #[doc(hidden)]
 // mclint: cold — equivalence-suite entry point; allocates caller-owned results once per call
-pub fn amc_rtb_bounds_batched(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)> {
+pub fn amc_rtb_bounds(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)> {
     let order = dm_order(ts);
     let mut lo = vec![Time::ZERO; ts.len()];
     let mut hi = vec![None; ts.len()];
     let mut verdict = false;
     AnalysisWorkspace::with(|ws| {
         ws.soa.load(ts.as_slice(), &order);
-        if !lo_rta_batched(&ws.soa, &order, 0, |_| 0, &mut lo) {
+        if !lo_rta(&ws.soa, &order, 0, |_| 0, &mut lo) {
             return false;
         }
-        verdict = rtb_batched(&ws.soa, &order, 0, &lo, |_| 0, &mut hi);
+        verdict = rtb(&ws.soa, &order, 0, &lo, |_| 0, &mut ws.rtb_pos, &mut hi);
         true
     })
     .then_some((verdict, hi))
@@ -1927,7 +1655,7 @@ pub fn amc_rtb_bounds_batched(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)>
 /// equivalence reference for the streaming, workspace-backed hot path.
 ///
 /// The property tests (`tests/analysis_workspace.rs`) and the
-/// `BENCH_analysis.json` throughput artifact (`mcexp --analysis-json`)
+/// `BENCH_analysis.json` throughput artifact (`mcexp analysis --json`)
 /// compare the hot path against these; nothing on the hot path calls
 /// them.
 #[doc(hidden)]
@@ -1948,7 +1676,7 @@ pub mod reference {
     }
 
     /// The seed scalar low-mode response times, indexed by task; `None`
-    /// when some task misses its deadline in low mode. The batched kernel
+    /// when some task misses its deadline in low mode. The lane kernel
     /// must reproduce these bit-identically.
     pub fn lo_responses(ts: &TaskSet) -> Option<Vec<Time>> {
         lo_rta_scalar(ts.as_slice(), &dm_order(ts))
@@ -1956,7 +1684,7 @@ pub mod reference {
 
     /// The seed scalar AMC-rtb high-mode bound of `task_index`; outer
     /// `None` when low-mode RTA fails, inner `None` when the fixpoint
-    /// exceeds the deadline. The batched kernel must reproduce this
+    /// exceeds the deadline. The lane kernel must reproduce this
     /// bit-identically for every HC task.
     pub fn amc_rtb_response(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
         with_ctx(ts, |ctx| ctx.rtb_response_reference(ctx.pos_of(task_index)))
@@ -2577,7 +2305,7 @@ mod tests {
 
     #[test]
     fn batched_rtb_matches_reference_on_grid() {
-        // Grid sweep: batched LO responses, rtb verdicts and rtb bounds
+        // Grid sweep: lane-kernel LO responses, rtb verdicts and rtb bounds
         // must be bit-identical to the retained scalar reference.
         for ch in 3..=8u64 {
             for cl2 in 1..=4u64 {
@@ -2593,8 +2321,8 @@ mod tests {
                         "LO responses diverged on {ts}"
                     );
                     let verdict = reference::amc_rtb_is_schedulable(&ts);
-                    match amc_rtb_bounds_batched(&ts) {
-                        None => assert!(!verdict, "batched LO failed on rtb-feasible {ts}"),
+                    match amc_rtb_bounds(&ts) {
+                        None => assert!(!verdict, "lane LO failed on rtb-feasible {ts}"),
                         Some((v, bounds)) => {
                             assert_eq!(v, verdict, "rtb verdict diverged on {ts}");
                             if v {

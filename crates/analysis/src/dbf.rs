@@ -219,7 +219,7 @@ pub fn check_hi_mode(tasks: &[VdTask]) -> DemandCheck {
 /// equivalence reference for the incremental demand kernel — the
 /// counterpart of [`crate::amc::reference`] / [`crate::vdtune::reference`].
 ///
-/// The `BENCH_analysis.json` artifact (`mcexp --analysis-json`) and the
+/// The `BENCH_analysis.json` artifact (`mcexp analysis --json`) and the
 /// equivalence suites (`tests/demand_kernel.rs`) compare against these;
 /// nothing on the hot path calls them. Note the seed horizons are *not*
 /// clamped: the satellite overflow fix applies to the kernel path only.

@@ -26,8 +26,8 @@
 //!   `DemandSoa::fast` in [`crate::workspace`]) and a descent starts
 //!   below `2^32`, the sweeps run the `const FAST` route: plain
 //!   arithmetic and no-fixup reciprocal floors, provably equal to the
-//!   guarded saturating route ([`TaskDemand`] remains the scalar
-//!   per-task view used for memo deltas). The batching that pays is
+//!   guarded saturating route (the per-task memo deltas are
+//!   [`dbf::dbf_lo`] terms). The batching that pays is
 //!   per *point* — one branch-free pass over all lanes; speculative
 //!   multi-point ladder passes were benchmarked a net loss (see
 //!   `DemandKernel::descend_fast`).
@@ -103,9 +103,7 @@
 //! 100 steps; the equivalence suites pin the corpus empirically.
 
 use crate::amc::{df_fast, df_inv};
-#[cfg(test)]
-use crate::dbf;
-use crate::dbf::{DemandCheck, VdTask, QPA_BUDGET, UTIL_EPS};
+use crate::dbf::{self, DemandCheck, VdTask, QPA_BUDGET, UTIL_EPS};
 use crate::workspace::DemandSoa;
 use mcsched_model::{Task, TaskSet, Time};
 
@@ -134,7 +132,7 @@ const CERT_T_LIM: u64 = 1 << 32;
 ///
 /// Surfaced through
 /// [`AdmissionStats`](crate::incremental::AdmissionStats) (the
-/// `mcexp --ablation` admission table) so fixpoint reuse is observable.
+/// `mcexp ablation` admission table) so fixpoint reuse is observable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QpaCounters {
     /// Descents started cold from the busy-window bound.
@@ -146,62 +144,6 @@ pub struct QpaCounters {
     /// Low-mode feasibility checks rejected by a memoised violation
     /// anchor without any descent.
     pub anchor_hits: u64,
-}
-
-/// Cached per-task demand-step state: everything `dbf_LO` / `dbf_HI`
-/// need, pre-derived so the QPA inner loop touches one flat array.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskDemand {
-    /// Virtual (low-mode) deadline `V`.
-    vd: Time,
-    /// Period `T`.
-    period: Time,
-    /// Low-criticality budget `C^L`.
-    c_lo: Time,
-    /// High-criticality budget `C^H` (`= C^L` for LC tasks).
-    c_hi: Time,
-    /// Carry-over distance `d = D − V`.
-    dist: Time,
-    /// Whether the task is high-criticality (contributes to `dbf_HI`).
-    hi: bool,
-}
-
-impl TaskDemand {
-    /// Derives the step state of one task + virtual deadline.
-    pub fn new(vt: &VdTask) -> Self {
-        TaskDemand {
-            vd: vt.vd,
-            period: vt.task.period(),
-            c_lo: vt.task.wcet_lo(),
-            c_hi: vt.task.wcet_hi(),
-            dist: vt.task.deadline() - vt.vd,
-            hi: vt.task.criticality().is_high(),
-        }
-    }
-
-    /// Low-mode demand at `t` — identical to [`crate::dbf::dbf_lo`].
-    #[inline]
-    pub fn lo_at(&self, t: Time) -> Time {
-        if t < self.vd {
-            return Time::ZERO;
-        }
-        self.c_lo
-            .saturating_mul((t - self.vd).div_floor(self.period).saturating_add(1))
-    }
-
-    /// High-mode demand at `t` — identical to [`crate::dbf::dbf_hi`] for HC
-    /// tasks (the kernel never evaluates it for LC tasks).
-    #[inline]
-    pub fn hi_at(&self, t: Time) -> Time {
-        if t < self.dist {
-            return Time::ZERO;
-        }
-        let rel = t - self.dist;
-        let k = rel.div_floor(self.period).saturating_add(1);
-        let md = rel % self.period;
-        let done = self.c_lo.saturating_sub(md);
-        self.c_hi.saturating_mul(k).saturating_sub(done)
-    }
 }
 
 /// A bounded set of exact `(t, Σ dbf_LO(t))` samples at historically
@@ -403,13 +345,13 @@ impl DemandKernel {
     /// running utilization sums in insertion order (bit-identical to a
     /// fresh left-to-right summation).
     pub fn push_task(&mut self, vt: VdTask) {
-        let step = TaskDemand::new(&vt);
         for e in &mut self.lo_anchors.entries {
-            e.1 += step.lo_at(e.0);
+            e.1 += dbf::dbf_lo(&vt, e.0);
         }
-        self.lo_util += step.c_lo.as_f64() / step.period.as_f64();
-        if step.hi {
-            self.hi_util += step.c_hi.as_f64() / step.period.as_f64();
+        let task = &vt.task;
+        self.lo_util += task.wcet_lo().as_f64() / task.period().as_f64();
+        if task.criticality().is_high() {
+            self.hi_util += task.wcet_hi().as_f64() / task.period().as_f64();
         }
         if vt.vd == vt.task.period() {
             self.untight_implicit += 1;
@@ -432,10 +374,9 @@ impl DemandKernel {
     /// Panics if the kernel is empty.
     pub fn pop_task(&mut self) -> VdTask {
         let vt = self.tasks.pop().expect("pop_task on an empty kernel");
-        let step = TaskDemand::new(&vt);
         self.lanes.pop();
         for e in &mut self.lo_anchors.entries {
-            e.1 -= step.lo_at(e.0);
+            e.1 -= dbf::dbf_lo(&vt, e.0);
         }
         // Re-derive both utilization caches with insertion-order loops:
         // a compensated `-=` would drift from the push-path `+=`, and the
@@ -944,8 +885,8 @@ enum Mode {
 
 /// `dbf_LO` of one task from raw lane values — the per-anchor delta
 /// term of [`DemandKernel::replace_vd`], bit-identical to
-/// [`TaskDemand::lo_at`] ([`df_inv`] is the exact floor for all `u64`,
-/// so the lane reciprocal replaces the hardware division).
+/// [`dbf::dbf_lo`] ([`df_inv`] is the exact floor for all `u64`, so the
+/// lane reciprocal replaces the hardware division).
 fn lo_at_lane(cl: u64, vd: u64, per: u64, inv: u64, t: u64) -> u64 {
     if t < vd {
         return 0;
@@ -995,26 +936,6 @@ mod tests {
             kernel.lo_feasible(),
             dbf::reference::check_lo_mode(&tasks).is_ok()
         );
-    }
-
-    #[test]
-    fn task_demand_matches_dbf_pointwise() {
-        let cases = [
-            VdTask::untightened(Task::lo(0, 10, 3).unwrap()),
-            vd(Task::hi(1, 10, 3, 6).unwrap(), 5),
-            vd(Task::hi_constrained(2, 20, 2, 6, 15).unwrap(), 9),
-            VdTask::untightened(Task::hi(3, 12, 2, 2).unwrap()),
-        ];
-        for vt in cases {
-            let step = TaskDemand::new(&vt);
-            for t in 0..120 {
-                let t = Time::new(t);
-                assert_eq!(step.lo_at(t), dbf::dbf_lo(&vt, t), "lo t={t} {vt:?}");
-                if vt.task.criticality().is_high() {
-                    assert_eq!(step.hi_at(t), dbf::dbf_hi(&vt, t), "hi t={t} {vt:?}");
-                }
-            }
-        }
     }
 
     #[test]

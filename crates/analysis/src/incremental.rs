@@ -79,7 +79,7 @@ use std::fmt;
 
 /// Counters describing how a partitioning run exercised the admission
 /// layer. Aggregated per build by `mcsched-core` and surfaced by
-/// `mcsched-exp --ablation`.
+/// `mcsched-exp ablation`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdmissionStats {
     /// Admission queries ([`AdmissionState::try_admit`] calls).

@@ -73,7 +73,7 @@ pub mod workspace;
 pub use amc::{AmcMax, AmcRtb, AmcState, LoRta};
 pub use classic::{ClassicEdf, ClassicFp};
 pub use dbf::{DemandCheck, DemandCurve, VdTask};
-pub use demand::{DemandKernel, QpaCounters, TaskDemand};
+pub use demand::{DemandKernel, QpaCounters};
 pub use edfvd::{EdfVd, EdfVdState};
 pub use incremental::{AdmissionState, AdmissionStats, CloneRetestState, OneShot};
 pub use sufficient::{FastRule, FastState};

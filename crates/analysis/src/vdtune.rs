@@ -254,7 +254,7 @@ fn moves_for_kernel(
 /// single [`DemandKernel::replace_vd`] delta-update, and the low-mode
 /// feasibility of a candidate is usually answered by a memoised violation
 /// anchor instead of a fresh descent. Verdicts, witnesses and applied
-/// moves are exactly those of the seed descent ([`reference`]).
+/// moves are exactly those of the seed descent ([`mod@reference`]).
 fn greedy_kernel(kernel: &mut DemandKernel, effort: Effort, moves: &mut Vec<Move>) -> bool {
     if !kernel.lo_feasible() {
         return false;
@@ -312,7 +312,7 @@ fn overloaded(ts: &TaskSet) -> bool {
 
 /// Runs the tuner's greedy starts over the workspace's demand kernel; on
 /// success the feasible assignment is left in the kernel. Same starts, in
-/// the same order, as the allocating [`reference`] tuner — identical
+/// the same order, as the allocating [`mod@reference`] tuner — identical
 /// verdicts and identical chosen assignments.
 fn tune_in(ts: &TaskSet, effort: Effort, ws: &mut AnalysisWorkspace) -> bool {
     if overloaded(ts) {
@@ -601,7 +601,7 @@ impl AdmissionState for VdTuneState {
 
     fn stats(&self) -> AdmissionStats {
         // Surface the kernel's fixpoint-reuse counters alongside the
-        // admission counters (the `mcexp --ablation` table reads these).
+        // admission counters (the `mcexp ablation` table reads these).
         let mut stats = self.committed.stats;
         let qpa = self.kernel.counters();
         stats.qpa_cold = qpa.cold;
@@ -615,7 +615,7 @@ impl AdmissionState for VdTuneState {
 /// equivalence reference for the workspace-backed hot path — the
 /// counterpart of [`crate::amc::reference`].
 ///
-/// The `BENCH_analysis.json` artifact (`mcexp --analysis-json`) and the
+/// The `BENCH_analysis.json` artifact (`mcexp analysis --json`) and the
 /// equivalence suites compare against these; nothing on the hot path
 /// calls them.
 #[doc(hidden)]

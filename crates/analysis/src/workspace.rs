@@ -68,16 +68,14 @@ use std::cell::{RefCell, RefMut};
 use std::ops::Deref;
 use std::rc::Rc;
 
-/// Structure-of-arrays task view for the batched response-time kernels.
+/// Structure-of-arrays task view for the response-time lane kernels.
 ///
 /// One position per task, **highest priority first** (whatever priority
-/// order the caller loads). Four contiguous `u64` lanes
-/// (`wcet_lo` / `wcet_hi` / `period` / `deadline`) turn the RTA
+/// order the caller loads). Contiguous lanes (`wcet_lo` / `wcet_hi` /
+/// `period` / `inv_period` / `deadline` / `hc`) turn the RTA
 /// interference sum into straight-line integer arithmetic over adjacent
-/// memory — no pointer-chasing through `Task` structs — and two
-/// *compacted* criticality views (`hc_*` / `lc_*`, each entry remembering
-/// its originating position) let the high-mode fixpoint iterate
-/// exclusively over the lanes that can actually move between iterations.
+/// memory — no pointer-chasing through `Task` structs. The AMC-rtb kernel
+/// splits the positions by criticality on the fly, from the `hc` lane.
 ///
 /// Maintained by delta under admission probes: [`SoaTasks::insert`]
 /// shifts the lanes (an `O(n)` memmove of plain integers) and
@@ -100,22 +98,6 @@ pub(crate) struct SoaTasks {
     pub(crate) deadline: Vec<u64>,
     /// Criticality per position (`true` = HC).
     pub(crate) hc: Vec<bool>,
-    /// Compacted HC view: `C^H` of the HC tasks in position order.
-    pub(crate) hc_wcet_hi: Vec<u64>,
-    /// Compacted HC view: `T` of the HC tasks in position order.
-    pub(crate) hc_period: Vec<u64>,
-    /// Compacted HC view: [`inv64`] reciprocal of `T`.
-    pub(crate) hc_inv_period: Vec<u64>,
-    /// Position of each compacted HC entry (strictly increasing).
-    pub(crate) hc_pos: Vec<usize>,
-    /// Compacted LC view: `C^L` of the LC tasks in position order.
-    pub(crate) lc_wcet_lo: Vec<u64>,
-    /// Compacted LC view: `T` of the LC tasks in position order.
-    pub(crate) lc_period: Vec<u64>,
-    /// Compacted LC view: [`inv64`] reciprocal of `T`.
-    pub(crate) lc_inv_period: Vec<u64>,
-    /// Position of each compacted LC entry (strictly increasing).
-    pub(crate) lc_pos: Vec<usize>,
     /// Loaded tasks failing the per-task half of the fast-kernel
     /// certificate (see [`SoaTasks::fast`]).
     slow_tasks: usize,
@@ -125,11 +107,6 @@ pub(crate) struct SoaTasks {
     fast_budget: u128,
 }
 
-/// The precomputed reciprocal `⌊2^64 / d⌋` (saturated for `d == 1`) used
-/// by the batched kernels' exact division-by-multiplication: for any
-/// `n < 2^64`, `hi64(n · inv64(d))` is `⌊n/d⌋` or `⌊n/d⌋ − 1`, and one
-/// multiply-compare fixup recovers the exact quotient (see `dc_inv` in
-/// `amc.rs` for the proof sketch).
 /// Per-task half of the fast-kernel certificate over raw lane values
 /// (see [`SoaTasks::fast`]): the bounds predicate and the exact
 /// worst-case interference charge `max(C^L, C^H)·⌈(2^32−1)/T⌉`.
@@ -143,6 +120,11 @@ fn cert_values(wl: u64, wh: u64, t: u64, d: u64, inv: u64) -> (bool, u128) {
     (true, wl.max(wh) as u128 * worst as u128)
 }
 
+/// The precomputed reciprocal `⌊2^64 / d⌋` (saturated for `d == 1`) used
+/// by the lane kernels' exact division-by-multiplication: for any
+/// `n < 2^64`, `hi64(n · inv64(d))` is `⌊n/d⌋` or `⌊n/d⌋ − 1`, and one
+/// multiply-compare fixup recovers the exact quotient (see `dc_inv` in
+/// `amc.rs` for the proof sketch).
 pub(crate) fn inv64(d: u64) -> u64 {
     if d == 1 {
         return u64::MAX;
@@ -206,22 +188,6 @@ impl SoaTasks {
         self.fast_budget -= b;
     }
 
-    /// Number of HC lanes in the compacted view.
-    pub(crate) fn hc_len(&self) -> usize {
-        self.hc_pos.len()
-    }
-
-    /// Whether the task at `pos` is high-criticality.
-    pub(crate) fn is_hc(&self, pos: usize) -> bool {
-        self.hc[pos]
-    }
-
-    /// Number of HC lanes at positions strictly above `pos` — also the
-    /// compacted-HC rank of `pos` itself when `pos` holds an HC task.
-    pub(crate) fn hc_rank_below(&self, pos: usize) -> usize {
-        self.hc_pos.partition_point(|&x| x < pos)
-    }
-
     /// Empties the view, keeping the buffers for reuse.
     pub(crate) fn clear(&mut self) {
         self.wcet_lo.clear();
@@ -230,49 +196,27 @@ impl SoaTasks {
         self.inv_period.clear();
         self.deadline.clear();
         self.hc.clear();
-        self.hc_wcet_hi.clear();
-        self.hc_period.clear();
-        self.hc_inv_period.clear();
-        self.hc_pos.clear();
-        self.lc_wcet_lo.clear();
-        self.lc_period.clear();
-        self.lc_inv_period.clear();
-        self.lc_pos.clear();
         self.slow_tasks = 0;
         self.fast_budget = 0;
     }
 
     /// Rebuilds the view as `tasks[order[0]], tasks[order[1]], …`.
-    ///
-    /// Lane-at-a-time: each output vector is filled in one contiguous
-    /// `extend` pass (the per-set build cost is on the one-shot hot path,
-    /// paid even by sets the analysis rejects at the first task).
     pub(crate) fn load(&mut self, tasks: &[Task], order: &[usize]) {
-        self.load_primary(tasks, order);
-        self.build_compact();
+        self.load_from(order.iter().map(|&i| &tasks[i]));
     }
 
-    /// The primary-lane half of [`SoaTasks::load`]: everything the
-    /// low-mode kernel reads. The one-shot analysis defers
-    /// [`SoaTasks::build_compact`] until low mode actually passes, so a
-    /// set rejected at the first phase never pays for the criticality
-    /// views.
-    ///
+    /// Rebuilds the view in slice order (`order = 0..n`).
+    pub(crate) fn load_seq(&mut self, tasks: &[Task]) {
+        self.load_from(tasks.iter());
+    }
+
     /// One fused pass: each task is read once and scattered into all six
     /// lanes in place (resize + overwrite, no clear-and-extend), with the
     /// fast-kernel certificate accumulated on the fly — the per-set build
     /// cost is on the one-shot hot path, paid even by sets the analysis
     /// rejects at the first task.
-    pub(crate) fn load_primary(&mut self, tasks: &[Task], order: &[usize]) {
-        let n = order.len();
-        self.hc_wcet_hi.clear();
-        self.hc_period.clear();
-        self.hc_inv_period.clear();
-        self.hc_pos.clear();
-        self.lc_wcet_lo.clear();
-        self.lc_period.clear();
-        self.lc_inv_period.clear();
-        self.lc_pos.clear();
+    fn load_from<'a>(&mut self, tasks: impl ExactSizeIterator<Item = &'a Task>) {
+        let n = tasks.len();
         self.wcet_lo.resize(n, 0);
         self.wcet_hi.resize(n, 0);
         self.period.resize(n, 0);
@@ -289,9 +233,8 @@ impl SoaTasks {
             .zip(&mut self.inv_period)
             .zip(&mut self.deadline)
             .zip(&mut self.hc);
-        for (&i, lane) in order.iter().zip(lanes) {
+        for (t, lane) in tasks.zip(lanes) {
             let (((((wl, wh), per), inv), dl), hc) = lane;
-            let t = &tasks[i];
             *wl = t.wcet_lo().as_ticks();
             *wh = t.wcet_hi().as_ticks();
             *per = t.period().as_ticks();
@@ -306,54 +249,6 @@ impl SoaTasks {
         self.fast_budget = budget;
     }
 
-    /// The criticality-view half of [`SoaTasks::load`]; requires the
-    /// matching [`SoaTasks::load_primary`] to have run (the views are
-    /// compacted from the primary lanes, so the periods' reciprocals are
-    /// copied rather than re-divided).
-    pub(crate) fn build_compact(&mut self) {
-        for pos in 0..self.len() {
-            self.push_compact(pos);
-        }
-    }
-
-    /// Rebuilds the view in slice order (`order = 0..n`).
-    pub(crate) fn load_seq(&mut self, tasks: &[Task]) {
-        self.clear();
-        self.wcet_lo
-            .extend(tasks.iter().map(|t| t.wcet_lo().as_ticks()));
-        self.wcet_hi
-            .extend(tasks.iter().map(|t| t.wcet_hi().as_ticks()));
-        self.period
-            .extend(tasks.iter().map(|t| t.period().as_ticks()));
-        self.inv_period
-            .extend(self.period.iter().map(|&t| inv64(t)));
-        self.deadline
-            .extend(tasks.iter().map(|t| t.deadline().as_ticks()));
-        self.hc
-            .extend(tasks.iter().map(|t| t.criticality() == Criticality::High));
-        for pos in 0..tasks.len() {
-            self.cert_add(pos);
-            self.push_compact(pos);
-        }
-    }
-
-    /// Appends position `pos`'s compacted criticality-view entry from the
-    /// primary lanes (positions must be appended in increasing order,
-    /// after the primary lanes are filled).
-    fn push_compact(&mut self, pos: usize) {
-        if self.hc[pos] {
-            self.hc_wcet_hi.push(self.wcet_hi[pos]);
-            self.hc_period.push(self.period[pos]);
-            self.hc_inv_period.push(self.inv_period[pos]);
-            self.hc_pos.push(pos);
-        } else {
-            self.lc_wcet_lo.push(self.wcet_lo[pos]);
-            self.lc_period.push(self.period[pos]);
-            self.lc_inv_period.push(self.inv_period[pos]);
-            self.lc_pos.push(pos);
-        }
-    }
-
     /// Inserts `t` at priority position `pos`, shifting lower priorities
     /// down (the admission probe's delta update; `O(n)` lane memmoves,
     /// allocation-free at capacity).
@@ -363,35 +258,8 @@ impl SoaTasks {
         self.period.insert(pos, t.period().as_ticks());
         self.inv_period.insert(pos, inv64(t.period().as_ticks()));
         self.deadline.insert(pos, t.deadline().as_ticks());
+        self.hc.insert(pos, t.criticality() == Criticality::High);
         self.cert_add(pos);
-        for x in &mut self.hc_pos {
-            if *x >= pos {
-                *x += 1;
-            }
-        }
-        for x in &mut self.lc_pos {
-            if *x >= pos {
-                *x += 1;
-            }
-        }
-        match t.criticality() {
-            Criticality::High => {
-                self.hc.insert(pos, true);
-                let rank = self.hc_pos.partition_point(|&x| x < pos);
-                self.hc_wcet_hi.insert(rank, t.wcet_hi().as_ticks());
-                self.hc_period.insert(rank, t.period().as_ticks());
-                self.hc_inv_period.insert(rank, self.inv_period[pos]);
-                self.hc_pos.insert(rank, pos);
-            }
-            Criticality::Low => {
-                self.hc.insert(pos, false);
-                let rank = self.lc_pos.partition_point(|&x| x < pos);
-                self.lc_wcet_lo.insert(rank, t.wcet_lo().as_ticks());
-                self.lc_period.insert(rank, t.period().as_ticks());
-                self.lc_inv_period.insert(rank, self.inv_period[pos]);
-                self.lc_pos.insert(rank, pos);
-            }
-        }
     }
 
     /// Removes the task at priority position `pos` (undoes
@@ -403,29 +271,7 @@ impl SoaTasks {
         self.period.remove(pos);
         self.inv_period.remove(pos);
         self.deadline.remove(pos);
-        if self.hc.remove(pos) {
-            let rank = self.hc_pos.partition_point(|&x| x < pos);
-            self.hc_wcet_hi.remove(rank);
-            self.hc_period.remove(rank);
-            self.hc_inv_period.remove(rank);
-            self.hc_pos.remove(rank);
-        } else {
-            let rank = self.lc_pos.partition_point(|&x| x < pos);
-            self.lc_wcet_lo.remove(rank);
-            self.lc_period.remove(rank);
-            self.lc_inv_period.remove(rank);
-            self.lc_pos.remove(rank);
-        }
-        for x in &mut self.hc_pos {
-            if *x > pos {
-                *x -= 1;
-            }
-        }
-        for x in &mut self.lc_pos {
-            if *x > pos {
-                *x -= 1;
-            }
-        }
+        self.hc.remove(pos);
     }
 }
 
@@ -778,10 +624,14 @@ pub struct AnalysisWorkspace {
     pub(crate) streams: Vec<CandStream>,
     /// Per-hp-HC-task interference slots for the AMC-max candidate walk.
     pub(crate) hc: Vec<HcSlot>,
+    /// The AMC-rtb kernel's per-class position lists (HC positions in
+    /// the first half, LC positions in the second), grown to twice the
+    /// largest set analysed.
+    pub(crate) rtb_pos: Vec<usize>,
     /// The one-shot AMC analysis (order / responses) — the workspace path
     /// runs exactly the incremental layer's `analyze_into` over it.
     pub(crate) amc: AmcCache,
-    /// SoA lane view for the batched response-time kernels (the one-shot
+    /// SoA lane view for the response-time lane kernels (the one-shot
     /// and Audsley paths; the incremental `AmcState`s keep their own
     /// per-processor view mirroring the committed cache).
     pub(crate) soa: SoaTasks,
@@ -911,33 +761,27 @@ mod tests {
             assert_eq!(soa.period[pos], t.period().as_ticks());
             assert_eq!(soa.inv_period[pos], inv64(t.period().as_ticks()));
             assert_eq!(soa.deadline[pos], t.deadline().as_ticks());
-            assert_eq!(soa.is_hc(pos), t.criticality() == Criticality::High);
+            assert_eq!(soa.hc[pos], t.criticality() == Criticality::High);
         }
-        // Compacted views cover exactly the HC / LC positions, in order.
-        let hc: Vec<usize> = (0..tasks.len()).filter(|&p| soa.hc[p]).collect();
-        let lc: Vec<usize> = (0..tasks.len()).filter(|&p| !soa.hc[p]).collect();
-        assert_eq!(soa.hc_pos, hc);
-        assert_eq!(soa.lc_pos, lc);
-        for (rank, &p) in soa.hc_pos.iter().enumerate() {
-            assert_eq!(soa.hc_wcet_hi[rank], tasks[p].wcet_hi().as_ticks());
-            assert_eq!(soa.hc_period[rank], tasks[p].period().as_ticks());
-            assert_eq!(soa.hc_inv_period[rank], inv64(tasks[p].period().as_ticks()));
-        }
-        for (rank, &p) in soa.lc_pos.iter().enumerate() {
-            assert_eq!(soa.lc_wcet_lo[rank], tasks[p].wcet_lo().as_ticks());
-            assert_eq!(soa.lc_period[rank], tasks[p].period().as_ticks());
-            assert_eq!(soa.lc_inv_period[rank], inv64(tasks[p].period().as_ticks()));
-        }
+        // The reversible certificate equals a fresh accumulation.
+        let mut fresh = SoaTasks::default();
+        fresh.load_seq(tasks);
+        assert_eq!(soa.slow_tasks, fresh.slow_tasks);
+        assert_eq!(soa.fast_budget, fresh.fast_budget);
     }
 
+    /// Both load routes build the same view: slice order, and a
+    /// caller-supplied priority order over a permuted slice.
     #[test]
     fn soa_load_builds_both_views() {
         let (tasks, soa) = soa_fixture();
         assert_soa_matches(&soa, &tasks);
-        assert_eq!(soa.hc_len(), 2);
-        assert_eq!(soa.hc_rank_below(0), 0);
-        assert_eq!(soa.hc_rank_below(2), 1);
-        assert_eq!(soa.hc_rank_below(4), 2);
+        assert!(soa.fast(), "small certified fixture takes the fast route");
+        let reversed: Vec<Task> = tasks.iter().rev().copied().collect();
+        let order: Vec<usize> = (0..tasks.len()).rev().collect();
+        let mut ordered = SoaTasks::default();
+        ordered.load(&reversed, &order);
+        assert_soa_matches(&ordered, &tasks);
     }
 
     #[test]
@@ -980,10 +824,8 @@ mod tests {
         assert_eq!(soa.period, fresh.period);
         assert_eq!(soa.deadline, fresh.deadline);
         assert_eq!(soa.hc, fresh.hc);
-        assert_eq!(soa.hc_pos, fresh.hc_pos);
-        assert_eq!(soa.lc_pos, fresh.lc_pos);
-        assert_eq!(soa.hc_wcet_hi, fresh.hc_wcet_hi);
-        assert_eq!(soa.lc_wcet_lo, fresh.lc_wcet_lo);
+        assert_eq!(soa.inv_period, fresh.inv_period);
+        assert_eq!(soa.fast_budget, fresh.fast_budget);
     }
 
     fn demand_fixture() -> (Vec<VdTask>, DemandSoa) {

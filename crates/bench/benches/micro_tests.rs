@@ -11,11 +11,12 @@
 //!   seed implementation (materialise + sort + dedup candidates, per-call
 //!   vectors) vs the streaming workspace path, verdicts asserted
 //!   bit-identical before any measurement;
-//! * `amc_rtb_batched` — AMC-rtb through the SoA lane kernels: the
+//! * `amc_rtb_lanes` — AMC-rtb through the SoA lane kernels: the
 //!   retained scalar seed (per-task `div_ceil` recurrences over `&[Task]`)
-//!   vs the workspace path (fast-kernel certificate, reciprocal division,
-//!   small-set scalar route / multi-block Jacobi lanes), verdicts asserted
-//!   bit-identical before any measurement;
+//!   vs the workspace path (one task-at-a-time kernel per fixpoint over
+//!   the lanes, fast-kernel certificate, reciprocal division) on
+//!   admission-sized and n ≥ 20 sets, verdicts asserted bit-identical
+//!   before any measurement;
 //! * `vdtune_kernel` — the EY / ECDF tuners: the retained seed stack
 //!   (flat per-call QPA from the busy-window bound) vs the incremental
 //!   demand kernel (warm-resumed fixpoints + memoised violation
@@ -132,10 +133,9 @@ fn bench_amcmax_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_amc_rtb_batched(c: &mut Criterion) {
-    // Two corpus shapes, matching the kernel's two routes: admission-sized
-    // sets (n ≤ 10, the small-set scalar route over SoA lanes) and wide
-    // sets (n ≥ 20, multiple 8-lane Jacobi blocks).
+fn bench_amc_rtb_lanes(c: &mut Criterion) {
+    // Two corpus shapes: admission-sized sets (uniprocessor loads of an
+    // m = 2 partition) and wide sets (n ≥ 20).
     let small = uniprocessor_corpus(2, 256, BENCH_SEED);
     let wide = large_sets();
     let test = AmcRtb::new();
@@ -144,12 +144,12 @@ fn bench_amc_rtb_batched(c: &mut Criterion) {
         assert_eq!(
             test.is_schedulable_in(ts, &mut ws),
             reference::amc_rtb_is_schedulable(ts),
-            "batched/seed divergence on an n={} set",
+            "lane/seed divergence on an n={} set",
             ts.len()
         );
     }
-    let mut group = c.benchmark_group("amc_rtb_batched");
-    for (shape, sets) in [("scalar-route", &small), ("n20-blocks", &wide)] {
+    let mut group = c.benchmark_group("amc_rtb_lanes");
+    for (shape, sets) in [("admission-sized", &small), ("n20", &wide)] {
         group.bench_with_input(BenchmarkId::new(shape, "reference"), sets, |b, sets| {
             b.iter(|| {
                 sets.iter()
@@ -344,7 +344,7 @@ criterion_group!(
     benches,
     bench_tests,
     bench_amcmax_streaming,
-    bench_amc_rtb_batched,
+    bench_amc_rtb_lanes,
     bench_vdtune_kernel,
     bench_demand_soa
 );

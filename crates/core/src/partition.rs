@@ -103,7 +103,7 @@ impl Partition {
 
     /// As [`Partition::build`], also returning the aggregated
     /// [`AdmissionStats`] of the run (attempts, admits, incremental vs
-    /// full re-analyses) — surfaced by `mcsched-exp --ablation`.
+    /// full re-analyses) — surfaced by `mcsched-exp ablation`.
     ///
     /// Analysis scratch comes from the thread-local workspace pool, so
     /// repeated builds on one thread reuse the same buffers; callers that

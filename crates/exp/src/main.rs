@@ -20,9 +20,8 @@
 //! mcexp lint [--json | --fixable] [--baseline FILE] [--root DIR]
 //! ```
 //!
-//! The old flag spellings (`--fig`, `--headline`, `--ablation`,
-//! `--isolation`, `--all`, `--perf-json`, `--analysis-json`) still work
-//! as deprecated aliases and print a pointer to the subcommand form.
+//! The first word names the subcommand; an invocation that starts with a
+//! flag (other than `--help`) is a usage error.
 //!
 //! Defaults: `--sets 200` (the paper uses 1000; raise it for final runs),
 //! `--seed 42`, `--threads` = available parallelism.
@@ -79,8 +78,6 @@ struct Args {
     ablation: bool,
     isolation: bool,
     all: bool,
-    perf_json: Option<PathBuf>,
-    analysis_json: Option<PathBuf>,
     perf: bool,
     analysis: bool,
     json: Option<PathBuf>,
@@ -133,8 +130,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         ablation: false,
         isolation: false,
         all: false,
-        perf_json: None,
-        analysis_json: None,
         perf: false,
         analysis: false,
         json: None,
@@ -164,15 +159,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         lint_baseline: None,
         lint_root: PathBuf::from("."),
     };
-    let mut i = 0;
-
-    // Leading bare word = subcommand. Flags-only invocations fall
-    // through to the deprecated spellings below.
-    let mut subcommand = false;
+    // Leading bare word = subcommand.
+    let mut sweep = false;
     if let Some(first) = argv.first() {
-        subcommand = true;
         match first.as_str() {
-            "sweep" => {}
+            "sweep" => sweep = true,
             "headline" => args.headline = true,
             "ablation" => args.ablation = true,
             "isolation" => args.isolation = true,
@@ -184,27 +175,23 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "bench-service" => args.bench = true,
             "chaos" => args.chaos = true,
             "lint" => args.lint = true,
-            "help" => {
+            "help" | "--help" | "-h" => {
                 args.help = true;
                 return Ok(args);
             }
-            flag if flag.starts_with('-') => subcommand = false,
+            flag if flag.starts_with('-') => {
+                return Err(format!(
+                    "`{flag}` before a subcommand (expected {SUBCOMMANDS})"
+                ));
+            }
             other => {
                 return Err(format!(
-                    "unknown subcommand `{other}` (expected sweep, headline, ablation, \
-                     isolation, all, perf, analysis, eval, serve, bench-service, chaos, \
-                     or lint)"
+                    "unknown subcommand `{other}` (expected {SUBCOMMANDS})"
                 ));
             }
         }
-        if subcommand {
-            i = 1;
-        }
     }
-
-    let deprecated = |old: &str, new: &str| {
-        eprintln!("[mcexp] note: `{old}` is deprecated; use `mcexp {new}`");
-    };
+    let mut i = 1;
 
     let value = |i: &mut usize| -> Result<String, String> {
         *i += 1;
@@ -240,12 +227,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match argv[i].as_str() {
             "--input" => args.input = Some(PathBuf::from(value(&mut i)?)),
             "--output" => args.output = Some(PathBuf::from(value(&mut i)?)),
-            "--fig" => {
-                if !subcommand {
-                    deprecated("--fig", "sweep --fig");
-                }
-                args.fig = Some(value(&mut i)?);
-            }
+            "--fig" if sweep => args.fig = Some(value(&mut i)?),
             "--m" => {
                 args.m_values = value(&mut i)?
                     .split(',')
@@ -273,38 +255,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out" => args.out = Some(PathBuf::from(value(&mut i)?)),
             "--json" => args.json = Some(PathBuf::from(value(&mut i)?)),
             "--gate" => args.gates.push(parse_gate(&value(&mut i)?)?),
-            "--perf-json" => {
-                deprecated("--perf-json", "perf --json");
-                args.perf_json = Some(PathBuf::from(value(&mut i)?));
-            }
-            "--analysis-json" => {
-                deprecated("--analysis-json", "analysis --json");
-                args.analysis_json = Some(PathBuf::from(value(&mut i)?));
-            }
-            "--headline" => {
-                if !subcommand {
-                    deprecated("--headline", "headline");
-                }
-                args.headline = true;
-            }
-            "--ablation" => {
-                if !subcommand {
-                    deprecated("--ablation", "ablation");
-                }
-                args.ablation = true;
-            }
-            "--isolation" => {
-                if !subcommand {
-                    deprecated("--isolation", "isolation");
-                }
-                args.isolation = true;
-            }
-            "--all" => {
-                if !subcommand {
-                    deprecated("--all", "all");
-                }
-                args.all = true;
-            }
             "--addr" => args.addr = Some(value(&mut i)?),
             "--workers" => {
                 args.workers = Some(
@@ -457,6 +407,10 @@ fn validate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The subcommand names, for usage errors.
+const SUBCOMMANDS: &str = "sweep, headline, ablation, isolation, all, perf, analysis, eval, \
+                           serve, bench-service, chaos, or lint";
+
 const HELP: &str = r#"mcexp — the DATE 2017 UDP partitioning experiment driver
 usage: mcexp <subcommand> [options]
 
@@ -497,9 +451,6 @@ subcommands:
                             clean, 1 findings, 2 usage error
 
 shared options: --m 2,4,8  --sets N  --seed S  --threads T  --out DIR
-
-Old flag spellings (--fig/--headline/--ablation/--isolation/--all/
---perf-json/--analysis-json) still work and print a deprecation note.
 
 eval mode: read JSONL schedulability requests (one JSON object per line,
 from --input or stdin) and stream one JSON verdict per line (to --output
@@ -863,14 +814,14 @@ fn main() {
         }
     }
 
-    if args.perf || args.perf_json.is_some() {
+    if args.perf {
         did_something = true;
         let m = args.m_values.first().copied().unwrap_or(2);
         eprintln!("[mcexp] partition throughput m={m} sets={} ...", args.sets);
         let report = partition_throughput(m, args.sets, args.seed, &perf_lineup());
         println!("\n## Partition throughput (m = {m})\n");
         println!("{}", render_perf(&report));
-        if let Some(path) = args.json.as_ref().or(args.perf_json.as_ref()) {
+        if let Some(path) = &args.json {
             match write_perf_json(&report, path) {
                 Ok(()) => eprintln!("[mcexp] wrote {}", path.display()),
                 Err(e) => {
@@ -881,7 +832,7 @@ fn main() {
         }
     }
 
-    if args.analysis || args.analysis_json.is_some() {
+    if args.analysis {
         did_something = true;
         eprintln!(
             "[mcexp] analysis throughput m={:?} sets={} ...",
@@ -890,7 +841,7 @@ fn main() {
         let report = analysis_throughput(&args.m_values, args.sets, args.seed);
         println!("\n## Analysis throughput (reference vs workspace)\n");
         println!("{}", render_analysis_perf(&report));
-        if let Some(path) = args.json.as_ref().or(args.analysis_json.as_ref()) {
+        if let Some(path) = &args.json {
             match write_analysis_json(&report, path) {
                 Ok(()) => eprintln!("[mcexp] wrote {}", path.display()),
                 Err(e) => {
@@ -947,6 +898,28 @@ mod tests {
             parse_args(&argv(&["--sets", "abc"])).is_err(),
             "non-numeric"
         );
+    }
+
+    #[test]
+    fn old_flag_spellings_are_usage_errors() {
+        for old in [
+            &["--fig", "3"][..],
+            &["--headline"],
+            &["--ablation"],
+            &["--isolation"],
+            &["--all"],
+            &["--perf-json", "p.json"],
+            &["--analysis-json", "a.json"],
+        ] {
+            let err = parse_args(&argv(old)).expect_err("leading flag");
+            assert!(err.contains("sweep") && err.contains("analysis"), "{err}");
+            // Behind a subcommand the old spellings are unknown flags.
+            let mut behind = vec!["analysis"];
+            behind.extend_from_slice(old);
+            assert!(parse_args(&argv(&behind)).is_err(), "{behind:?}");
+        }
+        assert!(parse_args(&argv(&["all", "--fig", "3"])).is_err());
+        assert!(parse_args(&argv(&["--help"])).unwrap().help);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! reduced sample so it finishes in seconds even in debug builds.
 //!
 //! For the full paper-scale sweeps use the `mcexp` binary:
-//! `cargo run --release -p mcsched-exp -- --fig 3 --sets 1000`.
+//! `cargo run --release -p mcsched-exp -- sweep --fig 3 --sets 1000`.
 //!
 //! Run with: `cargo run --example acceptance_sweep`
 

@@ -9,7 +9,7 @@
 //! * both hold across unconstrained proptest sets *and* a deterministic
 //!   generator-shaped corpus.
 
-use mcsched::analysis::amc::{amc_rtb_bounds_batched, reference};
+use mcsched::analysis::amc::{amc_rtb_bounds, reference};
 use mcsched::analysis::vdtune::reference as vd_reference;
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
@@ -20,13 +20,18 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// An arbitrary valid task: period 2..=60, budgets inside it, optional
-/// criticality/constrained deadline.
-fn arb_task(id: u32) -> impl Strategy<Value = Task> {
-    (2u64..=60, any::<bool>()).prop_flat_map(move |(period, is_hi)| {
-        (1u64..=period, Just(period), Just(is_hi)).prop_flat_map(move |(c_lo, period, is_hi)| {
+/// An arbitrary valid task for a set of `n` tasks: period in
+/// `2n..=2n + 58`, `C^L` at most `max(1, T/n)` and `C^H` at most twice
+/// that, optional criticality/constrained deadline. Single-task sets keep
+/// the full `2..=60` range with budgets up to the period; wider sets stay
+/// near the schedulability boundary instead of overloading at once.
+fn arb_task(id: u32, n: usize) -> impl Strategy<Value = Task> {
+    let n = n as u64;
+    (2 * n..=2 * n + 58, any::<bool>()).prop_flat_map(move |(period, is_hi)| {
+        let cap = (period / n).max(1);
+        (1u64..=cap, Just(period), Just(is_hi)).prop_flat_map(move |(c_lo, period, is_hi)| {
             if is_hi {
-                (c_lo..=period, Just(period), Just(c_lo))
+                (c_lo..=(2 * cap).min(period), Just(period), Just(c_lo))
                     .prop_flat_map(move |(c_hi, period, c_lo)| {
                         (c_hi..=period).prop_map(move |d| {
                             Task::hi_constrained(id, period, c_lo, c_hi, d).expect("valid")
@@ -42,29 +47,29 @@ fn arb_task(id: u32) -> impl Strategy<Value = Task> {
     })
 }
 
-/// An arbitrary task set of 1..=10 tasks with distinct ids.
+/// An arbitrary task set of 1..=24 tasks with distinct ids.
 fn arb_taskset() -> impl Strategy<Value = TaskSet> {
-    (1usize..=10).prop_flat_map(|n| {
-        let tasks: Vec<_> = (0..n as u32).map(arb_task).collect();
+    (1usize..=24).prop_flat_map(|n| {
+        let tasks: Vec<_> = (0..n as u32).map(|id| arb_task(id, n)).collect();
         tasks.prop_map(|ts| TaskSet::try_from_tasks(ts).expect("distinct ids"))
     })
 }
 
-/// Asserts the batched SoA kernels reproduce the seed responses **bit
+/// Asserts the SoA lane kernels reproduce the seed responses **bit
 /// for bit**: the low-mode vector, the AMC-rtb verdict, and (on an
 /// accepting verdict) every HC task's high-mode bound.
-fn assert_batched_bounds_equivalent(ts: &TaskSet) {
+fn assert_lane_bounds_equivalent(ts: &TaskSet) {
     let lo = LoRta::compute(ts);
     assert_eq!(
         lo,
         reference::lo_responses(ts),
-        "batched low-mode responses diverged on {ts}"
+        "lane low-mode responses diverged on {ts}"
     );
-    let rtb = amc_rtb_bounds_batched(ts);
+    let rtb = amc_rtb_bounds(ts);
     assert_eq!(
         rtb.is_some(),
         lo.is_some(),
-        "batched rtb ran without a low-mode pass on {ts}"
+        "lane rtb ran without a low-mode pass on {ts}"
     );
     let Some((verdict, bounds)) = rtb else {
         return;
@@ -72,7 +77,7 @@ fn assert_batched_bounds_equivalent(ts: &TaskSet) {
     assert_eq!(
         verdict,
         reference::amc_rtb_is_schedulable(ts),
-        "batched AMC-rtb verdict diverged on {ts}"
+        "lane AMC-rtb verdict diverged on {ts}"
     );
     if !verdict {
         // On a reject the kernel stops at the first infeasible task;
@@ -142,7 +147,7 @@ fn assert_workspace_equivalent(ts: &TaskSet, ws: &mut AnalysisWorkspace) -> usiz
         vd_reference::ecdf_is_schedulable(ts),
         "ECDF verdict diverged from the seed tuner on {ts}"
     );
-    assert_batched_bounds_equivalent(ts);
+    assert_lane_bounds_equivalent(ts);
     compared
 }
 
@@ -245,7 +250,7 @@ fn seeded_corpus_streaming_equivalence() {
 }
 
 /// Values past the fast-kernel certificate (wcets and periods at the
-/// 2^62–2^63 scale) must take the guarded batched kernels and still
+/// 2^62–2^63 scale) must take the guarded lane kernels and still
 /// reproduce the seed bounds bit-identically — saturation in the guarded
 /// path and the seed's overflow-checked fixpoint reject identically.
 #[test]
@@ -274,10 +279,16 @@ fn guarded_kernel_bounds_match_reference() {
             Task::hi_constrained(2, big, 100, 200, big / 2).unwrap(),
         ])
         .unwrap(),
+        // More than ten tasks, alternating criticality: low mode passes
+        // and every HC bound converges below its deadline.
+        wide_huge_set(big / 32),
+        // The same shape with heavy `C^H`: the HC bounds outgrow the
+        // deadlines, so the high-mode phase rejects.
+        wide_huge_set(big / 5),
     ];
     let mut ws = AnalysisWorkspace::new();
     for ts in &sets {
-        assert_batched_bounds_equivalent(ts);
+        assert_lane_bounds_equivalent(ts);
         for test in [AmcRtb::new(), AmcRtb::with_audsley()] {
             assert_eq!(
                 test.is_schedulable_in(ts, &mut ws),
@@ -292,6 +303,28 @@ fn guarded_kernel_bounds_match_reference() {
             "AMC-max verdict diverged from the seed implementation on {ts}"
         );
     }
+    // The two wide sets reach the high-mode phase and split there.
+    assert!(LoRta::compute(&sets[3]).is_some() && LoRta::compute(&sets[4]).is_some());
+    assert!(AmcRtb::new().is_schedulable(&sets[3]));
+    assert!(!AmcRtb::new().is_schedulable(&sets[4]));
+}
+
+/// Twelve tasks at the 2^62 period scale (past the fast-kernel
+/// certificate), HC and LC alternating, every `C^L = 2^62/64` and every
+/// HC `C^H = c_hi`.
+fn wide_huge_set(c_hi: u64) -> TaskSet {
+    let big = 1u64 << 62;
+    let tasks: Vec<Task> = (0..12u32)
+        .map(|k| {
+            let period = big + 1013 * u64::from(k);
+            if k % 2 == 0 {
+                Task::hi(k, period, big / 64, c_hi).unwrap()
+            } else {
+                Task::lo(k, period, big / 64).unwrap()
+            }
+        })
+        .collect();
+    TaskSet::try_from_tasks(tasks).unwrap()
 }
 
 /// The overflow regression at workspace-integration level: a candidate

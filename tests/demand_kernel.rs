@@ -257,7 +257,7 @@ fn seeded_corpus_kernel_equivalence() {
 }
 
 /// The admission layer's warm kernel must report fixpoint reuse through
-/// its stats — the observability the `--ablation` table builds on — while
+/// its stats — the observability the `mcexp ablation` table builds on — while
 /// agreeing with the one-shot tuner on every probe.
 #[test]
 fn admission_probes_reuse_fixpoints() {

@@ -200,9 +200,9 @@ fn assert_zero_alloc_warm_qpa() {
     );
 }
 
-/// A wide committed set (20 tasks, mixed criticality, light utilisation)
-/// that drives the batched SoA kernels through multiple lane blocks —
-/// the 5-task scenarios above stay on the small-set scalar route.
+/// A wide committed set (20 tasks, mixed criticality, light utilisation):
+/// four times the 5-task scenarios above, so the SoA lanes and the rtb
+/// kernel's position-list scratch must hold their grown capacity.
 fn committed_tasks_wide() -> Vec<Task> {
     (0..20u32)
         .map(|i| {
@@ -216,12 +216,12 @@ fn committed_tasks_wide() -> Vec<Task> {
         .collect()
 }
 
-/// Asserts the batched lane view itself is allocation-free once warm:
+/// Asserts the lane view itself is allocation-free once warm:
 /// repeated full rebuilds of the SoA lanes (one-shot judgements over a
 /// 20-task set, which reload the view every call) and repeated
 /// delta-updated admission probes against a 20-task committed state must
 /// not touch the heap.
-fn assert_zero_alloc_batched_blocks() {
+fn assert_zero_alloc_wide_lanes() {
     let wide = TaskSet::try_from_tasks(committed_tasks_wide()).unwrap();
     for test in [
         &AmcRtb::new() as &dyn SchedulabilityTest,
@@ -244,7 +244,7 @@ fn assert_zero_alloc_batched_blocks() {
         assert_eq!(
             allocs,
             0,
-            "{}: multi-block one-shot rebuilds allocated {allocs} times",
+            "{}: wide one-shot rebuilds allocated {allocs} times",
             test.name()
         );
 
@@ -270,7 +270,7 @@ fn assert_zero_alloc_batched_blocks() {
         assert_eq!(
             allocs,
             0,
-            "{}: multi-block admission probes allocated {allocs} times",
+            "{}: wide admission probes allocated {allocs} times",
             test.name()
         );
     }
@@ -306,5 +306,5 @@ fn admission_and_one_shot_paths_are_allocation_free() {
     assert_zero_alloc_one_shot(&ClassicEdf::own_level(), &sets);
     assert_zero_alloc_one_shot(&ClassicEdf::lo_mode(), &sets);
     assert_zero_alloc_warm_qpa();
-    assert_zero_alloc_batched_blocks();
+    assert_zero_alloc_wide_lanes();
 }
