@@ -33,13 +33,30 @@
 //! `serde_json::write_escaped`, the escaper `serde_json::to_string` uses.
 //! The server's connection loop renders every reply into one reused buffer
 //! ([`Reply::render_into`]), and the journal does the same for every
-//! record. Incoming lines are parsed by `serde_json::parse_value`, whose
-//! work is linear in the line length. The parsed `Value` tree is used
-//! only to look up request fields and on cold paths (reports, the
-//! algorithm registry, journal recovery).
+//! record.
+//!
+//! ## Decoding
+//!
+//! [`parse_envelope`] reads a request line in one pass of the vendored
+//! `serde_json::Scanner`, with no `Value` tree. The pass keeps the first
+//! value of each key the protocol knows (as a tree lookup would find the
+//! first), borrows strings that hold no escape from the line, decodes
+//! the tasks of `task` and `tasks` as it meets them, and skips every
+//! other value while still checking it. Only then are the fields judged,
+//! in a fixed order, so a syntax error anywhere in the line takes
+//! precedence over a bad field, and the `id` is attached to every error
+//! after the syntax check. `serde_json::parse_value` walks the same
+//! scanner, so the `malformed JSON` messages are the ones a tree parse
+//! gives. A request allocates only what it owns: an `admit`, `remove`
+//! or `query` with a numeric id allocates nothing, an `op_id` or a
+//! string id one `String` each, and an `eval` its algorithm name and
+//! task set. The `Value` tree remains for replies parsed by clients
+//! ([`parse_reply`]) and for cold paths: reports, the algorithm
+//! registry and journal recovery.
 
 use mcsched_model::{Criticality, Task, TaskId, TaskSet};
 use serde::Value;
+use serde_json::{Scanner, Token};
 use std::fmt::Write as _;
 
 /// The wire protocol version this build speaks.
@@ -60,11 +77,15 @@ pub enum RequestId {
 }
 
 impl RequestId {
-    fn from_value(v: &Value) -> Option<RequestId> {
-        match v {
-            Value::Str(s) => Some(RequestId::Str(s.clone())),
+    fn from_token(t: &Token<'_>) -> Option<RequestId> {
+        match t {
+            Token::Str(s) => Some(RequestId::Str(s.as_ref().to_owned())),
             other => other.as_u64().map(RequestId::Num),
         }
+    }
+
+    fn from_value(v: &Value) -> Option<RequestId> {
+        RequestId::from_token(&Token::from(v))
     }
 }
 
@@ -244,11 +265,11 @@ impl EnvelopeError {
 /// Returns the in-band error message, with the request's `id` attached
 /// when one was present and well-formed.
 pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
-    let v = serde_json::parse_value(line)
+    let f = RequestFields::scan(line)
         .map_err(|e| EnvelopeError::bare(format!("malformed JSON: {e}")))?;
-    let id = match v.get("id") {
+    let id = match &f.id {
         None => None,
-        Some(raw) => Some(RequestId::from_value(raw).ok_or_else(|| {
+        Some(raw) => Some(RequestId::from_token(raw).ok_or_else(|| {
             EnvelopeError::bare("`id` must be an integer or a string".to_owned())
         })?),
     };
@@ -256,7 +277,7 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
         id: id.clone(),
         message,
     };
-    match v.get("v") {
+    match &f.version {
         None => {}
         Some(ver) => match ver.as_u64() {
             Some(PROTOCOL_VERSION) => {}
@@ -268,30 +289,23 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
             None => return Err(fail("`v` must be an integer".to_owned())),
         },
     }
-    let kind = match v.get("type") {
+    let kind = match &f.kind {
         None => "eval",
         Some(t) => t
             .as_str()
             .ok_or_else(|| fail("`type` must be a string".to_owned()))?,
     };
     let request = match kind {
-        "eval" => Request::Eval(eval_from_value(&v).map_err(&fail)?),
+        "eval" => Request::Eval(f.eval().map_err(&fail)?),
         "open_session" => {
-            let algorithm = v
-                .get("algorithm")
-                .and_then(Value::as_str)
+            let algorithm = f
+                .algorithm
+                .as_ref()
+                .and_then(Token::as_str)
                 .ok_or_else(|| fail("open_session needs a string `algorithm`".to_owned()))?
                 .to_owned();
-            let m = parse_m(&v).map_err(&fail)?;
-            let session = match v.get("session") {
-                None => None,
-                Some(s) if s.is_null() => None,
-                Some(s) => Some(
-                    s.as_str()
-                        .ok_or_else(|| fail("`session` must be a string".to_owned()))?
-                        .to_owned(),
-                ),
-            };
+            let m = parse_m(f.m.as_ref()).map_err(&fail)?;
+            let session = optional_str(f.session.as_ref(), "session").map_err(&fail)?;
             Request::OpenSession {
                 algorithm,
                 m,
@@ -299,29 +313,32 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
             }
         }
         "admit" => {
-            let task = v
-                .get("task")
-                .ok_or_else(|| fail("admit needs a `task` object".to_owned()))?;
-            let task = task_from_value(task).map_err(|e| fail(format!("task: {e}")))?;
-            let op_id = parse_op_id(&v).map_err(&fail)?;
+            if f.task.is_none() {
+                return Err(fail("admit needs a `task` object".to_owned()));
+            }
+            let task = task_from_fields(&f.task_fields).map_err(|e| fail(format!("task: {e}")))?;
+            let op_id = optional_str(f.op_id.as_ref(), "op_id").map_err(&fail)?;
             Request::Admit { task, op_id }
         }
         "remove" => {
-            let raw = v
-                .get("task_id")
-                .and_then(Value::as_u64)
+            let raw = f
+                .task_id
+                .as_ref()
+                .and_then(Token::as_u64)
                 .ok_or_else(|| fail("remove needs an integer `task_id`".to_owned()))?;
             let task_id = u32::try_from(raw)
                 .map(TaskId)
                 .map_err(|_| fail("`task_id` out of range".to_owned()))?;
-            let op_id = parse_op_id(&v).map_err(&fail)?;
+            let op_id = optional_str(f.op_id.as_ref(), "op_id").map_err(&fail)?;
             Request::Remove { task_id, op_id }
         }
         "query" => {
-            let probe = match v.get("task") {
+            let probe = match &f.task {
                 None => None,
                 Some(t) if t.is_null() => None,
-                Some(t) => Some(task_from_value(t).map_err(|e| fail(format!("task: {e}")))?),
+                Some(_) => {
+                    Some(task_from_fields(&f.task_fields).map_err(|e| fail(format!("task: {e}")))?)
+                }
             };
             Request::Query { probe }
         }
@@ -337,49 +354,208 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
     Ok(Envelope { id, request })
 }
 
-/// Parses the legacy/`eval` body fields out of a request object.
-pub(crate) fn eval_from_value(v: &Value) -> Result<EvalRequest, String> {
-    let algorithm = v
-        .get("algorithm")
-        .and_then(Value::as_str)
-        .ok_or("request needs a string `algorithm`")?
-        .to_owned();
-    let m = parse_m(v)?;
-    let tasks_value = v
-        .get("tasks")
-        .and_then(Value::as_seq)
-        .ok_or("request needs an array `tasks`")?;
-    let mut tasks = TaskSet::with_capacity(tasks_value.len());
-    for (i, tv) in tasks_value.iter().enumerate() {
-        let task = task_from_value(tv).map_err(|e| format!("tasks[{i}]: {e}"))?;
-        tasks
-            .try_push(task)
-            .map_err(|e| format!("tasks[{i}]: {e}"))?;
-    }
-    Ok(EvalRequest {
-        algorithm,
-        m,
-        tasks,
-    })
+/// The top-level fields of one request line, after one pass over it:
+/// for each key the decoder knows, the first value it held (as
+/// [`Value::get`] finds the first). Scalars are kept whole, strings
+/// borrowed from the line when they hold no escape; a container is
+/// kept as its opening token, except that `task` also keeps its known
+/// fields and `tasks` is decoded into a task set as it is read. Other
+/// keys are skipped, but the whole line is checked to be JSON before
+/// any field is judged, and a bad task is reported only once the
+/// checks that come before it have passed.
+#[derive(Default)]
+struct RequestFields<'a> {
+    id: Option<Token<'a>>,
+    version: Option<Token<'a>>,
+    kind: Option<Token<'a>>,
+    algorithm: Option<Token<'a>>,
+    m: Option<Token<'a>>,
+    session: Option<Token<'a>>,
+    op_id: Option<Token<'a>>,
+    task_id: Option<Token<'a>>,
+    task: Option<Token<'a>>,
+    task_fields: TaskFields<'a>,
+    tasks: Option<Token<'a>>,
+    /// The tasks of the `tasks` array up to the first bad one.
+    task_set: TaskSet,
+    /// Why the first bad task of `tasks` was refused.
+    tasks_error: Option<String>,
 }
 
-/// Parses the optional `op_id` idempotency token (string-only on the
-/// wire, so render/parse stay exact inverses).
-fn parse_op_id(v: &Value) -> Result<Option<String>, String> {
-    match v.get("op_id") {
+impl<'a> RequestFields<'a> {
+    fn scan(line: &'a str) -> serde_json::Result<Self> {
+        let mut f = RequestFields::default();
+        let mut sc = Scanner::new(line);
+        let top = sc.value(0)?;
+        if !matches!(top, Token::Object) {
+            // Valid JSON that holds none of the fields.
+            sc.skip_rest(&top, 0)?;
+            sc.finish()?;
+            return Ok(f);
+        }
+        while let Some(key) = sc.next_key()? {
+            let slot = match &*key {
+                "id" => &mut f.id,
+                "v" => &mut f.version,
+                "type" => &mut f.kind,
+                "algorithm" => &mut f.algorithm,
+                "m" => &mut f.m,
+                "session" => &mut f.session,
+                "op_id" => &mut f.op_id,
+                "task_id" => &mut f.task_id,
+                "task" if f.task.is_none() => {
+                    let (token, fields) = TaskFields::scan(&mut sc, 1)?;
+                    f.task = Some(token);
+                    f.task_fields = fields;
+                    continue;
+                }
+                "tasks" if f.tasks.is_none() => {
+                    let token = sc.value(1)?;
+                    if matches!(token, Token::Array) {
+                        f.scan_tasks(&mut sc)?;
+                    } else {
+                        sc.skip_rest(&token, 1)?;
+                    }
+                    f.tasks = Some(token);
+                    continue;
+                }
+                _ => {
+                    sc.skip_value(1)?;
+                    continue;
+                }
+            };
+            scan_into(&mut sc, 1, slot)?;
+        }
+        sc.finish()?;
+        Ok(f)
+    }
+
+    /// Reads the items of the `tasks` array into `task_set`, up to the
+    /// first bad task; the items after it are only checked.
+    fn scan_tasks(&mut self, sc: &mut Scanner<'a>) -> serde_json::Result<()> {
+        let mut i = 0;
+        while sc.next_item()? {
+            let (_, fields) = TaskFields::scan(sc, 2)?;
+            if self.tasks_error.is_none() {
+                let pushed = task_from_fields(&fields)
+                    .and_then(|task| self.task_set.try_push(task).map_err(|e| e.to_string()));
+                self.tasks_error = pushed.err().map(|e| format!("tasks[{i}]: {e}"));
+            }
+            i += 1;
+        }
+        Ok(())
+    }
+
+    /// The `eval` body (also the legacy line shape): `algorithm`, `m`,
+    /// then the tasks of `tasks`.
+    fn eval(self) -> Result<EvalRequest, String> {
+        let algorithm = self
+            .algorithm
+            .as_ref()
+            .and_then(Token::as_str)
+            .ok_or("request needs a string `algorithm`")?
+            .to_owned();
+        let m = parse_m(self.m.as_ref())?;
+        if !matches!(self.tasks, Some(Token::Array)) {
+            return Err("request needs an array `tasks`".to_owned());
+        }
+        if let Some(e) = self.tasks_error {
+            return Err(e);
+        }
+        Ok(EvalRequest {
+            algorithm,
+            m,
+            tasks: self.task_set,
+        })
+    }
+}
+
+/// The fields of one task object, first occurrence of each, as
+/// [`RequestFields`] keeps them. All are absent when the value is not
+/// an object.
+#[derive(Default)]
+struct TaskFields<'a> {
+    id: Option<Token<'a>>,
+    period: Option<Token<'a>>,
+    criticality: Option<Token<'a>>,
+    wcet_lo: Option<Token<'a>>,
+    wcet_hi: Option<Token<'a>>,
+    deadline: Option<Token<'a>>,
+}
+
+impl<'a> TaskFields<'a> {
+    /// Reads the next value, at nesting `depth`, as a task: its token
+    /// and, when it is an object, its fields.
+    fn scan(sc: &mut Scanner<'a>, depth: usize) -> serde_json::Result<(Token<'a>, Self)> {
+        let token = sc.value(depth)?;
+        let mut t = TaskFields::default();
+        if !matches!(token, Token::Object) {
+            sc.skip_rest(&token, depth)?;
+            return Ok((token, t));
+        }
+        while let Some(key) = sc.next_key()? {
+            let slot = match &*key {
+                "id" => &mut t.id,
+                "period" => &mut t.period,
+                "criticality" => &mut t.criticality,
+                "wcet_lo" => &mut t.wcet_lo,
+                "wcet_hi" => &mut t.wcet_hi,
+                "deadline" => &mut t.deadline,
+                _ => {
+                    sc.skip_value(depth + 1)?;
+                    continue;
+                }
+            };
+            scan_into(sc, depth + 1, slot)?;
+        }
+        Ok((token, t))
+    }
+
+    /// The fields of a parsed task object (all absent for a non-object).
+    fn from_value(v: &'a Value) -> Self {
+        let field = |name: &str| v.get(name).map(Token::from);
+        TaskFields {
+            id: field("id"),
+            period: field("period"),
+            criticality: field("criticality"),
+            wcet_lo: field("wcet_lo"),
+            wcet_hi: field("wcet_hi"),
+            deadline: field("deadline"),
+        }
+    }
+}
+
+/// Reads the next value, at nesting `depth`, into `slot` unless an
+/// earlier occurrence of its key filled it; a container is kept as its
+/// opening token.
+fn scan_into<'a>(
+    sc: &mut Scanner<'a>,
+    depth: usize,
+    slot: &mut Option<Token<'a>>,
+) -> serde_json::Result<()> {
+    let token = sc.value(depth)?;
+    sc.skip_rest(&token, depth)?;
+    slot.get_or_insert(token);
+    Ok(())
+}
+
+/// An optional string field such as `session` or the `op_id`
+/// idempotency token (string-only on the wire, so render/parse stay
+/// exact inverses): absent or `null` is `None`.
+fn optional_str(token: Option<&Token<'_>>, name: &str) -> Result<Option<String>, String> {
+    match token {
         None => Ok(None),
-        Some(s) if s.is_null() => Ok(None),
-        Some(s) => s
+        Some(t) if t.is_null() => Ok(None),
+        Some(t) => t
             .as_str()
             .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| "`op_id` must be a string".to_owned()),
+            .ok_or_else(|| format!("`{name}` must be a string")),
     }
 }
 
-fn parse_m(v: &Value) -> Result<usize, String> {
-    let m = v
-        .get("m")
-        .and_then(Value::as_u64)
+fn parse_m(token: Option<&Token<'_>>) -> Result<usize, String> {
+    let m = token
+        .and_then(Token::as_u64)
         .ok_or("request needs an integer `m`")?;
     if m == 0 {
         return Err("`m` must be at least 1".to_owned());
@@ -393,32 +569,55 @@ fn parse_m(v: &Value) -> Result<usize, String> {
 }
 
 /// Parses one task object (`criticality` defaults to `"LO"`, `wcet_hi`
-/// to `wcet_lo`, `deadline` to `period`).
+/// to `wcet_lo`, `deadline` to `period`). Journal recovery reads its
+/// task records through this.
 pub(crate) fn task_from_value(v: &Value) -> Result<Task, String> {
-    let field = |name: &str| v.get(name).and_then(Value::as_u64);
-    let id = field("id").ok_or("needs an integer `id`")?;
+    task_from_fields(&TaskFields::from_value(v))
+}
+
+/// Builds a task from its wire fields, with the defaults of
+/// [`task_from_value`].
+fn task_from_fields(t: &TaskFields<'_>) -> Result<Task, String> {
+    let uint = |field: &Option<Token<'_>>| field.as_ref().and_then(Token::as_u64);
+    let id = uint(&t.id).ok_or("needs an integer `id`")?;
     let id = u32::try_from(id).map_err(|_| "`id` out of range".to_owned())?;
-    let period = field("period").ok_or("needs an integer `period`")?;
-    let wcet_lo = field("wcet_lo").ok_or("needs an integer `wcet_lo`")?;
-    let criticality = match v.get("criticality") {
+    let period = uint(&t.period).ok_or("needs an integer `period`")?;
+    let wcet_lo = uint(&t.wcet_lo).ok_or("needs an integer `wcet_lo`")?;
+    let criticality = match &t.criticality {
         None => Criticality::Low,
         Some(c) => {
             let s = c.as_str().ok_or("`criticality` must be a string")?;
-            match s.to_ascii_uppercase().as_str() {
-                "HI" | "HIGH" | "HC" => Criticality::High,
-                "LO" | "LOW" | "LC" => Criticality::Low,
-                other => return Err(format!("unknown criticality `{other}` (use HI or LO)")),
+            let is = |names: [&str; 3]| names.iter().any(|n| s.eq_ignore_ascii_case(n));
+            if is(["HI", "HIGH", "HC"]) {
+                Criticality::High
+            } else if is(["LO", "LOW", "LC"]) {
+                Criticality::Low
+            } else {
+                return Err(format!(
+                    "unknown criticality `{}` (use HI or LO)",
+                    s.to_ascii_uppercase()
+                ));
             }
         }
+    };
+    // Optional budgets: absent or `null` takes the default, any other
+    // non-integer is an error rather than a silent fallback.
+    let optional = |field: &Option<Token<'_>>, name: &str| match field {
+        None => Ok(None),
+        Some(x) if x.is_null() => Ok(None),
+        Some(x) => x
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("`{name}` must be an integer")),
     };
     let mut builder = Task::builder(id)
         .period(period)
         .criticality(criticality)
         .wcet_lo(wcet_lo);
-    if let Some(wcet_hi) = field("wcet_hi") {
+    if let Some(wcet_hi) = optional(&t.wcet_hi, "wcet_hi")? {
         builder = builder.wcet_hi(wcet_hi);
     }
-    if let Some(deadline) = field("deadline") {
+    if let Some(deadline) = optional(&t.deadline, "deadline")? {
         builder = builder.deadline(deadline);
     }
     builder.try_build().map_err(|e| e.to_string())
@@ -926,6 +1125,9 @@ fn write_task(out: &mut String, task: &Task) {
         .uint("deadline", task.deadline().as_ticks());
     o.close();
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

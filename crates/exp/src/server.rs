@@ -435,7 +435,7 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
     // Every reply line is written into this one buffer.
     let mut out = String::new();
     loop {
-        let line = match frames.next_frame() {
+        let line = match frames.read_frame() {
             Ok(Some(line)) => line,
             Ok(None) => break,
             Err(FrameError::Oversized { max }) => {
@@ -1147,5 +1147,117 @@ mod tests {
             }
             other => panic!("expected query, got {other:?}"),
         }
+    }
+
+    /// Keeps every byte it is given and counts the calls that gave them:
+    /// a socket would `send` once per call.
+    #[derive(Default)]
+    struct CountingWriter {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            Ok(bufs
+                .iter()
+                .map(|buf| {
+                    self.out.extend_from_slice(buf);
+                    buf.len()
+                })
+                .sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `input` from `reader` into a [`CountingWriter`] and returns
+    /// the reply lines and the write calls they took.
+    fn count_writes(config: &ServerConfig, reader: impl Read) -> (Vec<String>, usize) {
+        let registry = AlgorithmRegistry::standard();
+        let mut writer = CountingWriter::default();
+        serve_connection(&registry, config, reader, &mut writer);
+        let text = String::from_utf8(writer.out).unwrap();
+        (text.lines().map(str::to_owned).collect(), writer.calls)
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let mut cfg = config();
+        cfg.max_frame_len = 512;
+        let oversized = format!("{{\"pad\": \"{}\"}}", "x".repeat(600));
+        let input = [
+            r#"{"id": 1, "type": "open_session", "algorithm": "CU-UDP-ECDF", "m": 2}"#,
+            r#"{"id": 2, "type": "admit", "task": {"id": 0, "period": 10, "criticality": "HI", "wcet_lo": 2, "wcet_hi": 4}}"#,
+            r#"{"id": 3, "type": "admit", "task": {"id": 1, "period": 10, "wcet_lo": 9}}"#,
+            r#"{"id": 4, "type": "query", "task": {"id": 2, "period": 20, "wcet_lo": 1}}"#,
+            r#"{"id": 5, "type": "query"}"#,
+            r#"{"id": 6, "type": "remove", "task_id": 0}"#,
+            r#"{"id": 7, "algorithm": "CU-UDP-EDF-VD", "m": 1, "tasks": [{"id": 0, "period": 10, "wcet_lo": 1}]}"#,
+            r#"{"id": 8, "type": "admit", "task": {"id": 3, "period": 10, "wcet_lo": 1, "wcet_hi": "4"}}"#,
+            r#"{"id": 9, "type": "warp"}"#,
+            "{not json",
+            &oversized,
+            r#"{"id": 10, "type": "shutdown"}"#,
+            r#"{"id": 11, "type": "close"}"#,
+        ]
+        .join("\n");
+        let (replies, calls) = count_writes(&cfg, input.as_bytes());
+        let kinds: Vec<String> = replies
+            .iter()
+            .map(|l| parse_reply(l).unwrap().1.kind().to_owned())
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "session", "admit", "admit", "query", "query", "remove", "eval", "error", "error",
+                "error", "error", "error", "closed"
+            ]
+        );
+        assert_eq!(calls, replies.len(), "{replies:#?}");
+    }
+
+    /// Yields its bytes, then reports the read timeout.
+    struct ThenTimeout<'a>(&'a [u8]);
+
+    impl Read for ThenTimeout<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn closed_notices_are_one_write() {
+        // Request cap.
+        let mut cfg = config();
+        cfg.max_requests = 1;
+        let input = "{\"type\": \"query\"}\n{\"type\": \"query\"}\n";
+        let (replies, calls) = count_writes(&cfg, input.as_bytes());
+        assert_eq!(replies.len(), 2);
+        assert!(
+            replies[1].contains("request cap (1) reached"),
+            "{}",
+            replies[1]
+        );
+        assert_eq!(calls, 2);
+
+        // Idle timeout.
+        let input = ThenTimeout(b"{\"type\": \"query\"}\n");
+        let (replies, calls) = count_writes(&config(), input);
+        assert_eq!(replies.len(), 2);
+        assert!(replies[1].contains("idle timeout"), "{}", replies[1]);
+        assert_eq!(calls, 2);
     }
 }

@@ -216,3 +216,56 @@ fn largest_frames_parse_to_typed_requests() {
     assert_eq!(env.id, Some(RequestId::Str("big-eval".to_owned())));
     assert_eq!(env.request, request);
 }
+
+/// A `wcet_hi` or `deadline` that is present but not an integer is an
+/// error on every verb that carries a task; it does not fall back to the
+/// default (`C^H = C^L`, `D = T`). `null` still means absent.
+#[test]
+fn mistyped_budgets_are_errors() {
+    let wrap = |verb: &str, task: &str| match verb {
+        "eval" => format!(
+            r#"{{"type":"eval","id":1,"algorithm":"CU-UDP-EDF-VD","m":1,"tasks":[{task}]}}"#
+        ),
+        _ => format!(r#"{{"type":"{verb}","id":1,"task":{task}}}"#),
+    };
+    for verb in ["admit", "query", "eval"] {
+        let prefix = if verb == "eval" { "tasks[0]" } else { "task" };
+        for field in ["wcet_hi", "deadline"] {
+            for value in [r#""9""#, "9.5", "-1", "true", "[9]", r#"{"v":9}"#] {
+                let task = format!(
+                    r#"{{"id":0,"period":10,"criticality":"HI","wcet_lo":2,"{field}":{value}}}"#
+                );
+                let line = wrap(verb, &task);
+                let err = parse_envelope(&line).expect_err(&line);
+                assert_eq!(err.id, Some(RequestId::Num(1)), "{line}");
+                assert_eq!(
+                    err.message,
+                    format!("{prefix}: `{field}` must be an integer"),
+                    "{line}"
+                );
+            }
+            // Absent and null take the default; an integral number is
+            // read as the integer it is.
+            for value in [None, Some("null"), Some("9"), Some("9.0")] {
+                let extra = value.map_or(String::new(), |v| format!(r#","{field}":{v}"#));
+                let task =
+                    format!(r#"{{"id":0,"period":10,"criticality":"HI","wcet_lo":2{extra}}}"#);
+                let line = wrap(verb, &task);
+                let env = parse_envelope(&line).unwrap_or_else(|e| panic!("{line}: {}", e.message));
+                let task = match env.request {
+                    Request::Admit { task, .. } => task,
+                    Request::Query { probe } => probe.expect("probe"),
+                    Request::Eval(req) => req.tasks.as_slice()[0],
+                    other => panic!("{line} parsed as {}", other.kind()),
+                };
+                let (wcet_hi, deadline) = match (field, value) {
+                    ("wcet_hi", Some("9" | "9.0")) => (9, 10),
+                    ("deadline", Some("9" | "9.0")) => (2, 9),
+                    _ => (2, 10),
+                };
+                assert_eq!(task.wcet_hi().as_ticks(), wcet_hi, "{line}");
+                assert_eq!(task.deadline().as_ticks(), deadline, "{line}");
+            }
+        }
+    }
+}

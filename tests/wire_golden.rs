@@ -16,7 +16,9 @@ use mcsched::exp::protocol::{
     parse_envelope, parse_reply, AdmitReply, Envelope, EvalRequest, EvalResponse, ProbeReply,
     QueryReply, RemoveReply, Reply, Request, RequestId, SessionReply,
 };
+use mcsched::exp::server::{serve_connection, ServerConfig};
 use mcsched::model::{Task, TaskId, TaskSet};
+use mcsched_core::AlgorithmRegistry;
 use proptest::prelude::*;
 
 /// Text that needs every kind of escape, plus literal `/` and
@@ -355,6 +357,250 @@ fn journal_records_match_golden_lines() {
         &journal_lines("snapshot", Some(GOLDEN_JOURNAL.len())),
         GOLDEN_SNAPSHOT,
     );
+}
+
+/// A task object with the given extra fields after the required ones.
+fn task_json(id: u32, rest: &str) -> String {
+    format!(r#"{{"id":{id},"period":10,"criticality":"HI","wcet_lo":2{rest}}}"#)
+}
+
+/// Request lines the decoder must refuse, one per error message of the
+/// envelope, eval, `m`, `op_id` and task checks, plus the JSON syntax
+/// errors, the placement and shape of `id`, and duplicate keys (the
+/// first occurrence of a key wins). The `wcet_hi` and `deadline` lines
+/// give those fields a present value that is not an integer.
+fn malformed_requests() -> Vec<String> {
+    let mut lines: Vec<String> = [
+        // JSON syntax errors: the reply carries no id.
+        r#"{"type":"admit","id":1,"task":{"id":0,"period":10"#,
+        r#"{"type":"admit","id":1,"op_id":"ab"#,
+        r#"{"id":1,"type":"admit","task":{"#,
+        r#"{"type":"close","id":1} x"#,
+        r#"{"type":"close","id":1}}"#,
+        r#"{"type":"close","id":"a\qb"}"#,
+        "{\"type\":\"close\",\"id\":\"a\tb\"}",
+        r#"{"type":"close","id":"\ud800"}"#,
+        r#"{"type":"close","id":"\u12"}"#,
+        r#"{"type":"remove","task_id":1.2.3}"#,
+        r#"{"type":"remove","task_id":-}"#,
+        r#"{"type":"close","id":tru}"#,
+        r#"{"type":"close",'id':1}"#,
+        r#"{"type" "close"}"#,
+        r#"[1,2"#,
+        r#"@"#,
+        // `id`: malformed (the reply has none), absent, or after the
+        // faulty field (the reply still carries it).
+        r#"{"type":"close","id":1.5}"#,
+        r#"{"type":"close","id":-3}"#,
+        r#"{"type":"close","id":[1]}"#,
+        r#"{"type":"close","id":null}"#,
+        r#"{"type":"remove"}"#,
+        r#"{"type":"admit","task":{"id":0},"id":2}"#,
+        r#"{"id":3,"type":"remove"}"#,
+        // Envelope checks.
+        r#"{"v":2,"id":4,"type":"close"}"#,
+        r#"{"v":"1","id":5,"type":"close"}"#,
+        r#"{"v":null,"id":6,"type":"close"}"#,
+        r#"{"v":1.0,"id":7,"type":"query"}"#,
+        r#"{"type":7,"id":8}"#,
+        r#"{"type":"warp","id":9}"#,
+        r#"{"type":"open_session","id":10,"m":2}"#,
+        r#"{"type":"open_session","id":11,"algorithm":"CU-UDP-ECDF","m":2,"session":3}"#,
+        r#"{"type":"admit","id":12}"#,
+        r#"{"type":"admit","id":13,"task":null}"#,
+        r#"{"type":"admit","id":14,"task":[1]}"#,
+        r#"{"type":"remove","id":15}"#,
+        r#"{"type":"remove","id":16,"task_id":4294967296}"#,
+        r#"{"type":"remove","id":17,"task_id":1,"op_id":7}"#,
+        r#"{"type":"admit","id":18,"op_id":["x"],"task":{"id":0,"period":10,"wcet_lo":1}}"#,
+        // `m`.
+        r#"{"type":"open_session","id":19,"algorithm":"CU-UDP-ECDF"}"#,
+        r#"{"type":"open_session","id":20,"algorithm":"CU-UDP-ECDF","m":"2"}"#,
+        r#"{"type":"open_session","id":21,"algorithm":"CU-UDP-ECDF","m":0}"#,
+        r#"{"type":"open_session","id":22,"algorithm":"CU-UDP-ECDF","m":4097}"#,
+        // Eval checks.
+        r#"{"id":23,"m":2,"tasks":[]}"#,
+        r#"{"type":"eval","id":24,"algorithm":"CU-UDP-ECDF","m":2}"#,
+        r#"{"type":"eval","id":25,"algorithm":"CU-UDP-ECDF","m":2,"tasks":{}}"#,
+        r#"{"type":"eval","id":26,"algorithm":"CU-UDP-ECDF","m":-1,"tasks":[]}"#,
+        r#"{"type":"eval","id":27,"algorithm":"CU-UDP-ECDF","m":2,"tasks":[{"id":0,"period":10,"wcet_lo":1},7]}"#,
+        r#"{"type":"eval","id":28,"algorithm":"CU-UDP-ECDF","m":2,"tasks":[{"id":0,"period":10,"wcet_lo":1},{"id":0,"period":20,"wcet_lo":1}]}"#,
+        r#"[1,2]"#,
+        r#""close""#,
+        // Task checks.
+        r#"{"type":"admit","id":29,"task":{"period":10,"wcet_lo":1}}"#,
+        r#"{"type":"admit","id":30,"task":{"id":4294967296,"period":10,"wcet_lo":1}}"#,
+        r#"{"type":"admit","id":31,"task":{"id":0,"wcet_lo":1}}"#,
+        r#"{"type":"admit","id":32,"task":{"id":0,"period":10}}"#,
+        r#"{"type":"admit","id":33,"task":{"id":0,"period":10,"wcet_lo":1,"criticality":1}}"#,
+        r#"{"type":"admit","id":34,"task":{"id":0,"period":10,"wcet_lo":1,"criticality":"mid"}}"#,
+        r#"{"type":"admit","id":35,"task":{"id":0,"period":10,"wcet_lo":1,"criticality":"hIgH"}}"#,
+        r#"{"type":"admit","id":36,"task":{"id":0,"period":10,"wcet_lo":11}}"#,
+        r#"{"type":"admit","id":37,"task":{"id":0,"period":0,"wcet_lo":1}}"#,
+        r#"{"type":"admit","id":38,"task":{"id":0,"period":10,"criticality":"HI","wcet_lo":5,"wcet_hi":3}}"#,
+        r#"{"type":"admit","id":39,"task":{"id":0,"period":10,"wcet_lo":5,"deadline":20}}"#,
+        r#"{"type":"query","id":40,"task":{"id":0,"period":"10","wcet_lo":1}}"#,
+        // Duplicate keys, and unknown keys holding nested values.
+        r#"{"id":41,"id":"second","type":"remove"}"#,
+        r#"{"id":42,"type":"remove","type":"close"}"#,
+        r#"{"id":43,"type":"remove","task_id":"x","task_id":1}"#,
+        r#"{"id":44,"type":"admit","task":{"id":0},"task":{"id":0,"period":10,"wcet_lo":1}}"#,
+        r#"{"id":45,"type":"admit","task":{"id":0,"period":10,"wcet_lo":1,"period":"x"}}"#,
+        r#"{"id":46,"type":"remove","extra":{"a":[1,{"b":null}],"c":"A"},"task_id":"x"}"#,
+    ]
+    .into_iter()
+    .map(str::to_owned)
+    .collect();
+    lines.push(format!(
+        r#"{{"type":"query","x":{}}}"#,
+        "[".repeat(200) + &"]".repeat(200)
+    ));
+    // `wcet_hi` and `deadline` present but not integers; `null` is absent.
+    let budgets = [
+        r#","wcet_hi":"9""#,
+        r#","wcet_hi":9.5"#,
+        r#","wcet_hi":-1"#,
+        r#","deadline":"3""#,
+        r#","deadline":9.5"#,
+        r#","deadline":-1"#,
+        r#","wcet_hi":null,"deadline":null"#,
+        r#","wcet_hi":9.0"#,
+    ];
+    for (i, rest) in budgets.iter().enumerate() {
+        let id = 50 + 3 * i;
+        let task = task_json(0, rest);
+        lines.push(format!(r#"{{"type":"admit","id":{id},"task":{task}}}"#));
+        lines.push(format!(
+            r#"{{"type":"query","id":{},"task":{task}}}"#,
+            id + 1
+        ));
+        lines.push(format!(
+            r#"{{"type":"eval","id":{},"algorithm":"CU-UDP-EDF-VD","m":1,"tasks":[{task},{{"id":1,"period":10,"wcet_lo":7}}]}}"#,
+            id + 2
+        ));
+    }
+    lines
+}
+
+/// The replies [`malformed_requests`] get on one connection with no
+/// open session, in order.
+const GOLDEN_MALFORMED: &[&str] = &[
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected `,` or `}` at byte 49\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: unterminated string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected string at byte 31\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: trailing characters at byte 24\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: trailing characters at byte 23\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: invalid escape at byte 24\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: control character U+0009 in string at byte 23\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: invalid \\\\u escape at byte 27\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: invalid \\\\u escape: invalid digit found in string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: invalid number `1.2.3` at byte 27\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: invalid number `-` at byte 27\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected `true` at byte 21\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected string at byte 16\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected `:` at byte 8\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: expected `,` or `]` at byte 4\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: unexpected byte `@` at byte 0\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"`id` must be an integer or a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"`id` must be an integer or a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"`id` must be an integer or a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"`id` must be an integer or a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":2,\"error\":\"task: needs an integer `period`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":3,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":4,\"error\":\"unsupported protocol version 2 (this server speaks v1)\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":5,\"error\":\"`v` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":6,\"error\":\"`v` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":7,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":8,\"error\":\"`type` must be a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":9,\"error\":\"unknown request type `warp` (expected eval, open_session, admit, remove, query, close or shutdown)\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":10,\"error\":\"open_session needs a string `algorithm`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":11,\"error\":\"`session` must be a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":12,\"error\":\"admit needs a `task` object\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":13,\"error\":\"task: needs an integer `id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":14,\"error\":\"task: needs an integer `id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":15,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":16,\"error\":\"`task_id` out of range\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":17,\"error\":\"`op_id` must be a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":18,\"error\":\"`op_id` must be a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":19,\"error\":\"request needs an integer `m`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":20,\"error\":\"request needs an integer `m`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":21,\"error\":\"`m` must be at least 1\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":22,\"error\":\"`m` must be at most 4096\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":23,\"error\":\"request needs a string `algorithm`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":24,\"error\":\"request needs an array `tasks`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":25,\"error\":\"request needs an array `tasks`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":26,\"error\":\"request needs an integer `m`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":27,\"error\":\"tasks[1]: needs an integer `id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":28,\"error\":\"tasks[1]: duplicate task id τ0 in task set\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"request needs a string `algorithm`\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"request needs a string `algorithm`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":29,\"error\":\"task: needs an integer `id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":30,\"error\":\"task: `id` out of range\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":31,\"error\":\"task: needs an integer `period`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":32,\"error\":\"task: needs an integer `wcet_lo`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":33,\"error\":\"task: `criticality` must be a string\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":34,\"error\":\"task: unknown criticality `MID` (use HI or LO)\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":35,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":36,\"error\":\"task: task τ0 deadline 10 outside [C, T] with T = 10\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":37,\"error\":\"task: task τ0 has a zero period\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":38,\"error\":\"task: task τ0 has C^H = 3 smaller than C^L = 5\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":39,\"error\":\"task: task τ0 deadline 20 outside [C, T] with T = 10\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":40,\"error\":\"task: needs an integer `period`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":41,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":42,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":43,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":44,\"error\":\"task: needs an integer `period`\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":45,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":46,\"error\":\"remove needs an integer `task_id`\"}",
+    "{\"type\":\"error\",\"v\":1,\"error\":\"malformed JSON: serde_json stub error: recursion limit exceeded at byte 148\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":50,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":51,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":52,\"error\":\"tasks[0]: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":53,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":54,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":55,\"error\":\"tasks[0]: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":56,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":57,\"error\":\"task: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":58,\"error\":\"tasks[0]: `wcet_hi` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":59,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":60,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":61,\"error\":\"tasks[0]: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":62,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":63,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":64,\"error\":\"tasks[0]: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":65,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":66,\"error\":\"task: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":67,\"error\":\"tasks[0]: `deadline` must be an integer\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":68,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":69,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"eval\",\"v\":1,\"id\":70,\"algorithm\":\"CU-UDP-EDF-VD\",\"m\":1,\"schedulable\":true,\"partition\":[[1,0]],\"rejected_task\":null,\"detail\":null}",
+    "{\"type\":\"error\",\"v\":1,\"id\":71,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"error\",\"v\":1,\"id\":72,\"error\":\"no open session on this connection; send `open_session` first\"}",
+    "{\"type\":\"eval\",\"v\":1,\"id\":73,\"algorithm\":\"CU-UDP-EDF-VD\",\"m\":1,\"schedulable\":false,\"partition\":null,\"rejected_task\":1,\"detail\":\"task τ1 could not be allocated on any of 1 processors (1 tasks placed; per-processor loads: 1)\"}",
+];
+
+#[test]
+fn malformed_requests_match_golden_replies() {
+    let registry = AlgorithmRegistry::standard();
+    let input: String = malformed_requests()
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let mut out = Vec::new();
+    let stats = serve_connection(
+        &registry,
+        &ServerConfig::default(),
+        input.as_bytes(),
+        &mut out,
+    );
+    let got: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(stats.requests, malformed_requests().len() as u64);
+    assert_lines("malformed", &got, GOLDEN_MALFORMED);
 }
 
 /// Characters that stress the escaper: every named escape, the other

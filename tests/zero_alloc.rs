@@ -15,6 +15,10 @@
 //! whose high-mode QPA warm-resumes and whose admission states keep a
 //! warm kernel across probes — all of it allocation-free once the
 //! anchor/snapshot buffers reach their (bounded) high-water mark.
+//!
+//! The service plane's request path is pinned too: reading a frame from
+//! a warm `FrameReader` allocates nothing, and decoding a request line
+//! allocates only the owned strings of the request it returns.
 
 // The counting allocator is the one place the workspace needs `unsafe`:
 // a thin pass-through to `System` with a relaxed atomic counter.
@@ -24,7 +28,9 @@ use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, ClassicEdf, Ecdf, EdfVd, Ey, SchedulabilityTest,
     WorkspaceRef,
 };
-use mcsched::model::{Task, TaskSet};
+use mcsched::exp::protocol::{parse_envelope, Envelope, EvalRequest, Request, RequestId};
+use mcsched::model::{Task, TaskId, TaskSet};
+use netframe::FrameReader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -307,4 +313,91 @@ fn admission_and_one_shot_paths_are_allocation_free() {
     assert_zero_alloc_one_shot(&ClassicEdf::lo_mode(), &sets);
     assert_zero_alloc_warm_qpa();
     assert_zero_alloc_wide_lanes();
+}
+
+/// Allocations of one warm `parse_envelope` of `request`, rendered with
+/// a numeric id.
+fn decode_allocations(request: Request) -> u64 {
+    let line = Envelope::with_id(RequestId::Num(41), request).render();
+    assert!(parse_envelope(&line).is_ok(), "{line}"); // warm-up
+    count_allocations(|| {
+        std::hint::black_box(parse_envelope(std::hint::black_box(&line))).ok();
+    })
+}
+
+#[test]
+fn request_decoding_allocates_only_the_owned_strings() {
+    let task = Task::hi(7, 100, 10, 20).unwrap();
+    let probe = Task::lo(8, 50, 5).unwrap();
+    let op_id = Some("op-7".to_owned());
+    for (what, request, want) in [
+        ("admit", Request::Admit { task, op_id: None }, 0),
+        (
+            "remove",
+            Request::Remove {
+                task_id: TaskId(7),
+                op_id: None,
+            },
+            0,
+        ),
+        ("query", Request::Query { probe: Some(probe) }, 0),
+        (
+            "admit with op_id",
+            Request::Admit {
+                task,
+                op_id: op_id.clone(),
+            },
+            1,
+        ),
+        (
+            "remove with op_id",
+            Request::Remove {
+                task_id: TaskId(7),
+                op_id,
+            },
+            1,
+        ),
+    ] {
+        let allocs = decode_allocations(request);
+        assert_eq!(allocs, want, "{what}: decoding allocated {allocs} times");
+    }
+    // An eval owns its algorithm name and its task set.
+    let tasks: Vec<Task> = (0..12u32)
+        .map(|i| {
+            if i % 2 == 0 {
+                Task::hi(i, 100 + u64::from(i), 2, 4).unwrap()
+            } else {
+                Task::lo(i, 100 + u64::from(i), 3).unwrap()
+            }
+        })
+        .collect();
+    let eval = Request::Eval(EvalRequest {
+        algorithm: "CU-UDP-ECDF".to_owned(),
+        m: 4,
+        tasks: TaskSet::try_from_tasks(tasks).unwrap(),
+    });
+    let allocs = decode_allocations(eval);
+    assert!(
+        allocs <= 5,
+        "12-task eval: decoding allocated {allocs} times"
+    );
+}
+
+#[test]
+fn lent_frames_are_allocation_free_once_warm() {
+    let line = Envelope::new(Request::Query {
+        probe: Some(Task::hi(3, 30, 5, 9).unwrap()),
+    })
+    .render();
+    let stream = format!("{line}\n").repeat(65);
+    let mut frames = FrameReader::new(stream.as_bytes(), 4096);
+    // Warm-up: the reader's buffer grows to hold one frame.
+    assert_eq!(frames.read_frame().unwrap().as_deref(), Some(line.as_str()));
+    let allocs = count_allocations(|| {
+        for _ in 0..64 {
+            std::hint::black_box(frames.read_frame().unwrap());
+        }
+    });
+    assert_eq!(allocs, 0, "64 warm frame reads allocated {allocs} times");
+    assert_eq!(frames.read_frame().unwrap(), None);
 }
