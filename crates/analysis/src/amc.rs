@@ -293,26 +293,20 @@ fn charge<const FAST: bool>(acc: u64, c: u64, r: u64, t: u64, m: u64) -> u64 {
 /// Low-mode RTA over the SoA lanes for positions `from..`, one task at a
 /// time.
 ///
-/// `seed(pos)` must return a sound lower bound on the position's response
-/// (0 when unknown); the iteration also starts no lower than the one-job
-/// bound (see the module docs). Responses land in `lo_resp` **by task
-/// index** via `order`. Returns `false` iff some analysed task misses its
-/// deadline.
-fn lo_rta(
-    soa: &SoaTasks,
-    order: &[usize],
-    from: usize,
-    seed: impl Fn(usize) -> u64,
-    lo_resp: &mut [Time],
-) -> bool {
+/// `lo_resp` is indexed **by task index** via `order`. On entry it must
+/// hold a sound lower bound on each analysed task's response (0 when
+/// unknown); the iteration also starts no lower than the one-job bound
+/// (see the module docs). The responses overwrite it. Returns `false`
+/// iff some analysed task misses its deadline.
+fn lo_rta(soa: &SoaTasks, order: &[usize], from: usize, lo_resp: &mut [Time]) -> bool {
     // Monomorphise on the small-value certificate: the fast kernel drops
     // the saturation guards and the reciprocal fixup, both provably
     // no-ops under the certificate, so both instantiations compute
     // bit-identical responses.
     if soa.fast() {
-        lo_rta_kernel::<true>(soa, order, from, seed, lo_resp)
+        lo_rta_kernel::<true>(soa, order, from, lo_resp)
     } else {
-        lo_rta_kernel::<false>(soa, order, from, seed, lo_resp)
+        lo_rta_kernel::<false>(soa, order, from, lo_resp)
     }
 }
 
@@ -321,7 +315,6 @@ fn lo_rta_kernel<const FAST: bool>(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
-    seed: impl Fn(usize) -> u64,
     lo_resp: &mut [Time],
 ) -> bool {
     let n = soa.len();
@@ -336,7 +329,7 @@ fn lo_rta_kernel<const FAST: bool>(
     for p in from..n {
         let one_job = wl[p].saturating_add(below);
         below = below.saturating_add(wl[p]);
-        let mut r = wl[p].max(seed(p)).max(one_job);
+        let mut r = wl[p].max(lo_resp[order[p]].as_ticks()).max(one_job);
         // The seed is a sound lower bound on the fixed point, so a seed
         // past the deadline already decides the verdict (and keeps
         // fast-kernel iterates below `2^32`).
@@ -370,21 +363,21 @@ fn lo_rta_kernel<const FAST: bool>(
 /// low-mode response), so it is folded once per task; each sweep then
 /// touches only the hp-HC positions. `hp` is scratch for the two
 /// per-class position lists, built while the kernel walks the lanes.
-/// Seeding and saturation are as in [`lo_rta`].
+/// Seeding (from `hi_resp` on entry, `None` reading as 0) and saturation
+/// are as in [`lo_rta`].
 fn rtb(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
     lo_resp: &[Time],
-    seed: impl Fn(usize) -> u64,
     hp: &mut Vec<usize>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
     // Same certificate-driven monomorphisation as [`lo_rta`].
     if soa.fast() {
-        rtb_kernel::<true>(soa, order, from, lo_resp, seed, hp, hi_resp)
+        rtb_kernel::<true>(soa, order, from, lo_resp, hp, hi_resp)
     } else {
-        rtb_kernel::<false>(soa, order, from, lo_resp, seed, hp, hi_resp)
+        rtb_kernel::<false>(soa, order, from, lo_resp, hp, hi_resp)
     }
 }
 
@@ -394,7 +387,6 @@ fn rtb_kernel<const FAST: bool>(
     order: &[usize],
     from: usize,
     lo_resp: &[Time],
-    seed: impl Fn(usize) -> u64,
     hp: &mut Vec<usize>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
@@ -433,7 +425,8 @@ fn rtb_kernel<const FAST: bool>(
                 c0 = charge::<FAST>(c0, wl[j], cap, per[j], inv[j]);
             }
             let one_job = wh[p].saturating_add(below).saturating_add(c0);
-            let mut r = wh[p].max(seed(p)).max(one_job);
+            let seed = hi_resp[order[p]].map_or(0, Time::as_ticks);
+            let mut r = wh[p].max(seed).max(one_job);
             if r > dl[p] {
                 return false;
             }
@@ -503,7 +496,7 @@ impl LoRta {
         let mut resp = vec![Time::ZERO; tasks.len()];
         AnalysisWorkspace::with(|ws| {
             ws.soa.load(tasks, order);
-            lo_rta(&ws.soa, order, 0, |_| 0, &mut resp)
+            lo_rta(&ws.soa, order, 0, &mut resp)
         })
         .then_some(resp)
     }
@@ -1341,27 +1334,49 @@ fn analyze_into(
     out: &mut AmcCache,
 ) -> bool {
     out.clear();
+    dm_order_into(tasks, &mut out.order);
+    soa.load(tasks, &out.order);
+    out.lo_resp.resize(tasks.len(), Time::ZERO);
+    out.hi_resp.resize(tasks.len(), None);
+    analyze_from(tasks, variant, soa, 0, streams, slots, hp, out)
+}
+
+/// The one AMC analysis body: low-mode RTA, then the variant's high-mode
+/// bounds, for the priority positions `p..` of `out.order` (whose lane
+/// view is `soa`). `out.lo_resp` / `out.hi_resp` must be sized to
+/// `tasks`, hold the responses of the positions above `p`, and hold the
+/// seeds of the rest (see [`lo_rta`] / [`rtb`]): the full analysis is
+/// `p = 0` with cold (zero) seeds, an admission probe the cached prefix
+/// with warm seeds. Returns `false` iff some task at or below `p` misses
+/// its deadline.
+#[allow(clippy::too_many_arguments)]
+fn analyze_from(
+    tasks: &[Task],
+    variant: AmcVariant,
+    soa: &SoaTasks,
+    p: usize,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+    hp: &mut Vec<usize>,
+    out: &mut AmcCache,
+) -> bool {
     let AmcCache {
         order,
         lo_resp,
         hi_resp,
     } = out;
-    dm_order_into(tasks, order);
-    soa.load(tasks, order);
-    lo_resp.resize(tasks.len(), Time::ZERO);
-    if !lo_rta(soa, order, 0, |_| 0, lo_resp) {
+    if !lo_rta(soa, order, p, lo_resp) {
         return false;
     }
-    hi_resp.resize(tasks.len(), None);
     match variant {
-        AmcVariant::RtbDm => rtb(soa, order, 0, lo_resp, |_| 0, hp, hi_resp),
+        AmcVariant::RtbDm => rtb(soa, order, p, lo_resp, hp, hi_resp),
         AmcVariant::Max => {
             let ctx = AmcContext {
                 tasks,
                 order: order.as_slice(),
                 lo_resp: lo_resp.as_slice(),
             };
-            for (pos, &i) in ctx.order.iter().enumerate() {
+            for (pos, &i) in ctx.order.iter().enumerate().skip(p) {
                 if tasks[i].criticality() != Criticality::High {
                     continue;
                 }
@@ -1413,81 +1428,19 @@ fn admit_incremental_into(
     let tasks = union.as_slice();
 
     out.clear();
-    let AmcCache {
-        order,
-        lo_resp,
-        hi_resp,
-    } = out;
-    order.extend_from_slice(&cache.order[..p]);
-    order.push(n);
-    order.extend_from_slice(&cache.order[p..]);
+    out.order.extend_from_slice(&cache.order[..p]);
+    out.order.push(n);
+    out.order.extend_from_slice(&cache.order[p..]);
 
-    // Low-mode RTA: positions above p are untouched; the candidate
-    // starts cold, the suffix warm-starts from its previous response.
-    lo_resp.resize(n + 1, Time::ZERO);
-    for &i in &cache.order[..p] {
-        lo_resp[i] = cache.lo_resp[i];
-    }
-    if !lo_rta(
-        soa,
-        order,
-        p,
-        |pos| {
-            let i = order[pos];
-            if i == n {
-                0
-            } else {
-                cache.lo_resp[i].as_ticks()
-            }
-        },
-        lo_resp,
-    ) {
-        return false;
-    }
-
-    hi_resp.resize(n + 1, None);
-    // Higher priority than the candidate: identical inputs, identical
-    // bounds.
-    for &i in &cache.order[..p] {
-        hi_resp[i] = cache.hi_resp[i];
-    }
-    match variant {
-        AmcVariant::RtbDm => rtb(
-            soa,
-            order,
-            p,
-            lo_resp,
-            |pos| {
-                let i = order[pos];
-                if i == n {
-                    0
-                } else {
-                    cache.hi_resp[i].map_or(0, Time::as_ticks)
-                }
-            },
-            hp,
-            hi_resp,
-        ),
-        AmcVariant::Max => {
-            let ctx = AmcContext {
-                tasks,
-                order: order.as_slice(),
-                lo_resp: lo_resp.as_slice(),
-            };
-            for pos in p..=n {
-                let i = ctx.order[pos];
-                if tasks[i].criticality() != Criticality::High {
-                    continue;
-                }
-                match ctx.max_bound_in(pos, streams, slots) {
-                    Some(r) if r <= tasks[i].deadline() => hi_resp[i] = Some(r),
-                    _ => return false,
-                }
-            }
-            true
-        }
-        AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
-    }
+    // Positions above p are untouched: identical inputs, identical
+    // responses. The suffix warm-starts from its previous responses, the
+    // candidate (task index n) cold.
+    debug_assert_eq!(cache.lo_resp.len(), n);
+    out.lo_resp.extend_from_slice(&cache.lo_resp);
+    out.lo_resp.push(Time::ZERO);
+    out.hi_resp.extend_from_slice(&cache.hi_resp);
+    out.hi_resp.push(None);
+    analyze_from(tasks, variant, soa, p, streams, slots, hp, out)
 }
 
 impl AdmissionState for AmcState {
@@ -1642,10 +1595,10 @@ pub fn amc_rtb_bounds(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)> {
     let mut verdict = false;
     AnalysisWorkspace::with(|ws| {
         ws.soa.load(ts.as_slice(), &order);
-        if !lo_rta(&ws.soa, &order, 0, |_| 0, &mut lo) {
+        if !lo_rta(&ws.soa, &order, 0, &mut lo) {
             return false;
         }
-        verdict = rtb(&ws.soa, &order, 0, &lo, |_| 0, &mut ws.rtb_pos, &mut hi);
+        verdict = rtb(&ws.soa, &order, 0, &lo, &mut ws.rtb_pos, &mut hi);
         true
     })
     .then_some((verdict, hi))

@@ -54,16 +54,17 @@
 //!
 //! ## Layers
 //!
-//! The public one-shot checks ([`check_lo_mode`] / [`check_hi_mode`]) are
-//! thin wrappers over the **incremental demand kernel**
-//! ([`crate::demand::DemandKernel`]), which owns the per-task demand-step
-//! state, memoises violated `(t, h(t))` samples, and warm-resumes QPA
-//! fixpoints across the tuner and admission loops. The seed (flat,
-//! per-call) implementations are retained **verbatim** in [`mod@reference`];
-//! the kernel's verdicts — including violation witnesses — are pinned
-//! bit-identical to them by `tests/demand_kernel.rs`.
+//! This module holds the per-task demand functions; the checks run in
+//! the **incremental demand kernel** ([`crate::demand::DemandKernel`]:
+//! load an assignment, then [`check_lo`](crate::demand::DemandKernel::check_lo)
+//! / [`check_hi`](crate::demand::DemandKernel::check_hi)), which owns the
+//! per-task demand-step state, memoises violated `(t, h(t))` samples, and
+//! warm-resumes QPA fixpoints across the tuner and admission loops. The
+//! seed (flat, per-call) implementations are retained **verbatim** in
+//! [`mod@reference`]; the kernel's verdicts — including violation
+//! witnesses — are pinned bit-identical to them by
+//! `tests/demand_kernel.rs`.
 
-use crate::workspace::AnalysisWorkspace;
 use mcsched_model::{Task, Time};
 
 /// A task paired with its assigned virtual deadline `Vi`.
@@ -178,42 +179,6 @@ pub(crate) const QPA_BUDGET: usize = 100_000;
 /// Epsilon below which a utilization sum is treated as saturating the
 /// processor (guards the `1/(1 − U)` busy-window bound).
 pub(crate) const UTIL_EPS: f64 = 1e-9;
-
-/// Verifies the low-mode condition `Σ dbf_LO(t) ≤ t` for all `t` up to the
-/// busy-window bound `Σ u_i (Ti − Vi) / (1 − Σ u_i)`.
-///
-/// Returns [`DemandCheck::Unbounded`] when `Σ C^L_i/Ti` reaches 1 and at
-/// least one deadline is tightened or constrained (the bound degenerates),
-/// and — the typed early-reject — when the busy-window bound is too large
-/// to represent (utilization within rounding distance of 1, or extreme
-/// task parameters); the exact-utilization-1, implicit-deadline,
-/// untightened case is accepted directly (plain EDF optimality). Certain
-/// overload (`U > 1`) reports a clamped (saturating) busy-window horizon
-/// as its violation witness.
-///
-/// This is a thin wrapper over the incremental demand kernel
-/// ([`crate::demand::DemandKernel`]) on a pooled workspace; the verdict is
-/// bit-identical to the retained seed path [`reference::check_lo_mode`].
-pub fn check_lo_mode(tasks: &[VdTask]) -> DemandCheck {
-    AnalysisWorkspace::with(|ws| {
-        ws.demand.load(tasks);
-        ws.demand.check_lo()
-    })
-}
-
-/// Verifies the high-mode condition `Σ_HC dbf_HI(t) ≤ t` for all `t` up to
-/// the busy-window bound `Σ_HC (C^H_i + u^H_i·(Ti − di)) / (1 − Σ u^H_i)`.
-///
-/// A thin wrapper over the incremental demand kernel, which extracts the
-/// HC subset once on load (the single HC-subset copy path of the demand
-/// stack); bit-identical to [`reference::check_hi_mode`]. The same
-/// overload clamping as [`check_lo_mode`] applies.
-pub fn check_hi_mode(tasks: &[VdTask]) -> DemandCheck {
-    AnalysisWorkspace::with(|ws| {
-        ws.demand.load(tasks);
-        ws.demand.check_hi()
-    })
-}
 
 /// Seed (flat, per-call) demand checks retained **verbatim** as the
 /// equivalence reference for the incremental demand kernel — the
@@ -419,7 +384,20 @@ impl DemandCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::DemandKernel;
     use mcsched_model::Task;
+
+    fn check_lo_mode(tasks: &[VdTask]) -> DemandCheck {
+        let mut kernel = DemandKernel::new();
+        kernel.load(tasks);
+        kernel.check_lo()
+    }
+
+    fn check_hi_mode(tasks: &[VdTask]) -> DemandCheck {
+        let mut kernel = DemandKernel::new();
+        kernel.load(tasks);
+        kernel.check_hi()
+    }
 
     fn vd(task: Task, v: u64) -> VdTask {
         VdTask {

@@ -286,6 +286,28 @@ impl DemandKernel {
         self.lanes.fast()
     }
 
+    /// The EY / ECDF structural overload rule `Σ_HC C^H/T > 1 or
+    /// Σ C^L/T > 1` over the running sums — bit-identical to the same
+    /// rule over [`TaskSet::utilization_hi_total`] /
+    /// [`TaskSet::utilization_lo_total`] of the loaded tasks (both sum
+    /// in task order).
+    pub fn overloaded(&self) -> bool {
+        self.hi_util > 1.0 || self.lo_util > 1.0
+    }
+
+    /// [`overloaded`](Self::overloaded) as it would read after
+    /// [`push_task`](Self::push_task)ing `task`: the candidate's terms
+    /// add last, exactly as the push accumulates them — the O(1)
+    /// admission-probe rejection, decided before any push.
+    pub fn overloaded_with(&self, task: &Task) -> bool {
+        let hi_util = if task.criticality().is_high() {
+            self.hi_util + task.utilization_hi()
+        } else {
+            self.hi_util
+        };
+        hi_util > 1.0 || self.lo_util + task.utilization_lo() > 1.0
+    }
+
     /// Drops all tasks and memos (counters are kept — they describe the
     /// kernel's lifetime, not one assignment).
     pub fn clear(&mut self) {
@@ -538,10 +560,20 @@ impl DemandKernel {
         acc
     }
 
-    /// The exact low-mode check — bit-identical to
-    /// [`crate::dbf::reference::check_lo_mode`] on the current assignment
-    /// (modulo the clamped horizons of the satellite fix; see
-    /// [`crate::dbf::check_lo_mode`]).
+    /// The exact low-mode check: `Σ dbf_LO(t) ≤ t` for all `t` up to
+    /// the busy-window bound `Σ u_i (Ti − Vi) / (1 − Σ u_i)`.
+    ///
+    /// Returns [`DemandCheck::Unbounded`] when `Σ C^L_i/Ti` reaches 1 and
+    /// at least one deadline is tightened or constrained (the bound
+    /// degenerates), and — the typed early-reject — when the busy-window
+    /// bound is too large to represent (utilization within rounding
+    /// distance of 1, or extreme task parameters); the
+    /// exact-utilization-1, implicit-deadline, untightened case is
+    /// accepted directly (plain EDF optimality). Certain overload
+    /// (`U > 1`) reports a clamped (saturating) busy-window horizon as
+    /// its violation witness. Otherwise bit-identical to
+    /// [`crate::dbf::reference::check_lo_mode`] on the current
+    /// assignment.
     pub fn check_lo(&mut self) -> DemandCheck {
         self.lo_check(true)
     }
@@ -607,7 +639,10 @@ impl DemandKernel {
         result
     }
 
-    /// The exact high-mode check — bit-identical to
+    /// The exact high-mode check: `Σ_HC dbf_HI(t) ≤ t` for all `t` up to
+    /// the busy-window bound `Σ_HC (C^H_i + u^H_i·(Ti − di)) / (1 − Σ u^H_i)`,
+    /// with the overload clamping and typed early-reject of
+    /// [`check_lo`](Self::check_lo). Bit-identical to
     /// [`crate::dbf::reference::check_hi_mode`] on the current assignment, with
     /// the QPA stage warm-resumed from the previous fixpoint whenever
     /// every **HC** virtual deadline moved only down (high-mode demand
@@ -1039,6 +1074,34 @@ mod tests {
         assert_eq!(popped.task.id().0, 2);
         assert_eq!(kernel.check_lo(), lo_before);
         assert_eq!(kernel.check_hi(), hi_before);
+    }
+
+    #[test]
+    fn lc_high_budget_adds_no_high_mode_demand() {
+        // An untightened LC task with `C^H > C^L` sits at `dist == 0`,
+        // but LC tasks are dropped at the switch: the `h_HI(0) > 0`
+        // pre-check must not count it, on any mutation path.
+        let lc = Task::builder(1)
+            .period(20)
+            .wcet_lo(2)
+            .wcet_hi(5)
+            .try_build()
+            .unwrap();
+        let tasks = [
+            vd(Task::hi(0, 10, 2, 4).unwrap(), 7),
+            VdTask::untightened(lc),
+        ];
+        let mut kernel = DemandKernel::new();
+        kernel.load(&tasks);
+        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
+        check_against_reference(&mut kernel);
+        kernel.pop_task();
+        kernel.push_task(tasks[1]);
+        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
+        kernel.reseed(|t| t.deadline());
+        kernel.replace_vd(0, Time::new(7));
+        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
+        check_against_reference(&mut kernel);
     }
 
     #[test]

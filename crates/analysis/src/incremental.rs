@@ -19,10 +19,12 @@
 //!
 //! * [`EdfVd`](crate::EdfVd) keeps the running `(U_LL, U_HL, U_HH)` density
 //!   sums and evaluates the closed-form condition in **O(1)**;
-//! * [`Ey`](crate::Ey) / [`Ecdf`](crate::Ecdf) cache the per-task
-//!   virtual-deadline seeds and the running utilization sums, rejecting
-//!   overloaded candidates in O(1) and re-tuning only from cached
-//!   per-task state otherwise;
+//! * [`Ey`](crate::Ey) / [`Ecdf`](crate::Ecdf) keep a warm
+//!   [`DemandKernel`](crate::DemandKernel) of the committed tasks: its
+//!   running utilization sums reject overloaded candidates in O(1), and
+//!   any other candidate is pushed, judged by the same virtual-deadline
+//!   search the one-shot tests run, and popped, so the kernel's demand
+//!   memos carry from probe to probe;
 //! * [`AmcRtb`](crate::AmcRtb) / [`AmcMax`](crate::AmcMax) keep the
 //!   deadline-monotonic order and every response-time fixed point: tasks
 //!   with priority above the inserted task are reused verbatim, the rest

@@ -7,8 +7,10 @@
 //!   (ECRTS 2012), optimal speed-up 4/3 for implicit deadlines.
 //! * [`Ey`] — the demand-bound-function test with per-task virtual-deadline
 //!   tuning in the style of Ekberg & Yi (ECRTS 2012).
-//! * [`Ecdf`] — Easwaran's ECDF test (RTSS 2013): the same framework with a
-//!   strictly tighter carry-over demand bound, so it dominates [`Ey`].
+//! * [`Ecdf`] — Easwaran's ECDF test (RTSS 2013), reconstructed on the
+//!   same Ekberg–Yi demand bound with a stronger virtual-deadline search
+//!   that ends in [`Ey`]'s own search, so it dominates [`Ey`] (see
+//!   [`vdtune`] for why the bound itself is not tightened).
 //! * [`AmcRtb`] / [`AmcMax`] — fixed-priority Adaptive Mixed-Criticality
 //!   response-time analyses of Baruah, Burns & Davis (RTSS 2011).
 //! * [`classic`] — plain (non-MC) EDF and fixed-priority baselines.
@@ -34,9 +36,13 @@
 //!   Tests without a native state fall back to the clone-and-retest
 //!   [`CloneRetestState`] ([`OneShot`] forces it explicitly).
 //!
-//! All arithmetic is exact over integer ticks ([`mcsched_model::Time`]);
-//! floating point only appears in the closed-form EDF-VD utilization test,
-//! where it mirrors the published test statement.
+//! Demand and response-time arithmetic is exact over integer ticks
+//! ([`mcsched_model::Time`]). Some verdict-bearing utilization
+//! comparisons are still f64 sums: the closed-form EDF-VD test, the
+//! demand prelude's `U ≤ 1 ± UTIL_EPS` thresholds and busy-window bound
+//! ([`dbf`], [`demand`]), the EY / ECDF overload rule `U > 1`
+//! ([`DemandKernel::overloaded`]) and the fast rules' `FP_GUARD` margins
+//! ([`sufficient`]). Making them exact is ROADMAP item 1.
 //!
 //! ## Example
 //!

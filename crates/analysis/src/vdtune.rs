@@ -16,14 +16,14 @@
 //!   its name), and a final fallback to [`Ey`]'s exact procedure, which
 //!   makes dominance (`Ey` accepts ⇒ `Ecdf` accepts) structural.
 //!
-//! **Reconstruction note** (also recorded in `DESIGN.md`): the original
-//! ECDF paper derives a tighter carry-over demand bound; its exact form is
-//! not reproducible from the DATE 2017 text alone, and a plausible
-//! window-capped variant turns out to be unsound (it can hide a violation
-//! when `di < C^H_i − C^L_i`). We therefore keep the sound Ekberg–Yi bound
-//! for both tests and realise ECDF's documented schedulability advantage
-//! through assignment search, which preserves the orderings the DATE 2017
-//! evaluation relies on (`ECDF ⊇ EY`, with a visible gap).
+//! **Reconstruction note**: the original ECDF paper derives a tighter
+//! carry-over demand bound; its exact form is not reproducible from the
+//! DATE 2017 text alone, and a plausible window-capped variant turns out
+//! to be unsound (it can hide a violation when `di < C^H_i − C^L_i`). We
+//! therefore keep the sound Ekberg–Yi bound for both tests and realise
+//! ECDF's documented schedulability advantage through assignment search,
+//! which preserves the orderings the DATE 2017 evaluation relies on
+//! (`ECDF ⊇ EY`, with a visible gap).
 
 use crate::dbf::{self, DemandCheck, VdTask};
 use crate::demand::DemandKernel;
@@ -65,20 +65,16 @@ struct Effort {
     max_rounds: usize,
     /// Use the bisection and minimal-slack candidate moves.
     rich_moves: bool,
-    /// Also try the slack-seeded start before giving up.
-    slack_seeded_start: bool,
 }
 
 const EY_EFFORT: Effort = Effort {
     max_rounds: 64,
     rich_moves: false,
-    slack_seeded_start: false,
 };
 
 const ECDF_EFFORT: Effort = Effort {
     max_rounds: 128,
     rich_moves: true,
-    slack_seeded_start: true,
 };
 
 /// Initial assignment: every task at its real deadline.
@@ -94,8 +90,9 @@ fn slack_seeded(ts: &TaskSet) -> Vec<VdTask> {
     ts.iter().map(|&t| slack_seeded_task(&t)).collect()
 }
 
-/// The per-task slack-seeded entry (shared between the one-shot starts
-/// and the incremental state's kernel reseeds, so seeds never diverge).
+/// The per-task slack-seeded entry (shared by [`search`]'s kernel
+/// reseed and the reference tuner's start vector, so seeds never
+/// diverge).
 fn slack_seeded_task(t: &Task) -> VdTask {
     if t.criticality().is_high() {
         let slack = t.wcet_hi() - t.wcet_lo();
@@ -303,40 +300,44 @@ fn greedy_kernel(kernel: &mut DemandKernel, effort: Effort, moves: &mut Vec<Move
     false
 }
 
-/// The structural overload rejection shared by every tuner start.
-fn overloaded(ts: &TaskSet) -> bool {
-    let hi_util: f64 = ts.utilization_hi_total();
-    let lo_util: f64 = ts.utilization_lo_total();
-    hi_util > 1.0 || lo_util > 1.0
-}
-
-/// Runs the tuner's greedy starts over the workspace's demand kernel; on
-/// success the feasible assignment is left in the kernel. Same starts, in
-/// the same order, as the allocating [`mod@reference`] tuner — identical
-/// verdicts and identical chosen assignments.
-fn tune_in(ts: &TaskSet, effort: Effort, ws: &mut AnalysisWorkspace) -> bool {
-    if overloaded(ts) {
+/// The one EY / ECDF verdict routine: the tuner's greedy starts over a
+/// kernel that holds the untightened assignment of the set under test.
+/// On success the feasible assignment is left in the kernel.
+///
+/// The start sequence is "untightened → (ECDF only) slack-seeded →
+/// EY-effort fallback from the untightened start"; starts switch by
+/// [`DemandKernel::reseed`], so the demand memos survive every switch.
+/// Same starts, in the same order, as the allocating [`mod@reference`]
+/// tuner — identical verdicts and identical chosen assignments.
+fn search(kernel: &mut DemandKernel, ecdf: bool, moves: &mut Vec<Move>) -> bool {
+    if kernel.overloaded() {
         return false;
     }
-    let AnalysisWorkspace { demand, moves, .. } = ws;
-    demand.load_untightened(ts);
-    if greedy_kernel(demand, effort, moves) {
-        return true;
+    if !ecdf {
+        return greedy_kernel(kernel, EY_EFFORT, moves);
     }
-    if effort.slack_seeded_start {
-        // Reseed in place: the kernel's demand memos survive the start
-        // switch via exact delta-updates.
-        demand.reseed(|t| slack_seeded_task(t).vd);
-        if greedy_kernel(demand, effort, moves) {
-            return true;
+    greedy_kernel(kernel, ECDF_EFFORT, moves)
+        || {
+            kernel.reseed(|t| slack_seeded_task(t).vd);
+            greedy_kernel(kernel, ECDF_EFFORT, moves)
         }
-    }
-    false
+        || {
+            kernel.reseed(|t| t.deadline());
+            greedy_kernel(kernel, EY_EFFORT, moves)
+        }
 }
 
-fn tune(ts: &TaskSet, effort: Effort) -> Option<VdAssignment> {
+/// Loads `ts` untightened into the workspace kernel and runs [`search`].
+fn search_set(ts: &TaskSet, ecdf: bool, ws: &mut AnalysisWorkspace) -> bool {
+    let AnalysisWorkspace { demand, moves, .. } = ws;
+    demand.load_untightened(ts);
+    search(demand, ecdf, moves)
+}
+
+/// [`search_set`] on a pooled workspace, copying the found assignment out.
+fn tuned_assignment(ts: &TaskSet, ecdf: bool) -> Option<VdAssignment> {
     AnalysisWorkspace::with(|ws| {
-        tune_in(ts, effort, ws).then(|| VdAssignment {
+        search_set(ts, ecdf, ws).then(|| VdAssignment {
             tasks: ws.demand.assignment().to_vec(),
         })
     })
@@ -377,7 +378,7 @@ impl Ey {
     /// Runs the tuner and returns the feasible virtual-deadline assignment,
     /// if one is found. The runtime simulator consumes this.
     pub fn tune(&self, ts: &TaskSet) -> Option<VdAssignment> {
-        tune(ts, EY_EFFORT)
+        tuned_assignment(ts, false)
     }
 }
 
@@ -389,7 +390,7 @@ impl SchedulabilityTest for Ey {
         AnalysisWorkspace::with(|ws| self.is_schedulable_in(ts, ws))
     }
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
-        tune_in(ts, EY_EFFORT, ws)
+        search_set(ts, false, ws)
     }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(VdTuneState::with_workspace(false, ws.clone()))
@@ -430,7 +431,7 @@ impl Ecdf {
     /// Runs the tuner and returns the feasible virtual-deadline assignment,
     /// if one is found.
     pub fn tune(&self, ts: &TaskSet) -> Option<VdAssignment> {
-        tune(ts, ECDF_EFFORT).or_else(|| tune(ts, EY_EFFORT))
+        tuned_assignment(ts, true)
     }
 }
 
@@ -442,21 +443,7 @@ impl SchedulabilityTest for Ecdf {
         AnalysisWorkspace::with(|ws| self.is_schedulable_in(ts, ws))
     }
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
-        // Same starts, in the same order, as the allocating
-        // `tune(ECDF).or_else(tune(EY))` path. The overload pre-check
-        // runs first so a `tune_in` failure always leaves the kernel
-        // loaded with this set — the EY fallback then reseeds it back
-        // to the untightened start instead of reloading, keeping the
-        // demand memos warm across the fallback.
-        if overloaded(ts) {
-            return false;
-        }
-        if tune_in(ts, ECDF_EFFORT, ws) {
-            return true;
-        }
-        let AnalysisWorkspace { demand, moves, .. } = ws;
-        demand.reseed(|t| t.deadline());
-        greedy_kernel(demand, EY_EFFORT, moves)
+        search_set(ts, true, ws)
     }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
         Box::new(VdTuneState::with_workspace(true, ws.clone()))
@@ -467,20 +454,20 @@ impl SchedulabilityTest for Ecdf {
 ///
 /// The state keeps, per committed processor:
 ///
-/// * the running high-mode and low-mode utilization sums, so structurally
-///   overloaded candidates are rejected in **O(1)** (exactly the fast
-///   rejection `tune` performs, minus the O(n) re-summation);
 /// * a **warm [`DemandKernel`]** holding the untightened assignment of
-///   the committed tasks. A probe pushes the candidate
-///   ([`DemandKernel::push_task`]), runs the greedy starts in place
-///   (reseeding between starts via exact delta-updates), then restores
-///   the untightened assignment and pops — so the kernel's demand memos
-///   survive from probe to probe, and a candidate whose low-mode demand
-///   trips a previously memoised violation anchor is rejected without
-///   any QPA descent;
+///   the committed tasks. Its running utilization sums reject a
+///   structurally overloaded candidate in **O(1)**
+///   ([`DemandKernel::overloaded_with`], before any push). Otherwise a
+///   probe pushes the candidate ([`DemandKernel::push_task`]), runs the
+///   one verdict routine the one-shot tests run (`search`: the greedy
+///   starts in place, reseeding between starts via exact
+///   delta-updates), then restores the untightened assignment and pops
+///   — so the kernel's demand memos survive from probe to probe, and a
+///   candidate whose low-mode demand trips a previously memoised
+///   violation anchor is rejected without any QPA descent;
 /// * the utilization summary the partitioning fit rules read.
 ///
-/// Verdicts stay exactly those of the one-shot tuner: the greedy descent
+/// Verdicts stay exactly those of the one-shot tests: the greedy descent
 /// itself runs unchanged on the same seeds (its trajectory depends on
 /// the full task set, so reusing a *tuned* assignment as a warm start
 /// could accept sets the one-shot heuristic rejects — which would break
@@ -489,8 +476,6 @@ impl SchedulabilityTest for Ecdf {
 #[derive(Debug)]
 pub struct VdTuneState {
     committed: Committed,
-    hi_util: f64,
-    lo_util: f64,
     ecdf: bool,
     /// The warm demand kernel: holds `untightened(committed)` between
     /// probes; owned (not workspace-shared) so its memoised state is
@@ -504,73 +489,31 @@ impl VdTuneState {
     fn with_workspace(ecdf: bool, ws: WorkspaceRef) -> Self {
         VdTuneState {
             committed: Committed::default(),
-            hi_util: 0.0,
-            lo_util: 0.0,
             ecdf,
             kernel: DemandKernel::new(),
             ws,
         }
     }
-
-    /// Rebuilds every cache from the committed tasks (after a removal).
-    fn resync(&mut self) {
-        let ts = &self.committed.tasks;
-        self.hi_util = ts.utilization_hi_total();
-        self.lo_util = ts.utilization_lo_total();
-        self.kernel.load_untightened(ts);
-    }
 }
 
 impl AdmissionState for VdTuneState {
     fn try_admit(&mut self, task: &Task) -> bool {
-        // The structural rejection of `tune`, from running sums: the
-        // candidate terms append last, exactly as a fresh left-to-right
-        // summation over the union would add them.
-        let hi_util = if task.criticality().is_high() {
-            self.hi_util + task.utilization_hi()
-        } else {
-            self.hi_util
-        };
-        let lo_util = self.lo_util + task.utilization_lo();
-        if hi_util > 1.0 || lo_util > 1.0 {
+        if self.kernel.overloaded_with(task) {
             self.committed.record(true, false);
             return false;
         }
-        // Same greedy starts, in the same order, as the one-shot
-        // `tune(ECDF).or_else(tune(EY))` / `tune(EY)` path — over the
-        // state's warm kernel: push the candidate, tune in place,
-        // restore, pop. The memos carry across probes.
-        let mut ws = self.ws.borrow_mut();
-        let moves = &mut ws.moves;
         let kernel = &mut self.kernel;
         kernel.push_task(VdTask::untightened(*task));
-        let ok = if self.ecdf {
-            greedy_kernel(kernel, ECDF_EFFORT, moves)
-                || {
-                    kernel.reseed(|t| slack_seeded_task(t).vd);
-                    greedy_kernel(kernel, ECDF_EFFORT, moves)
-                }
-                || {
-                    kernel.reseed(|t| t.deadline());
-                    greedy_kernel(kernel, EY_EFFORT, moves)
-                }
-        } else {
-            greedy_kernel(kernel, EY_EFFORT, moves)
-        };
+        let ok = search(kernel, self.ecdf, &mut self.ws.borrow_mut().moves);
         // Restore the between-probe invariant: untightened committed
         // assignment (exact delta-updates keep the memos warm).
         kernel.reseed(|t| t.deadline());
         let _ = kernel.pop_task();
-        drop(ws);
         self.committed.record(false, ok);
         ok
     }
 
     fn commit(&mut self, task: Task) {
-        if task.criticality().is_high() {
-            self.hi_util += task.utilization_hi();
-        }
-        self.lo_util += task.utilization_lo();
         self.kernel.push_task(VdTask::untightened(task));
         self.committed.push(task);
     }
@@ -579,7 +522,7 @@ impl AdmissionState for VdTuneState {
         if self.committed.remove(id).is_none() {
             return false;
         }
-        self.resync();
+        self.kernel.load_untightened(&self.committed.tasks);
         true
     }
 
@@ -592,11 +535,8 @@ impl AdmissionState for VdTuneState {
     }
 
     fn take_tasks(&mut self) -> TaskSet {
-        let tasks = self.committed.take();
-        self.hi_util = 0.0;
-        self.lo_util = 0.0;
         self.kernel.clear();
-        tasks
+        self.committed.take()
     }
 
     fn stats(&self) -> AdmissionStats {
@@ -664,8 +604,10 @@ pub mod reference {
         None
     }
 
-    /// The seed `tune`: fresh start vectors per attempt.
-    fn tune(ts: &TaskSet, effort: Effort) -> Option<Vec<VdTask>> {
+    /// The seed `tune`: fresh start vectors per attempt; the ECDF effort
+    /// adds the slack-seeded start.
+    fn tune(ts: &TaskSet, ecdf: bool) -> Option<Vec<VdTask>> {
+        let effort = if ecdf { ECDF_EFFORT } else { EY_EFFORT };
         let hi_util: f64 = ts.utilization_hi_total();
         let lo_util: f64 = ts.utilization_lo_total();
         if hi_util > 1.0 || lo_util > 1.0 {
@@ -674,7 +616,7 @@ pub mod reference {
         if let Some(found) = greedy(untightened(ts), effort) {
             return Some(found);
         }
-        if effort.slack_seeded_start {
+        if ecdf {
             if let Some(found) = greedy(slack_seeded(ts), effort) {
                 return Some(found);
             }
@@ -684,23 +626,23 @@ pub mod reference {
 
     /// The seed EY verdict.
     pub fn ey_is_schedulable(ts: &TaskSet) -> bool {
-        tune(ts, EY_EFFORT).is_some()
+        tune(ts, false).is_some()
     }
 
     /// The seed ECDF verdict (ECDF starts, then the EY fallback).
     pub fn ecdf_is_schedulable(ts: &TaskSet) -> bool {
-        tune(ts, ECDF_EFFORT).is_some() || tune(ts, EY_EFFORT).is_some()
+        tune(ts, true).is_some() || tune(ts, false).is_some()
     }
 
     /// The seed EY assignment — the tuner-chosen `{Vi}` the kernel-backed
     /// [`Ey::tune`] must reproduce bit-identically.
     pub fn ey_tune(ts: &TaskSet) -> Option<Vec<VdTask>> {
-        tune(ts, EY_EFFORT)
+        tune(ts, false)
     }
 
     /// The seed ECDF assignment (ECDF starts, then the EY fallback).
     pub fn ecdf_tune(ts: &TaskSet) -> Option<Vec<VdTask>> {
-        tune(ts, ECDF_EFFORT).or_else(|| tune(ts, EY_EFFORT))
+        tune(ts, true).or_else(|| tune(ts, false))
     }
 }
 
@@ -778,8 +720,10 @@ mod tests {
         ]);
         for assignment in [Ey::new().tune(&ts), Ecdf::new().tune(&ts)] {
             let a = assignment.expect("tunable");
-            assert!(dbf::check_lo_mode(a.as_slice()).is_ok());
-            assert!(dbf::check_hi_mode(a.as_slice()).is_ok());
+            let mut kernel = DemandKernel::new();
+            kernel.load(a.as_slice());
+            assert!(kernel.check_lo().is_ok());
+            assert!(kernel.check_hi().is_ok());
             // LC tasks keep their real deadlines; HC are within bounds.
             for vt in a.as_slice() {
                 if vt.task.criticality().is_low() {

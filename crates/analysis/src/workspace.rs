@@ -338,8 +338,8 @@ pub(crate) struct DemandSoa {
     /// Positions with `vd == 0` — `h_LO(0) > 0` iff this is non-zero
     /// (`C^L ≥ 1`), so the descent pre-check skips its lane sweep.
     zero_vd: usize,
-    /// Positions with `dist == 0` and `C^H > C^L` — exactly those whose
-    /// `dbf_HI` term at `t = 0` is positive (`C^H − C^L`), so
+    /// HC positions with `dist == 0` and `C^H > C^L` — exactly those
+    /// whose `dbf_HI` term at `t = 0` is positive (`C^H − C^L`), so
     /// `h_HI(0) > 0` iff this is non-zero.
     hot_hi0: usize,
     /// Loaded positions failing the per-task half of the demand
@@ -480,7 +480,6 @@ impl DemandSoa {
             self.u_lo[pos] = vt.task.wcet_lo().as_f64() / vt.task.period().as_f64();
             self.hc_rank[pos] = usize::MAX;
             zero_vd += usize::from(self.vd[pos] == 0);
-            hot_hi0 += usize::from(self.dist[pos] == 0 && self.c_hi[pos] > self.c_lo[pos]);
             if vt.task.criticality().is_high() {
                 self.hc_c_lo.push(self.c_lo[pos]);
                 self.hc_c_hi.push(self.c_hi[pos]);
@@ -493,6 +492,7 @@ impl DemandSoa {
                 self.hc_rank[pos] = self.hc_pos.len();
                 self.hc_pos.push(pos);
             }
+            hot_hi0 += self.hot_hi0_at(pos);
             let (ok, b) = demand_cert_values(
                 self.c_lo[pos],
                 self.c_hi[pos],
@@ -525,7 +525,6 @@ impl DemandSoa {
             .push(vt.task.wcet_lo().as_f64() / vt.task.period().as_f64());
         self.hc_rank.push(usize::MAX);
         self.zero_vd += usize::from(self.vd[pos] == 0);
-        self.hot_hi0 += usize::from(self.dist[pos] == 0 && self.c_hi[pos] > self.c_lo[pos]);
         if vt.task.criticality().is_high() {
             self.hc_c_lo.push(self.c_lo[pos]);
             self.hc_c_hi.push(self.c_hi[pos]);
@@ -538,6 +537,7 @@ impl DemandSoa {
             self.hc_rank[pos] = self.hc_pos.len();
             self.hc_pos.push(pos);
         }
+        self.hot_hi0 += self.hot_hi0_at(pos);
         self.cert_add(pos);
     }
 
@@ -551,7 +551,7 @@ impl DemandSoa {
         let pos = self.len() - 1;
         self.cert_sub(pos);
         self.zero_vd -= usize::from(self.vd[pos] == 0);
-        self.hot_hi0 -= usize::from(self.dist[pos] == 0 && self.c_hi[pos] > self.c_lo[pos]);
+        self.hot_hi0 -= self.hot_hi0_at(pos);
         self.vd.pop();
         self.period.pop();
         self.inv_period.pop();
@@ -580,15 +580,23 @@ impl DemandSoa {
     /// is invariant, so no re-accounting happens here).
     pub(crate) fn set_vd(&mut self, pos: usize, vd: u64, dist: u64) {
         self.zero_vd -= usize::from(self.vd[pos] == 0);
-        self.hot_hi0 -= usize::from(self.dist[pos] == 0 && self.c_hi[pos] > self.c_lo[pos]);
+        self.hot_hi0 -= self.hot_hi0_at(pos);
         self.vd[pos] = vd;
         self.dist[pos] = dist;
         self.zero_vd += usize::from(vd == 0);
-        self.hot_hi0 += usize::from(dist == 0 && self.c_hi[pos] > self.c_lo[pos]);
+        self.hot_hi0 += self.hot_hi0_at(pos);
         let rank = self.hc_rank[pos];
         if rank != usize::MAX {
             self.hc_dist[rank] = dist;
         }
+    }
+
+    /// Whether position `pos` counts towards [`DemandSoa::hot_hi0`]:
+    /// an HC position (LC tasks carry no high-mode demand, whatever
+    /// their `C^H`) with `dist == 0` and `C^H > C^L`.
+    fn hot_hi0_at(&self, pos: usize) -> usize {
+        let hc = self.hc_rank[pos] != usize::MAX;
+        usize::from(hc && self.dist[pos] == 0 && self.c_hi[pos] > self.c_lo[pos])
     }
 
     /// Whether `h_LO(0) > 0` on the loaded assignment: some position
@@ -598,7 +606,7 @@ impl DemandSoa {
         self.zero_vd > 0
     }
 
-    /// Whether `h_HI(0) > 0` on the loaded assignment: some position
+    /// Whether `h_HI(0) > 0` on the loaded assignment: some HC position
     /// has `dist == 0` with `C^H > C^L` (its origin term is
     /// `C^H − C^L > 0`; every other term is zero at `t = 0`). Exact.
     pub(crate) fn h0_hi_positive(&self) -> bool {

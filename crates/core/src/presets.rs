@@ -58,8 +58,8 @@ pub fn ca_nosort_f_f() -> PartitionStrategy {
 /// on `U_H^H`; LC tasks first-fit.
 ///
 /// The 0.5 heaviness threshold is our reconstruction choice: the DATE 2017
-/// text says only "preference is given to heavy utilization LC tasks";
-/// see `DESIGN.md`. Use [`eca_wu_f_with_threshold`] to ablate it.
+/// text says only "preference is given to heavy utilization LC tasks".
+/// Use [`eca_wu_f_with_threshold`] to ablate it.
 pub fn eca_wu_f() -> PartitionStrategy {
     eca_wu_f_with_threshold(500)
 }

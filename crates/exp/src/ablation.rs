@@ -1,5 +1,4 @@
-//! Ablation studies for the UDP design choices (DESIGN.md per-experiment
-//! index, "Ablations" row).
+//! Ablation studies for the UDP design choices.
 //!
 //! Questions answered:
 //!

@@ -12,8 +12,8 @@
 //! * **Fig. 6** — weighted acceptance ratio vs the HC-task fraction `P_H`.
 //! * **Headline** — the "improvement by as much as X%" numbers quoted in
 //!   the paper's abstract and §IV, derived from the Fig. 3–5 sweeps.
-//! * **Ablations** — the design choices DESIGN.md calls out (worst-fit
-//!   metric, sorting, CA vs CU, AMC-max vs AMC-rtb).
+//! * **Ablations** — the UDP design choices [`ablation`] isolates
+//!   (worst-fit metric, sorting, CA vs CU, AMC-max vs AMC-rtb).
 //!
 //! Every sweep is deterministic under a seed and paired: all algorithms
 //! judge the *same* generated task sets. Results are printed as

@@ -4,8 +4,8 @@
 //! uniprocessors and partitioned multiprocessors.
 //!
 //! The DATE 2017 paper's evaluation is purely analytical; this crate is the
-//! executable substrate that stands in for a real RTOS testbed (see
-//! `DESIGN.md`, substitution record): it runs the *scheduling algorithms*
+//! executable substrate that stands in for a real RTOS testbed: it runs
+//! the *scheduling algorithms*
 //! the analyses certify —
 //!
 //! * **EDF-VD** — EDF on virtual deadlines in low mode, real deadlines in

@@ -5,7 +5,7 @@
 //! against an accepted task set and reports the first observed
 //! counterexample — the workhorse behind the cross-crate property tests
 //! that tie the reconstructed analyses (`mcsched-analysis`) to executable
-//! behaviour (see `DESIGN.md` §3).
+//! behaviour (`tests/analysis_vs_simulation.rs` at the workspace root).
 
 use crate::engine::Simulator;
 use crate::policy::Policy;

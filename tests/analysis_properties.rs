@@ -2,9 +2,16 @@
 //! bounds, response times and acceptance regions.
 
 use mcsched::analysis::dbf::{self, VdTask};
-use mcsched::analysis::{AmcMax, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest};
+use mcsched::analysis::{AmcMax, DemandKernel, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest};
 use mcsched::model::{Task, TaskSet, Time};
 use proptest::prelude::*;
+
+/// The kernel's checks of a freshly loaded assignment.
+fn checks(tasks: &[VdTask]) -> (dbf::DemandCheck, dbf::DemandCheck) {
+    let mut kernel = DemandKernel::new();
+    kernel.load(tasks);
+    (kernel.check_lo(), kernel.check_hi())
+}
 
 fn arb_hc_task(id: u32) -> impl Strategy<Value = Task> {
     (2u64..=50).prop_flat_map(move |period| {
@@ -125,7 +132,7 @@ proptest! {
                                t.wcet_hi().as_ticks()).expect("valid");
             vt
         }).collect();
-        let qpa = dbf::check_lo_mode(&tasks);
+        let qpa = checks(&tasks).0;
         let brute = dbf::DemandCurve::lo_mode(&tasks, 400).first_violation();
         match (qpa, brute) {
             (dbf::DemandCheck::Ok, None) => {},
@@ -148,7 +155,7 @@ proptest! {
                                t.wcet_hi().as_ticks()).expect("valid");
             vt
         }).collect();
-        let qpa = dbf::check_hi_mode(&tasks);
+        let qpa = checks(&tasks).1;
         let brute = dbf::DemandCurve::hi_mode(&tasks, 400).first_violation();
         match (qpa, brute) {
             (dbf::DemandCheck::Ok, None) => {},
@@ -188,8 +195,9 @@ proptest! {
     #[test]
     fn tuner_outputs_are_always_valid(ts in arb_mixed_set()) {
         for assignment in [Ey::new().tune(&ts), Ecdf::new().tune(&ts)].into_iter().flatten() {
-            prop_assert!(dbf::check_lo_mode(assignment.as_slice()).is_ok());
-            prop_assert!(dbf::check_hi_mode(assignment.as_slice()).is_ok());
+            let (lo, hi) = checks(assignment.as_slice());
+            prop_assert!(lo.is_ok());
+            prop_assert!(hi.is_ok());
             for (vt, t) in assignment.as_slice().iter().zip(ts.iter()) {
                 prop_assert!(vt.vd >= t.wcet_lo());
                 prop_assert!(vt.vd <= t.deadline());

@@ -1,8 +1,8 @@
 //! The soundness loop: every "accept" from a schedulability test must
 //! survive adversarial execution in the discrete-event simulator.
 //!
-//! This is the empirical justification for the reconstructed analyses
-//! (DESIGN.md §3): the EDF-VD utilization test, the EY/ECDF dbf tests and
+//! This is the empirical justification for the reconstructed analyses:
+//! the EDF-VD utilization test, the EY/ECDF dbf tests and
 //! the AMC response-time analyses are exercised on generator-random
 //! uniprocessor task sets; whenever one accepts, the corresponding runtime
 //! policy is executed under the full scenario battery (nominal, sustained

@@ -21,8 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// An arbitrary valid task for a set of `n` tasks: period in
-/// `2n..=2n + 58`, `C^L` at most `max(1, T/n)` and `C^H` at most twice
-/// that, optional criticality/constrained deadline. Single-task sets keep
+/// `2n..=2n + 58`, `C^L` at most `max(1, T/n)` and an HC `C^H` at most
+/// twice that (an LC `C^H` anywhere in `[C^L, T]`), optional
+/// criticality/constrained deadline. Single-task sets keep
 /// the full `2..=60` range with budgets up to the period; wider sets stay
 /// near the schedulability boundary instead of overloading at once.
 fn arb_task(id: u32, n: usize) -> impl Strategy<Value = Task> {
@@ -39,8 +40,18 @@ fn arb_task(id: u32, n: usize) -> impl Strategy<Value = Task> {
                     })
                     .boxed()
             } else {
-                (c_lo..=period)
-                    .prop_map(move |d| Task::lo_constrained(id, period, c_lo, d).expect("valid"))
+                // LC tasks may carry any `C^H ≥ C^L`: the model accepts it,
+                // and no test may let it add high-mode demand.
+                (c_lo..=period, c_lo..=period)
+                    .prop_map(move |(c_hi, d)| {
+                        Task::builder(id)
+                            .period(period)
+                            .wcet_lo(c_lo)
+                            .wcet_hi(c_hi)
+                            .deadline(d)
+                            .try_build()
+                            .expect("valid")
+                    })
                     .boxed()
             }
         })

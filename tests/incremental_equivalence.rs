@@ -37,8 +37,18 @@ fn arb_task(id: u32) -> impl Strategy<Value = Task> {
                     })
                     .boxed()
             } else {
-                (c_lo..=period)
-                    .prop_map(move |d| Task::lo_constrained(id, period, c_lo, d).expect("valid"))
+                // LC tasks may carry any `C^H ≥ C^L`: the model accepts it,
+                // and no test may let it add high-mode demand.
+                (c_lo..=period, c_lo..=period)
+                    .prop_map(move |(c_hi, d)| {
+                        Task::builder(id)
+                            .period(period)
+                            .wcet_lo(c_lo)
+                            .wcet_hi(c_hi)
+                            .deadline(d)
+                            .try_build()
+                            .expect("valid")
+                    })
                     .boxed()
             }
         })

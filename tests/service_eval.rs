@@ -158,3 +158,28 @@ fn verdicts_agree_with_direct_registry_calls() {
         );
     }
 }
+
+#[test]
+fn lc_high_budget_does_not_flip_demand_verdicts() {
+    // An LC task's `wcet_hi` is accepted on the wire but adds no
+    // high-mode demand (LC tasks are dropped at the switch), so the
+    // EY/ECDF verdicts must match the same set without it.
+    let registry = AlgorithmRegistry::standard();
+    let hc = r#"{"id":0,"period":10,"criticality":"HI","wcet_lo":2,"wcet_hi":4}"#;
+    for lc in [
+        r#"{"id":1,"period":20,"criticality":"LO","wcet_lo":2,"wcet_hi":5}"#,
+        r#"{"id":1,"period":20,"criticality":"LO","wcet_lo":2}"#,
+    ] {
+        for algorithm in ["CU-UDP-ECDF", "CU-UDP-EY"] {
+            let request = format!(r#"{{"algorithm":"{algorithm}","m":1,"tasks":[{hc},{lc}]}}"#);
+            let (verdict, errored) = handle_request_line(&registry, &request);
+            assert!(!errored, "{verdict}");
+            let verdict = serde_json::parse_value(&verdict).unwrap();
+            assert_eq!(
+                verdict.get("schedulable").and_then(Value::as_bool),
+                Some(true),
+                "{request}"
+            );
+        }
+    }
+}
