@@ -29,25 +29,29 @@
 //!
 //! # Lane evaluation
 //!
-//! The LO-mode and rtb fixpoints on the hot path do not chase `tasks[j]`
-//! through `Task` structs: they run over a structure-of-arrays view
-//! (`SoaTasks` in [`crate::workspace`]) holding one contiguous `u64` lane
-//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the
-//! `⌊2^64/T⌋` reciprocals and the `hc` flags) in priority order. Each
-//! kernel (`lo_rta` / `rtb`) walks the positions one task at a time and
-//! iterates that task's fixpoint over the higher-priority lanes, dividing
-//! by multiplication. The rtb iteration additionally hoists the LC
-//! interference term `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
-//! depends only on the already-fixed low-mode response) and then touches
-//! only the hp-HC positions, through per-class position lists it builds
-//! as it walks. Each kernel has one body, monomorphised on the
-//! fast-kernel certificate (`SoaTasks::fast`): the certified instance
-//! drops the saturation guards and the reciprocal fixup, which the
-//! certificate proves are no-ops.
+//! Every analysis runs over a structure-of-arrays view (`SoaTasks` in
+//! [`crate::workspace`]) holding one contiguous `u64` lane per parameter
+//! (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the `⌊2^64/T⌋`
+//! reciprocals and the `hc` flags) in priority order — no kernel chases
+//! `tasks[j]` through `Task` structs. The low-mode kernel (`lo_rta`)
+//! walks the positions one task at a time and iterates that task's
+//! fixpoint over the higher-priority lanes, dividing by multiplication.
+//! The high-mode kernel (`hi_bounds`) walks the positions once more,
+//! building per-class lists of the higher-priority HC and LC positions
+//! as it goes, and evaluates each HC task from them: AMC-rtb through the
+//! one per-position rtb fixpoint (`rtb_at`), which hoists the LC
+//! interference `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
+//! depends only on the already-fixed low-mode response) and then
+//! touches only the hp-HC positions; AMC-max through the streaming
+//! switch-instant walk over the same lists, capped by that same rtb
+//! fixpoint. Each kernel has one body, monomorphised on the fast-kernel
+//! certificate (`SoaTasks::fast`): the certified instance drops the
+//! saturation guards and the reciprocal fixup, which the certificate
+//! proves are no-ops.
 //!
 //! # Seeding soundness
 //!
-//! Every lane fixpoint is seeded at
+//! The low-mode and rtb fixpoints are seeded at
 //! `max(C_i, cached bound, C_i + Σ_{j∈hp} C_j)`:
 //!
 //! * the *cached bound* is the task's response before the probe's
@@ -60,13 +64,14 @@
 //! Kleene iteration from **any** start `≤ R*` converges to exactly `R*`:
 //! all iterates stay `≤ R*` (monotonicity), and a stabilisation point is
 //! a fixed point `≤ R*`, hence `R*` itself (least). Verdicts and bounds
-//! are therefore bit-identical to the scalar [`mod@reference`] path, which
-//! the equivalence suites assert.
+//! are therefore bit-identical to the seed scalar analyses kept as test
+//! oracles in the `mcsched-oracle` crate, which the equivalence suites
+//! assert.
 
 use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use crate::workspace::{AnalysisWorkspace, SoaTasks, WorkspaceRef};
 use crate::SchedulabilityTest;
-use mcsched_model::{Criticality, SystemUtilization, Task, TaskId, TaskSet, Time};
+use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
 
 /// Deadline-monotonic priority order: returns task indices from highest to
 /// lowest priority.
@@ -167,27 +172,6 @@ fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
             .cmp(&tasks[b].deadline())
             .then_with(|| tasks[a].id().cmp(&tasks[b].id()))
     });
-}
-
-/// Iterates the standard RTA fixpoint `R = wcet + interference(R)` from
-/// `R = wcet`, bailing out as soon as `R` exceeds `deadline`.
-///
-/// The `wcet + interference` accumulation saturates: a mathematically
-/// overflowing response also exceeds every `deadline < u64::MAX`, so the
-/// saturated value fails the deadline test just the same instead of
-/// wrapping (or panicking) near `Time::MAX`.
-fn fixpoint(wcet: Time, deadline: Time, interference: impl Fn(Time) -> Time) -> Option<Time> {
-    let mut r = wcet;
-    loop {
-        let next = wcet.saturating_add(interference(r));
-        if next > deadline {
-            return None;
-        }
-        if next == r {
-            return Some(r);
-        }
-        r = next;
-    }
 }
 
 /// `⌈a / b⌉` over raw ticks, without the `(a + b − 1) / b` overflow
@@ -355,61 +339,104 @@ fn lo_rta_kernel<const FAST: bool>(
     true
 }
 
-/// AMC-rtb high-mode bounds over the SoA lanes for the HC tasks at
-/// positions `from..`, one task at a time.
-///
-/// The LC contribution `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` is constant across
-/// a task's fixpoint iterations (it depends only on the already-computed
-/// low-mode response), so it is folded once per task; each sweep then
-/// touches only the hp-HC positions. `hp` is scratch for the two
-/// per-class position lists, built while the kernel walks the lanes.
-/// Seeding (from `hi_resp` on entry, `None` reading as 0) and saturation
-/// are as in [`lo_rta`].
-fn rtb(
+/// The high-mode bounds of the HC tasks at positions `from..`, one task
+/// at a time: the AMC-rtb fixpoint for [`AmcVariant::RtbDm`], the
+/// switch-instant walk capped by that same fixpoint for
+/// [`AmcVariant::Max`]. Seeding (AMC-rtb reads `hi_resp` on entry,
+/// `None` as 0) and saturation are as in [`lo_rta`]; `hp` is scratch
+/// for [`walk_hc`]'s position lists and `streams` / `slots` for the
+/// AMC-max candidate walk. Returns `false` at the first HC task without
+/// a bound within its deadline.
+#[allow(clippy::too_many_arguments)]
+fn hi_bounds(
+    variant: AmcVariant,
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
     lo_resp: &[Time],
     hp: &mut Vec<usize>,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
     // Same certificate-driven monomorphisation as [`lo_rta`].
     if soa.fast() {
-        rtb_kernel::<true>(soa, order, from, lo_resp, hp, hi_resp)
+        hi_kernel::<true>(
+            variant, soa, order, from, lo_resp, hp, streams, slots, hi_resp,
+        )
     } else {
-        rtb_kernel::<false>(soa, order, from, lo_resp, hp, hi_resp)
+        hi_kernel::<false>(
+            variant, soa, order, from, lo_resp, hp, streams, slots, hi_resp,
+        )
     }
 }
 
-/// The monomorphised body of [`rtb`].
-fn rtb_kernel<const FAST: bool>(
+/// The monomorphised body of [`hi_bounds`].
+#[allow(clippy::too_many_arguments)]
+fn hi_kernel<const FAST: bool>(
+    variant: AmcVariant,
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
     lo_resp: &[Time],
     hp: &mut Vec<usize>,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
+    // One walk per variant, so each instance runs a branch-free body.
+    match variant {
+        AmcVariant::RtbDm => walk_hc(soa, from, hp, |p, hj, lj, below| {
+            let i = order[p];
+            let seed = hi_resp[i].map_or(0, Time::as_ticks);
+            let bound = rtb_at::<FAST>(soa, p, hj, lj, below, lo_resp[i].as_ticks(), seed);
+            store(&mut hi_resp[i], bound)
+        }),
+        AmcVariant::Max => walk_hc(soa, from, hp, |p, hj, lj, below| {
+            let i = order[p];
+            let lo_cap = lo_resp[i].as_ticks();
+            let bound = max_bound_at::<FAST>(soa, p, hj, lj, below, lo_cap, streams, slots);
+            store(&mut hi_resp[i], bound)
+        }),
+        AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
+    }
+}
+
+/// Stores a high-mode bound found within the deadline (every bound
+/// is: each fixpoint it takes — the rtb fixpoint, every switch
+/// instant's — gives up past it); `false` when there is none.
+#[inline(always)]
+fn store(slot: &mut Option<Time>, bound: Option<u64>) -> bool {
+    if let Some(r) = bound {
+        *slot = Some(Time::new(r));
+    }
+    bound.is_some()
+}
+
+/// Walks the lanes in priority order, calling `f(p, hj, lj, below)` at
+/// every HC position `p ≥ from` with the higher-priority HC positions
+/// `hj`, the higher-priority LC positions `lj` and `below = Σ_{j∈hj} C^H_j`
+/// (saturating); stops with `false` as soon as `f` does.
+///
+/// The position lists are appended as `p` advances, so the fixpoint
+/// loops run over dense index lists instead of testing the
+/// (data-random) `hc` flag per element per sweep. `hp` is pre-sized to
+/// `2n` and filled through local counters: no push, no allocation once
+/// the scratch has grown to the set size.
+#[inline(always)]
+fn walk_hc(
+    soa: &SoaTasks,
+    from: usize,
+    hp: &mut Vec<usize>,
+    mut f: impl FnMut(usize, &[usize], &[usize], u64) -> bool,
+) -> bool {
     let n = soa.len();
-    let (wl, wh, per, inv, dl, hc) = (
-        &soa.wcet_lo[..n],
-        &soa.wcet_hi[..n],
-        &soa.period[..n],
-        &soa.inv_period[..n],
-        &soa.deadline[..n],
-        &soa.hc[..n],
-    );
-    // The positions ahead of `p` in each class, appended as `p` advances,
-    // so the fixpoint loops run over dense index lists instead of testing
-    // the (data-random) `hc` flag per element per sweep. Pre-sized to
-    // `n` each and filled through local counters: no push, no allocation
-    // once the scratch has grown to the set size.
     if hp.len() < 2 * n {
         hp.resize(2 * n, 0);
     }
     let (hj, lj) = hp.split_at_mut(n);
+    let (hc, wh) = (&soa.hc[..n], &soa.wcet_hi[..n]);
     let (mut hn, mut ln) = (0usize, 0usize);
-    // Σ C^H of the hp-HC tasks, for the one-job seed.
     let mut below = 0u64;
     for p in 0..n {
         if !hc[p] {
@@ -417,40 +444,294 @@ fn rtb_kernel<const FAST: bool>(
             ln += 1;
             continue;
         }
-        if p >= from {
-            // LC charge, frozen at the task's own low-mode response.
-            let cap = lo_resp[order[p]].as_ticks();
-            let mut c0 = 0u64;
-            for &j in &lj[..ln] {
-                c0 = charge::<FAST>(c0, wl[j], cap, per[j], inv[j]);
-            }
-            let one_job = wh[p].saturating_add(below).saturating_add(c0);
-            let seed = hi_resp[order[p]].map_or(0, Time::as_ticks);
-            let mut r = wh[p].max(seed).max(one_job);
-            if r > dl[p] {
-                return false;
-            }
-            loop {
-                let mut acc = c0;
-                for &j in &hj[..hn] {
-                    acc = charge::<FAST>(acc, wh[j], r, per[j], inv[j]);
-                }
-                let next = wh[p].saturating_add(acc);
-                if next > dl[p] {
-                    return false;
-                }
-                if next == r {
-                    break;
-                }
-                r = next;
-            }
-            hi_resp[order[p]] = Some(Time::new(r));
+        if p >= from && !f(p, &hj[..hn], &lj[..ln], below) {
+            return false;
         }
         below = below.saturating_add(wh[p]);
         hj[hn] = p;
         hn += 1;
     }
     true
+}
+
+/// The AMC-rtb high-mode response of the task at position `p`, or
+/// `None` past its deadline: the least fixed point of
+/// `R = C^H_p + Σ_{j∈hj} ⌈R/Tj⌉·C^H_j + Σ_{j∈lj} ⌈lo_cap/Tj⌉·C^L_j`.
+///
+/// The LC charge depends only on the already-fixed low-mode response
+/// `lo_cap`, so it is folded once and each sweep touches only the hp-HC
+/// positions. The iteration starts at `max(C^H_p, seed, C^H_p + below +
+/// LC charge)`, where `seed` must be a sound lower bound (0 when
+/// unknown; see the module docs). The one fixpoint behind both the
+/// AMC-rtb bound and the AMC-max cap.
+#[inline(always)]
+fn rtb_at<const FAST: bool>(
+    soa: &SoaTasks,
+    p: usize,
+    hj: &[usize],
+    lj: &[usize],
+    below: u64,
+    lo_cap: u64,
+    seed: u64,
+) -> Option<u64> {
+    let (wl, wh, per, inv) = (&soa.wcet_lo, &soa.wcet_hi, &soa.period, &soa.inv_period);
+    let (ch, dl) = (wh[p], soa.deadline[p]);
+    let mut c0 = 0u64;
+    for &j in lj {
+        c0 = charge::<FAST>(c0, wl[j], lo_cap, per[j], inv[j]);
+    }
+    let one_job = ch.saturating_add(below).saturating_add(c0);
+    let mut r = ch.max(seed).max(one_job);
+    // The seed is a sound lower bound on the fixed point, so a seed past
+    // the deadline already decides (and keeps fast-kernel iterates below
+    // `2^32`).
+    if r > dl {
+        return None;
+    }
+    loop {
+        let mut acc = c0;
+        for &j in hj {
+            acc = charge::<FAST>(acc, wh[j], r, per[j], inv[j]);
+        }
+        let next = ch.saturating_add(acc);
+        if next > dl {
+            return None;
+        }
+        if next == r {
+            return Some(r);
+        }
+        r = next;
+    }
+}
+
+/// One step sequence of a single interference term in the streaming
+/// AMC-max candidate walk: fires at `next`, `next + stride`, … until the
+/// step point reaches the task's low-mode response time (stepping is
+/// saturating, see [`fold_candidates`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CandStream {
+    /// The next step instant (`u64::MAX`-saturated once exhausted).
+    next: u64,
+    /// Distance between steps (the interferer's period).
+    stride: u64,
+    /// Steps fired so far — the term's current job count.
+    count: u64,
+    /// Which running quantity a fire updates.
+    kind: StreamKind,
+}
+
+/// What a [`CandStream`] fire contributes.
+#[derive(Debug, Clone, Copy)]
+enum StreamKind {
+    /// LC interferer: a fire freezes one more `C^L` job into the LC sum.
+    Lc {
+        /// The interferer's `C^L`.
+        cost: u64,
+    },
+    /// HC interferer bound (deadline- or release-based): a fire raises the
+    /// completed-job bound `M(k, s)` of the slot.
+    Hc {
+        /// Index into the walk's [`HcSlot`] array.
+        slot: usize,
+    },
+}
+
+/// Per-hp-HC-task state of the streaming AMC-max walk: the lane values
+/// of its interference term plus the current completed-job bound
+/// `M(k, s)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HcSlot {
+    wcet_lo: u64,
+    wcet_hi: u64,
+    period: u64,
+    inv_period: u64,
+    /// `max(by_deadline(s), by_release(s))` at the walk's current instant.
+    m: u64,
+}
+
+/// The AMC-max bound of the task at position `p` (higher-priority
+/// positions split into `hj` / `lj`, `below` and `lo_cap` as in
+/// [`rtb_at`]): the worst response over all switch instants, capped by
+/// the AMC-rtb bound, or `None` when some instant is infeasible.
+///
+/// Candidate switch instants are walked by [`fold_candidates`]'s
+/// streaming k-way merge instead of materialising, sorting and
+/// deduplicating them; the per-candidate interference is delta-updated
+/// as streams fire, so each fixpoint iteration only pays one `⌈r/T⌉`
+/// per higher-priority HC task and nothing at all for LC tasks. The
+/// visited instants, every fixpoint and the cap are identical to the
+/// seed implementation in `mcsched-oracle`.
+#[allow(clippy::too_many_arguments)]
+fn max_bound_at<const FAST: bool>(
+    soa: &SoaTasks,
+    p: usize,
+    hj: &[usize],
+    lj: &[usize],
+    below: u64,
+    lo_cap: u64,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+) -> Option<u64> {
+    let (ch, dl) = (soa.wcet_hi[p], soa.deadline[p]);
+    // max over switch instants; infeasible at any instant → None.
+    let mut prev_lc = None;
+    let worst = fold_candidates(
+        soa,
+        hj,
+        lj,
+        lo_cap,
+        streams,
+        slots,
+        0,
+        |worst, _s, lc, slots| {
+            // Dominance skip (a structural win of the delta-updated walk): if
+            // no LC term stepped since the last *evaluated* candidate, only
+            // the completed-job bounds `M(k, s)` grew, so the interference
+            // function shrank pointwise and this candidate's least fixed
+            // point is ≤ the previous one — it can neither raise the max nor
+            // turn infeasible. The returned bound and verdict are exactly the
+            // seed path's (`s = 0` is always evaluated: `prev_lc` starts
+            // unset).
+            if prev_lc == Some(lc) {
+                return Some(worst);
+            }
+            prev_lc = Some(lc);
+            let r = max_response_at(ch, dl, lc, slots)?;
+            Some(worst.max(r))
+        },
+    )?;
+    // AMC-max result never needs to be worse than AMC-rtb.
+    match rtb_at::<FAST>(soa, p, hj, lj, below, lo_cap, 0) {
+        Some(rtb) => Some(worst.min(rtb)),
+        None => Some(worst),
+    }
+}
+
+/// AMC-max response at one switch instant, from the walk's running
+/// interference state: `lc` is the frozen LC demand at the instant and
+/// each [`HcSlot`] carries `M(k, s)`, so the fixpoint body is a single
+/// pass over the hp-HC slots. Iterates from `C^H` and saturates like the
+/// other lane fixpoints; `None` past the deadline `dl`.
+fn max_response_at(ch: u64, dl: u64, lc: u64, slots: &[HcSlot]) -> Option<u64> {
+    let mut r = ch;
+    loop {
+        let mut total = lc;
+        for slot in slots {
+            let n = dc_inv(r, slot.period, slot.inv_period);
+            let m = slot.m.min(n);
+            total = total.saturating_add(
+                slot.wcet_lo
+                    .saturating_mul(m)
+                    .saturating_add(slot.wcet_hi.saturating_mul(n - m)),
+            );
+        }
+        let next = ch.saturating_add(total);
+        if next > dl {
+            return None;
+        }
+        if next == r {
+            return Some(r);
+        }
+        r = next;
+    }
+}
+
+/// Folds `f` over every candidate switch instant of a task whose
+/// higher-priority positions are `hj` (HC) and `lj` (LC) and whose
+/// low-mode response is `r_lo`, in strictly increasing order with
+/// coinciding steps merged — exactly the sorted-deduplicated set
+/// `{0} ∪ {step points < R^LO}` the seed implementation materialises.
+///
+/// `f` receives the accumulator, the instant `s`, the frozen LC
+/// interference `Σ_{j∈lj} (⌊s/Tj⌋+1)·C^L_j` and the hp-HC slots with
+/// their completed-job bounds `M(k, s)` up to date; returning `None`
+/// aborts the walk. (Slot and stream order never matters: every sum
+/// over them is an order-free saturating sum of non-negative terms.)
+#[allow(clippy::too_many_arguments)]
+fn fold_candidates<T>(
+    soa: &SoaTasks,
+    hj: &[usize],
+    lj: &[usize],
+    r_lo: u64,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+    init: T,
+    mut f: impl FnMut(T, u64, u64, &[HcSlot]) -> Option<T>,
+) -> Option<T> {
+    streams.clear();
+    slots.clear();
+    let mut lc = 0u64;
+    for &j in lj {
+        // (⌊s/T⌋+1)·C^L: one job at s = 0, stepping at every multiple
+        // of T.
+        lc = lc.saturating_add(soa.wcet_lo[j]);
+        streams.push(CandStream {
+            next: soa.period[j],
+            stride: soa.period[j],
+            count: 0,
+            kind: StreamKind::Lc {
+                cost: soa.wcet_lo[j],
+            },
+        });
+    }
+    for &j in hj {
+        // M(k, s) = max(by_deadline, by_release) steps at D + a·T
+        // (deadline bound) and at multiples of T (release bound).
+        let slot = slots.len();
+        slots.push(HcSlot {
+            wcet_lo: soa.wcet_lo[j],
+            wcet_hi: soa.wcet_hi[j],
+            period: soa.period[j],
+            inv_period: soa.inv_period[j],
+            m: 0,
+        });
+        for next in [soa.deadline[j], soa.period[j]] {
+            streams.push(CandStream {
+                next,
+                stride: soa.period[j],
+                count: 0,
+                kind: StreamKind::Hc { slot },
+            });
+        }
+    }
+    // s = 0 is always a candidate.
+    let mut acc = f(init, 0, lc, slots)?;
+    loop {
+        // k-way merge: the earliest pending step strictly below R^LO.
+        let mut s = r_lo;
+        for stream in streams.iter() {
+            if stream.next < s {
+                s = stream.next;
+            }
+        }
+        if s >= r_lo {
+            return Some(acc);
+        }
+        // Fire every stream stepping at s (coinciding steps collapse
+        // into the one candidate, replacing the seed path's dedup).
+        for stream in streams.iter_mut() {
+            if stream.next != s {
+                continue;
+            }
+            stream.count += 1;
+            match stream.kind {
+                // Cannot overflow: the LC demand frozen at any s < R^LO
+                // is part of R^LO's own interference.
+                StreamKind::Lc { cost } => lc += cost,
+                StreamKind::Hc { slot } => {
+                    let m = &mut slots[slot].m;
+                    *m = (*m).max(stream.count);
+                }
+            }
+            // Saturating stepping is the exact overflow guard: a
+            // mathematical next step beyond `u64::MAX` also lies beyond
+            // `R^LO ≤ u64::MAX`, and the saturated value fails the
+            // `next < r_lo` test just the same, ending the stream instead
+            // of wrapping (or panicking) near `Time::MAX`.
+            stream.next = stream.next.saturating_add(stream.stride);
+        }
+        acc = f(acc, s, lc, slots)?;
+    }
 }
 
 /// Low-mode response-time analysis at `C^L` budgets under
@@ -502,62 +783,9 @@ impl LoRta {
     }
 }
 
-/// The seed low-mode RTA: one scalar fixpoint per task, chasing the AoS
-/// `Task` structs. Retained for the [`mod@reference`] module (the hot
-/// path runs [`lo_rta`] instead).
-// mclint: cold — seed implementation kept for the reference module, never on the probe path
-fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
-    let mut resp = vec![Time::ZERO; tasks.len()];
-    for (pos, &i) in order.iter().enumerate() {
-        let hp = &order[..pos];
-        let r = fixpoint(tasks[i].wcet_lo(), tasks[i].deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    tasks[j]
-                        .wcet_lo()
-                        .saturating_mul(r.div_ceil(tasks[j].period()))
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })?;
-        resp[i] = r;
-    }
-    Some(resp)
-}
-
-/// Shared AMC machinery: low-mode RTA plus per-variant high-mode RTA,
-/// allocating its index and response vectors per call. Only the
-/// [`mod@reference`] module still runs this; the hot path goes through
-/// [`amc_schedulable_in`].
-fn amc_schedulable(ts: &TaskSet, hi_rta: impl Fn(&AmcContext<'_>, usize) -> Option<Time>) -> bool {
-    if ts.is_empty() {
-        return true;
-    }
-    let order = dm_order(ts);
-    let Some(lo_resp) = lo_rta_scalar(ts.as_slice(), &order) else {
-        return false;
-    };
-    let ctx = AmcContext {
-        tasks: ts.as_slice(),
-        order: &order,
-        lo_resp: &lo_resp,
-    };
-    for &i in order.iter() {
-        if ctx.tasks[i].criticality() == Criticality::High {
-            // The seed path re-derives each task's priority position with
-            // a linear scan, exactly as it always did (the hot path
-            // threads positions through instead).
-            match hi_rta(&ctx, ctx.pos_of(i)) {
-                Some(r) if r <= ctx.tasks[i].deadline() => {}
-                _ => return false,
-            }
-        }
-    }
-    true
-}
-
-/// [`amc_schedulable`] over workspace scratch: delegates to the
-/// incremental layer's [`analyze_into`] with the workspace's reusable
-/// cache, SoA lanes and candidate-walk buffers, so the one-shot and the
+/// The one-shot AMC analysis over workspace scratch: the incremental
+/// layer's [`analyze_from`] over the workspace's reusable cache, SoA
+/// lanes and candidate-walk buffers, so the one-shot and the
 /// cache-rebuild paths are literally the same code and the steady-state
 /// one-shot path allocates nothing.
 fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorkspace) -> bool {
@@ -569,397 +797,8 @@ fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorksp
         soa,
         ..
     } = ws;
-    analyze_into(ts.as_slice(), variant, soa, streams, hc, rtb_pos, amc)
-}
-
-/// One step sequence of a single interference term in the streaming
-/// AMC-max candidate walk: fires at `next`, `next + stride`, … until the
-/// step point reaches the task's low-mode response time (stepping is
-/// saturating, see [`AmcContext::fold_candidates`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CandStream {
-    /// The next step instant (`Time::MAX`-saturated once exhausted).
-    next: Time,
-    /// Distance between steps (the interferer's period).
-    stride: Time,
-    /// Steps fired so far — the term's current job count.
-    count: u64,
-    /// Which running quantity a fire updates.
-    kind: StreamKind,
-}
-
-/// What a [`CandStream`] fire contributes.
-#[derive(Debug, Clone, Copy)]
-enum StreamKind {
-    /// LC interferer: a fire freezes one more `C^L` job into the LC sum.
-    Lc {
-        /// The interferer's `C^L`.
-        cost: Time,
-    },
-    /// HC interferer bound (deadline- or release-based): a fire raises the
-    /// completed-job bound `M(k, s)` of the slot.
-    Hc {
-        /// Index into the walk's [`HcSlot`] array.
-        slot: usize,
-    },
-}
-
-/// Per-hp-HC-task state of the streaming AMC-max walk: the constants of
-/// its interference term plus the current completed-job bound `M(k, s)`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HcSlot {
-    wcet_lo: Time,
-    wcet_hi: Time,
-    period: Time,
-    /// `max(by_deadline(s), by_release(s))` at the walk's current instant.
-    m: u64,
-}
-
-/// Bundled inputs for the high-mode analyses.
-struct AmcContext<'a> {
-    tasks: &'a [Task],
-    order: &'a [usize],
-    lo_resp: &'a [Time],
-}
-
-impl AmcContext<'_> {
-    /// The priority position of task index `i` — a linear scan, used only
-    /// by the [`mod@reference`] paths (the hot paths already know their
-    /// position and pass it straight through).
-    fn pos_of(&self, i: usize) -> usize {
-        self.order
-            .iter()
-            .position(|&x| x == i)
-            .expect("task in order")
-    }
-
-    /// Higher-priority task indices for the task at priority position
-    /// `pos`.
-    fn hp(&self, pos: usize) -> &[usize] {
-        &self.order[..pos]
-    }
-
-    /// The AMC-rtb high-mode response of the task at priority position
-    /// `pos`. The LC charge is frozen at the low-mode response — constant
-    /// across iterations — so it is folded once and only the HC terms are
-    /// re-derived per iteration.
-    fn rtb_response(&self, pos: usize) -> Option<Time> {
-        let i = self.order[pos];
-        let ti = &self.tasks[i];
-        let hp = self.hp(pos);
-        let lo_cap = self.lo_resp[i];
-        let lc_const: Time = hp
-            .iter()
-            .map(|&j| {
-                let tj = &self.tasks[j];
-                match tj.criticality() {
-                    Criticality::Low => tj.wcet_lo().saturating_mul(lo_cap.div_ceil(tj.period())),
-                    Criticality::High => Time::ZERO,
-                }
-            })
-            .fold(Time::ZERO, Time::saturating_add);
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::High => tj.wcet_hi().saturating_mul(r.div_ceil(tj.period())),
-                        Criticality::Low => Time::ZERO,
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-                .saturating_add(lc_const)
-        })
-    }
-
-    /// The seed rtb fixpoint: re-derives every hp term — LC included —
-    /// on every iteration. Retained for the [`mod@reference`] paths.
-    fn rtb_response_reference(&self, pos: usize) -> Option<Time> {
-        let i = self.order[pos];
-        let ti = &self.tasks[i];
-        let hp = self.hp(pos);
-        let lo_cap = self.lo_resp[i];
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::High => tj.wcet_hi().saturating_mul(r.div_ceil(tj.period())),
-                        Criticality::Low => {
-                            tj.wcet_lo().saturating_mul(lo_cap.div_ceil(tj.period()))
-                        }
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })
-    }
-
-    /// The AMC-max bound for the task at priority position `pos`: the
-    /// worst response over all switch instants, never worse than the rtb
-    /// bound (shared by the one-shot test and the incremental state so
-    /// the code paths cannot diverge).
-    ///
-    /// Candidate switch instants are walked by [`fold_candidates`]'s
-    /// streaming k-way merge instead of materialising, sorting and
-    /// deduplicating a `Vec<Time>`; the per-candidate interference is
-    /// delta-updated as streams fire, so each fixpoint iteration only pays
-    /// one `⌈r/T⌉` per higher-priority HC task and nothing at all for LC
-    /// tasks. The visited instants and every fixpoint are identical to the
-    /// seed implementation retained in [`crate::amc::reference`].
-    ///
-    /// [`fold_candidates`]: AmcContext::fold_candidates
-    fn max_bound_in(
-        &self,
-        pos: usize,
-        streams: &mut Vec<CandStream>,
-        slots: &mut Vec<HcSlot>,
-    ) -> Option<Time> {
-        // max over switch instants; infeasible at any instant → None.
-        let mut prev_lc = None;
-        let worst =
-            self.fold_candidates(pos, streams, slots, Time::ZERO, |worst, _s, lc, slots| {
-                // Dominance skip (a structural win of the delta-updated
-                // walk): if no LC term stepped since the last *evaluated*
-                // candidate, only the completed-job bounds `M(k, s)` grew,
-                // so the interference function shrank pointwise and this
-                // candidate's least fixed point is ≤ the previous one — it
-                // can neither raise the max nor turn infeasible. The
-                // returned bound and verdict are exactly the seed path's
-                // (`s = 0` is always evaluated: `prev_lc` starts unset).
-                if prev_lc == Some(lc) {
-                    return Some(worst);
-                }
-                prev_lc = Some(lc);
-                let r = self.max_response_streamed(pos, lc, slots)?;
-                Some(worst.max(r))
-            })?;
-        // AMC-max result never needs to be worse than AMC-rtb.
-        match self.rtb_response(pos) {
-            Some(rtb) => Some(worst.min(rtb)),
-            None => Some(worst),
-        }
-    }
-
-    /// AMC-max response at one switch instant, from the walk's running
-    /// interference state: `lc` is the frozen LC demand at `s` and each
-    /// [`HcSlot`] carries `M(k, s)`, so the fixpoint body is a single pass
-    /// over the hp-HC slots. Computes exactly the sums of
-    /// [`AmcContext::max_response_at`] (integer arithmetic, identical
-    /// operations per term).
-    fn max_response_streamed(&self, pos: usize, lc: Time, slots: &[HcSlot]) -> Option<Time> {
-        let ti = &self.tasks[self.order[pos]];
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            let mut total = lc;
-            for slot in slots {
-                let n = r.div_ceil(slot.period);
-                let m = slot.m.min(n);
-                total = total.saturating_add(
-                    slot.wcet_lo
-                        .saturating_mul(m)
-                        .saturating_add(slot.wcet_hi.saturating_mul(n - m)),
-                );
-            }
-            total
-        })
-    }
-
-    /// Folds `f` over every candidate switch instant of the task at
-    /// priority position `pos`, in strictly increasing order with
-    /// coinciding steps merged — exactly the sorted-deduplicated set
-    /// `{0} ∪ {step points < R^LO_i}` the seed implementation
-    /// materialised.
-    ///
-    /// `f` receives the accumulator, the instant `s`, the frozen LC
-    /// interference `Σ_{j∈hpL} (⌊s/Tj⌋+1)·C^L_j` and the hp-HC slots with
-    /// their completed-job bounds `M(k, s)` up to date; returning `None`
-    /// aborts the walk.
-    fn fold_candidates<T>(
-        &self,
-        pos: usize,
-        streams: &mut Vec<CandStream>,
-        slots: &mut Vec<HcSlot>,
-        init: T,
-        mut f: impl FnMut(T, Time, Time, &[HcSlot]) -> Option<T>,
-    ) -> Option<T> {
-        let r_lo = self.lo_resp[self.order[pos]];
-        streams.clear();
-        slots.clear();
-        let mut lc = Time::ZERO;
-        for &j in self.hp(pos) {
-            let tj = &self.tasks[j];
-            match tj.criticality() {
-                Criticality::Low => {
-                    // (⌊s/T⌋+1)·C^L: one job at s = 0, stepping at every
-                    // multiple of T.
-                    lc = lc.saturating_add(tj.wcet_lo());
-                    streams.push(CandStream {
-                        next: tj.period(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Lc { cost: tj.wcet_lo() },
-                    });
-                }
-                Criticality::High => {
-                    // M(k, s) = max(by_deadline, by_release) steps at
-                    // D + a·T (deadline bound) and at multiples of T
-                    // (release bound).
-                    let slot = slots.len();
-                    slots.push(HcSlot {
-                        wcet_lo: tj.wcet_lo(),
-                        wcet_hi: tj.wcet_hi(),
-                        period: tj.period(),
-                        m: 0,
-                    });
-                    streams.push(CandStream {
-                        next: tj.deadline(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Hc { slot },
-                    });
-                    streams.push(CandStream {
-                        next: tj.period(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Hc { slot },
-                    });
-                }
-            }
-        }
-        // s = 0 is always a candidate.
-        let mut acc = f(init, Time::ZERO, lc, slots)?;
-        loop {
-            // k-way merge: the earliest pending step strictly below R^LO.
-            let mut s = r_lo;
-            for stream in streams.iter() {
-                if stream.next < s {
-                    s = stream.next;
-                }
-            }
-            if s >= r_lo {
-                return Some(acc);
-            }
-            // Fire every stream stepping at s (coinciding steps collapse
-            // into the one candidate, replacing the seed path's dedup).
-            for stream in streams.iter_mut() {
-                if stream.next != s {
-                    continue;
-                }
-                stream.count += 1;
-                match stream.kind {
-                    StreamKind::Lc { cost } => lc += cost,
-                    StreamKind::Hc { slot } => {
-                        let m = &mut slots[slot].m;
-                        *m = (*m).max(stream.count);
-                    }
-                }
-                // Saturating stepping is the exact overflow guard: a
-                // mathematical next step beyond `u64::MAX` also lies
-                // beyond `R^LO_i ≤ u64::MAX`, and the saturated value
-                // fails the `next < r_lo` test just the same, ending the
-                // stream instead of wrapping (or panicking) near
-                // `Time::MAX`.
-                stream.next = stream.next.saturating_add(stream.stride);
-            }
-            acc = f(acc, s, lc, slots)?;
-        }
-    }
-
-    /// The seed implementation of the AMC-max bound — materialise, sort
-    /// and deduplicate the candidate instants, then re-derive every
-    /// interference term per candidate. Retained (not called on the hot
-    /// path) as the equivalence reference for the streaming walk; see
-    /// [`crate::amc::reference`].
-    fn max_bound_reference(&self, pos: usize) -> Option<Time> {
-        let mut worst = Time::ZERO;
-        for s in self.switch_candidates(pos) {
-            let r = self.max_response_at(pos, s)?;
-            worst = worst.max(r);
-        }
-        match self.rtb_response_reference(pos) {
-            Some(rtb) => Some(worst.min(rtb)),
-            None => Some(worst),
-        }
-    }
-
-    /// AMC-max response for switch instant `s` (reference path).
-    fn max_response_at(&self, pos: usize, s: Time) -> Option<Time> {
-        let ti = &self.tasks[self.order[pos]];
-        let hp = self.hp(pos);
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::Low => tj
-                            .wcet_lo()
-                            .saturating_mul(s.div_floor(tj.period()).saturating_add(1)),
-                        Criticality::High => {
-                            let n = r.div_ceil(tj.period());
-                            // Two sound lower bounds on the hp-HC jobs that
-                            // certainly completed (hence ran at C^L) before
-                            // the switch at s:
-                            //  * jobs with deadlines at or before s (low-mode
-                            //    deadlines are guaranteed): ⌊(s−D)/T⌋ + 1;
-                            //  * all releases in [0, s] except at most one —
-                            //    with constrained deadlines (D ≤ T), at most
-                            //    one job per task is incomplete at any
-                            //    deadline-meeting instant: ⌊s/T⌋.
-                            let by_deadline = if s >= tj.deadline() {
-                                (s - tj.deadline()).div_floor(tj.period()) + 1
-                            } else {
-                                0
-                            };
-                            let by_release = s.div_floor(tj.period());
-                            let m = by_deadline.max(by_release).min(n);
-                            tj.wcet_lo()
-                                .saturating_mul(m)
-                                .saturating_add(tj.wcet_hi().saturating_mul(n - m))
-                        }
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })
-    }
-
-    /// Candidate switch instants for the task at priority position `pos`:
-    /// points in `[0, R^LO_i)` where some interference term steps, plus 0
-    /// (reference path; the hot path streams the same instants through
-    /// [`AmcContext::fold_candidates`] without materialising them).
-    // mclint: cold — reference path; the hot path streams candidates without materialising
-    fn switch_candidates(&self, pos: usize) -> Vec<Time> {
-        let r_lo = self.lo_resp[self.order[pos]];
-        let mut cands = vec![Time::ZERO];
-        for &j in self.hp(pos) {
-            let tj = &self.tasks[j];
-            match tj.criticality() {
-                Criticality::Low => {
-                    // (⌊s/T⌋+1) steps at multiples of T.
-                    let mut t = tj.period();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                }
-                Criticality::High => {
-                    // M(k, s) steps at D + j·T (deadline bound) and at
-                    // multiples of T (release bound).
-                    let mut t = tj.deadline();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                    let mut t = tj.period();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                }
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        cands
-    }
+    amc.load(ts.as_slice(), soa);
+    analyze_from(variant, soa, 0, streams, hc, rtb_pos, amc)
 }
 
 /// The AMC-rtb (response-time bound) schedulability test.
@@ -1239,6 +1078,16 @@ impl AmcCache {
         self.lo_resp.clear();
         self.hi_resp.clear();
     }
+
+    /// Prepares a full analysis of `tasks`: their DM order, `soa`
+    /// loaded in that order, and cold (zero) seeds for every response.
+    fn load(&mut self, tasks: &[Task], soa: &mut SoaTasks) {
+        self.clear();
+        dm_order_into(tasks, &mut self.order);
+        soa.load(tasks, &self.order);
+        self.lo_resp.resize(tasks.len(), Time::ZERO);
+        self.hi_resp.resize(tasks.len(), None);
+    }
 }
 
 /// Incremental admission for the AMC response-time analyses.
@@ -1304,10 +1153,12 @@ impl AmcState {
             _ => {
                 let mut ws = self.ws.borrow_mut();
                 let ws = &mut *ws;
-                self.cache_valid = analyze_into(
-                    self.committed.tasks.as_slice(),
+                self.cache
+                    .load(self.committed.tasks.as_slice(), &mut self.soa);
+                self.cache_valid = analyze_from(
                     self.variant,
-                    &mut self.soa,
+                    &self.soa,
+                    0,
                     &mut ws.streams,
                     &mut ws.hc,
                     &mut ws.rtb_pos,
@@ -1318,40 +1169,17 @@ impl AmcState {
     }
 }
 
-/// Full analysis of `tasks` into `out` (used for the non-incremental
-/// paths and cache rebuilds); `soa` receives the DM-ordered lane view
-/// (left holding it on success, for delta reuse by the incremental
-/// state); `streams`/`slots` are candidate-walk scratch and `hp` is the
-/// rtb kernel's position-list scratch. Returns `false` iff the one-shot
-/// test rejects — `out` is then partial and must be treated as invalid.
-fn analyze_into(
-    tasks: &[Task],
-    variant: AmcVariant,
-    soa: &mut SoaTasks,
-    streams: &mut Vec<CandStream>,
-    slots: &mut Vec<HcSlot>,
-    hp: &mut Vec<usize>,
-    out: &mut AmcCache,
-) -> bool {
-    out.clear();
-    dm_order_into(tasks, &mut out.order);
-    soa.load(tasks, &out.order);
-    out.lo_resp.resize(tasks.len(), Time::ZERO);
-    out.hi_resp.resize(tasks.len(), None);
-    analyze_from(tasks, variant, soa, 0, streams, slots, hp, out)
-}
-
 /// The one AMC analysis body: low-mode RTA, then the variant's high-mode
 /// bounds, for the priority positions `p..` of `out.order` (whose lane
-/// view is `soa`). `out.lo_resp` / `out.hi_resp` must be sized to
-/// `tasks`, hold the responses of the positions above `p`, and hold the
-/// seeds of the rest (see [`lo_rta`] / [`rtb`]): the full analysis is
-/// `p = 0` with cold (zero) seeds, an admission probe the cached prefix
-/// with warm seeds. Returns `false` iff some task at or below `p` misses
-/// its deadline.
-#[allow(clippy::too_many_arguments)]
+/// view is `soa`). `out.lo_resp` / `out.hi_resp` must hold the
+/// responses of the positions above `p` and the seeds of the rest (see
+/// [`lo_rta`] / [`hi_bounds`]): the full analysis is `p = 0` after
+/// [`AmcCache::load`], an admission probe the cached prefix with warm
+/// seeds. `streams` / `slots` are candidate-walk scratch and `hp` the
+/// position-list scratch. Returns `false` iff some task at or below `p`
+/// misses its deadline — `out` is then partial and must be treated as
+/// invalid.
 fn analyze_from(
-    tasks: &[Task],
     variant: AmcVariant,
     soa: &SoaTasks,
     p: usize,
@@ -1365,30 +1193,8 @@ fn analyze_from(
         lo_resp,
         hi_resp,
     } = out;
-    if !lo_rta(soa, order, p, lo_resp) {
-        return false;
-    }
-    match variant {
-        AmcVariant::RtbDm => rtb(soa, order, p, lo_resp, hp, hi_resp),
-        AmcVariant::Max => {
-            let ctx = AmcContext {
-                tasks,
-                order: order.as_slice(),
-                lo_resp: lo_resp.as_slice(),
-            };
-            for (pos, &i) in ctx.order.iter().enumerate().skip(p) {
-                if tasks[i].criticality() != Criticality::High {
-                    continue;
-                }
-                match ctx.max_bound_in(pos, streams, slots) {
-                    Some(r) if r <= tasks[i].deadline() => hi_resp[i] = Some(r),
-                    _ => return false,
-                }
-            }
-            true
-        }
-        AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
-    }
+    lo_rta(soa, order, p, lo_resp)
+        && hi_bounds(variant, soa, order, p, lo_resp, hp, streams, slots, hi_resp)
 }
 
 /// DM insertion position of `cand` in the cached (sorted,
@@ -1404,29 +1210,21 @@ fn dm_insert_pos(committed: &[Task], cache: &AmcCache, cand: &Task) -> usize {
 /// point `p`, warm-start the suffix from the cached bounds (sound lower
 /// bounds on the new fixed points — see the module docs). `soa` must
 /// hold the committed lanes with the candidate's already inserted at `p`
-/// (the caller's delta update). The union set is assembled in `union`
-/// and the analysis lands in `out`, both reused across probes. Returns
+/// (the caller's delta update); the analysis reads nothing else of the
+/// candidate. The analysis lands in `out`, reused across probes. Returns
 /// `false` iff the one-shot test rejects the union.
 #[allow(clippy::too_many_arguments)]
 fn admit_incremental_into(
-    committed: &[Task],
     cache: &AmcCache,
-    cand: &Task,
     p: usize,
     variant: AmcVariant,
     soa: &SoaTasks,
-    union: &mut Vec<Task>,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
     hp: &mut Vec<usize>,
     out: &mut AmcCache,
 ) -> bool {
-    let n = committed.len();
-    union.clear();
-    union.extend_from_slice(committed);
-    union.push(*cand);
-    let tasks = union.as_slice();
-
+    let n = cache.order.len();
     out.clear();
     out.order.extend_from_slice(&cache.order[..p]);
     out.order.push(n);
@@ -1440,7 +1238,7 @@ fn admit_incremental_into(
     out.lo_resp.push(Time::ZERO);
     out.hi_resp.extend_from_slice(&cache.hi_resp);
     out.hi_resp.push(None);
-    analyze_from(tasks, variant, soa, p, streams, slots, hp, out)
+    analyze_from(variant, soa, p, streams, slots, hp, out)
 }
 
 impl AdmissionState for AmcState {
@@ -1481,13 +1279,10 @@ impl AdmissionState for AmcState {
             // commit() re-inserts if the probe's analysis is adopted.
             self.soa.insert(p, task);
             let ok = admit_incremental_into(
-                committed,
                 &self.cache,
-                task,
                 p,
                 self.variant,
                 &self.soa,
-                &mut ws.tasks,
                 &mut ws.streams,
                 &mut ws.hc,
                 &mut ws.rtb_pos,
@@ -1500,7 +1295,7 @@ impl AdmissionState for AmcState {
         } else {
             // Committed set not known schedulable (e.g. after an
             // unchecked commit): fall back to a full analysis of the
-            // union, exactly the one-shot verdict. analyze_into leaves
+            // union, exactly the one-shot verdict. The load leaves
             // `soa` holding the union's lanes, which is precisely the
             // committed view if this probe gets committed.
             let AnalysisWorkspace {
@@ -1513,10 +1308,11 @@ impl AdmissionState for AmcState {
             tasks.clear();
             tasks.extend_from_slice(self.committed.tasks.as_slice());
             tasks.push(*task);
-            let ok = analyze_into(
-                tasks,
+            self.scratch.load(tasks, &mut self.soa);
+            let ok = analyze_from(
                 self.variant,
-                &mut self.soa,
+                &self.soa,
+                0,
                 streams,
                 hc,
                 rtb_pos,
@@ -1584,121 +1380,122 @@ impl AdmissionState for AmcState {
 /// otherwise `(verdict, bounds)` where `bounds[i]` is the high-mode bound
 /// of HC task `i` **if its fixpoint was reached** (on a `false` verdict
 /// the kernel stops at the first infeasible task, so later tasks stay
-/// `None`). On a `true` verdict every HC bound must equal
-/// [`reference::amc_rtb_response`] bit-identically.
+/// `None`). On a `true` verdict every HC bound must equal the seed
+/// AMC-rtb response of `mcsched-oracle` bit-identically.
 #[doc(hidden)]
 // mclint: cold — equivalence-suite entry point; allocates caller-owned results once per call
 pub fn amc_rtb_bounds(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)> {
-    let order = dm_order(ts);
-    let mut lo = vec![Time::ZERO; ts.len()];
-    let mut hi = vec![None; ts.len()];
-    let mut verdict = false;
     AnalysisWorkspace::with(|ws| {
-        ws.soa.load(ts.as_slice(), &order);
-        if !lo_rta(&ws.soa, &order, 0, &mut lo) {
-            return false;
+        let AnalysisWorkspace {
+            streams,
+            hc,
+            rtb_pos,
+            amc,
+            soa,
+            ..
+        } = ws;
+        amc.load(ts.as_slice(), soa);
+        if !lo_rta(soa, &amc.order, 0, &mut amc.lo_resp) {
+            return None;
         }
-        verdict = rtb(&ws.soa, &order, 0, &lo, &mut ws.rtb_pos, &mut hi);
-        true
+        let verdict = hi_bounds(
+            AmcVariant::RtbDm,
+            soa,
+            &amc.order,
+            0,
+            &amc.lo_resp,
+            rtb_pos,
+            streams,
+            hc,
+            &mut amc.hi_resp,
+        );
+        Some((verdict, amc.hi_resp.clone()))
     })
-    .then_some((verdict, hi))
 }
 
-/// Seed (allocating) AMC implementations retained **verbatim** as the
-/// equivalence reference for the streaming, workspace-backed hot path.
-///
-/// The property tests (`tests/analysis_workspace.rs`) and the
-/// `BENCH_analysis.json` throughput artifact (`mcexp analysis --json`)
-/// compare the hot path against these; nothing on the hot path calls
-/// them.
+/// The candidate switch instants the streaming AMC-max walk visits for
+/// `task_index`, in visit order; `None` when the set fails low-mode RTA.
+/// Must equal the seed's sorted-deduplicated candidates exactly.
 #[doc(hidden)]
-pub mod reference {
-    use super::*;
+// mclint: cold — equivalence-suite witness; materialises for comparison only
+pub fn amc_max_candidates_streamed(ts: &TaskSet, task_index: usize) -> Option<Vec<Time>> {
+    with_lanes_at(ts, task_index, |soa, _, hj, lj, _, r_lo, streams, slots| {
+        fold_candidates(
+            soa,
+            hj,
+            lj,
+            r_lo,
+            streams,
+            slots,
+            Vec::new(),
+            |mut acc, s, _, _| {
+                acc.push(Time::new(s));
+                Some(acc)
+            },
+        )
+        .expect("collection never aborts")
+    })
+}
 
-    /// The seed AMC-rtb one-shot verdict (per-call allocating path, with
-    /// the seed's per-iteration interference re-derivation).
-    pub fn amc_rtb_is_schedulable(ts: &TaskSet) -> bool {
-        amc_schedulable(ts, |ctx, pos| ctx.rtb_response_reference(pos))
-    }
+/// The streaming AMC-max response bound of `task_index`, rtb cap
+/// included; outer `None` when the set fails low-mode RTA, inner `None`
+/// when some switch instant is infeasible. Must equal the seed bound
+/// exactly.
+#[doc(hidden)]
+// mclint: cold — equivalence-suite witness; allocates its position lists per call
+pub fn amc_max_bound_streamed(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
+    with_lanes_at(
+        ts,
+        task_index,
+        |soa, p, hj, lj, below, r_lo, streams, slots| {
+            let bound = if soa.fast() {
+                max_bound_at::<true>(soa, p, hj, lj, below, r_lo, streams, slots)
+            } else {
+                max_bound_at::<false>(soa, p, hj, lj, below, r_lo, streams, slots)
+            };
+            bound.map(Time::new)
+        },
+    )
+}
 
-    /// The seed AMC-max one-shot verdict: materialise + sort + dedup the
-    /// candidate switch instants per task, then re-derive every
-    /// interference term at each candidate.
-    pub fn amc_max_is_schedulable(ts: &TaskSet) -> bool {
-        amc_schedulable(ts, |ctx, pos| ctx.max_bound_reference(pos))
-    }
-
-    /// The seed scalar low-mode response times, indexed by task; `None`
-    /// when some task misses its deadline in low mode. The lane kernel
-    /// must reproduce these bit-identically.
-    pub fn lo_responses(ts: &TaskSet) -> Option<Vec<Time>> {
-        lo_rta_scalar(ts.as_slice(), &dm_order(ts))
-    }
-
-    /// The seed scalar AMC-rtb high-mode bound of `task_index`; outer
-    /// `None` when low-mode RTA fails, inner `None` when the fixpoint
-    /// exceeds the deadline. The lane kernel must reproduce this
-    /// bit-identically for every HC task.
-    pub fn amc_rtb_response(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
-        with_ctx(ts, |ctx| ctx.rtb_response_reference(ctx.pos_of(task_index)))
-    }
-
-    /// The sorted-deduplicated candidate switch instants of `task_index`
-    /// under the seed implementation; `None` when the set fails low-mode
-    /// RTA (candidates are then undefined).
-    pub fn amc_max_candidates(ts: &TaskSet, task_index: usize) -> Option<Vec<Time>> {
-        with_ctx(ts, |ctx| ctx.switch_candidates(ctx.pos_of(task_index)))
-    }
-
-    /// The candidate instants the streaming walk visits, in visit order
-    /// (must equal [`amc_max_candidates`] exactly).
-    // mclint: cold — reference-module witness; materialises for comparison only
-    pub fn amc_max_candidates_streamed(ts: &TaskSet, task_index: usize) -> Option<Vec<Time>> {
-        with_ctx(ts, |ctx| {
-            let mut streams = Vec::new();
-            let mut slots = Vec::new();
-            ctx.fold_candidates(
-                ctx.pos_of(task_index),
-                &mut streams,
-                &mut slots,
-                Vec::new(),
-                |mut acc, s, _, _| {
-                    acc.push(s);
-                    Some(acc)
-                },
-            )
-            .expect("collection never aborts")
-        })
-    }
-
-    /// The seed AMC-max response bound of `task_index`; outer `None` when
-    /// low-mode RTA fails, inner `None` when some switch instant is
-    /// infeasible.
-    pub fn amc_max_bound(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
-        with_ctx(ts, |ctx| ctx.max_bound_reference(ctx.pos_of(task_index)))
-    }
-
-    /// The streaming AMC-max response bound of `task_index` (must equal
-    /// [`amc_max_bound`] exactly).
-    // mclint: cold — reference-module witness; scratch vectors live per call by design
-    pub fn amc_max_bound_streamed(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
-        with_ctx(ts, |ctx| {
-            let mut streams = Vec::new();
-            let mut slots = Vec::new();
-            ctx.max_bound_in(ctx.pos_of(task_index), &mut streams, &mut slots)
-        })
-    }
-
-    fn with_ctx<R>(ts: &TaskSet, f: impl FnOnce(&AmcContext<'_>) -> R) -> Option<R> {
-        let order = dm_order(ts);
-        let lo_resp = lo_rta_scalar(ts.as_slice(), &order)?;
-        let ctx = AmcContext {
-            tasks: ts.as_slice(),
-            order: &order,
-            lo_resp: &lo_resp,
-        };
-        Some(f(&ctx))
-    }
+/// Runs `f(soa, p, hj, lj, below, r_lo, streams, slots)` for the task
+/// `task_index` of `ts` at its DM position `p`, over the lanes and the
+/// low-mode responses of the hot path; `None` when low-mode RTA fails.
+// mclint: cold — witness plumbing; allocates the position lists per call
+fn with_lanes_at<R>(
+    ts: &TaskSet,
+    task_index: usize,
+    f: impl FnOnce(
+        &SoaTasks,
+        usize,
+        &[usize],
+        &[usize],
+        u64,
+        u64,
+        &mut Vec<CandStream>,
+        &mut Vec<HcSlot>,
+    ) -> R,
+) -> Option<R> {
+    AnalysisWorkspace::with(|ws| {
+        let AnalysisWorkspace {
+            streams,
+            hc,
+            amc,
+            soa,
+            ..
+        } = ws;
+        amc.load(ts.as_slice(), soa);
+        if !lo_rta(soa, &amc.order, 0, &mut amc.lo_resp) {
+            return None;
+        }
+        let p = amc.order.iter().position(|&i| i == task_index)?;
+        let (hj, lj): (Vec<usize>, Vec<usize>) = (0..p).partition(|&j| soa.hc[j]);
+        let below = hj
+            .iter()
+            .fold(0u64, |acc, &j| acc.saturating_add(soa.wcet_hi[j]));
+        let r_lo = amc.lo_resp[task_index].as_ticks();
+        Some(f(soa, p, &hj, &lj, below, r_lo, streams, hc))
+    })
 }
 
 #[cfg(test)]
@@ -2040,41 +1837,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_walk_matches_reference_on_grid() {
-        // Grid of small sets: the streaming walk must visit exactly the
-        // sorted-deduplicated candidate set, return identical bounds and
-        // produce identical verdicts.
-        for ch in 3..=8u64 {
-            for cl2 in 1..=4u64 {
-                for c3 in 1..=6u64 {
-                    let ts = set(vec![
-                        Task::hi(0, 12, 2, ch).unwrap(),
-                        Task::hi(1, 20, cl2, cl2 + 3).unwrap(),
-                        Task::lo(2, 15, c3).unwrap(),
-                    ]);
-                    assert_eq!(
-                        AmcMax::new().is_schedulable(&ts),
-                        reference::amc_max_is_schedulable(&ts),
-                        "verdict diverged on {ts}"
-                    );
-                    for i in 0..ts.len() {
-                        assert_eq!(
-                            reference::amc_max_candidates_streamed(&ts, i),
-                            reference::amc_max_candidates(&ts, i),
-                            "candidates diverged for τ{i} of {ts}"
-                        );
-                        assert_eq!(
-                            reference::amc_max_bound_streamed(&ts, i),
-                            reference::amc_max_bound(&ts, i),
-                            "bounds diverged for τ{i} of {ts}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn candidate_stepping_survives_near_max_times() {
         // Regression: the seed stepping loop (`t += period`) overflowed
         // u64 arithmetic when a step sequence approached Time::MAX; the
@@ -2088,7 +1850,7 @@ mod tests {
         // R^LO_1 = 2^63 + 12: τ0's deadline stream fires once (at D = 2^63)
         // and its release stream once (at T = 2^63 + 2); both next steps
         // exceed u64::MAX and must end the streams, not wrap or panic.
-        let cands = reference::amc_max_candidates_streamed(&ts, 1).expect("LO feasible");
+        let cands = amc_max_candidates_streamed(&ts, 1).expect("LO feasible");
         assert_eq!(cands, vec![Time::ZERO, Time::new(big), Time::new(big + 2)],);
         // The full tests run without panicking on the same set.
         assert!(AmcMax::new().is_schedulable(&ts));
@@ -2222,103 +1984,5 @@ mod tests {
         for a in [(1u64 << 32) - 1, (1 << 32) - 2, 1, 0] {
             assert_eq!(df_fast(a, m1), a / b);
         }
-    }
-
-    #[test]
-    fn fixpoint_add_saturates_at_near_max_wcet() {
-        // Regression: `wcet + interference(r)` in `fixpoint` was an
-        // unguarded add that wrapped for parameters near 2^63 (each
-        // product stays in range — 2^63 · ⌈2^63/(2^63+2)⌉ = 2^63 — but
-        // the final add reaches 2^64). The saturated sum exceeds every
-        // finite deadline, so both paths must reject without panicking.
-        let big = 1u64 << 63;
-        let ts = set(vec![
-            Task::hi_constrained(0, big + 2, big, big, big + 1).unwrap(),
-            Task::hi_constrained(1, big + 4, big, big, big + 2).unwrap(),
-        ]);
-        assert!(LoRta::compute(&ts).is_none());
-        assert_eq!(reference::lo_responses(&ts), None);
-        assert!(!AmcRtb::new().is_schedulable(&ts));
-        assert!(!reference::amc_rtb_is_schedulable(&ts));
-        assert!(!AmcMax::new().is_schedulable(&ts));
-        assert!(!AmcRtb::with_audsley().is_schedulable(&ts));
-        // A single near-max task alone stays feasible in every path (the
-        // fixpoint is hit before anything can saturate).
-        let alone = set(vec![
-            Task::hi_constrained(0, big + 2, big, big, big + 1).unwrap()
-        ]);
-        assert!(AmcRtb::new().is_schedulable(&alone));
-        assert!(AmcRtb::with_audsley().is_schedulable(&alone));
-        assert_eq!(
-            LoRta::compute(&alone),
-            Some(vec![Time::new(big)]),
-            "lone near-max task's LO response is its own budget"
-        );
-    }
-
-    #[test]
-    fn batched_rtb_matches_reference_on_grid() {
-        // Grid sweep: lane-kernel LO responses, rtb verdicts and rtb bounds
-        // must be bit-identical to the retained scalar reference.
-        for ch in 3..=8u64 {
-            for cl2 in 1..=4u64 {
-                for c3 in 1..=6u64 {
-                    let ts = set(vec![
-                        Task::hi(0, 12, 2, ch).unwrap(),
-                        Task::hi(1, 20, cl2, cl2 + 3).unwrap(),
-                        Task::lo(2, 15, c3).unwrap(),
-                    ]);
-                    assert_eq!(
-                        LoRta::compute(&ts),
-                        reference::lo_responses(&ts),
-                        "LO responses diverged on {ts}"
-                    );
-                    let verdict = reference::amc_rtb_is_schedulable(&ts);
-                    match amc_rtb_bounds(&ts) {
-                        None => assert!(!verdict, "lane LO failed on rtb-feasible {ts}"),
-                        Some((v, bounds)) => {
-                            assert_eq!(v, verdict, "rtb verdict diverged on {ts}");
-                            if v {
-                                for (i, t) in ts.as_slice().iter().enumerate() {
-                                    if t.criticality() == Criticality::High {
-                                        assert_eq!(
-                                            Some(bounds[i]),
-                                            reference::amc_rtb_response(&ts, i),
-                                            "rtb bound diverged for τ{i} of {ts}"
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn switch_candidates_cover_step_points() {
-        let ts = set(vec![
-            Task::lo(0, 7, 3).unwrap(),
-            Task::hi(1, 11, 1, 2).unwrap(),
-            Task::hi(2, 50, 5, 20).unwrap(),
-        ]);
-        let order = dm_order(&ts);
-        let lo = LoRta::compute_with_order(&ts, &order).unwrap();
-        // R^LO_2 = 5 + 3·⌈R/7⌉ + 1·⌈R/11⌉ converges at 13.
-        assert_eq!(lo[2], Time::new(13));
-        let ctx = AmcContext {
-            tasks: ts.as_slice(),
-            order: &order,
-            lo_resp: &lo,
-        };
-        let cands = ctx.switch_candidates(2);
-        assert!(cands.contains(&Time::ZERO));
-        // Multiples of 7 (LC period) below R^LO and 11 (HC deadline and
-        // period of τ1) below R^LO.
-        assert!(cands.contains(&Time::new(7)));
-        assert!(cands.contains(&Time::new(11)));
-        // Strictly below the LO response time.
-        assert!(cands.iter().all(|&c| c < lo[2]));
     }
 }

@@ -101,7 +101,7 @@ impl SchedulabilityTest for ClassicEdf {
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
         // Project straight into the demand kernel (no intermediate
         // vector): the exact QPA check over the flat projection is
-        // bit-identical to the seed `dbf::reference::check_lo_mode`.
+        // bit-identical to the seed `mcsched_oracle::dbf::check_lo_mode`.
         let kernel = &mut ws.demand;
         kernel.clear();
         for t in ts.iter() {

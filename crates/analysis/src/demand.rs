@@ -6,9 +6,10 @@
 //! layer ([`crate::incremental`]) call the demand checks of
 //! [`crate::dbf`] in tight loops where successive checks differ by a
 //! *single task's* virtual deadline (one greedy tightening move, possibly
-//! reverted) or by one pushed / popped task (an admission probe). The
-//! flat `total_dbf_* + qpa_check` API throws that structure away: every
-//! probe re-runs the full descending QPA fixpoint from the busy-window
+//! reverted) or by one pushed / popped task (an admission probe). A
+//! flat per-call check (the seed design, kept as a test oracle in the
+//! `mcsched-oracle` crate) throws that structure away: every probe
+//! re-runs the full descending QPA fixpoint from the busy-window
 //! bound, re-summing `dbf_LO` / `dbf_HI` over all tasks at every jump
 //! point. A [`DemandKernel`] instead *owns* the assignment and keeps
 //! enough exact state to answer the next check from the previous one.
@@ -30,7 +31,7 @@
 //!   [`dbf::dbf_lo`] terms). The batching that pays is
 //!   per *point* — one branch-free pass over all lanes; speculative
 //!   multi-point ladder passes were benchmarked a net loss (see
-//!   `DemandKernel::descend_fast`).
+//!   `DemandKernel::descend`).
 //! * **Violation anchors** — a bounded set of exact `(t, Σ dbf_LO(t))`
 //!   pairs at instants where earlier QPA descents found demand exceeding
 //!   supply. All memo arithmetic is integer ([`mcsched_model::Time`]),
@@ -64,9 +65,9 @@
 //!
 //! ## Why the shortcuts cannot change a verdict
 //!
-//! The kernel's answers are pinned bit-identical to the retained seed
-//! implementations ([`crate::dbf::reference`]) by `tests/demand_kernel.rs`;
-//! the arguments are:
+//! The kernel's answers are pinned bit-identical to the seed checks
+//! kept as test oracles in the `mcsched-oracle` crate (by
+//! `tests/demand_kernel.rs`); the arguments are:
 //!
 //! * **QPA reports the maximum violation.** For a nondecreasing demand
 //!   function, the descending fixpoint can never skip past the largest
@@ -191,7 +192,7 @@ impl Anchors {
 ///
 /// See the [module docs](self) for the delta-update contract and the
 /// soundness arguments. Verdicts (including violation witnesses) are
-/// bit-identical to the retained seed path in [`crate::dbf::reference`].
+/// bit-identical to the seed checks kept in the `mcsched-oracle` crate.
 ///
 /// # Example
 ///
@@ -472,30 +473,27 @@ impl DemandKernel {
         }
     }
 
-    /// Total low-mode demand at `t` (exact, clamped at `Time::MAX` like
-    /// [`crate::dbf::total_dbf_lo`] so the two stay bit-identical).
-    /// Routes to the certified `const FAST` lane sweep when licensed
-    /// (plain arithmetic, provably equal to the guarded route — see the
-    /// module docs and [`DemandSoa::fast`]).
+    /// Total demand of `mode` at `t` (exact, clamped at `Time::MAX` like
+    /// the seed's saturating per-task folds, so the two stay
+    /// bit-identical). Routes to the certified `const FAST` lane sweep
+    /// when licensed (plain arithmetic, provably equal to the guarded
+    /// route — see the module docs and [`DemandSoa::fast`]).
     #[inline]
-    fn eval_lo(&self, t: Time) -> Time {
-        let tt = t.as_ticks();
-        if self.lanes.fast() && tt < CERT_T_LIM {
-            Time::new(self.lo_block::<true>(tt))
+    fn eval(&self, mode: Mode, t: u64) -> u64 {
+        if self.lanes.fast() && t < CERT_T_LIM {
+            self.block::<true>(mode, t)
         } else {
-            Time::new(self.lo_block::<false>(tt))
+            self.block::<false>(mode, t)
         }
     }
 
-    /// Total high-mode demand at `t` (exact, clamped at `Time::MAX`),
-    /// routed like [`eval_lo`](Self::eval_lo).
-    #[inline]
-    fn eval_hi(&self, t: Time) -> Time {
-        let tt = t.as_ticks();
-        if self.lanes.fast() && tt < CERT_T_LIM {
-            Time::new(self.hi_block::<true>(tt))
-        } else {
-            Time::new(self.hi_block::<false>(tt))
+    /// One lane sweep of `mode`'s demand at `t`, routed like
+    /// [`lo_block`](Self::lo_block) / [`hi_block`](Self::hi_block).
+    #[inline(always)]
+    fn block<const FAST: bool>(&self, mode: Mode, t: u64) -> u64 {
+        match mode {
+            Mode::Lo => self.lo_block::<FAST>(t),
+            Mode::Hi => self.hi_block::<FAST>(t),
         }
     }
 
@@ -571,9 +569,9 @@ impl DemandKernel {
     /// exact-utilization-1, implicit-deadline, untightened case is
     /// accepted directly (plain EDF optimality). Certain overload
     /// (`U > 1`) reports a clamped (saturating) busy-window horizon as
-    /// its violation witness. Otherwise bit-identical to
-    /// [`crate::dbf::reference::check_lo_mode`] on the current
-    /// assignment.
+    /// its violation witness. Otherwise bit-identical to the seed
+    /// low-mode check (`mcsched_oracle::dbf::check_lo_mode`) on the
+    /// current assignment.
     pub fn check_lo(&mut self) -> DemandCheck {
         self.lo_check(true)
     }
@@ -634,7 +632,8 @@ impl DemandKernel {
         self.counters.cold += 1;
         let result = self.qpa(bound, Mode::Lo);
         if let DemandCheck::Violation(t) = result {
-            self.lo_anchors.record(t, self.eval_lo(t));
+            self.lo_anchors
+                .record(t, Time::new(self.eval(Mode::Lo, t.as_ticks())));
         }
         result
     }
@@ -642,12 +641,13 @@ impl DemandKernel {
     /// The exact high-mode check: `Σ_HC dbf_HI(t) ≤ t` for all `t` up to
     /// the busy-window bound `Σ_HC (C^H_i + u^H_i·(Ti − di)) / (1 − Σ u^H_i)`,
     /// with the overload clamping and typed early-reject of
-    /// [`check_lo`](Self::check_lo). Bit-identical to
-    /// [`crate::dbf::reference::check_hi_mode`] on the current assignment, with
-    /// the QPA stage warm-resumed from the previous fixpoint whenever
-    /// every **HC** virtual deadline moved only down (high-mode demand
-    /// only tightened) since the last check — LC deadlines never enter
-    /// the high-mode demand, so they cannot invalidate the memo.
+    /// [`check_lo`](Self::check_lo). Bit-identical to the seed
+    /// high-mode check (`mcsched_oracle::dbf::check_hi_mode`) on the
+    /// current assignment, with the QPA stage warm-resumed from the
+    /// previous fixpoint whenever every **HC** virtual deadline moved
+    /// only down (high-mode demand only tightened) since the last check
+    /// — LC deadlines never enter the high-mode demand, so they cannot
+    /// invalidate the memo.
     pub fn check_hi(&mut self) -> DemandCheck {
         if self.lanes.hc_len() == 0 {
             return DemandCheck::Ok;
@@ -714,7 +714,7 @@ impl DemandKernel {
         result
     }
 
-    /// The seed QPA descent ([`crate::dbf::reference`]'s `qpa_check`) with
+    /// The seed QPA descent (`qpa_check` in `mcsched_oracle::dbf`) with
     /// memo-assisted — but value-exact — demand evaluations.
     fn qpa(&mut self, bound: u64, mode: Mode) -> DemandCheck {
         // `h(0) > 0` is answered by the lanes' exact origin counters
@@ -732,13 +732,13 @@ impl DemandKernel {
             return DemandCheck::Ok;
         }
         // A descent only moves down, so `bound < 2^32` certifies every
-        // instant it will visit for the `const FAST` sweeps (the scalar
-        // route still upgrades per evaluation once `t` drops below the
-        // licence, via the `eval_*` dispatch).
+        // instant it will visit for the `const FAST` sweeps (the guarded
+        // instance still upgrades per evaluation once `t` drops below the
+        // licence, via [`eval`](Self::eval)).
         if self.lanes.fast() && bound < CERT_T_LIM {
-            self.descend_fast(bound, mode)
+            self.descend::<true>(bound, mode)
         } else {
-            self.descend(Time::new(bound), mode)
+            self.descend::<false>(bound, mode)
         }
     }
 
@@ -757,41 +757,14 @@ impl DemandKernel {
         k
     }
 
-    /// The descending fixpoint loop, starting at `t` (inclusive).
-    fn descend(&mut self, mut t: Time, mode: Mode) -> DemandCheck {
-        for _ in 0..QPA_BUDGET {
-            let d = self.eval(mode, t);
-            if d > t {
-                return DemandCheck::Violation(t);
-            }
-            if d.is_zero() {
-                return DemandCheck::Ok;
-            }
-            if d < t {
-                t = d;
-            } else {
-                if t == Time::ONE {
-                    return DemandCheck::Ok;
-                }
-                t -= Time::ONE;
-            }
-        }
-        DemandCheck::Unbounded
-    }
-
-    #[inline]
-    fn eval(&mut self, mode: Mode, t: Time) -> Time {
-        match mode {
-            Mode::Lo => self.eval_lo(t),
-            Mode::Hi => self.eval_hi(t),
-        }
-    }
-
-    /// The certificate-gated descending fixpoint: same chain, same
-    /// budget, same verdicts as [`descend`](Self::descend) (see the
-    /// module-docs soundness note), with every evaluation routed
-    /// straight to the `const FAST` lane sweep — no per-point licence
-    /// re-check, no enum dispatch through `eval`.
+    /// The descending QPA fixpoint loop, starting at `start`
+    /// (inclusive). The `FAST` instance evaluates every point straight
+    /// through the `const FAST` lane sweep — no per-point licence
+    /// re-check — and requires the caller to have checked
+    /// [`DemandSoa::fast`] and `start < 2^32` (a descent only moves
+    /// down); the guarded instance dispatches each point through
+    /// [`eval`](Self::eval). Same chain, same budget, same verdicts (see
+    /// the module-docs soundness note).
     ///
     /// An 8-wide ladder variant (one lane pass evaluating several
     /// adjacent candidate points, a walker consuming the scalar chain
@@ -801,15 +774,13 @@ impl DemandKernel {
     /// discarded slot costs exactly as much as a consumed one. The
     /// batching that pays is the lane sweep itself (all tasks per
     /// point, branch-free); the chain stays one point at a time.
-    ///
-    /// Licence: the caller checked [`DemandSoa::fast`] and
-    /// `start < 2^32`; a descent only moves down.
-    fn descend_fast(&mut self, start: u64, mode: Mode) -> DemandCheck {
+    fn descend<const FAST: bool>(&self, start: u64, mode: Mode) -> DemandCheck {
         let mut t = start;
         for _ in 0..QPA_BUDGET {
-            let d = match mode {
-                Mode::Lo => self.lo_block::<true>(t),
-                Mode::Hi => self.hi_block::<true>(t),
+            let d = if FAST {
+                self.block::<true>(mode, t)
+            } else {
+                self.eval(mode, t)
             };
             if d > t {
                 return DemandCheck::Violation(Time::new(t));
@@ -954,74 +925,6 @@ mod tests {
         }
     }
 
-    fn check_against_reference(kernel: &mut DemandKernel) {
-        let tasks = kernel.assignment().to_vec();
-        assert_eq!(
-            kernel.check_lo(),
-            dbf::reference::check_lo_mode(&tasks),
-            "lo diverged on {tasks:?}"
-        );
-        assert_eq!(
-            kernel.check_hi(),
-            dbf::reference::check_hi_mode(&tasks),
-            "hi diverged on {tasks:?}"
-        );
-        // The boolean fast path agrees with the exact check.
-        assert_eq!(
-            kernel.lo_feasible(),
-            dbf::reference::check_lo_mode(&tasks).is_ok()
-        );
-    }
-
-    #[test]
-    fn mutation_sequence_stays_reference_identical() {
-        let t0 = Task::hi(0, 10, 2, 4).unwrap();
-        let t1 = Task::lo(1, 12, 3).unwrap();
-        let t2 = Task::hi_constrained(2, 20, 3, 7, 16).unwrap();
-        let mut kernel = DemandKernel::new();
-        kernel.push_task(VdTask::untightened(t0));
-        check_against_reference(&mut kernel);
-        kernel.push_task(VdTask::untightened(t1));
-        check_against_reference(&mut kernel);
-        kernel.push_task(VdTask::untightened(t2));
-        check_against_reference(&mut kernel);
-        // Tighten, loosen, re-tighten: memo deltas must stay exact and
-        // the resume logic must only fire when sound.
-        for v in [8u64, 5, 3, 6, 2, 9, 4] {
-            kernel.replace_vd(0, Time::new(v.min(10)));
-            check_against_reference(&mut kernel);
-            kernel.replace_vd(2, Time::new((v + 3).min(16)));
-            check_against_reference(&mut kernel);
-        }
-        kernel.pop_task();
-        check_against_reference(&mut kernel);
-        kernel.push_task(vd(t2, 9));
-        check_against_reference(&mut kernel);
-    }
-
-    #[test]
-    fn reseed_preserves_memo_exactness() {
-        let tasks = [
-            vd(Task::hi(0, 10, 2, 5).unwrap(), 6),
-            VdTask::untightened(Task::lo(1, 15, 4).unwrap()),
-            vd(Task::hi(2, 25, 3, 8).unwrap(), 12),
-        ];
-        let mut kernel = DemandKernel::new();
-        kernel.load(&tasks);
-        let _ = kernel.check_lo();
-        let _ = kernel.check_hi();
-        kernel.reseed(|t| t.deadline());
-        check_against_reference(&mut kernel);
-        kernel.reseed(|t| {
-            if t.criticality().is_high() {
-                (t.deadline() - (t.wcet_hi() - t.wcet_lo())).max(t.wcet_lo())
-            } else {
-                t.deadline()
-            }
-        });
-        check_against_reference(&mut kernel);
-    }
-
     #[test]
     fn counters_observe_resume_and_anchors() {
         // A two-HC-task set seeded with overrun slack (so violations come
@@ -1056,52 +959,6 @@ mod tests {
         assert!(!kernel.lo_feasible());
         assert!(!kernel.lo_feasible());
         assert!(kernel.counters().anchor_hits >= 1);
-    }
-
-    #[test]
-    fn lifo_pop_restores_previous_answers() {
-        let base = [
-            vd(Task::hi(0, 10, 2, 4).unwrap(), 7),
-            VdTask::untightened(Task::lo(1, 20, 6).unwrap()),
-        ];
-        let mut kernel = DemandKernel::new();
-        kernel.load(&base);
-        let lo_before = kernel.check_lo();
-        let hi_before = kernel.check_hi();
-        kernel.push_task(vd(Task::hi(2, 8, 2, 5).unwrap(), 4));
-        check_against_reference(&mut kernel);
-        let popped = kernel.pop_task();
-        assert_eq!(popped.task.id().0, 2);
-        assert_eq!(kernel.check_lo(), lo_before);
-        assert_eq!(kernel.check_hi(), hi_before);
-    }
-
-    #[test]
-    fn lc_high_budget_adds_no_high_mode_demand() {
-        // An untightened LC task with `C^H > C^L` sits at `dist == 0`,
-        // but LC tasks are dropped at the switch: the `h_HI(0) > 0`
-        // pre-check must not count it, on any mutation path.
-        let lc = Task::builder(1)
-            .period(20)
-            .wcet_lo(2)
-            .wcet_hi(5)
-            .try_build()
-            .unwrap();
-        let tasks = [
-            vd(Task::hi(0, 10, 2, 4).unwrap(), 7),
-            VdTask::untightened(lc),
-        ];
-        let mut kernel = DemandKernel::new();
-        kernel.load(&tasks);
-        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
-        check_against_reference(&mut kernel);
-        kernel.pop_task();
-        kernel.push_task(tasks[1]);
-        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
-        kernel.reseed(|t| t.deadline());
-        kernel.replace_vd(0, Time::new(7));
-        assert_eq!(kernel.check_hi(), DemandCheck::Ok);
-        check_against_reference(&mut kernel);
     }
 
     #[test]
@@ -1177,8 +1034,8 @@ mod tests {
             assert!(kernel.lanes.fast(), "fixture must certify");
             for mode in [Mode::Lo, Mode::Hi] {
                 for start in [1u64, 2, 3, 7, 8, 9, 17, 40, 61, 200, 999, 5000] {
-                    let batched = kernel.descend_fast(start, mode);
-                    let scalar = kernel.descend(Time::new(start), mode);
+                    let batched = kernel.descend::<true>(start, mode);
+                    let scalar = kernel.descend::<false>(start, mode);
                     assert_eq!(batched, scalar, "start={start} {mode:?} {tasks:?}");
                 }
             }

@@ -78,7 +78,7 @@ pub mod workspace;
 
 pub use amc::{AmcMax, AmcRtb, AmcState, LoRta};
 pub use classic::{ClassicEdf, ClassicFp};
-pub use dbf::{DemandCheck, DemandCurve, VdTask};
+pub use dbf::{DemandCheck, VdTask};
 pub use demand::{DemandKernel, QpaCounters};
 pub use edfvd::{EdfVd, EdfVdState};
 pub use incremental::{AdmissionState, AdmissionStats, CloneRetestState, OneShot};

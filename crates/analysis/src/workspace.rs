@@ -626,18 +626,21 @@ pub struct AnalysisWorkspace {
     pub(crate) idx: Vec<usize>,
     /// Secondary index buffer (Audsley's lowest-priority-first order).
     pub(crate) idx2: Vec<usize>,
-    /// Union buffer for `committed ∪ {candidate}` workspaces.
+    /// Union buffer for `committed ∪ {candidate}`, built only by the
+    /// probes that re-analyse the whole union: AMC-rtb under Audsley's
+    /// OPA, and an `AmcState` whose cache is invalid (the full-analysis
+    /// fallback). Incremental DM probes read the lanes alone.
     pub(crate) tasks: Vec<Task>,
     /// Per-interferer step streams for the AMC-max candidate walk.
     pub(crate) streams: Vec<CandStream>,
     /// Per-hp-HC-task interference slots for the AMC-max candidate walk.
     pub(crate) hc: Vec<HcSlot>,
-    /// The AMC-rtb kernel's per-class position lists (HC positions in
-    /// the first half, LC positions in the second), grown to twice the
-    /// largest set analysed.
+    /// The AMC high-mode kernel's per-class position lists (HC
+    /// positions in the first half, LC positions in the second), grown
+    /// to twice the largest set analysed.
     pub(crate) rtb_pos: Vec<usize>,
     /// The one-shot AMC analysis (order / responses) — the workspace path
-    /// runs exactly the incremental layer's `analyze_into` over it.
+    /// runs exactly the incremental layer's `analyze_from` over it.
     pub(crate) amc: AmcCache,
     /// SoA lane view for the response-time lane kernels (the one-shot
     /// and Audsley paths; the incremental `AmcState`s keep their own

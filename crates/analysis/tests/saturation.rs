@@ -6,9 +6,10 @@
 //! this file aborted a debug build with "attempt to multiply with
 //! overflow" (or returned a wrapped — i.e. unsound — demand in release).
 
-use mcsched_analysis::dbf::{dbf_hi, dbf_lo, total_dbf_hi, total_dbf_lo, VdTask};
+use mcsched_analysis::dbf::{dbf_hi, dbf_lo, VdTask};
 use mcsched_analysis::{AmcMax, AmcRtb, LoRta, SchedulabilityTest};
 use mcsched_model::{Task, TaskSet, Time};
+use mcsched_oracle::dbf::{total_dbf_hi, total_dbf_lo};
 
 const BIG: u64 = 1 << 62;
 
@@ -64,12 +65,8 @@ fn response_time_iteration_survives_saturated_interference() {
     assert_eq!(LoRta::compute(&ts), None);
     assert!(!AmcRtb::new().is_schedulable(&ts));
     assert!(!AmcMax::new().is_schedulable(&ts));
-    assert!(!mcsched_analysis::amc::reference::amc_rtb_is_schedulable(
-        &ts
-    ));
-    assert!(!mcsched_analysis::amc::reference::amc_max_is_schedulable(
-        &ts
-    ));
+    assert!(!mcsched_oracle::amc::amc_rtb_is_schedulable(&ts));
+    assert!(!mcsched_oracle::amc::amc_max_is_schedulable(&ts));
 }
 
 #[test]
@@ -84,18 +81,14 @@ fn huge_but_feasible_scale_still_schedulable() {
     assert!(LoRta::compute(&ts).is_some());
     assert!(AmcRtb::new().is_schedulable(&ts));
     assert!(AmcMax::new().is_schedulable(&ts));
-    assert!(mcsched_analysis::amc::reference::amc_rtb_is_schedulable(
-        &ts
-    ));
-    assert!(mcsched_analysis::amc::reference::amc_max_is_schedulable(
-        &ts
-    ));
+    assert!(mcsched_oracle::amc::amc_rtb_is_schedulable(&ts));
+    assert!(mcsched_oracle::amc::amc_max_is_schedulable(&ts));
 }
 
 #[test]
 fn demand_kernel_guarded_route_matches_reference_at_scale() {
-    use mcsched_analysis::dbf::reference;
     use mcsched_analysis::DemandKernel;
+    use mcsched_oracle::dbf as reference;
     // Certificate-breaking parameters (≥ 2^32): the kernel must refuse
     // the fast lanes and answer through the guarded saturating route —
     // bit-identically to the seed reference.
@@ -157,8 +150,8 @@ fn demand_kernel_guarded_route_matches_reference_at_scale() {
 
 #[test]
 fn demand_certificate_flips_reversibly_under_probes() {
-    use mcsched_analysis::dbf::reference;
     use mcsched_analysis::DemandKernel;
+    use mcsched_oracle::dbf as reference;
     // A certified base set; pushing a 2^63-scale probe must drop to the
     // guarded route (with reference-identical answers), and popping it
     // must restore the fast certificate — the LIFO admission pattern.

@@ -27,13 +27,13 @@
 //!   shapes, verdicts asserted bit-identical before any measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mcsched_analysis::amc::reference;
-use mcsched_analysis::vdtune::reference as vd_reference;
 use mcsched_analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
 use mcsched_bench::{fixture_sets, midload_point, BENCH_SEED};
 use mcsched_exp::analysis_perf::uniprocessor_corpus;
 use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::TaskSet;
+use mcsched_oracle::amc as reference;
+use mcsched_oracle::vdtune as vd_reference;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn bench_tests(c: &mut Criterion) {

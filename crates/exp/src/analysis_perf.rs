@@ -3,30 +3,29 @@
 //! layer below `BENCH_partition.json`'s whole-partitioning trajectory).
 //!
 //! For each of the five tests and each processor count, a seeded corpus
-//! is judged twice:
+//! is judged twice per round, for [`ROUNDS`] rounds:
 //!
-//! * **reference** — the retained seed implementation: per-call
-//!   allocating vectors, for AMC-max the materialise + sort + dedup
-//!   candidate enumeration ([`mcsched_analysis::amc::reference`]), and
-//!   for EY / ECDF the flat per-call QPA stack
-//!   ([`mcsched_analysis::vdtune::reference`] over
-//!   [`mcsched_analysis::dbf::reference`]);
+//! * **reference** — the seed implementations kept as test oracles in
+//!   the `mcsched-oracle` crate: per-call allocating vectors, for AMC-max
+//!   the materialise + sort + dedup candidate enumeration
+//!   ([`mcsched_oracle::amc`]), and for EY / ECDF the flat per-call QPA
+//!   stack ([`mcsched_oracle::vdtune`] over [`mcsched_oracle::dbf`]);
 //! * **workspace** — the hot path:
 //!   [`SchedulabilityTest::is_schedulable_in`] over one reused
-//!   [`AnalysisWorkspace`]: streaming AMC-max candidates, and the
-//!   incremental demand kernel (warm-resumed QPA fixpoints, memoised
-//!   violation anchors) behind the EY / ECDF tuners.
+//!   [`AnalysisWorkspace`]: streaming AMC-max candidates over the SoA
+//!   lanes, and the incremental demand kernel (warm-resumed QPA
+//!   fixpoints, memoised violation anchors) behind the EY / ECDF tuners.
 //!
-//! Every verdict pair is **asserted equal** before it counts — a
-//! divergence panics, which is exactly what the `perf-analysis` CI job
-//! promotes into a failure.
+//! The rounds alternate which pass runs first, and a cell's speedup is
+//! the **median per-round ratio**, so one slow pass (a descheduled
+//! thread, a cold cache) cannot decide a gate. Every verdict pair of
+//! every round is **asserted equal** — a divergence panics, which is
+//! exactly what the `perf-analysis` CI job promotes into a failure.
 
-use mcsched_analysis::{
-    amc::reference, vdtune::reference as vd_reference, AmcMax, AmcRtb, AnalysisWorkspace, Ecdf,
-    EdfVd, Ey, SchedulabilityTest,
-};
+use mcsched_analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
 use mcsched_gen::{utilization_grid, DeadlineModel, TaskSetSpec};
 use mcsched_model::TaskSet;
+use mcsched_oracle::{amc as reference, vdtune as vd_reference};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::Serialize;
 use std::path::Path;
@@ -77,11 +76,14 @@ pub struct AnalysisPerfRow {
     pub tasks: usize,
     /// Sets the test accepted (identical on both paths — asserted).
     pub accepted: usize,
-    /// Wall-clock for the reference (seed) pass, in milliseconds.
+    /// Median wall-clock of the reference (seed) pass over the rounds,
+    /// in milliseconds.
     pub reference_ms: f64,
-    /// Wall-clock for the workspace (hot) pass, in milliseconds.
+    /// Median wall-clock of the workspace (hot) pass over the rounds, in
+    /// milliseconds.
     pub workspace_ms: f64,
-    /// `reference_ms / workspace_ms`.
+    /// The median per-round `reference / workspace` time ratio (not the
+    /// ratio of the two medians).
     pub speedup: f64,
 }
 
@@ -98,8 +100,8 @@ pub struct AnalysisPerfReport {
 }
 
 /// The reference (seed) verdict for one test — the allocating
-/// implementations the workspace layer replaced, retained verbatim in
-/// `amc::reference` / `vdtune::reference` for exactly this comparison.
+/// implementations the workspace layer replaced, kept verbatim in
+/// `mcsched-oracle` for exactly this comparison.
 /// (EDF-VD's closed form never allocated; its row doubles as a noise
 /// baseline.)
 fn reference_verdict(test: &TestCase, ts: &TaskSet) -> bool {
@@ -149,8 +151,12 @@ impl TestCase {
     }
 }
 
-/// Measures every test over seeded corpora for each `m`, asserting the
-/// workspace verdicts bit-identical to the reference pass.
+/// Timed rounds per `(test, m)` cell. Odd, so the median is one round.
+pub const ROUNDS: usize = 7;
+
+/// Measures every test over seeded corpora for each `m` in [`ROUNDS`]
+/// rounds, asserting the workspace verdicts bit-identical to the
+/// reference pass in every round.
 ///
 /// # Panics
 ///
@@ -163,43 +169,40 @@ pub fn analysis_throughput(m_values: &[usize], sets: usize, seed: u64) -> Analys
         let tasks: usize = corpus.iter().map(TaskSet::len).sum();
         for case in TestCase::all() {
             let test = case.as_test();
-
-            // Reference pass (allocating seed implementations).
-            let start = Instant::now();
-            let ref_verdicts: Vec<bool> = corpus
-                .iter()
-                .map(|ts| reference_verdict(&case, ts))
-                .collect();
-            let reference_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            // Workspace pass: one reused workspace, as a sweep worker runs.
+            // One reused workspace, as a sweep worker runs.
             let mut ws = AnalysisWorkspace::new();
-            let start = Instant::now();
-            let ws_verdicts: Vec<bool> = corpus
-                .iter()
-                .map(|ts| test.is_schedulable_in(ts, &mut ws))
-                .collect();
-            let workspace_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            assert_eq!(
-                ref_verdicts,
-                ws_verdicts,
-                "{} workspace verdicts diverged from the seed reference (m={m})",
-                test.name()
-            );
+            let reference_pass = || timed(&corpus, |ts| reference_verdict(&case, ts));
+            let mut workspace_pass = || timed(&corpus, |ts| test.is_schedulable_in(ts, &mut ws));
+            let (mut ref_ms, mut ws_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+            let mut accepted = 0;
+            for round in 0..ROUNDS {
+                let ((ref_verdicts, r), (ws_verdicts, w)) = if round % 2 == 0 {
+                    let first = reference_pass();
+                    (first, workspace_pass())
+                } else {
+                    let first = workspace_pass();
+                    (reference_pass(), first)
+                };
+                assert_eq!(
+                    ref_verdicts,
+                    ws_verdicts,
+                    "{} workspace verdicts diverged from the seed reference (m={m}, round {round})",
+                    test.name()
+                );
+                accepted = ws_verdicts.iter().filter(|&&ok| ok).count();
+                ratios.push(if w > 0.0 { r / w } else { f64::INFINITY });
+                ref_ms.push(r);
+                ws_ms.push(w);
+            }
             rows.push(AnalysisPerfRow {
                 test: test.name().to_owned(),
                 m,
                 sets: corpus.len(),
                 tasks,
-                accepted: ws_verdicts.iter().filter(|&&ok| ok).count(),
-                reference_ms,
-                workspace_ms,
-                speedup: if workspace_ms > 0.0 {
-                    reference_ms / workspace_ms
-                } else {
-                    f64::INFINITY
-                },
+                accepted,
+                reference_ms: median(ref_ms),
+                workspace_ms: median(ws_ms),
+                speedup: median(ratios),
             });
         }
     }
@@ -208,6 +211,20 @@ pub fn analysis_throughput(m_values: &[usize], sets: usize, seed: u64) -> Analys
         sets_per_cell: sets,
         rows,
     }
+}
+
+/// One timed pass: judges `sets` with `verdict`, returning the verdicts
+/// and the wall-clock in milliseconds.
+fn timed(sets: &[TaskSet], verdict: impl FnMut(&TaskSet) -> bool) -> (Vec<bool>, f64) {
+    let start = Instant::now();
+    let verdicts = sets.iter().map(verdict).collect();
+    (verdicts, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The median of a non-empty sample (the upper middle for even sizes).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Parses a `TEST:MIN` speedup gate (e.g. `AMC-rtb:1.5`).

@@ -4,6 +4,7 @@
 use mcsched::analysis::dbf::{self, VdTask};
 use mcsched::analysis::{AmcMax, DemandKernel, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest};
 use mcsched::model::{Task, TaskSet, Time};
+use mcsched_oracle::dbf::DemandCurve;
 use proptest::prelude::*;
 
 /// The kernel's checks of a freshly loaded assignment.
@@ -133,7 +134,7 @@ proptest! {
             vt
         }).collect();
         let qpa = checks(&tasks).0;
-        let brute = dbf::DemandCurve::lo_mode(&tasks, 400).first_violation();
+        let brute = DemandCurve::lo_mode(&tasks, 400).first_violation();
         match (qpa, brute) {
             (dbf::DemandCheck::Ok, None) => {},
             (dbf::DemandCheck::Violation(_), Some(_)) => {},
@@ -156,7 +157,7 @@ proptest! {
             vt
         }).collect();
         let qpa = checks(&tasks).1;
-        let brute = dbf::DemandCurve::hi_mode(&tasks, 400).first_violation();
+        let brute = DemandCurve::hi_mode(&tasks, 400).first_violation();
         match (qpa, brute) {
             (dbf::DemandCheck::Ok, None) => {},
             (dbf::DemandCheck::Violation(_), Some(_)) => {},

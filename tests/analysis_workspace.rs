@@ -9,13 +9,14 @@
 //! * both hold across unconstrained proptest sets *and* a deterministic
 //!   generator-shaped corpus.
 
-use mcsched::analysis::amc::{amc_rtb_bounds, reference};
-use mcsched::analysis::vdtune::reference as vd_reference;
+use mcsched::analysis::amc::{amc_max_bound_streamed, amc_max_candidates_streamed, amc_rtb_bounds};
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
+use mcsched_oracle::amc as reference;
+use mcsched_oracle::vdtune as vd_reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,12 +112,12 @@ fn assert_workspace_equivalent(ts: &TaskSet, ws: &mut AnalysisWorkspace) -> usiz
     let mut compared = 0;
     for i in 0..ts.len() {
         assert_eq!(
-            reference::amc_max_candidates_streamed(ts, i),
+            amc_max_candidates_streamed(ts, i),
             reference::amc_max_candidates(ts, i),
             "candidate sets diverged for τ{i} of {ts}"
         );
         assert_eq!(
-            reference::amc_max_bound_streamed(ts, i),
+            amc_max_bound_streamed(ts, i),
             reference::amc_max_bound(ts, i),
             "response bounds diverged for τ{i} of {ts}"
         );

@@ -3,7 +3,7 @@
 //!
 //! * a freshly loaded kernel's `check_lo` / `check_hi` return the same
 //!   [`DemandCheck`] — verdict *and* violation witness — as the verbatim
-//!   seed implementations in `dbf::reference`;
+//!   seed implementations in `mcsched_oracle::dbf`;
 //! * a kernel driven through arbitrary mutation sessions (`replace_vd`
 //!   tighten/loosen cycles, `push_task`/`pop_task`) answers every check
 //!   identically to a from-scratch seed analysis of its current
@@ -11,16 +11,17 @@
 //!   anchor shortcuts);
 //! * the kernel-backed EY / ECDF tuners return bit-identical verdicts
 //!   *and* bit-identical chosen virtual-deadline assignments to the seed
-//!   tuners in `vdtune::reference`;
+//!   tuners in `mcsched_oracle::vdtune`;
 //! * all of the above hold across unconstrained proptest sets *and* a
 //!   deterministic generator-shaped corpus of ≥ 200 sets judged through
 //!   one long-lived workspace.
 
-use mcsched::analysis::dbf::{self, VdTask};
-use mcsched::analysis::vdtune::reference as vd_reference;
+use mcsched::analysis::dbf::VdTask;
 use mcsched::analysis::{AnalysisWorkspace, DemandKernel, Ecdf, Ey, SchedulabilityTest};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet, Time};
+use mcsched_oracle::dbf as reference;
+use mcsched_oracle::vdtune as vd_reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,12 +97,12 @@ fn assert_checks_equivalent(tasks: &[VdTask]) {
     kernel.load(tasks);
     assert_eq!(
         kernel.check_lo(),
-        dbf::reference::check_lo_mode(tasks),
+        reference::check_lo_mode(tasks),
         "lo-mode check diverged on {tasks:?}"
     );
     assert_eq!(
         kernel.check_hi(),
-        dbf::reference::check_hi_mode(tasks),
+        reference::check_hi_mode(tasks),
         "hi-mode check diverged on {tasks:?}"
     );
 }
@@ -146,17 +147,17 @@ fn exercise_kernel(tasks: &[VdTask], steps: &[(usize, u8)]) {
         let current = k.assignment().to_vec();
         assert_eq!(
             k.check_lo(),
-            dbf::reference::check_lo_mode(&current),
+            reference::check_lo_mode(&current),
             "kernel lo diverged on {current:?}"
         );
         assert_eq!(
             k.check_hi(),
-            dbf::reference::check_hi_mode(&current),
+            reference::check_hi_mode(&current),
             "kernel hi diverged on {current:?}"
         );
         assert_eq!(
             k.lo_feasible(),
-            dbf::reference::check_lo_mode(&current).is_ok(),
+            reference::check_lo_mode(&current).is_ok(),
             "kernel lo fast path diverged on {current:?}"
         );
     };

@@ -183,3 +183,32 @@ fn lc_high_budget_does_not_flip_demand_verdicts() {
         }
     }
 }
+
+#[test]
+fn amc_max_keeps_its_walk_bound_when_the_rtb_cap_misses_the_deadline() {
+    // τ2's AMC-rtb fixpoint reaches 52, past its deadline of 48, so the
+    // AMC-max cap takes its `None` arm and the switch-instant walk's own
+    // bound (at most 37) stands: AMC-max accepts on one processor,
+    // AMC-rtb rejects τ2.
+    let registry = AlgorithmRegistry::standard();
+    let tasks = r#"[{"id":0,"period":15,"wcet_lo":5},{"id":1,"period":20,"criticality":"HI","wcet_lo":2,"wcet_hi":10,"deadline":14},{"id":2,"period":60,"criticality":"HI","wcet_lo":9,"wcet_hi":12,"deadline":48}]"#;
+    for (algorithm, schedulable, rejected) in [
+        ("CU-UDP-AMC-max", true, None),
+        ("CU-UDP-AMC-rtb", false, Some(2)),
+    ] {
+        let request = format!(r#"{{"algorithm":"{algorithm}","m":1,"tasks":{tasks}}}"#);
+        let (verdict, errored) = handle_request_line(&registry, &request);
+        assert!(!errored, "{verdict}");
+        let verdict = serde_json::parse_value(&verdict).unwrap();
+        assert_eq!(
+            verdict.get("schedulable").and_then(Value::as_bool),
+            Some(schedulable),
+            "{algorithm}"
+        );
+        assert_eq!(
+            verdict.get("rejected_task").and_then(Value::as_u64),
+            rejected,
+            "{algorithm}"
+        );
+    }
+}
