@@ -24,8 +24,12 @@
 //!   frozen at `(⌊s/Tj⌋+1)·C^L_j`, and of the `⌈R/Tk⌉` hp-HC jobs those
 //!   whose deadlines precede `s` — `M(k,s) = (⌊(s−Dk)/Tk⌋+1)₊` of them —
 //!   must already have completed and are charged at `C^L_k`, the rest at
-//!   `C^H_k`. The final bound takes the best of AMC-max and AMC-rtb, so
-//!   AMC-max dominates AMC-rtb by construction (as published).
+//!   `C^H_k`. At every visited instant `s < R^LO_i` this charges no more
+//!   than AMC-rtb does (`⌊s/Tj⌋+1 ≤ ⌈R^LO_i/Tj⌉` LC jobs, and `C^L_k ≤
+//!   C^H_k` per completed hp-HC job), so each instant's fixpoint is at
+//!   most the AMC-rtb bound and AMC-max dominates AMC-rtb with no rtb
+//!   cap. (The seed oracle in `mcsched-oracle` still takes the minimum
+//!   of the two; it never binds.)
 //!
 //! # Lane evaluation
 //!
@@ -43,11 +47,11 @@
 //! interference `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
 //! depends only on the already-fixed low-mode response) and then
 //! touches only the hp-HC positions; AMC-max through the streaming
-//! switch-instant walk over the same lists, capped by that same rtb
-//! fixpoint. Each kernel has one body, monomorphised on the fast-kernel
-//! certificate (`SoaTasks::fast`): the certified instance drops the
-//! saturation guards and the reciprocal fixup, which the certificate
-//! proves are no-ops.
+//! switch-instant walk over the same lists. The low-mode and rtb kernels
+//! each have one body, monomorphised on the fast-kernel certificate
+//! (`SoaTasks::fast`): the certified instance drops the saturation
+//! guards and the reciprocal fixup, which the certificate proves are
+//! no-ops.
 //!
 //! # Seeding soundness
 //!
@@ -341,12 +345,11 @@ fn lo_rta_kernel<const FAST: bool>(
 
 /// The high-mode bounds of the HC tasks at positions `from..`, one task
 /// at a time: the AMC-rtb fixpoint for [`AmcVariant::RtbDm`], the
-/// switch-instant walk capped by that same fixpoint for
-/// [`AmcVariant::Max`]. Seeding (AMC-rtb reads `hi_resp` on entry,
-/// `None` as 0) and saturation are as in [`lo_rta`]; `hp` is scratch
-/// for [`walk_hc`]'s position lists and `streams` / `slots` for the
-/// AMC-max candidate walk. Returns `false` at the first HC task without
-/// a bound within its deadline.
+/// switch-instant walk for [`AmcVariant::Max`]. Seeding (AMC-rtb reads
+/// `hi_resp` on entry, `None` as 0) and saturation are as in [`lo_rta`];
+/// `hp` is scratch for [`walk_hc`]'s position lists and `streams` /
+/// `slots` for the AMC-max candidate walk. Returns `false` at the first
+/// HC task without a bound within its deadline.
 #[allow(clippy::too_many_arguments)]
 fn hi_bounds(
     variant: AmcVariant,
@@ -359,52 +362,42 @@ fn hi_bounds(
     slots: &mut Vec<HcSlot>,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
-    // Same certificate-driven monomorphisation as [`lo_rta`].
-    if soa.fast() {
-        hi_kernel::<true>(
-            variant, soa, order, from, lo_resp, hp, streams, slots, hi_resp,
-        )
-    } else {
-        hi_kernel::<false>(
-            variant, soa, order, from, lo_resp, hp, streams, slots, hi_resp,
-        )
-    }
-}
-
-/// The monomorphised body of [`hi_bounds`].
-#[allow(clippy::too_many_arguments)]
-fn hi_kernel<const FAST: bool>(
-    variant: AmcVariant,
-    soa: &SoaTasks,
-    order: &[usize],
-    from: usize,
-    lo_resp: &[Time],
-    hp: &mut Vec<usize>,
-    streams: &mut Vec<CandStream>,
-    slots: &mut Vec<HcSlot>,
-    hi_resp: &mut [Option<Time>],
-) -> bool {
-    // One walk per variant, so each instance runs a branch-free body.
     match variant {
-        AmcVariant::RtbDm => walk_hc(soa, from, hp, |p, hj, lj, below| {
+        // Same certificate-driven monomorphisation as [`lo_rta`].
+        AmcVariant::RtbDm if soa.fast() => {
+            rtb_kernel::<true>(soa, order, from, lo_resp, hp, hi_resp)
+        }
+        AmcVariant::RtbDm => rtb_kernel::<false>(soa, order, from, lo_resp, hp, hi_resp),
+        AmcVariant::Max => walk_hc(soa, from, hp, |p, hj, lj, _| {
             let i = order[p];
-            let seed = hi_resp[i].map_or(0, Time::as_ticks);
-            let bound = rtb_at::<FAST>(soa, p, hj, lj, below, lo_resp[i].as_ticks(), seed);
-            store(&mut hi_resp[i], bound)
-        }),
-        AmcVariant::Max => walk_hc(soa, from, hp, |p, hj, lj, below| {
-            let i = order[p];
-            let lo_cap = lo_resp[i].as_ticks();
-            let bound = max_bound_at::<FAST>(soa, p, hj, lj, below, lo_cap, streams, slots);
+            let bound = max_bound_at(soa, p, hj, lj, lo_resp[i].as_ticks(), streams, slots);
             store(&mut hi_resp[i], bound)
         }),
         AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
     }
 }
 
+/// The AMC-rtb body of [`hi_bounds`], monomorphised on the fast-kernel
+/// certificate.
+fn rtb_kernel<const FAST: bool>(
+    soa: &SoaTasks,
+    order: &[usize],
+    from: usize,
+    lo_resp: &[Time],
+    hp: &mut Vec<usize>,
+    hi_resp: &mut [Option<Time>],
+) -> bool {
+    walk_hc(soa, from, hp, |p, hj, lj, below| {
+        let i = order[p];
+        let seed = hi_resp[i].map_or(0, Time::as_ticks);
+        let bound = rtb_at::<FAST>(soa, p, hj, lj, below, lo_resp[i].as_ticks(), seed);
+        store(&mut hi_resp[i], bound)
+    })
+}
+
 /// Stores a high-mode bound found within the deadline (every bound
-/// is: each fixpoint it takes — the rtb fixpoint, every switch
-/// instant's — gives up past it); `false` when there is none.
+/// is: the rtb fixpoint and every switch instant's fixpoint give up
+/// past it); `false` when there is none.
 #[inline(always)]
 fn store(slot: &mut Option<Time>, bound: Option<u64>) -> bool {
     if let Some(r) = bound {
@@ -462,8 +455,7 @@ fn walk_hc(
 /// `lo_cap`, so it is folded once and each sweep touches only the hp-HC
 /// positions. The iteration starts at `max(C^H_p, seed, C^H_p + below +
 /// LC charge)`, where `seed` must be a sound lower bound (0 when
-/// unknown; see the module docs). The one fixpoint behind both the
-/// AMC-rtb bound and the AMC-max cap.
+/// unknown; see the module docs).
 #[inline(always)]
 fn rtb_at<const FAST: bool>(
     soa: &SoaTasks,
@@ -550,24 +542,23 @@ pub(crate) struct HcSlot {
 }
 
 /// The AMC-max bound of the task at position `p` (higher-priority
-/// positions split into `hj` / `lj`, `below` and `lo_cap` as in
-/// [`rtb_at`]): the worst response over all switch instants, capped by
-/// the AMC-rtb bound, or `None` when some instant is infeasible.
+/// positions split into `hj` / `lj` and `lo_cap` as in [`rtb_at`]): the
+/// worst response over all switch instants, or `None` when some instant
+/// is infeasible. No instant charges more than AMC-rtb (see the module
+/// docs), so the bound never exceeds the AMC-rtb bound.
 ///
 /// Candidate switch instants are walked by [`fold_candidates`]'s
 /// streaming k-way merge instead of materialising, sorting and
 /// deduplicating them; the per-candidate interference is delta-updated
 /// as streams fire, so each fixpoint iteration only pays one `⌈r/T⌉`
 /// per higher-priority HC task and nothing at all for LC tasks. The
-/// visited instants, every fixpoint and the cap are identical to the
-/// seed implementation in `mcsched-oracle`.
-#[allow(clippy::too_many_arguments)]
-fn max_bound_at<const FAST: bool>(
+/// visited instants and every fixpoint are identical to the seed
+/// implementation in `mcsched-oracle`, whose rtb cap never binds.
+fn max_bound_at(
     soa: &SoaTasks,
     p: usize,
     hj: &[usize],
     lj: &[usize],
-    below: u64,
     lo_cap: u64,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
@@ -575,7 +566,7 @@ fn max_bound_at<const FAST: bool>(
     let (ch, dl) = (soa.wcet_hi[p], soa.deadline[p]);
     // max over switch instants; infeasible at any instant → None.
     let mut prev_lc = None;
-    let worst = fold_candidates(
+    fold_candidates(
         soa,
         hj,
         lj,
@@ -599,12 +590,7 @@ fn max_bound_at<const FAST: bool>(
             let r = max_response_at(ch, dl, lc, slots)?;
             Some(worst.max(r))
         },
-    )?;
-    // AMC-max result never needs to be worse than AMC-rtb.
-    match rtb_at::<FAST>(soa, p, hj, lj, below, lo_cap, 0) {
-        Some(rtb) => Some(worst.min(rtb)),
-        None => Some(worst),
-    }
+    )
 }
 
 /// AMC-max response at one switch instant, from the walk's running
@@ -1419,7 +1405,7 @@ pub fn amc_rtb_bounds(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)> {
 #[doc(hidden)]
 // mclint: cold — equivalence-suite witness; materialises for comparison only
 pub fn amc_max_candidates_streamed(ts: &TaskSet, task_index: usize) -> Option<Vec<Time>> {
-    with_lanes_at(ts, task_index, |soa, _, hj, lj, _, r_lo, streams, slots| {
+    with_lanes_at(ts, task_index, |soa, _, hj, lj, r_lo, streams, slots| {
         fold_candidates(
             soa,
             hj,
@@ -1437,28 +1423,19 @@ pub fn amc_max_candidates_streamed(ts: &TaskSet, task_index: usize) -> Option<Ve
     })
 }
 
-/// The streaming AMC-max response bound of `task_index`, rtb cap
-/// included; outer `None` when the set fails low-mode RTA, inner `None`
-/// when some switch instant is infeasible. Must equal the seed bound
+/// The streaming AMC-max response bound of `task_index`; outer `None`
+/// when the set fails low-mode RTA, inner `None` when some switch
+/// instant is infeasible. Must equal the seed bound (rtb cap included)
 /// exactly.
 #[doc(hidden)]
 // mclint: cold — equivalence-suite witness; allocates its position lists per call
 pub fn amc_max_bound_streamed(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
-    with_lanes_at(
-        ts,
-        task_index,
-        |soa, p, hj, lj, below, r_lo, streams, slots| {
-            let bound = if soa.fast() {
-                max_bound_at::<true>(soa, p, hj, lj, below, r_lo, streams, slots)
-            } else {
-                max_bound_at::<false>(soa, p, hj, lj, below, r_lo, streams, slots)
-            };
-            bound.map(Time::new)
-        },
-    )
+    with_lanes_at(ts, task_index, |soa, p, hj, lj, r_lo, streams, slots| {
+        max_bound_at(soa, p, hj, lj, r_lo, streams, slots).map(Time::new)
+    })
 }
 
-/// Runs `f(soa, p, hj, lj, below, r_lo, streams, slots)` for the task
+/// Runs `f(soa, p, hj, lj, r_lo, streams, slots)` for the task
 /// `task_index` of `ts` at its DM position `p`, over the lanes and the
 /// low-mode responses of the hot path; `None` when low-mode RTA fails.
 // mclint: cold — witness plumbing; allocates the position lists per call
@@ -1470,7 +1447,6 @@ fn with_lanes_at<R>(
         usize,
         &[usize],
         &[usize],
-        u64,
         u64,
         &mut Vec<CandStream>,
         &mut Vec<HcSlot>,
@@ -1490,11 +1466,8 @@ fn with_lanes_at<R>(
         }
         let p = amc.order.iter().position(|&i| i == task_index)?;
         let (hj, lj): (Vec<usize>, Vec<usize>) = (0..p).partition(|&j| soa.hc[j]);
-        let below = hj
-            .iter()
-            .fold(0u64, |acc, &j| acc.saturating_add(soa.wcet_hi[j]));
         let r_lo = amc.lo_resp[task_index].as_ticks();
-        Some(f(soa, p, &hj, &lj, below, r_lo, streams, hc))
+        Some(f(soa, p, &hj, &lj, r_lo, streams, hc))
     })
 }
 

@@ -26,9 +26,9 @@
 //! shared worker-pool substrate; the [`server`] accept pool is the only
 //! other thread spawner in the workspace).
 //!
-//! The binary `mcexp` drives everything, including the one-shot JSONL
-//! verdict stream ([`service`]) and the persistent admission-control
-//! server ([`server`] + [`protocol`], benchmarked by [`bench_service`]):
+//! The binary `mcexp` drives everything, including the admission-control
+//! server ([`server`] + [`protocol`] + [`service`], benchmarked by
+//! [`bench_service`]), which `mcexp eval` runs over stdin/stdout:
 //!
 //! ```text
 //! mcexp sweep --fig 3 --sets 200 --seed 42 --out results/
@@ -63,5 +63,4 @@ pub use algorithms::{fig3_lineup, fig4_lineup, perf_lineup, AlgoBox};
 pub use analysis_perf::{analysis_throughput, AnalysisPerfReport, AnalysisPerfRow};
 pub use engine::{run_batch, Accumulator, Batch, Evaluator};
 pub use perf::{partition_throughput, PerfReport, PerfRow};
-pub use service::{handle_request_line, run_eval};
 pub use sweep::{AcceptanceCurve, SweepConfig, SweepResult};

@@ -1,6 +1,6 @@
 //! `mcexp` — regenerate the figures of the DATE 2017 UDP partitioning
-//! paper, answer one-off schedulability requests, and serve persistent
-//! admission-control sessions.
+//! paper and serve admission control: `eval` over stdin/stdout or files,
+//! `serve` over TCP.
 //!
 //! ```text
 //! mcexp sweep --fig 3 [--m 2,4,8] [--sets N] [--seed S] [--threads T] [--out DIR]
@@ -8,7 +8,7 @@
 //! mcexp perf [--json FILE]        # partition throughput (BENCH_partition.json)
 //! mcexp analysis [--json FILE] [--gate TEST:MIN]  # per-test throughput
 //!                                 # (BENCH_analysis.json, gated speedups)
-//! mcexp eval [--input FILE] [--output FILE]   # JSONL request/response
+//! mcexp eval [--input FILE] [--output FILE]   # one connection over stdio
 //! mcexp serve [--addr H:P] [--workers N] [--queue N] [--idle-secs S]
 //!             [--max-requests N] [--allow-shutdown]
 //!             [--journal FILE] [--recover]
@@ -45,10 +45,9 @@ use mcsched_exp::headline::{headlines, render_headlines};
 use mcsched_exp::isolation::{isolation_experiment, render_isolation};
 use mcsched_exp::perf::{partition_throughput, render_perf, write_perf_json};
 use mcsched_exp::report::{render_table, write_csv};
-use mcsched_exp::server::{Server, ServerConfig};
-use mcsched_exp::service::run_eval;
+use mcsched_exp::server::{serve_connection, Server, ServerConfig};
 use mcsched_exp::sweep::default_threads;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -426,7 +425,7 @@ subcommands:
                             each --gate fails the run (exit 1) if TEST's
                             speedup over the reference pass drops below MIN
                             at any measured m (e.g. --gate AMC-rtb:1.5)
-  eval [--input F] [--output F]   one-shot JSONL verdicts (stdin/stdout)
+  eval [--input F] [--output F]   one server connection over stdin/stdout
   serve [--addr H:P] [--workers N] [--queue N] [--idle-secs S]
         [--max-requests N] [--allow-shutdown] [--journal FILE] [--recover]
                             persistent admission-control server (JSONL/TCP);
@@ -452,11 +451,12 @@ subcommands:
 
 shared options: --m 2,4,8  --sets N  --seed S  --threads T  --out DIR
 
-eval mode: read JSONL schedulability requests (one JSON object per line,
-from --input or stdin) and stream one JSON verdict per line (to --output
-or stdout). A request names any registered algorithm ("<strategy>-<test>",
-e.g. CU-UDP-EDF-VD, CA-UDP-AMC, ECA-Wu-F-EY); unknown names are answered
-with an error listing every registered name. Example request line:
+eval mode: serve one protocol-v1 connection (see serve mode) over --input
+or stdin and --output or stdout, with no frame size cap and no timeout;
+exit 1 on a read or write failure. An eval request names any registered
+algorithm ("<strategy>-<test>", e.g. CU-UDP-EDF-VD, CA-UDP-AMC, ECA-Wu-F-EY);
+unknown names are answered with an error listing every registered name.
+Example request line:
 
   {"algorithm":"CU-UDP-EDF-VD","m":2,"tasks":[{"id":0,"period":10,"criticality":"HI","wcet_lo":2,"wcet_hi":4},{"id":1,"period":20,"wcet_lo":6}]}
 
@@ -489,25 +489,63 @@ fn run_panel_figure(
     }
 }
 
-/// Runs `mcexp eval`: JSONL requests in, JSON verdicts out.
-fn run_eval_mode(args: &Args) -> std::io::Result<()> {
-    let registry = AlgorithmRegistry::standard();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let input: Box<dyn std::io::BufRead> = match &args.input {
-        Some(path) => Box::new(BufReader::new(std::fs::File::open(path)?)),
-        None => Box::new(stdin.lock()),
+/// Runs `mcexp eval`: one server connection over the input and output
+/// streams, with no frame cap, request cap or timeout (a batch file is
+/// neither a slow nor a hostile peer).
+fn run_eval_mode(args: &Args) -> io::Result<()> {
+    let input: Box<dyn Read> = match &args.input {
+        Some(path) => Box::new(std::fs::File::open(path)?),
+        None => Box::new(io::stdin().lock()),
     };
     let output: Box<dyn Write> = match &args.output {
         Some(path) => Box::new(BufWriter::new(std::fs::File::create(path)?)),
-        None => Box::new(stdout.lock()),
+        None => Box::new(io::stdout().lock()),
     };
-    let summary = run_eval(&registry, input, output)?;
-    eprintln!(
-        "[mcexp] eval: {} request(s), {} error verdict(s)",
-        summary.requests, summary.errors
-    );
+    let config = ServerConfig {
+        max_frame_len: usize::MAX,
+        max_requests: u64::MAX,
+        idle_timeout: None,
+        frame_deadline: None,
+        ..ServerConfig::default()
+    };
+    let (mut input, mut output) = (KeepErr(input, None), KeepErr(output, None));
+    let registry = AlgorithmRegistry::standard();
+    let stats = serve_connection(&registry, &config, &mut input, &mut output);
+    let _ = output.flush();
+    if let Some(e) = input.1.or(output.1) {
+        return Err(e);
+    }
+    let (requests, errors) = (stats.requests, stats.errors);
+    eprintln!("[mcexp] eval: {requests} request(s), {errors} error verdict(s)");
     Ok(())
+}
+
+/// A stream that keeps its first I/O error: the connection loop ends on
+/// a failed read or write without saying why, and `mcexp eval` exits 1.
+/// (No signal handler is installed, so no call fails as `Interrupted`.)
+struct KeepErr<T>(T, Option<io::Error>);
+
+fn keep<V>(first: &mut Option<io::Error>, result: io::Result<V>) -> io::Result<V> {
+    if let Err(e) = &result {
+        first.get_or_insert_with(|| io::Error::new(e.kind(), e.to_string()));
+    }
+    result
+}
+
+impl<R: Read> Read for KeepErr<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        keep(&mut self.1, self.0.read(buf))
+    }
+}
+
+impl<W: Write> Write for KeepErr<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        keep(&mut self.1, self.0.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        keep(&mut self.1, self.0.flush())
+    }
 }
 
 /// Runs `mcexp serve`: the persistent admission-control server. Blocks

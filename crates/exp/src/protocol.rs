@@ -1,5 +1,5 @@
-//! The versioned JSONL wire protocol shared by `mcexp eval` (one-shot)
-//! and `mcexp serve` (persistent sessions).
+//! The versioned JSONL wire protocol of the server's connections: over
+//! TCP (`mcexp serve`) and over stdin/stdout (`mcexp eval`).
 //!
 //! One JSON object per line in both directions. Every request may carry
 //! two optional envelope fields:
@@ -15,9 +15,8 @@
 //! is the legacy batch-eval shape that predates this module
 //! (`{"algorithm", "m", "tasks"}` — see [`EvalRequest`]); it keeps
 //! parsing unchanged, forever. The session verbs (`open_session`,
-//! `admit`, `remove`, `query`, `close`, `shutdown`) only make sense on a
-//! persistent connection and are rejected by the one-shot service with a
-//! pointer at `mcexp serve`.
+//! `admit`, `remove`, `query`, `close`, `shutdown`) act on the
+//! connection's session, on either transport.
 //!
 //! Replies always carry `"type"` (`eval`, `session`, `admit`, `remove`,
 //! `query`, `closed`, `overload`, `error`), `"v"`, and the echoed

@@ -1,7 +1,7 @@
-//! The persistent admission-control server behind `mcexp serve`.
+//! The admission-control server behind `mcexp serve` and `mcexp eval`.
 //!
-//! Where `mcexp eval` judges frozen task sets one line at a time, the
-//! server keeps **sessions**: each connection may open a live
+//! Besides judging frozen task sets (`eval`), the server keeps
+//! **sessions**: each connection may open a live
 //! [`ClusterSession`] (an `m`-processor cluster with warm per-processor
 //! admission states) and stream `admit` / `remove` / `query` requests
 //! against it. Verdicts are incremental — and bit-identical to what the

@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example registry_eval`
 
 use mcsched::exp::engine::{run_batch, Accumulator, Batch, Evaluator};
-use mcsched::exp::service::{evaluate_request, parse_request};
+use mcsched::exp::protocol::{parse_envelope, Request};
+use mcsched::exp::service::evaluate_request;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::prelude::*;
 use rand::rngs::StdRng;
@@ -105,7 +106,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let line = r#"{"algorithm": "CA-UDP-EDF-VD", "m": 2, "tasks": [
         {"id": 0, "period": 10, "criticality": "HI", "wcet_lo": 2, "wcet_hi": 5},
         {"id": 1, "period": 20, "wcet_lo": 6}]}"#;
-    let request = parse_request(line).map_err(std::io::Error::other)?;
+    let Request::Eval(request) = parse_envelope(line).map_err(|e| e.message)?.request else {
+        return Err("expected an eval request".into());
+    };
     let verdict = evaluate_request(&registry, &request).map_err(std::io::Error::other)?;
     println!(
         "Service verdict for {}: schedulable = {}, witness = {:?}\n",

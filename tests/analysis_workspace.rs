@@ -3,7 +3,7 @@
 //!
 //! * the streaming AMC-max candidate walk visits exactly the
 //!   sorted-deduplicated candidate set the seed path materialised, and
-//!   returns identical response bounds;
+//!   returns identical response bounds, never above the AMC-rtb bound;
 //! * every test's `is_schedulable_in` (one reused workspace) agrees with
 //!   `is_schedulable` on every set;
 //! * both hold across unconstrained proptest sets *and* a deterministic
@@ -163,6 +163,24 @@ fn assert_workspace_equivalent(ts: &TaskSet, ws: &mut AnalysisWorkspace) -> usiz
     compared
 }
 
+/// Asserts the AMC-max walk bound of every HC task is at most its AMC-rtb
+/// bound wherever the latter exists: at every switch instant `s < R^LO`
+/// the walk charges no more than AMC-rtb does, which is why the walk
+/// needs no rtb cap.
+fn assert_max_within_rtb(ts: &TaskSet) {
+    let Some((_, rtb)) = amc_rtb_bounds(ts) else {
+        return;
+    };
+    for (i, rtb) in rtb.iter().enumerate() {
+        let Some(rtb) = rtb else { continue };
+        let max = amc_max_bound_streamed(ts, i).expect("low mode passed");
+        assert!(
+            max.is_some_and(|max| max <= *rtb),
+            "AMC-max bound {max:?} of τ{i} exceeds its AMC-rtb bound {rtb} on {ts}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -170,6 +188,11 @@ proptest! {
     fn streaming_walk_is_bit_identical(ts in arb_taskset()) {
         let mut ws = AnalysisWorkspace::new();
         assert_workspace_equivalent(&ts, &mut ws);
+    }
+
+    #[test]
+    fn amc_max_walk_stays_within_the_rtb_bound(ts in arb_taskset()) {
+        assert_max_within_rtb(&ts);
     }
 
     /// Mutation sessions over the delta-maintained SoA view: interleaved

@@ -1,10 +1,11 @@
-//! End-to-end checks of the `mcexp eval` JSONL service surface: a
-//! three-line request stream produces one valid JSON verdict per line
-//! (validated with `serde_json`'s parser), verdicts carry the partition
-//! witness, and unknown algorithm names are answered with the registry's
-//! available names.
+//! End-to-end checks of the `eval` verb on the server's connection loop
+//! (what `mcexp eval` runs over stdin/stdout): a three-line request
+//! stream produces one valid JSON verdict per line (validated with
+//! `serde_json`'s parser), verdicts carry the partition witness, and
+//! unknown algorithm names are answered with the registry's available
+//! names.
 
-use mcsched::exp::service::{handle_request_line, run_eval};
+use mcsched::exp::server::{serve_connection, ServerConfig};
 use mcsched::prelude::*;
 use serde_json::Value;
 
@@ -14,14 +15,33 @@ const REQUESTS: [&str; 3] = [
     r#"{"algorithm":"ECA-Wu-F-EY","m":2,"tasks":[{"id":0,"period":10,"criticality":"HI","wcet_lo":2,"wcet_hi":4},{"id":1,"period":10,"wcet_lo":6}]}"#,
 ];
 
+/// Serves `line` as the only request of a connection: the reply line,
+/// and whether it was an error reply.
+fn serve_line(registry: &AlgorithmRegistry, line: &str) -> (String, bool) {
+    let mut out = Vec::new();
+    let stats = serve_connection(
+        registry,
+        &ServerConfig::default(),
+        line.as_bytes(),
+        &mut out,
+    );
+    let reply = String::from_utf8(out).unwrap();
+    (reply.trim_end().to_owned(), stats.errors > 0)
+}
+
 #[test]
 fn three_line_stream_yields_three_json_verdicts() {
     let registry = AlgorithmRegistry::standard();
     let input = REQUESTS.join("\n");
     let mut output = Vec::new();
-    let summary = run_eval(&registry, input.as_bytes(), &mut output).unwrap();
-    assert_eq!(summary.requests, 3);
-    assert_eq!(summary.errors, 0);
+    let stats = serve_connection(
+        &registry,
+        &ServerConfig::default(),
+        input.as_bytes(),
+        &mut output,
+    );
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.errors, 0);
 
     let text = String::from_utf8(output).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -80,7 +100,7 @@ fn three_line_stream_yields_three_json_verdicts() {
 fn unknown_algorithm_error_lists_registry_names() {
     let registry = AlgorithmRegistry::standard();
     let (verdict, errored) =
-        handle_request_line(&registry, r#"{"algorithm":"NOT-A-THING","m":2,"tasks":[]}"#);
+        serve_line(&registry, r#"{"algorithm":"NOT-A-THING","m":2,"tasks":[]}"#);
     assert!(errored);
     let parsed = serde_json::parse_value(&verdict).unwrap();
     let message = parsed.get("error").and_then(Value::as_str).unwrap();
@@ -96,7 +116,7 @@ fn unknown_algorithm_error_lists_registry_names() {
 fn request_ids_echo_on_verdicts_and_errors() {
     let registry = AlgorithmRegistry::standard();
 
-    let (verdict, errored) = handle_request_line(
+    let (verdict, errored) = serve_line(
         &registry,
         r#"{"v":1,"id":7,"algorithm":"CU-UDP-EDF-VD","m":1,"tasks":[{"id":0,"period":10,"wcet_lo":2}]}"#,
     );
@@ -107,7 +127,7 @@ fn request_ids_echo_on_verdicts_and_errors() {
     assert_eq!(parsed.get("id").and_then(Value::as_u64), Some(7));
 
     // Errors carry the id too — even when the request itself is broken.
-    let (verdict, errored) = handle_request_line(
+    let (verdict, errored) = serve_line(
         &registry,
         r#"{"id":"req-3","algorithm":"NOPE","m":1,"tasks":[]}"#,
     );
@@ -116,7 +136,7 @@ fn request_ids_echo_on_verdicts_and_errors() {
     assert_eq!(parsed.get("type").and_then(Value::as_str), Some("error"));
     assert_eq!(parsed.get("id").and_then(Value::as_str), Some("req-3"));
 
-    let (verdict, errored) = handle_request_line(&registry, r#"{"id":9,"m":0}"#);
+    let (verdict, errored) = serve_line(&registry, r#"{"id":9,"m":0}"#);
     assert!(errored);
     let parsed = serde_json::parse_value(&verdict).unwrap();
     assert_eq!(parsed.get("id").and_then(Value::as_u64), Some(9));
@@ -148,7 +168,7 @@ fn verdicts_agree_with_direct_registry_calls() {
             .unwrap();
             ts.try_push(task).unwrap();
         }
-        let (verdict, errored) = handle_request_line(&registry, request);
+        let (verdict, errored) = serve_line(&registry, request);
         assert!(!errored);
         let verdict = serde_json::parse_value(&verdict).unwrap();
         assert_eq!(
@@ -172,7 +192,7 @@ fn lc_high_budget_does_not_flip_demand_verdicts() {
     ] {
         for algorithm in ["CU-UDP-ECDF", "CU-UDP-EY"] {
             let request = format!(r#"{{"algorithm":"{algorithm}","m":1,"tasks":[{hc},{lc}]}}"#);
-            let (verdict, errored) = handle_request_line(&registry, &request);
+            let (verdict, errored) = serve_line(&registry, &request);
             assert!(!errored, "{verdict}");
             let verdict = serde_json::parse_value(&verdict).unwrap();
             assert_eq!(
@@ -186,10 +206,10 @@ fn lc_high_budget_does_not_flip_demand_verdicts() {
 
 #[test]
 fn amc_max_keeps_its_walk_bound_when_the_rtb_cap_misses_the_deadline() {
-    // τ2's AMC-rtb fixpoint reaches 52, past its deadline of 48, so the
-    // AMC-max cap takes its `None` arm and the switch-instant walk's own
-    // bound (at most 37) stands: AMC-max accepts on one processor,
-    // AMC-rtb rejects τ2.
+    // τ2's AMC-rtb fixpoint reaches 52, past its deadline of 48, while
+    // every switch instant the AMC-max walk visits settles by 37 (the
+    // walk never charges more than AMC-rtb does): AMC-max accepts on one
+    // processor, AMC-rtb rejects τ2.
     let registry = AlgorithmRegistry::standard();
     let tasks = r#"[{"id":0,"period":15,"wcet_lo":5},{"id":1,"period":20,"criticality":"HI","wcet_lo":2,"wcet_hi":10,"deadline":14},{"id":2,"period":60,"criticality":"HI","wcet_lo":9,"wcet_hi":12,"deadline":48}]"#;
     for (algorithm, schedulable, rejected) in [
@@ -197,7 +217,7 @@ fn amc_max_keeps_its_walk_bound_when_the_rtb_cap_misses_the_deadline() {
         ("CU-UDP-AMC-rtb", false, Some(2)),
     ] {
         let request = format!(r#"{{"algorithm":"{algorithm}","m":1,"tasks":{tasks}}}"#);
-        let (verdict, errored) = handle_request_line(&registry, &request);
+        let (verdict, errored) = serve_line(&registry, &request);
         assert!(!errored, "{verdict}");
         let verdict = serde_json::parse_value(&verdict).unwrap();
         assert_eq!(
