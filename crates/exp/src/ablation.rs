@@ -16,8 +16,10 @@
 
 use crate::algorithms::{ablation_lineup, amc_ablation_lineup, AlgoBox};
 use crate::sweep::{acceptance_sweep, SweepConfig};
-use mcsched_core::AdmissionStats;
-use mcsched_gen::DeadlineModel;
+use mcsched_core::{AdmissionStats, WorkspaceRef};
+use mcsched_gen::{utilization_grid, DeadlineModel, TaskSetSpec};
+use mcsched_model::TaskSet;
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// The WAR of one algorithm variant in an ablation.
@@ -86,25 +88,53 @@ pub struct AdmissionRow {
     pub stats: AdmissionStats,
 }
 
-/// Profiles the admission layer: runs every algorithm of the line-up over
-/// the same seeded corpus and aggregates its per-build
-/// [`AdmissionStats`]. This is the throughput sweep of
-/// [`partition_throughput`](crate::perf::partition_throughput) with the
-/// timing columns dropped.
+/// Generates a deterministic corpus of `count` task sets at mid-to-high
+/// load (`UB ∈ [0.5, 0.9]`), where admission decisions are non-trivial.
+pub fn seeded_corpus(m: usize, count: usize, seed: u64) -> Vec<TaskSet> {
+    let points: Vec<_> = utilization_grid()
+        .into_iter()
+        .filter(|p| (0.5..=0.9).contains(&p.ub()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(count);
+    let mut guard = 0usize;
+    while out.len() < count && guard < count * 40 {
+        guard += 1;
+        let point = points[rng.random_range(0..points.len())];
+        let spec = TaskSetSpec::paper_defaults(m, point, DeadlineModel::Implicit);
+        if let Ok(ts) = spec.generate(&mut rng) {
+            out.push(ts);
+        }
+    }
+    out
+}
+
+/// Profiles the admission layer: partitions the same [`seeded_corpus`]
+/// with every algorithm of the line-up, through one reused workspace,
+/// and aggregates each algorithm's per-build [`AdmissionStats`].
 pub fn admission_profile(
     m: usize,
     sets: usize,
     seed: u64,
     algorithms: &[AlgoBox],
 ) -> Vec<AdmissionRow> {
-    crate::perf::partition_throughput(m, sets, seed, algorithms)
-        .rows
-        .into_iter()
-        .map(|r| AdmissionRow {
-            algorithm: r.algorithm,
-            sets: r.sets,
-            accepted: r.accepted,
-            stats: r.stats,
+    let corpus = seeded_corpus(m, sets, seed);
+    let ws = WorkspaceRef::new();
+    algorithms
+        .iter()
+        .map(|algo| {
+            let mut row = AdmissionRow {
+                algorithm: algo.name().to_owned(),
+                sets: corpus.len(),
+                accepted: 0,
+                stats: AdmissionStats::default(),
+            };
+            for ts in &corpus {
+                let (result, stats) = algo.try_partition_reporting_in(ts, m, &ws);
+                row.accepted += usize::from(result.is_ok());
+                row.stats.merge(&stats);
+            }
+            row
         })
         .collect()
 }
@@ -178,12 +208,21 @@ mod tests {
     }
 
     #[test]
+    fn corpus_is_deterministic_and_sized() {
+        let a = seeded_corpus(2, 6, 11);
+        let b = seeded_corpus(2, 6, 11);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 6);
+    }
+
+    #[test]
     fn admission_profile_counts_queries() {
         use crate::algorithms::perf_lineup;
         let rows = admission_profile(2, 4, 7, &perf_lineup());
         assert_eq!(rows.len(), perf_lineup().len());
         for r in &rows {
             assert_eq!(r.sets, 4);
+            assert!(r.accepted <= r.sets);
             assert!(r.stats.attempts >= r.stats.admits);
             assert_eq!(r.stats.attempts, r.stats.incremental + r.stats.full);
             // The native states answer every query without a full

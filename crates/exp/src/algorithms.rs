@@ -40,10 +40,10 @@ pub const FIG6B_NAMES: [&str; 5] = [
     "CA-F-F-EY",
 ];
 
-/// Throughput line-up for the `BENCH_partition.json` perf artifact: the
-/// Fig. 3 EDF-VD algorithms plus one representative of each remaining
-/// uniprocessor-test family (dbf-based ECDF/EY and response-time AMC), so
-/// the perf trajectory covers every admission-state implementation.
+/// Admission-profile line-up of `mcexp ablation`: the Fig. 3 EDF-VD
+/// algorithms plus one representative of each remaining uniprocessor-test
+/// family (dbf-based ECDF/EY and response-time AMC), so the profile covers
+/// every admission-state implementation.
 pub const PERF_NAMES: [&str; 6] = [
     "CA-UDP-EDF-VD",
     "CU-UDP-EDF-VD",
@@ -89,7 +89,7 @@ pub fn fig6b_lineup() -> Vec<AlgoBox> {
     resolve_lineup(&FIG6B_NAMES)
 }
 
-/// Throughput line-up, built from [`PERF_NAMES`].
+/// Admission-profile line-up, built from [`PERF_NAMES`].
 pub fn perf_lineup() -> Vec<AlgoBox> {
     resolve_lineup(&PERF_NAMES)
 }

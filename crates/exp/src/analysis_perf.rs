@@ -1,6 +1,6 @@
 //! Analysis-level throughput measurement: the `BENCH_analysis.json`
 //! artifact CI uploads to track the *uniprocessor test* hot path (the
-//! layer below `BENCH_partition.json`'s whole-partitioning trajectory).
+//! layer below whole-system partitioning).
 //!
 //! For each of the five tests and each processor count, a seeded corpus
 //! is judged twice per round, for [`ROUNDS`] rounds:
@@ -37,7 +37,7 @@ use std::time::Instant;
 /// This is the shape the uniprocessor tests actually see inside the
 /// partitioning inner loop: one processor's share of the load, but drawn
 /// from systems whose task counts grow with `m`. (The partition-level
-/// corpus of [`crate::perf::seeded_corpus`] keeps the full `m`-processor
+/// corpus of [`crate::ablation::seeded_corpus`] keeps the full `m`-processor
 /// utilization and would trip every test's O(1) structural overload
 /// rejection, measuring nothing but the fast path.) `UB ∈ [0.5, 0.9]`
 /// keeps verdicts mixed and fixpoints non-trivial.

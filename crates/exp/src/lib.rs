@@ -13,7 +13,8 @@
 //! * **Headline** — the "improvement by as much as X%" numbers quoted in
 //!   the paper's abstract and §IV, derived from the Fig. 3–5 sweeps.
 //! * **Ablations** — the UDP design choices [`ablation`] isolates
-//!   (worst-fit metric, sorting, CA vs CU, AMC-max vs AMC-rtb).
+//!   (worst-fit metric, sorting, CA vs CU, AMC-max vs AMC-rtb), and the
+//!   admission-layer profile of one line-up over a seeded corpus.
 //!
 //! Every sweep is deterministic under a seed and paired: all algorithms
 //! judge the *same* generated task sets. Results are printed as
@@ -52,7 +53,6 @@ pub mod figures;
 pub mod headline;
 pub mod isolation;
 pub mod journal;
-pub mod perf;
 pub mod protocol;
 pub mod report;
 pub mod server;
@@ -62,5 +62,4 @@ pub mod sweep;
 pub use algorithms::{fig3_lineup, fig4_lineup, perf_lineup, AlgoBox};
 pub use analysis_perf::{analysis_throughput, AnalysisPerfReport, AnalysisPerfRow};
 pub use engine::{run_batch, Accumulator, Batch, Evaluator};
-pub use perf::{partition_throughput, PerfReport, PerfRow};
 pub use sweep::{AcceptanceCurve, SweepConfig, SweepResult};

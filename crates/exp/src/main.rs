@@ -5,7 +5,6 @@
 //! ```text
 //! mcexp sweep --fig 3 [--m 2,4,8] [--sets N] [--seed S] [--threads T] [--out DIR]
 //! mcexp headline | ablation | isolation | all
-//! mcexp perf [--json FILE]        # partition throughput (BENCH_partition.json)
 //! mcexp analysis [--json FILE] [--gate TEST:MIN]  # per-test throughput
 //!                                 # (BENCH_analysis.json, gated speedups)
 //! mcexp eval [--input FILE] [--output FILE]   # one connection over stdio
@@ -43,7 +42,6 @@ use mcsched_exp::figures::{
 };
 use mcsched_exp::headline::{headlines, render_headlines};
 use mcsched_exp::isolation::{isolation_experiment, render_isolation};
-use mcsched_exp::perf::{partition_throughput, render_perf, write_perf_json};
 use mcsched_exp::report::{render_table, write_csv};
 use mcsched_exp::server::{serve_connection, Server, ServerConfig};
 use mcsched_exp::sweep::default_threads;
@@ -77,7 +75,6 @@ struct Args {
     ablation: bool,
     isolation: bool,
     all: bool,
-    perf: bool,
     analysis: bool,
     json: Option<PathBuf>,
     gates: Vec<(String, f64)>,
@@ -129,7 +126,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         ablation: false,
         isolation: false,
         all: false,
-        perf: false,
         analysis: false,
         json: None,
         gates: Vec::new(),
@@ -167,7 +163,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "ablation" => args.ablation = true,
             "isolation" => args.isolation = true,
             "all" => args.all = true,
-            "perf" => args.perf = true,
             "analysis" => args.analysis = true,
             "eval" => args.eval = true,
             "serve" => args.serve = true,
@@ -200,7 +195,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     };
 
     // `lint` takes its own flag set: `--json` here is a boolean (emit the
-    // JSON report), unlike the artifact-path `--json FILE` of perf/analysis.
+    // JSON report), unlike the artifact-path `--json FILE` of analysis.
     if args.lint {
         while i < argv.len() {
             match argv[i].as_str() {
@@ -407,8 +402,8 @@ fn validate(args: &Args) -> Result<(), String> {
 }
 
 /// The subcommand names, for usage errors.
-const SUBCOMMANDS: &str = "sweep, headline, ablation, isolation, all, perf, analysis, eval, \
-                           serve, bench-service, chaos, or lint";
+const SUBCOMMANDS: &str = "sweep, headline, ablation, isolation, all, analysis, eval, serve, \
+                           bench-service, chaos, or lint";
 
 const HELP: &str = r#"mcexp — the DATE 2017 UDP partitioning experiment driver
 usage: mcexp <subcommand> [options]
@@ -419,7 +414,6 @@ subcommands:
   ablation                  strategy/AMC ablations + admission profile
   isolation                 mode-switch isolation simulation
   all                       every figure, headline, ablation, isolation
-  perf [--json FILE]        partition-throughput artifact (BENCH_partition.json)
   analysis [--json FILE] [--gate TEST:MIN ...]
                             per-test throughput artifact (BENCH_analysis.json);
                             each --gate fails the run (exit 1) if TEST's
@@ -852,24 +846,6 @@ fn main() {
         }
     }
 
-    if args.perf {
-        did_something = true;
-        let m = args.m_values.first().copied().unwrap_or(2);
-        eprintln!("[mcexp] partition throughput m={m} sets={} ...", args.sets);
-        let report = partition_throughput(m, args.sets, args.seed, &perf_lineup());
-        println!("\n## Partition throughput (m = {m})\n");
-        println!("{}", render_perf(&report));
-        if let Some(path) = &args.json {
-            match write_perf_json(&report, path) {
-                Ok(()) => eprintln!("[mcexp] wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("[mcexp] failed to write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
     if args.analysis {
         did_something = true;
         eprintln!(
@@ -929,7 +905,9 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_and_flag_are_usage_errors() {
-        assert!(parse_args(&argv(&["frobnicate"])).is_err());
+        for unknown in ["frobnicate", "perf"] {
+            assert!(parse_args(&argv(&[unknown])).is_err(), "{unknown}");
+        }
         assert!(parse_args(&argv(&["sweep", "--frob"])).is_err());
         assert!(parse_args(&argv(&["--sets"])).is_err(), "missing value");
         assert!(

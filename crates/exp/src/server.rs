@@ -438,11 +438,16 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
         let line = match frames.read_frame() {
             Ok(Some(line)) => line,
             Ok(None) => break,
-            Err(FrameError::Oversized { max }) => {
+            Err(e @ (FrameError::Oversized { .. } | FrameError::InvalidUtf8 { .. })) => {
+                // The reader consumed the bad frame whole: answer it in
+                // band and read on from the next frame boundary.
                 totals.requests += 1;
                 totals.errors += 1;
-                let reply = Reply::error(format!("frame exceeds the {max}-byte limit"));
-                // mclint: allow(reply-id) reason="the oversized frame was never parsed, so its id is unknown by construction"
+                let reply = Reply::error(match e {
+                    FrameError::Oversized { max } => format!("frame exceeds the {max}-byte limit"),
+                    _ => format!("malformed JSON: {e}"),
+                });
+                // mclint: allow(reply-id) reason="the rejected frame was never parsed, so its id is unknown by construction"
                 reply.render_into(None, &mut out);
                 if write_frame(&mut writer, &out).is_err() {
                     break;
@@ -486,7 +491,7 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
             break;
         }
         let (id, reply, control) =
-            handle_request(registry, config, tier, journal, &mut session, &line);
+            handle_request(registry, config, tier, journal, &mut session, line);
         if matches!(reply, Reply::Error { .. }) {
             totals.errors += 1;
         }
@@ -1123,6 +1128,63 @@ mod tests {
             Reply::Query(q) => assert_eq!(q.tasks, 1, "exactly one commit happened"),
             other => panic!("expected query, got {other:?}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn op_ids_differing_in_invalid_bytes_are_rejected_not_replayed() {
+        let path = std::env::temp_dir().join(format!("mcexp-utf8-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::create(&path).unwrap();
+        let registry = AlgorithmRegistry::standard();
+        let admit = |op: &[u8]| {
+            let mut line = br#"{"type": "admit", "id": 1, "op_id": "A"#.to_vec();
+            line.extend_from_slice(op);
+            line.extend_from_slice(br#"B", "task": {"id": 7, "period": 10, "wcet_lo": 1}}"#);
+            line.push(b'\n');
+            line
+        };
+        let mut input = concat!(
+            r#"{"type": "open_session", "algorithm": "CU-UDP-EDF-VD", "m": 2, "session": "ses"}"#,
+            "\n",
+        )
+        .as_bytes()
+        .to_vec();
+        input.extend_from_slice(&admit(b"\xff"));
+        input.extend_from_slice(&admit(b"\xfe"));
+        input.extend_from_slice(b"{\"type\": \"query\"}\n");
+        let mut out = Vec::new();
+        let outcome = serve_connection_outcome(
+            &registry,
+            &config(),
+            AdmissionTier::Exact,
+            Some(&journal),
+            &input[..],
+            &mut out,
+        );
+        let text = String::from_utf8(out).unwrap();
+        let replies: Vec<_> = text
+            .lines()
+            .map(|l| parse_reply(l).unwrap_or_else(|e| panic!("{l}: {e}")))
+            .collect();
+        assert_eq!(replies.len(), 4, "{text}");
+        for (id, reply) in &replies[1..3] {
+            assert_eq!(*id, None, "the undecoded frame has no id to echo");
+            assert!(
+                matches!(reply, Reply::Error { error } if error.starts_with("malformed JSON: invalid UTF-8")),
+                "{reply:?}"
+            );
+        }
+        match &replies[3].1 {
+            Reply::Query(q) => assert_eq!(q.tasks, 0, "neither admit committed"),
+            other => panic!("expected query, got {other:?}"),
+        }
+        assert_eq!(outcome.stats.errors, 2);
+        assert_eq!(
+            journal.stats().appended,
+            1,
+            "the open record is the journal's only record"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -14,9 +14,8 @@
 //!
 //! The equivalence suites (`tests/analysis_workspace.rs`,
 //! `tests/demand_kernel.rs`, `crates/analysis/tests/saturation.rs`, the
-//! unit tests here), the criterion micro benches and the
-//! reference-vs-workspace ratios of `mcexp analysis` compare the kernels
-//! against these.
+//! unit tests here) and the reference-vs-workspace ratios of
+//! `mcexp analysis` compare the kernels against these.
 //!
 //! This crate shares no code with the kernels it checks: it uses only
 //! the model types and four public items of `mcsched-analysis`

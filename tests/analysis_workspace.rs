@@ -7,12 +7,14 @@
 //! * every test's `is_schedulable_in` (one reused workspace) agrees with
 //!   `is_schedulable` on every set;
 //! * both hold across unconstrained proptest sets *and* a deterministic
-//!   generator-shaped corpus.
+//!   generator-shaped corpus, which includes admission-sized sets of an
+//!   m = 2 partition and n ≥ 20 sets at uniprocessor load.
 
 use mcsched::analysis::amc::{amc_max_bound_streamed, amc_max_candidates_streamed, amc_rtb_bounds};
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
 };
+use mcsched::exp::analysis_perf::uniprocessor_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use mcsched_oracle::amc as reference;
@@ -250,9 +252,34 @@ proptest! {
     }
 }
 
+/// The first `count` sets `spec` generates from an RNG seeded with
+/// `seed`, in at most `draws` attempts.
+fn draw_sets(spec: &TaskSetSpec, seed: u64, count: usize, draws: usize) -> Vec<TaskSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws)
+        .filter_map(|_| spec.generate(&mut rng).ok())
+        .take(count)
+        .collect()
+}
+
+/// Uniprocessor-load implicit-deadline sets of `n_min..=n_max` tasks at
+/// `point`.
+fn uniprocessor_spec(point: GridPoint, n_min: usize, n_max: usize) -> TaskSetSpec {
+    TaskSetSpec {
+        n_min,
+        n_max,
+        ..TaskSetSpec::paper_defaults(1, point, DeadlineModel::Implicit)
+    }
+}
+
 /// The deterministic generator-shaped corpus: every set of every workload
 /// compared through one long-lived workspace (buffer reuse across wildly
 /// different sets must never leak into a verdict).
+///
+/// Besides the `m`-processor workloads it holds 256 admission-sized sets
+/// (the uniprocessor loads of an m = 2 partition) and sets of 20–40 tasks
+/// at a load where about half survive the low-mode RTA, so the AMC-max
+/// candidate walk over every HC task runs on most of them.
 #[test]
 fn seeded_corpus_streaming_equivalence() {
     let workloads = [
@@ -266,19 +293,25 @@ fn seeded_corpus_streaming_equivalence() {
     let mut compared = 0usize;
     for (m, deadlines, u_hh, u_hl, u_ll, seed) in workloads {
         let spec = TaskSetSpec::paper_defaults(m, GridPoint { u_hh, u_hl, u_ll }, deadlines);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut made = 0usize;
-        let mut guard = 0usize;
-        while made < 40 && guard < 1000 {
-            guard += 1;
-            let Ok(ts) = spec.generate(&mut rng) else {
-                continue;
-            };
-            made += 1;
-            compared += assert_workspace_equivalent(&ts, &mut ws);
+        let sets = draw_sets(&spec, seed, 40, 1000);
+        assert_eq!(sets.len(), 40, "generator starved at m={m} {deadlines}");
+        for ts in &sets {
+            compared += assert_workspace_equivalent(ts, &mut ws);
         }
-        assert_eq!(made, 40, "generator starved at m={m} {deadlines}");
-        generated += made;
+        generated += sets.len();
+    }
+    let admission_sized = uniprocessor_corpus(2, 256, 2017);
+    assert_eq!(admission_sized.len(), 256);
+    let point = GridPoint {
+        u_hh: 0.3,
+        u_hl: 0.15,
+        u_ll: 0.2,
+    };
+    let wide = draw_sets(&uniprocessor_spec(point, 20, 40), 2017, 24, 600);
+    assert!(wide.len() >= 16, "only {} sets with n >= 20", wide.len());
+    assert!(wide.iter().all(|ts| ts.len() >= 20));
+    for ts in admission_sized.iter().chain(&wide) {
+        compared += assert_workspace_equivalent(ts, &mut ws);
     }
     assert!(generated >= 160, "corpus too small: {generated}");
     assert!(compared >= 160, "comparisons too few: {compared}");

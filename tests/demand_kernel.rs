@@ -14,10 +14,12 @@
 //!   tuners in `mcsched_oracle::vdtune`;
 //! * all of the above hold across unconstrained proptest sets *and* a
 //!   deterministic generator-shaped corpus of ≥ 200 sets judged through
-//!   one long-lived workspace.
+//!   one long-lived workspace, plus uniprocessor-load sets sized for
+//!   admission, for the greedy descent, and with n ≥ 20 tasks.
 
 use mcsched::analysis::dbf::VdTask;
 use mcsched::analysis::{AnalysisWorkspace, DemandKernel, Ecdf, Ey, SchedulabilityTest};
+use mcsched::exp::analysis_perf::uniprocessor_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet, Time};
 use mcsched_oracle::dbf as reference;
@@ -224,10 +226,52 @@ proptest! {
     }
 }
 
+/// The first `count` sets `spec` generates from an RNG seeded with
+/// `seed`, in at most `draws` attempts.
+fn draw_sets(spec: &TaskSetSpec, seed: u64, count: usize, draws: usize) -> Vec<TaskSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws)
+        .filter_map(|_| spec.generate(&mut rng).ok())
+        .take(count)
+        .collect()
+}
+
+/// Uniprocessor-load implicit-deadline sets of `n_min..=n_max` tasks at
+/// `point`.
+fn uniprocessor_spec(point: GridPoint, n_min: usize, n_max: usize) -> TaskSetSpec {
+    TaskSetSpec {
+        n_min,
+        n_max,
+        ..TaskSetSpec::paper_defaults(1, point, DeadlineModel::Implicit)
+    }
+}
+
+/// Asserts both tuners and both mode checks of `ts` equal the seed stack,
+/// and that the set carries the demand certificate.
+fn assert_corpus_set_equivalent(ts: &TaskSet, ws: &mut AnalysisWorkspace) {
+    assert_tuners_equivalent(ts, ws);
+    let untightened: Vec<VdTask> = ts.iter().map(|&t| VdTask::untightened(t)).collect();
+    assert_checks_equivalent(&untightened);
+    // Generator-shaped parameters must license the fast lanes: the
+    // corpus equivalences above genuinely pin the certified lane route,
+    // not the guarded fallback.
+    let mut kernel = DemandKernel::new();
+    kernel.load(&untightened);
+    assert!(
+        kernel.certified(),
+        "corpus set must carry the demand certificate: {ts}"
+    );
+}
+
 /// The seeded corpus acceptance criterion: ≥ 200 generator-shaped task
 /// sets, every check and both tuners bit-identical to the seed stack,
 /// all through one long-lived workspace (warm-state leakage across sets
 /// must never surface in any verdict).
+///
+/// Besides the `m`-processor workloads it holds 256 admission-sized sets
+/// (the uniprocessor loads of an m = 2 partition), and sets at a load
+/// with enough HC overrun that the greedy virtual-deadline descent
+/// iterates: 6–24 tasks, and 20–40 tasks for long demand lanes.
 #[test]
 fn seeded_corpus_kernel_equivalence() {
     let workloads = [
@@ -241,32 +285,30 @@ fn seeded_corpus_kernel_equivalence() {
     let mut generated = 0usize;
     for (m, deadlines, u_hh, u_hl, u_ll, seed) in workloads {
         let spec = TaskSetSpec::paper_defaults(m, GridPoint { u_hh, u_hl, u_ll }, deadlines);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut made = 0usize;
-        let mut guard = 0usize;
-        while made < 42 && guard < 1200 {
-            guard += 1;
-            let Ok(ts) = spec.generate(&mut rng) else {
-                continue;
-            };
-            made += 1;
-            assert_tuners_equivalent(&ts, &mut ws);
-            let untightened: Vec<VdTask> = ts.iter().map(|&t| VdTask::untightened(t)).collect();
-            assert_checks_equivalent(&untightened);
-            // Generator-shaped parameters must license the fast lanes:
-            // the corpus equivalences above genuinely pin the certified
-            // lane route, not the guarded fallback.
-            let mut kernel = DemandKernel::new();
-            kernel.load(&untightened);
-            assert!(
-                kernel.certified(),
-                "corpus set must carry the demand certificate: {ts}"
-            );
+        let sets = draw_sets(&spec, seed, 42, 1200);
+        assert_eq!(sets.len(), 42, "generator starved at m={m} {deadlines}");
+        for ts in &sets {
+            assert_corpus_set_equivalent(ts, &mut ws);
         }
-        assert_eq!(made, 42, "generator starved at m={m} {deadlines}");
-        generated += made;
+        generated += sets.len();
     }
     assert!(generated >= 200, "corpus too small: {generated}");
+
+    let admission_sized = uniprocessor_corpus(2, 256, 2017 ^ 0xd50a);
+    assert_eq!(admission_sized.len(), 256);
+    let point = GridPoint {
+        u_hh: 0.45,
+        u_hl: 0.2,
+        u_ll: 0.25,
+    };
+    let tuner = draw_sets(&uniprocessor_spec(point, 6, 24), 2017 ^ 0x5eed, 32, 800);
+    assert!(tuner.len() >= 24, "only {} tuner sets", tuner.len());
+    let wide = draw_sets(&uniprocessor_spec(point, 20, 40), 2017 ^ 0x1a7e5, 24, 800);
+    assert!(wide.len() >= 16, "only {} wide tuner sets", wide.len());
+    assert!(wide.iter().all(|ts| ts.len() >= 20));
+    for ts in admission_sized.iter().chain(&tuner).chain(&wide) {
+        assert_corpus_set_equivalent(ts, &mut ws);
+    }
 }
 
 /// The admission layer's warm kernel must report fixpoint reuse through

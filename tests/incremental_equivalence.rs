@@ -5,13 +5,18 @@
 //! map (or the exact same `PartitionError`) as building through the
 //! `OneShot` bridge, which re-runs the one-shot test per attempt.
 //!
+//! Building through a caller-owned `WorkspaceRef` (`build_reporting_in`,
+//! the experiment engine's path) must give the same result as the pooled
+//! `build`.
+//!
 //! Two layers of evidence:
 //!
 //! * proptests over unconstrained random task sets (implicit and
 //!   constrained deadlines), all five tests;
 //! * a deterministic generator-shaped corpus (≥ 500 sets across
-//!   implicit/constrained workloads × all five tests), matching the
-//!   acceptance criterion of the incremental-admission milestone.
+//!   implicit/constrained workloads × all five tests, plus a mid-load
+//!   m = 8 batch), matching the acceptance criterion of the
+//!   incremental-admission milestone.
 
 use mcsched::analysis::{
     AmcMax, AmcRtb, Ecdf, EdfVd, Ey, OneShot, SchedulabilityTest, WorkspaceRef,
@@ -99,8 +104,9 @@ fn test_pairs() -> Vec<TestPair> {
 }
 
 /// Asserts bit-identical builds for one set across strategies, tests and
-/// processor counts; returns how many comparisons were made.
-fn assert_equivalent(ts: &TaskSet, m_values: &[usize]) -> usize {
+/// processor counts, pooled and through `ws`; returns how many
+/// comparisons were made.
+fn assert_equivalent(ts: &TaskSet, m_values: &[usize], ws: &WorkspaceRef) -> usize {
     let mut compared = 0;
     for (incremental, one_shot, name) in test_pairs() {
         for strategy in [presets::ca_udp(), presets::cu_udp(), presets::ca_f_f()] {
@@ -111,6 +117,13 @@ fn assert_equivalent(ts: &TaskSet, m_values: &[usize]) -> usize {
                     fast,
                     slow,
                     "{name}/{} diverged at m={m} on {ts}",
+                    strategy.name()
+                );
+                let (in_ws, _) = Partition::build_reporting_in(&strategy, &incremental, ts, m, ws);
+                assert_eq!(
+                    in_ws,
+                    fast,
+                    "{name}/{} workspace build diverged from the pooled build at m={m} on {ts}",
                     strategy.name()
                 );
                 compared += 1;
@@ -125,7 +138,7 @@ proptest! {
 
     #[test]
     fn incremental_build_is_bit_identical(ts in arb_taskset(), m in 1usize..=4) {
-        assert_equivalent(&ts, &[m]);
+        assert_equivalent(&ts, &[m], &WorkspaceRef::new());
     }
 
     #[test]
@@ -155,31 +168,43 @@ proptest! {
 
 /// The seeded corpus acceptance criterion: ≥ 500 generator-shaped task
 /// sets across implicit and constrained deadlines, every build compared
-/// bit-for-bit across all five tests.
+/// bit-for-bit across all five tests, all through one long-lived
+/// workspace. The last workload is the 12-set mid-load batch at m = 8
+/// (seed 2017).
 #[test]
 fn seeded_corpus_equivalence() {
     let workloads = [
-        (2usize, DeadlineModel::Implicit, 0.55, 0.30, 0.35, 1u64),
-        (2, DeadlineModel::Constrained, 0.70, 0.35, 0.40, 2),
-        (4, DeadlineModel::Implicit, 0.80, 0.40, 0.45, 3),
-        (4, DeadlineModel::Constrained, 0.60, 0.25, 0.50, 4),
+        (
+            2usize,
+            DeadlineModel::Implicit,
+            0.55,
+            0.30,
+            0.35,
+            1u64,
+            130usize,
+        ),
+        (2, DeadlineModel::Constrained, 0.70, 0.35, 0.40, 2, 130),
+        (4, DeadlineModel::Implicit, 0.80, 0.40, 0.45, 3, 130),
+        (4, DeadlineModel::Constrained, 0.60, 0.25, 0.50, 4, 130),
+        (8, DeadlineModel::Implicit, 0.70, 0.35, 0.40, 2017, 12),
     ];
+    let ws = WorkspaceRef::new();
     let mut generated = 0usize;
     let mut compared = 0usize;
-    for (m, deadlines, u_hh, u_hl, u_ll, seed) in workloads {
+    for (m, deadlines, u_hh, u_hl, u_ll, seed, count) in workloads {
         let spec = TaskSetSpec::paper_defaults(m, GridPoint { u_hh, u_hl, u_ll }, deadlines);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut made = 0usize;
         let mut guard = 0usize;
-        while made < 130 && guard < 2000 {
+        while made < count && guard < 2000 {
             guard += 1;
             let Ok(ts) = spec.generate(&mut rng) else {
                 continue;
             };
             made += 1;
-            compared += assert_equivalent(&ts, &[m]);
+            compared += assert_equivalent(&ts, &[m], &ws);
         }
-        assert_eq!(made, 130, "generator starved at m={m} {deadlines}");
+        assert_eq!(made, count, "generator starved at m={m} {deadlines}");
         generated += made;
     }
     assert!(generated >= 500, "corpus too small: {generated}");

@@ -392,7 +392,7 @@ fn lent_frames_are_allocation_free_once_warm() {
     let stream = format!("{line}\n").repeat(65);
     let mut frames = FrameReader::new(stream.as_bytes(), 4096);
     // Warm-up: the reader's buffer grows to hold one frame.
-    assert_eq!(frames.read_frame().unwrap().as_deref(), Some(line.as_str()));
+    assert_eq!(frames.read_frame().unwrap(), Some(line.as_str()));
     let allocs = count_allocations(|| {
         for _ in 0..64 {
             std::hint::black_box(frames.read_frame().unwrap());
