@@ -373,7 +373,6 @@ fn hi_bounds(
             let bound = max_bound_at(soa, p, hj, lj, lo_resp[i].as_ticks(), streams, slots);
             store(&mut hi_resp[i], bound)
         }),
-        AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
     }
 }
 
@@ -787,13 +786,8 @@ fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorksp
     analyze_from(variant, soa, 0, streams, hc, rtb_pos, amc)
 }
 
-/// The AMC-rtb (response-time bound) schedulability test.
-///
-/// By default priorities are deadline-monotonic. AMC-rtb is
-/// **OPA-compatible** (a task's bound depends only on the *set* of
-/// higher-priority tasks, not their relative order), so
-/// [`AmcRtb::with_audsley`] enables Audsley's Optimal Priority Assignment,
-/// which strictly dominates DM for this test.
+/// The AMC-rtb (response-time bound) schedulability test under
+/// deadline-monotonic priorities.
 ///
 /// # Example
 ///
@@ -807,175 +801,36 @@ fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorksp
 ///     Task::lo(1, 20, 5)?,
 /// ])?;
 /// assert!(AmcRtb::new().is_schedulable(&ts));
-/// assert!(AmcRtb::with_audsley().is_schedulable(&ts));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AmcRtb {
-    audsley: bool,
+    _priv: (),
 }
 
 impl AmcRtb {
-    /// AMC-rtb under deadline-monotonic priorities.
+    /// Creates the test.
     pub const fn new() -> Self {
-        AmcRtb { audsley: false }
-    }
-
-    /// AMC-rtb under Audsley's Optimal Priority Assignment: priorities are
-    /// assigned from the lowest level up; at each level any task whose
-    /// low-mode RTA and (for HC tasks) rtb high-mode RTA pass with *all*
-    /// remaining tasks as higher-priority interference can take the level.
-    /// Accepts a superset of the DM variant.
-    pub const fn with_audsley() -> Self {
-        AmcRtb { audsley: true }
-    }
-
-    /// The Audsley priority order found for this set (highest priority
-    /// first), if one exists. Exposed so the simulator can run the
-    /// assignment the analysis certified.
-    // mclint: cold — allocates only the caller-owned order, once per judgement
-    pub fn audsley_order(ts: &TaskSet) -> Option<Vec<usize>> {
-        AnalysisWorkspace::with(|ws| {
-            let AnalysisWorkspace { idx, idx2, soa, .. } = ws;
-            if !audsley_lowest_first(ts.as_slice(), soa, idx, idx2) {
-                return None;
-            }
-            Some(idx2.iter().rev().copied().collect())
-        })
-    }
-}
-
-/// The Audsley search over caller scratch: fills `lowest_first` with the
-/// assignment from the lowest priority level up, returning `false` when
-/// some level has no feasible task. The allocation-free core behind
-/// [`AmcRtb::audsley_order`], the one-shot OPA test and the incremental
-/// OPA admission probes. The unassigned set lives in `soa` lanes
-/// (slice order), shrunk by delta as levels are assigned, so every
-/// feasibility probe runs over compact contiguous lanes.
-fn audsley_lowest_first(
-    tasks: &[Task],
-    soa: &mut SoaTasks,
-    unassigned: &mut Vec<usize>,
-    lowest_first: &mut Vec<usize>,
-) -> bool {
-    unassigned.clear();
-    unassigned.extend(0..tasks.len());
-    soa.load_seq(tasks);
-    lowest_first.clear();
-    while !unassigned.is_empty() {
-        // Find a task that is feasible at the current (lowest free)
-        // priority level, with every other unassigned task above it.
-        let found = (0..unassigned.len()).find(|&p| rtb_feasible_at(soa, p));
-        match found {
-            Some(p) => {
-                lowest_first.push(unassigned.remove(p));
-                soa.remove(p);
-            }
-            None => return false,
-        }
-    }
-    true
-}
-
-/// Checks the unassigned task at lane `p` at the lowest priority level,
-/// below every other unassigned lane (low-mode RTA, and the rtb high-mode
-/// bound when it is HC). The higher-priority set is `all lanes except p`,
-/// iterated as two contiguous ranges — no materialised `hp` vector; the
-/// HI fixpoint folds the constant LC charge once and then iterates over
-/// the lanes whose `hc` flag is set. Interference sums are integer (and a
-/// saturating sum of non-negative terms is order-free), so the order of
-/// terms is irrelevant to the fixed points.
-fn rtb_feasible_at(soa: &SoaTasks, p: usize) -> bool {
-    let n = soa.len();
-    let (wl, wh, per, inv, hc) = (
-        &soa.wcet_lo,
-        &soa.wcet_hi,
-        &soa.period,
-        &soa.inv_period,
-        &soa.hc,
-    );
-    let d = soa.deadline[p];
-    let ci = wl[p];
-    let mut r = ci;
-    let lo_resp = loop {
-        let mut acc = 0u64;
-        for j in 0..p {
-            acc = acc.saturating_add(wl[j].saturating_mul(dc_inv(r, per[j], inv[j])));
-        }
-        for j in p + 1..n {
-            acc = acc.saturating_add(wl[j].saturating_mul(dc_inv(r, per[j], inv[j])));
-        }
-        let next = ci.saturating_add(acc);
-        if next > d {
-            return false;
-        }
-        if next == r {
-            break r;
-        }
-        r = next;
-    };
-    if !hc[p] {
-        return true;
-    }
-    // p is HC, so every LC lane interferes; its charge is frozen at the
-    // low-mode response just computed.
-    let mut lcc = 0u64;
-    for j in (0..n).filter(|&j| !hc[j]) {
-        lcc = charge::<false>(lcc, wl[j], lo_resp, per[j], inv[j]);
-    }
-    let ch = wh[p];
-    let mut r = ch;
-    loop {
-        let mut acc = lcc;
-        for j in (0..p).chain(p + 1..n).filter(|&j| hc[j]) {
-            acc = charge::<false>(acc, wh[j], r, per[j], inv[j]);
-        }
-        let next = ch.saturating_add(acc);
-        if next > d {
-            return false;
-        }
-        if next == r {
-            return true;
-        }
-        r = next;
-    }
-}
-
-impl AmcRtb {
-    fn variant(&self) -> AmcVariant {
-        if self.audsley {
-            AmcVariant::RtbAudsley
-        } else {
-            AmcVariant::RtbDm
-        }
+        AmcRtb { _priv: () }
     }
 }
 
 impl SchedulabilityTest for AmcRtb {
     fn name(&self) -> &'static str {
-        if self.audsley {
-            "AMC-rtb-OPA"
-        } else {
-            "AMC-rtb"
-        }
+        "AMC-rtb"
     }
     fn is_schedulable(&self, ts: &TaskSet) -> bool {
         AnalysisWorkspace::with(|ws| self.is_schedulable_in(ts, ws))
     }
 
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
-        if self.audsley {
-            let AnalysisWorkspace { idx, idx2, soa, .. } = ws;
-            audsley_lowest_first(ts.as_slice(), soa, idx, idx2)
-        } else {
-            amc_schedulable_in(ts, AmcVariant::RtbDm, ws)
-        }
+        amc_schedulable_in(ts, AmcVariant::RtbDm, ws)
     }
 
     // mclint: cold — one boxed state per session, reused across every probe
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        Box::new(AmcState::with_workspace(self.variant(), ws.clone()))
+        Box::new(AmcState::with_workspace(AmcVariant::RtbDm, ws.clone()))
     }
 }
 
@@ -1036,9 +891,6 @@ impl SchedulabilityTest for AmcMax {
 enum AmcVariant {
     /// AMC-rtb under deadline-monotonic priorities.
     RtbDm,
-    /// AMC-rtb under Audsley's OPA (no incremental structure — every
-    /// query re-runs the priority-assignment search).
-    RtbAudsley,
     /// AMC-max under deadline-monotonic priorities.
     Max,
 }
@@ -1122,7 +974,7 @@ impl AmcState {
             variant,
             committed: Committed::default(),
             cache: AmcCache::default(),
-            cache_valid: variant != AmcVariant::RtbAudsley,
+            cache_valid: true,
             scratch: AmcCache::default(),
             pending: None,
             pending_insert: None,
@@ -1134,24 +986,19 @@ impl AmcState {
     fn rebuild_cache(&mut self) {
         self.pending = None;
         self.pending_insert = None;
-        match self.variant {
-            AmcVariant::RtbAudsley => self.cache_valid = false,
-            _ => {
-                let mut ws = self.ws.borrow_mut();
-                let ws = &mut *ws;
-                self.cache
-                    .load(self.committed.tasks.as_slice(), &mut self.soa);
-                self.cache_valid = analyze_from(
-                    self.variant,
-                    &self.soa,
-                    0,
-                    &mut ws.streams,
-                    &mut ws.hc,
-                    &mut ws.rtb_pos,
-                    &mut self.cache,
-                );
-            }
-        }
+        let mut ws = self.ws.borrow_mut();
+        let ws = &mut *ws;
+        self.cache
+            .load(self.committed.tasks.as_slice(), &mut self.soa);
+        self.cache_valid = analyze_from(
+            self.variant,
+            &self.soa,
+            0,
+            &mut ws.streams,
+            &mut ws.hc,
+            &mut ws.rtb_pos,
+            &mut self.cache,
+        );
     }
 }
 
@@ -1231,24 +1078,6 @@ impl AdmissionState for AmcState {
     fn try_admit(&mut self, task: &Task) -> bool {
         let mut ws = self.ws.borrow_mut();
         let ws = &mut *ws;
-        if self.variant == AmcVariant::RtbAudsley {
-            // OPA re-searches priorities from scratch; no DM structure to
-            // reuse — but the union and the search run entirely in
-            // workspace buffers.
-            let AnalysisWorkspace {
-                idx,
-                idx2,
-                tasks,
-                soa,
-                ..
-            } = ws;
-            tasks.clear();
-            tasks.extend_from_slice(self.committed.tasks.as_slice());
-            tasks.push(*task);
-            let ok = audsley_lowest_first(tasks, soa, idx, idx2);
-            self.committed.record(false, ok);
-            return ok;
-        }
         let mut insert_at = None;
         let ok = if self.cache_valid {
             let committed = self.committed.tasks.as_slice();
@@ -1258,7 +1087,7 @@ impl AdmissionState for AmcState {
             let warm = (committed.len() - p)
                 + match self.variant {
                     AmcVariant::RtbDm => self.soa.hc[p..].iter().filter(|&&hc| hc).count(),
-                    _ => 0,
+                    AmcVariant::Max => 0,
                 };
             self.committed.stats.rta_seeded += warm as u64;
             // Delta-update the lane view for the probe, undone below —
@@ -1353,7 +1182,7 @@ impl AdmissionState for AmcState {
         self.pending_insert = None;
         self.cache.clear();
         self.soa.clear();
-        self.cache_valid = self.variant != AmcVariant::RtbAudsley;
+        self.cache_valid = true;
         tasks
     }
 
@@ -1679,76 +1508,6 @@ mod tests {
     }
 
     #[test]
-    fn audsley_dominates_dm_rtb_on_grid() {
-        // Grid sweep: OPA accepts everything DM-based rtb accepts.
-        for c0 in 1..=5u64 {
-            for c1 in 1..=6u64 {
-                for d1 in c1..=12 {
-                    let ts = set(vec![
-                        Task::hi(0, 10, c0, (c0 + 2).min(10)).unwrap(),
-                        Task::lo_constrained(1, 12, c1, d1).unwrap(),
-                        Task::lo(2, 20, 3).unwrap(),
-                    ]);
-                    let dm = AmcRtb::new().is_schedulable(&ts);
-                    let opa = AmcRtb::with_audsley().is_schedulable(&ts);
-                    if dm {
-                        assert!(opa, "OPA rejected a DM-accepted set: {ts}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn audsley_strictly_beats_dm() {
-        // DM puts τ1 (D = 9) above the HC task τ0 (D = 10), whose rtb
-        // high-mode bound then reads 6 + 5·⌈9/12⌉ = 11 > 10. Audsley finds
-        // the order τ0 > τ1 > τ2: τ0's bound is its own C^H = 6 ≤ 10, τ1
-        // responds in exactly 9, and τ2 converges at 30 ≤ 40.
-        let ts = set(vec![
-            Task::hi(0, 10, 4, 6).unwrap(),
-            Task::lo_constrained(1, 12, 5, 9).unwrap(),
-            Task::lo(2, 40, 3).unwrap(),
-        ]);
-        assert!(!AmcRtb::new().is_schedulable(&ts), "DM-rtb should reject");
-        assert!(
-            AmcRtb::with_audsley().is_schedulable(&ts),
-            "OPA should accept"
-        );
-        let order = AmcRtb::audsley_order(&ts).unwrap();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn audsley_order_is_a_permutation() {
-        let ts = set(vec![
-            Task::hi(0, 10, 2, 4).unwrap(),
-            Task::lo(1, 20, 5).unwrap(),
-            Task::hi(2, 25, 3, 6).unwrap(),
-        ]);
-        let order = AmcRtb::audsley_order(&ts).expect("feasible");
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn audsley_rejects_infeasible() {
-        let ts = set(vec![
-            Task::hi(0, 10, 4, 9).unwrap(),
-            Task::hi(1, 10, 4, 9).unwrap(),
-        ]);
-        assert!(AmcRtb::audsley_order(&ts).is_none());
-        assert!(!AmcRtb::with_audsley().is_schedulable(&ts));
-    }
-
-    #[test]
-    fn audsley_names() {
-        assert_eq!(AmcRtb::with_audsley().name(), "AMC-rtb-OPA");
-        assert_eq!(AmcRtb::new().name(), "AMC-rtb");
-    }
-
-    #[test]
     fn incremental_states_match_one_shot_exactly() {
         use crate::incremental::clone_and_retest;
         // Deadlines chosen so successive insertions land at the top,
@@ -1763,11 +1522,8 @@ mod tests {
             Task::lo(5, 15, 3).unwrap(),
             Task::hi(6, 18, 2, 4).unwrap(),
         ];
-        let tests: Vec<Box<dyn SchedulabilityTest>> = vec![
-            Box::new(AmcRtb::new()),
-            Box::new(AmcRtb::with_audsley()),
-            Box::new(AmcMax::new()),
-        ];
+        let tests: Vec<Box<dyn SchedulabilityTest>> =
+            vec![Box::new(AmcRtb::new()), Box::new(AmcMax::new())];
         for test in &tests {
             let mut state = test.admission_state_in(&WorkspaceRef::new());
             for t in &sequence {

@@ -4,18 +4,19 @@
 //!
 //! The paper's Algorithm 1 asks, for every `(task, processor)` pair, "does
 //! `τ(φk) ∪ {τi}` pass the uniprocessor test?". The one-shot
-//! [`SchedulabilityTest::is_schedulable`] answers that by analysing the
-//! whole candidate set from scratch — O(n·m) full analyses per
-//! partitioning run. An [`AdmissionState`] instead *remembers* the
+//! [`is_schedulable`](crate::SchedulabilityTest::is_schedulable) answers
+//! that by analysing the whole candidate set from scratch — O(n·m) full
+//! analyses per partitioning run. An [`AdmissionState`] instead *remembers* the
 //! processor's committed contents and the reusable intermediate results of
 //! the last analysis, so each admission query costs only the work the new
 //! task actually adds.
 //!
-//! Two traits make up the layer: [`SchedulabilityTest`] creates states
-//! through its one constructor,
-//! [`admission_state_in`](SchedulabilityTest::admission_state_in), and
-//! [`AdmissionState`] answers the queries. The five native tests return
-//! their own state types:
+//! Two traits make up the layer:
+//! [`SchedulabilityTest`](crate::SchedulabilityTest) creates states
+//! through its one (required) constructor,
+//! [`admission_state_in`](crate::SchedulabilityTest::admission_state_in),
+//! and [`AdmissionState`] answers the queries. Each of the five tests returns
+//! its own state type:
 //!
 //! * [`EdfVd`](crate::EdfVd) keeps the running `(U_LL, U_HL, U_HH)` density
 //!   sums and evaluates the closed-form condition in **O(1)**;
@@ -38,10 +39,10 @@
 //! (warm starts below the least fixed point converge to the same least
 //! fixed point). Incremental partitioning therefore reproduces the
 //! clone-and-retest partitions **bit-identically**; the property tests in
-//! `tests/incremental_equivalence.rs` enforce this against the [`OneShot`]
-//! wrapper, whose states are [`CloneRetestState`]s, for all five tests.
-//! Any other test gets a [`CloneRetestState`] from the default
-//! constructor.
+//! `tests/incremental_equivalence.rs` enforce this for all five tests
+//! against the clone-and-retest reference of the test-support crate
+//! `mcsched-oracle` (`OneShot`, whose states re-run the one-shot test on
+//! every query).
 //!
 //! ## Example
 //!
@@ -74,7 +75,6 @@
 //! # }
 //! ```
 
-use crate::SchedulabilityTest;
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,9 +91,9 @@ pub struct AdmissionStats {
     /// Queries answered from cached incremental state (O(1) closed forms,
     /// warm-started fixed points, cached prefixes).
     pub incremental: u64,
-    /// Queries that fell back to a full from-scratch re-analysis
-    /// (the clone-and-retest bridge, or a state whose cache was
-    /// invalidated).
+    /// Queries that fell back to a full from-scratch re-analysis (a
+    /// state whose cache was invalidated, or a clone-and-retest
+    /// reference state).
     pub full: u64,
     /// QPA descents the demand kernel started cold from the busy-window
     /// bound (EY / ECDF states; zero for the other tests).
@@ -162,8 +162,8 @@ impl fmt::Display for AdmissionStats {
 /// 3. [`remove`](AdmissionState::remove) takes a task back out,
 ///    invalidating whatever cached state depended on it.
 ///
-/// States are created by [`SchedulabilityTest::admission_state_in`], which
-/// defaults to the clone-and-retest [`CloneRetestState`].
+/// Each test creates its own state type through
+/// [`SchedulabilityTest::admission_state_in`](crate::SchedulabilityTest::admission_state_in).
 ///
 /// # Example
 ///
@@ -261,8 +261,8 @@ impl Committed {
 
 /// Runs the one-shot test on `committed ∪ {task}` — the seed
 /// clone-and-retest admission every incremental state must agree with.
-// mclint: cold — the clone IS the baseline being measured against; only equivalence suites call it
-pub(crate) fn clone_and_retest<T: SchedulabilityTest + ?Sized>(
+#[cfg(test)]
+pub(crate) fn clone_and_retest<T: crate::SchedulabilityTest + ?Sized>(
     test: &T,
     committed: &TaskSet,
     task: &Task,
@@ -272,109 +272,10 @@ pub(crate) fn clone_and_retest<T: SchedulabilityTest + ?Sized>(
     test.is_schedulable(&candidate)
 }
 
-/// The default [`AdmissionState`]: clone the committed set, append the
-/// candidate, re-run the one-shot test. This is exactly the seed path of
-/// the paper's Algorithm 1 and the reference the native states are
-/// validated against.
-///
-/// Over a `'static` test (such as `mcsched_core`'s `TestName::test`) the
-/// state is `'static` too, so a session can hold clone-and-retest
-/// mirrors of its native states.
-pub struct CloneRetestState<'a, T: SchedulabilityTest + ?Sized> {
-    test: &'a T,
-    committed: Committed,
-}
-
-impl<'a, T: SchedulabilityTest + ?Sized> CloneRetestState<'a, T> {
-    /// Creates an empty state that re-tests through `test`.
-    pub fn new(test: &'a T) -> Self {
-        CloneRetestState {
-            test,
-            committed: Committed::default(),
-        }
-    }
-}
-
-impl<T: SchedulabilityTest + ?Sized> AdmissionState for CloneRetestState<'_, T> {
-    fn try_admit(&mut self, task: &Task) -> bool {
-        let ok = clone_and_retest(self.test, &self.committed.tasks, task);
-        self.committed.record(false, ok);
-        ok
-    }
-
-    fn commit(&mut self, task: Task) {
-        self.committed.push(task);
-    }
-
-    fn remove(&mut self, id: TaskId) -> bool {
-        self.committed.remove(id).is_some()
-    }
-
-    fn summary(&self) -> SystemUtilization {
-        self.committed.summary
-    }
-
-    fn tasks(&self) -> &TaskSet {
-        &self.committed.tasks
-    }
-
-    fn take_tasks(&mut self) -> TaskSet {
-        self.committed.take()
-    }
-
-    fn stats(&self) -> AdmissionStats {
-        self.committed.stats
-    }
-}
-
-/// Wraps any one-shot test, forcing the clone-and-retest admission path
-/// even when the inner test has a native incremental state.
-///
-/// `OneShot(test)` forwards [`name`](SchedulabilityTest::name) and
-/// [`is_schedulable`](SchedulabilityTest::is_schedulable) but keeps the
-/// default [`admission_state_in`](SchedulabilityTest::admission_state_in),
-/// so its states are [`CloneRetestState`]s — the seed behaviour by
-/// construction. Benchmarks and the equivalence property tests compare a
-/// test's native state against it.
-///
-/// # Example
-///
-/// ```
-/// use mcsched_model::Task;
-/// use mcsched_analysis::{EdfVd, OneShot, SchedulabilityTest, WorkspaceRef};
-///
-/// # fn main() -> Result<(), mcsched_model::ModelError> {
-/// let (native, reference) = (EdfVd::new(), OneShot(EdfVd::new()));
-/// assert_eq!(reference.name(), "EDF-VD");
-/// let ws = WorkspaceRef::new();
-/// let mut fast = native.admission_state_in(&ws);
-/// let mut slow = reference.admission_state_in(&ws);
-/// let t = Task::hi(0, 10, 2, 5)?;
-/// assert_eq!(fast.try_admit(&t), slow.try_admit(&t));
-/// assert_eq!(slow.stats().full, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OneShot<T>(pub T);
-
-impl<T: SchedulabilityTest> SchedulabilityTest for OneShot<T> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn is_schedulable(&self, ts: &TaskSet) -> bool {
-        self.0.is_schedulable(ts)
-    }
-
-    // Note: `admission_state_in` is deliberately *not* overridden — the
-    // whole point of the wrapper is to keep the clone-and-retest default.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, WorkspaceRef};
+    use crate::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef};
 
     fn hi(id: u32, t: u64, cl: u64, ch: u64) -> Task {
         Task::hi(id, t, cl, ch).unwrap()
@@ -443,26 +344,11 @@ mod tests {
             Box::new(Ey::new()),
             Box::new(Ecdf::new()),
             Box::new(AmcRtb::new()),
-            Box::new(AmcRtb::with_audsley()),
             Box::new(AmcMax::new()),
         ];
         for t in &tests {
             exercise_state(t.as_ref());
         }
-    }
-
-    #[test]
-    fn bridge_state_counts_full_analyses() {
-        let test = OneShot(EdfVd::new());
-        let mut state = test.admission_state_in(&WorkspaceRef::new());
-        assert!(state.try_admit(&lo(0, 10, 1)));
-        state.commit(lo(0, 10, 1));
-        assert!(!state.try_admit(&lo(1, 10, 10)));
-        let stats = state.stats();
-        assert_eq!(stats.attempts, 2);
-        assert_eq!(stats.admits, 1);
-        assert_eq!(stats.full, 2);
-        assert_eq!(stats.incremental, 0);
     }
 
     #[test]
@@ -505,25 +391,5 @@ mod tests {
         };
         assert!(!plain.to_string().contains("QPA"));
         assert!(!plain.to_string().contains("RTA"));
-    }
-
-    #[test]
-    fn dyn_default_uses_clone_retest() {
-        // A test type with no native state gets the bridge for free.
-        struct AlwaysYes;
-        impl SchedulabilityTest for AlwaysYes {
-            fn name(&self) -> &'static str {
-                "yes"
-            }
-            fn is_schedulable(&self, _: &TaskSet) -> bool {
-                true
-            }
-        }
-        let t = AlwaysYes;
-        let mut state = t.admission_state_in(&WorkspaceRef::new());
-        assert!(state.try_admit(&lo(0, 10, 9)));
-        state.commit(lo(0, 10, 9));
-        assert_eq!(state.stats().full, 1);
-        assert_eq!(state.tasks().len(), 1);
     }
 }

@@ -13,9 +13,10 @@
 //!   [`vdtune`] for why the bound itself is not tightened).
 //! * [`AmcRtb`] / [`AmcMax`] — fixed-priority Adaptive Mixed-Criticality
 //!   response-time analyses of Baruah, Burns & Davis (RTSS 2011).
-//! * [`classic`] — plain (non-MC) EDF and fixed-priority baselines.
 //!
-//! Every test implements the object-safe [`SchedulabilityTest`] trait, so
+//! Beside the five tests the crate holds only their shared kernels and
+//! the accept-sound degraded tier of [`sufficient`]. Every test
+//! implements the object-safe [`SchedulabilityTest`] trait, so
 //! partitioning strategies in `mcsched-core` can treat them uniformly.
 //!
 //! ## One-shot vs incremental
@@ -32,9 +33,9 @@
 //!   warm [`demand::DemandKernel`] with O(1) overload rejection for
 //!   EY/ECDF, warm-started response-time fixed points for AMC). Admission
 //!   verdicts are *exactly* the one-shot verdicts on the union —
-//!   incremental partitions are bit-identical to clone-and-retest ones.
-//!   Tests without a native state fall back to the clone-and-retest
-//!   [`CloneRetestState`] ([`OneShot`] forces it explicitly).
+//!   incremental partitions are bit-identical to clone-and-retest ones
+//!   (the clone-and-retest reference lives in the test-support crate
+//!   `mcsched-oracle`).
 //!
 //! Demand and response-time arithmetic is exact over integer ticks
 //! ([`mcsched_model::Time`]). Some verdict-bearing utilization
@@ -67,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod amc;
-pub mod classic;
 pub mod dbf;
 pub mod demand;
 pub mod edfvd;
@@ -77,11 +77,10 @@ pub mod vdtune;
 pub mod workspace;
 
 pub use amc::{AmcMax, AmcRtb, AmcState, LoRta};
-pub use classic::{ClassicEdf, ClassicFp};
 pub use dbf::{DemandCheck, VdTask};
 pub use demand::{DemandKernel, QpaCounters};
 pub use edfvd::{EdfVd, EdfVdState};
-pub use incremental::{AdmissionState, AdmissionStats, CloneRetestState, OneShot};
+pub use incremental::{AdmissionState, AdmissionStats};
 pub use sufficient::{FastRule, FastState};
 pub use vdtune::{Ecdf, Ey, VdAssignment, VdTuneState};
 pub use workspace::{AnalysisWorkspace, PooledWorkspace, WorkspaceRef};
@@ -125,22 +124,18 @@ pub trait SchedulabilityTest {
     /// Creates an empty per-processor admission state (the stateful layer
     /// of [`incremental`]), its scratch buffers shared through `ws`.
     ///
-    /// The default is the clone-and-retest [`CloneRetestState`] — exactly
-    /// the seed behaviour of the paper's Algorithm 1, one full analysis
-    /// per query. The five native tests override this with states whose
-    /// admissions are exactly equivalent but reuse cached per-processor
-    /// work; those states own everything but the workspace handle, so a
-    /// `'static` test yields a `'static` state a service session can keep.
+    /// Required: each of the five tests returns a native state whose
+    /// admissions are exactly the one-shot verdicts on the union but
+    /// reuse cached per-processor work. The states own everything but
+    /// the workspace handle, so a `'static` test yields a `'static`
+    /// state a service session can keep.
     ///
     /// `Partition::build_reporting` passes one [`WorkspaceRef`] to all `m`
     /// per-processor states of a run, so the whole build shares a single
     /// set of scratch buffers and the admission path allocates nothing in
     /// steady state. Verdicts never depend on `ws` — it holds scratch
     /// only.
-    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        let _ = ws;
-        Box::new(CloneRetestState::new(self))
-    }
+    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_>;
 }
 
 impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {

@@ -201,22 +201,14 @@ impl SoaTasks {
     }
 
     /// Rebuilds the view as `tasks[order[0]], tasks[order[1]], …`.
-    pub(crate) fn load(&mut self, tasks: &[Task], order: &[usize]) {
-        self.load_from(order.iter().map(|&i| &tasks[i]));
-    }
-
-    /// Rebuilds the view in slice order (`order = 0..n`).
-    pub(crate) fn load_seq(&mut self, tasks: &[Task]) {
-        self.load_from(tasks.iter());
-    }
-
+    ///
     /// One fused pass: each task is read once and scattered into all six
     /// lanes in place (resize + overwrite, no clear-and-extend), with the
     /// fast-kernel certificate accumulated on the fly — the per-set build
     /// cost is on the one-shot hot path, paid even by sets the analysis
     /// rejects at the first task.
-    fn load_from<'a>(&mut self, tasks: impl ExactSizeIterator<Item = &'a Task>) {
-        let n = tasks.len();
+    pub(crate) fn load(&mut self, tasks: &[Task], order: &[usize]) {
+        let n = order.len();
         self.wcet_lo.resize(n, 0);
         self.wcet_hi.resize(n, 0);
         self.period.resize(n, 0);
@@ -233,7 +225,7 @@ impl SoaTasks {
             .zip(&mut self.inv_period)
             .zip(&mut self.deadline)
             .zip(&mut self.hc);
-        for (t, lane) in tasks.zip(lanes) {
+        for (t, lane) in order.iter().map(|&i| &tasks[i]).zip(lanes) {
             let (((((wl, wh), per), inv), dl), hc) = lane;
             *wl = t.wcet_lo().as_ticks();
             *wh = t.wcet_hi().as_ticks();
@@ -621,15 +613,9 @@ impl DemandSoa {
 /// the sets analysed through them and are then reused allocation-free.
 #[derive(Debug, Default)]
 pub struct AnalysisWorkspace {
-    /// Priority-order indices (deadline-monotonic order, Audsley's
-    /// unassigned set).
-    pub(crate) idx: Vec<usize>,
-    /// Secondary index buffer (Audsley's lowest-priority-first order).
-    pub(crate) idx2: Vec<usize>,
-    /// Union buffer for `committed ∪ {candidate}`, built only by the
-    /// probes that re-analyse the whole union: AMC-rtb under Audsley's
-    /// OPA, and an `AmcState` whose cache is invalid (the full-analysis
-    /// fallback). Incremental DM probes read the lanes alone.
+    /// Union buffer for `committed ∪ {candidate}`, built only by an
+    /// `AmcState` probe whose cache is invalid (the full-analysis
+    /// fallback). Incremental probes read the lanes alone.
     pub(crate) tasks: Vec<Task>,
     /// Per-interferer step streams for the AMC-max candidate walk.
     pub(crate) streams: Vec<CandStream>,
@@ -643,12 +629,12 @@ pub struct AnalysisWorkspace {
     /// runs exactly the incremental layer's `analyze_from` over it.
     pub(crate) amc: AmcCache,
     /// SoA lane view for the response-time lane kernels (the one-shot
-    /// and Audsley paths; the incremental `AmcState`s keep their own
-    /// per-processor view mirroring the committed cache).
+    /// path; the incremental `AmcState`s keep their own per-processor
+    /// view mirroring the committed cache).
     pub(crate) soa: SoaTasks,
     /// The incremental demand kernel: the virtual-deadline assignment
-    /// under analysis plus its memoised QPA state (EY / ECDF, classic
-    /// EDF, and the public one-shot demand checks).
+    /// under analysis plus its memoised QPA state (EY / ECDF and the
+    /// public one-shot demand checks).
     pub(crate) demand: DemandKernel,
     /// Candidate tightening moves of one greedy round (EY / ECDF).
     pub(crate) moves: Vec<Move>,
@@ -758,9 +744,15 @@ mod tests {
             Task::hi(2, 25, 3, 6).unwrap(),
             Task::lo(3, 12, 1).unwrap(),
         ];
-        let mut soa = SoaTasks::default();
-        soa.load_seq(&tasks);
+        let soa = load_seq(&tasks);
         (tasks, soa)
+    }
+
+    /// The view of `tasks` in slice order.
+    fn load_seq(tasks: &[Task]) -> SoaTasks {
+        let mut soa = SoaTasks::default();
+        soa.load(tasks, &(0..tasks.len()).collect::<Vec<_>>());
+        soa
     }
 
     /// Structural invariants a correctly maintained view always satisfies.
@@ -775,14 +767,13 @@ mod tests {
             assert_eq!(soa.hc[pos], t.criticality() == Criticality::High);
         }
         // The reversible certificate equals a fresh accumulation.
-        let mut fresh = SoaTasks::default();
-        fresh.load_seq(tasks);
+        let fresh = load_seq(tasks);
         assert_eq!(soa.slow_tasks, fresh.slow_tasks);
         assert_eq!(soa.fast_budget, fresh.fast_budget);
     }
 
-    /// Both load routes build the same view: slice order, and a
-    /// caller-supplied priority order over a permuted slice.
+    /// The load builds the same view from slice order and from a
+    /// permuted slice through its inverse order.
     #[test]
     fn soa_load_builds_both_views() {
         let (tasks, soa) = soa_fixture();
@@ -828,8 +819,7 @@ mod tests {
         soa.insert(2, &cand);
         let mut rebuilt: Vec<Task> = tasks.clone();
         rebuilt.insert(2, cand);
-        let mut fresh = SoaTasks::default();
-        fresh.load_seq(&rebuilt);
+        let fresh = load_seq(&rebuilt);
         assert_eq!(soa.wcet_lo, fresh.wcet_lo);
         assert_eq!(soa.wcet_hi, fresh.wcet_hi);
         assert_eq!(soa.period, fresh.period);
@@ -961,25 +951,25 @@ mod tests {
     fn with_reuses_thread_local_buffers() {
         // Grow a buffer inside one `with` scope…
         AnalysisWorkspace::with(|ws| {
-            ws.idx.clear();
-            ws.idx.extend(0..100);
+            ws.rtb_pos.clear();
+            ws.rtb_pos.extend(0..100);
         });
         // …and observe the capacity surviving into the next checkout.
         AnalysisWorkspace::with(|ws| {
-            assert!(ws.idx.capacity() >= 100);
+            assert!(ws.rtb_pos.capacity() >= 100);
         });
     }
 
     #[test]
     fn nested_with_is_reentrant() {
         AnalysisWorkspace::with(|outer| {
-            outer.idx.push(7);
+            outer.rtb_pos.push(7);
             AnalysisWorkspace::with(|inner| {
                 // A distinct workspace: pushing here cannot alias `outer`.
-                inner.idx.push(9);
+                inner.rtb_pos.push(9);
             });
-            assert_eq!(outer.idx.pop(), Some(7));
-            outer.idx.clear();
+            assert_eq!(outer.rtb_pos.pop(), Some(7));
+            outer.rtb_pos.clear();
         });
     }
 
@@ -987,8 +977,8 @@ mod tests {
     fn workspace_ref_clones_share_buffers() {
         let a = WorkspaceRef::new();
         let b = a.clone();
-        a.borrow_mut().idx.push(3);
-        assert_eq!(b.borrow_mut().idx.pop(), Some(3));
+        a.borrow_mut().rtb_pos.push(3);
+        assert_eq!(b.borrow_mut().rtb_pos.pop(), Some(3));
     }
 
     #[test]

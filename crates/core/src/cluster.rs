@@ -122,11 +122,11 @@ impl ClusterSession {
     /// processor, placed by `strategy`'s fit rules.
     ///
     /// [`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster)
-    /// passes the test's native states. Passing
-    /// [`CloneRetestState`](mcsched_analysis::CloneRetestState)s over
-    /// [`TestName::test`](crate::TestName::test) instead builds a
-    /// clone-and-retest mirror of that session, the oracle for
-    /// bit-identical equivalence checks.
+    /// passes the test's native states. Passing the clone-and-retest
+    /// states of the test-support crate `mcsched-oracle`
+    /// (`CloneRetestState` over [`TestName::test`](crate::TestName::test))
+    /// instead builds a clone-and-retest mirror of that session, the
+    /// oracle for bit-identical equivalence checks.
     pub fn from_states(
         name: impl Into<String>,
         strategy: PartitionStrategy,
@@ -314,7 +314,7 @@ mod tests {
     use super::*;
     use crate::registry::{AlgorithmRegistry, TestName};
     use crate::{presets, AlgorithmSpec};
-    use mcsched_analysis::CloneRetestState;
+    use mcsched_oracle::CloneRetestState;
 
     fn hi(id: u32, t: u64, cl: u64, ch: u64) -> Task {
         Task::hi(id, t, cl, ch).unwrap()

@@ -59,6 +59,4 @@ pub use strategy::{AllocationOrder, BalanceMetric, FitRule, PartitionStrategy, S
 // `mcsched_analysis::incremental`), re-exported for downstream reporting,
 // together with the analysis workspace the partitioner threads through
 // the per-processor states (see `mcsched_analysis::workspace`).
-pub use mcsched_analysis::{
-    AdmissionState, AdmissionStats, AnalysisWorkspace, OneShot, WorkspaceRef,
-};
+pub use mcsched_analysis::{AdmissionState, AdmissionStats, AnalysisWorkspace, WorkspaceRef};

@@ -83,10 +83,9 @@ impl Partition {
     /// Admission runs through the test's stateful per-processor
     /// [`AdmissionState`]s (`test.admission_state_in`): rejected attempts
     /// cost no `TaskSet` clone, fit rules read the cached utilization
-    /// summaries, and the five native tests reuse incremental analysis
-    /// state. Tests without a native state transparently fall back to the
-    /// clone-and-retest bridge; either way the resulting partition is
-    /// identical to the historical clone-and-retest construction.
+    /// summaries, and the tests reuse incremental analysis state. The
+    /// resulting partition is identical to the historical
+    /// clone-and-retest construction.
     ///
     /// # Errors
     ///
@@ -349,7 +348,7 @@ mod tests {
 
     #[test]
     fn incremental_build_matches_one_shot_bridge() {
-        use mcsched_analysis::OneShot;
+        use mcsched_oracle::OneShot;
         let ts = small_set();
         for strategy in presets::all() {
             for m in 1..=3 {

@@ -17,7 +17,7 @@
 use crate::algorithms::{ablation_lineup, amc_ablation_lineup, AlgoBox};
 use crate::sweep::{acceptance_sweep, SweepConfig};
 use mcsched_core::{AdmissionStats, WorkspaceRef};
-use mcsched_gen::{utilization_grid, DeadlineModel, TaskSetSpec};
+use mcsched_gen::{utilization_grid, DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::TaskSet;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -90,7 +90,17 @@ pub struct AdmissionRow {
 
 /// Generates a deterministic corpus of `count` task sets at mid-to-high
 /// load (`UB ∈ [0.5, 0.9]`), where admission decisions are non-trivial.
-pub fn seeded_corpus(m: usize, count: usize, seed: u64) -> Vec<TaskSet> {
+///
+/// Each draw picks a grid point with one seeded RNG and generates from
+/// `spec(point)`, so the caller fixes the shape: the whole
+/// `m`-processor system (the admission profile) or one processor's
+/// share of it ([`uniprocessor_spec`](crate::analysis_perf::uniprocessor_spec)).
+/// Gives up after `40 · count` draws, so a corpus can come out short.
+pub fn seeded_corpus(
+    count: usize,
+    seed: u64,
+    spec: impl Fn(GridPoint) -> TaskSetSpec,
+) -> Vec<TaskSet> {
     let points: Vec<_> = utilization_grid()
         .into_iter()
         .filter(|p| (0.5..=0.9).contains(&p.ub()))
@@ -101,8 +111,7 @@ pub fn seeded_corpus(m: usize, count: usize, seed: u64) -> Vec<TaskSet> {
     while out.len() < count && guard < count * 40 {
         guard += 1;
         let point = points[rng.random_range(0..points.len())];
-        let spec = TaskSetSpec::paper_defaults(m, point, DeadlineModel::Implicit);
-        if let Ok(ts) = spec.generate(&mut rng) {
+        if let Ok(ts) = spec(point).generate(&mut rng) {
             out.push(ts);
         }
     }
@@ -118,7 +127,9 @@ pub fn admission_profile(
     seed: u64,
     algorithms: &[AlgoBox],
 ) -> Vec<AdmissionRow> {
-    let corpus = seeded_corpus(m, sets, seed);
+    let corpus = seeded_corpus(sets, seed, |p| {
+        TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
+    });
     let ws = WorkspaceRef::new();
     algorithms
         .iter()
@@ -209,10 +220,56 @@ mod tests {
 
     #[test]
     fn corpus_is_deterministic_and_sized() {
-        let a = seeded_corpus(2, 6, 11);
-        let b = seeded_corpus(2, 6, 11);
+        let shape = |p| TaskSetSpec::paper_defaults(2, p, DeadlineModel::Implicit);
+        let a = seeded_corpus(6, 11, shape);
+        let b = seeded_corpus(6, 11, shape);
         assert_eq!(a, b);
         assert_eq!(a.len(), 6);
+    }
+
+    #[test]
+    fn corpus_shapes_keep_their_sets() {
+        use crate::analysis_perf::uniprocessor_spec;
+        use mcsched_model::Criticality;
+        // (sets, tasks, FNV-1a over every task's parameters) of both
+        // corpus shapes at seed 2017, as the two separate generator
+        // loops this function replaced produced them.
+        let fingerprint = |corpus: &[TaskSet]| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for t in corpus.iter().flat_map(TaskSet::iter) {
+                for v in [
+                    u64::from(t.id().0),
+                    t.period().as_ticks(),
+                    t.wcet_lo().as_ticks(),
+                    t.wcet_hi().as_ticks(),
+                    t.deadline().as_ticks(),
+                    u64::from(t.criticality() == Criticality::High),
+                ] {
+                    h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            (
+                corpus.len(),
+                corpus.iter().map(TaskSet::len).sum::<usize>(),
+                h,
+            )
+        };
+        let partition = |m| {
+            seeded_corpus(16, 2017, |p| {
+                TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
+            })
+        };
+        let uniprocessor = |m, n| seeded_corpus(n, 2017, |p| uniprocessor_spec(m, p));
+        assert_eq!(fingerprint(&partition(2)), (16, 101, 8880023700383817821));
+        assert_eq!(fingerprint(&partition(4)), (16, 227, 13011548914705025270));
+        assert_eq!(
+            fingerprint(&uniprocessor(4, 16)),
+            (16, 214, 3921181817606960141)
+        );
+        assert_eq!(
+            fingerprint(&uniprocessor(2, 256)),
+            (256, 1656, 683615834020349178)
+        );
     }
 
     #[test]
@@ -242,9 +299,7 @@ mod tests {
             }
             // The AMC states report warm-seeded suffix fixpoints whenever
             // any probe ran incrementally.
-            if (r.algorithm.contains("AMC-rtb") && !r.algorithm.contains("OPA"))
-                || r.algorithm.contains("AMC-max")
-            {
+            if r.algorithm.contains("AMC-rtb") || r.algorithm.contains("AMC-max") {
                 assert!(
                     r.stats.incremental == 0 || r.stats.rta_seeded > 0,
                     "{}: incremental AMC probes but no seeded fixpoints",

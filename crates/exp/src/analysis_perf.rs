@@ -22,44 +22,33 @@
 //! every round is **asserted equal** — a divergence panics, which is
 //! exactly what the `perf-analysis` CI job promotes into a failure.
 
+use crate::ablation::seeded_corpus;
 use mcsched_analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
-use mcsched_gen::{utilization_grid, DeadlineModel, TaskSetSpec};
+use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::TaskSet;
 use mcsched_oracle::{amc as reference, vdtune as vd_reference};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
 
-/// A deterministic corpus of **uniprocessor-load** task sets with the
-/// task-count range of an `m`-processor workload (`n ∈ [m+1, 5m]`).
+/// The generator shape of a **uniprocessor-load** corpus: one processor's
+/// utilization at `point`, with the task-count range of an `m`-processor
+/// workload (`n ∈ [m+1, 5m]`). Draw a corpus with
+/// `seeded_corpus(count, seed, |p| uniprocessor_spec(m, p))`.
 ///
 /// This is the shape the uniprocessor tests actually see inside the
 /// partitioning inner loop: one processor's share of the load, but drawn
 /// from systems whose task counts grow with `m`. (The partition-level
-/// corpus of [`crate::ablation::seeded_corpus`] keeps the full `m`-processor
+/// shape of the admission profile keeps the full `m`-processor
 /// utilization and would trip every test's O(1) structural overload
-/// rejection, measuring nothing but the fast path.) `UB ∈ [0.5, 0.9]`
-/// keeps verdicts mixed and fixpoints non-trivial.
-pub fn uniprocessor_corpus(m: usize, count: usize, seed: u64) -> Vec<TaskSet> {
-    let points: Vec<_> = utilization_grid()
-        .into_iter()
-        .filter(|p| (0.5..=0.9).contains(&p.ub()))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count);
-    let mut guard = 0usize;
-    while out.len() < count && guard < count * 40 {
-        guard += 1;
-        let point = points[rng.random_range(0..points.len())];
-        let mut spec = TaskSetSpec::paper_defaults(1, point, DeadlineModel::Implicit);
-        spec.n_min = m + 1;
-        spec.n_max = 5 * m;
-        if let Ok(ts) = spec.generate(&mut rng) {
-            out.push(ts);
-        }
-    }
-    out
+/// rejection, measuring nothing but the fast path.)
+/// The corpus's `UB ∈ [0.5, 0.9]` keeps verdicts mixed and fixpoints
+/// non-trivial.
+pub fn uniprocessor_spec(m: usize, point: GridPoint) -> TaskSetSpec {
+    let mut spec = TaskSetSpec::paper_defaults(1, point, DeadlineModel::Implicit);
+    spec.n_min = m + 1;
+    spec.n_max = 5 * m;
+    spec
 }
 
 /// One `(test, m)` cell of the throughput report.
@@ -165,7 +154,7 @@ pub const ROUNDS: usize = 7;
 pub fn analysis_throughput(m_values: &[usize], sets: usize, seed: u64) -> AnalysisPerfReport {
     let mut rows = Vec::new();
     for &m in m_values {
-        let corpus = uniprocessor_corpus(m, sets, seed);
+        let corpus = seeded_corpus(sets, seed, |p| uniprocessor_spec(m, p));
         let tasks: usize = corpus.iter().map(TaskSet::len).sum();
         for case in TestCase::all() {
             let test = case.as_test();

@@ -28,7 +28,8 @@
 //! them on a journaled server. [`ServiceBenchConfig::journal`] turns the
 //! same durable workload on for the in-process server.
 
-use crate::analysis_perf::uniprocessor_corpus;
+use crate::ablation::seeded_corpus;
+use crate::analysis_perf::uniprocessor_spec;
 use crate::protocol::{Envelope, EvalRequest, Reply, Request, RequestId};
 use crate::server::{Server, ServerConfig};
 use mcsched_core::AlgorithmRegistry;
@@ -365,7 +366,7 @@ fn overload_burst(addr: &str, count: usize) -> OverloadStats {
 /// Propagates connection failures and protocol violations (an error
 /// reply mid-phase is a violation: the workload is well-formed).
 pub fn run_service_bench(config: &ServiceBenchConfig) -> io::Result<ServiceBenchReport> {
-    let corpus = uniprocessor_corpus(config.m, config.sets, config.seed);
+    let corpus = seeded_corpus(config.sets, config.seed, |p| uniprocessor_spec(config.m, p));
     let arrivals: usize = corpus.iter().map(|ts| ts.len()).sum();
 
     // Cold: every arrival re-evaluates the whole prefix, from scratch.

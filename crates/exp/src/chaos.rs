@@ -18,9 +18,10 @@
 //! 2. **Recovered** — the session rebuilt from the journal by
 //!    [`Journal::recover`] + [`ClusterSession::restore`], i.e. what a
 //!    crashed server would come back with.
-//! 3. **Oracle** — a clone-and-retest [`CloneRetestState`] cluster restored from
-//!    the same journal rows: the seed implementation this repo grew out
-//!    of, with none of the incremental-state machinery.
+//! 3. **Oracle** — a cluster of `mcsched-oracle`'s clone-and-retest
+//!    [`CloneRetestState`]s restored from the same journal rows: the seed
+//!    implementation this repo grew out of, with none of the
+//!    incremental-state machinery.
 //!
 //! All three must agree **bit-for-bit**: identical placements and
 //! identical per-processor utilization summaries under
@@ -37,9 +38,10 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use mcsched_analysis::{AdmissionState, CloneRetestState};
+use mcsched_analysis::AdmissionState;
 use mcsched_core::{AlgorithmRegistry, AlgorithmSpec, ClusterSession};
 use mcsched_model::{Task, TaskId, TaskSet};
+use mcsched_oracle::CloneRetestState;
 use netframe::fault::{FaultConfig, FaultPlan, FaultyReader, FaultyWriter};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

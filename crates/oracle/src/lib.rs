@@ -2,7 +2,8 @@
 //!
 //! The seed (allocating, per-call) implementations of the
 //! `mcsched-analysis` schedulability tests, kept **verbatim** as test
-//! oracles for the production kernels:
+//! oracles for the production kernels, plus the references that only
+//! tests use:
 //!
 //! * [`amc`] — scalar low-mode RTA, the AMC-rtb fixpoint that re-derives
 //!   every interference term per iteration, and the AMC-max bound that
@@ -10,15 +11,24 @@
 //! * [`dbf`] — the flat per-call QPA demand checks, the brute-force
 //!   [`dbf::DemandCurve`] and the total demand sums;
 //! * [`vdtune`] — the allocating EY / ECDF virtual-deadline tuners over
-//!   [`dbf`].
+//!   [`dbf`];
+//! * [`classic`] — plain EDF over the own-level and low-mode budget
+//!   projections, the baselines of the dominance suite;
+//! * [`incremental`] — the clone-and-retest admission state
+//!   [`CloneRetestState`] and the [`OneShot`] wrapper that forces it.
 //!
 //! The equivalence suites (`tests/analysis_workspace.rs`,
-//! `tests/demand_kernel.rs`, `crates/analysis/tests/saturation.rs`, the
-//! unit tests here) and the reference-vs-workspace ratios of
-//! `mcexp analysis` compare the kernels against these.
+//! `tests/demand_kernel.rs`, `tests/incremental_equivalence.rs`,
+//! `tests/service_session.rs`, `crates/analysis/tests/saturation.rs`, the
+//! unit tests here), the `mcexp chaos` harness and the
+//! reference-vs-workspace ratios of `mcexp analysis` compare the
+//! production code against these.
 //!
 //! This crate shares no code with the kernels it checks: it uses only
-//! the model types and four public items of `mcsched-analysis`
+//! the model types, the public admission-layer traits
+//! ([`SchedulabilityTest`](mcsched_analysis::SchedulabilityTest),
+//! [`AdmissionState`](mcsched_analysis::AdmissionState) and its
+//! counters) and four public items of `mcsched-analysis`
 //! ([`VdTask`](mcsched_analysis::VdTask),
 //! [`DemandCheck`](mcsched_analysis::DemandCheck), and the per-task
 //! demand functions [`dbf_lo`](mcsched_analysis::dbf::dbf_lo) /
@@ -32,7 +42,11 @@
 #![warn(missing_docs)]
 
 pub mod amc;
+pub mod classic;
 pub mod dbf;
 #[cfg(test)]
 mod demand;
+pub mod incremental;
 pub mod vdtune;
+
+pub use incremental::{CloneRetestState, OneShot};

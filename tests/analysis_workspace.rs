@@ -14,7 +14,7 @@ use mcsched::analysis::amc::{amc_max_bound_streamed, amc_max_candidates_streamed
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
 };
-use mcsched::exp::analysis_perf::uniprocessor_corpus;
+use mcsched::exp::ablation::seeded_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use mcsched_oracle::amc as reference;
@@ -130,7 +130,6 @@ fn assert_workspace_equivalent(ts: &TaskSet, ws: &mut AnalysisWorkspace) -> usiz
         Box::new(Ey::new()),
         Box::new(Ecdf::new()),
         Box::new(AmcRtb::new()),
-        Box::new(AmcRtb::with_audsley()),
         Box::new(AmcMax::new()),
     ];
     for test in &tests {
@@ -300,7 +299,9 @@ fn seeded_corpus_streaming_equivalence() {
         }
         generated += sets.len();
     }
-    let admission_sized = uniprocessor_corpus(2, 256, 2017);
+    let admission_sized = seeded_corpus(256, 2017, |p| {
+        mcsched::exp::analysis_perf::uniprocessor_spec(2, p)
+    });
     assert_eq!(admission_sized.len(), 256);
     let point = GridPoint {
         u_hh: 0.3,
@@ -357,14 +358,11 @@ fn guarded_kernel_bounds_match_reference() {
     let mut ws = AnalysisWorkspace::new();
     for ts in &sets {
         assert_lane_bounds_equivalent(ts);
-        for test in [AmcRtb::new(), AmcRtb::with_audsley()] {
-            assert_eq!(
-                test.is_schedulable_in(ts, &mut ws),
-                test.is_schedulable(ts),
-                "{} workspace verdict diverged on {ts}",
-                test.name()
-            );
-        }
+        assert_eq!(
+            AmcRtb::new().is_schedulable_in(ts, &mut ws),
+            AmcRtb::new().is_schedulable(ts),
+            "AMC-rtb workspace verdict diverged on {ts}"
+        );
         assert_eq!(
             AmcMax::new().is_schedulable_in(ts, &mut ws),
             reference::amc_max_is_schedulable(ts),

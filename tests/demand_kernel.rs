@@ -19,7 +19,7 @@
 
 use mcsched::analysis::dbf::VdTask;
 use mcsched::analysis::{AnalysisWorkspace, DemandKernel, Ecdf, Ey, SchedulabilityTest};
-use mcsched::exp::analysis_perf::uniprocessor_corpus;
+use mcsched::exp::ablation::seeded_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet, Time};
 use mcsched_oracle::dbf as reference;
@@ -294,7 +294,9 @@ fn seeded_corpus_kernel_equivalence() {
     }
     assert!(generated >= 200, "corpus too small: {generated}");
 
-    let admission_sized = uniprocessor_corpus(2, 256, 2017 ^ 0xd50a);
+    let admission_sized = seeded_corpus(256, 2017 ^ 0xd50a, |p| {
+        mcsched::exp::analysis_perf::uniprocessor_spec(2, p)
+    });
     assert_eq!(admission_sized.len(), 256);
     let point = GridPoint {
         u_hh: 0.45,

@@ -1,9 +1,10 @@
 //! Cross-test dominance and consistency relations on generator-random
 //! sets — the orderings the paper's evaluation quietly relies on.
 
-use mcsched::analysis::{AmcMax, AmcRtb, ClassicEdf, Ecdf, EdfVd, Ey, SchedulabilityTest};
+use mcsched::analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::TaskSet;
+use mcsched_oracle::classic::{edf_lo_mode, edf_own_level};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn sets(deadlines: DeadlineModel, count: usize, seed: u64) -> Vec<TaskSet> {
@@ -103,7 +104,6 @@ fn amc_max_dominates_rtb() {
 fn mc_accept_implies_lo_projection_feasible() {
     // Necessary condition: if any MC test accepts, the low-mode projection
     // (every task at C^L, real deadlines) must be plain-EDF feasible.
-    let lo_edf = ClassicEdf::lo_mode();
     for ts in sets(DeadlineModel::Implicit, 100, 0x10) {
         for test in [
             &EdfVd::new() as &dyn SchedulabilityTest,
@@ -112,7 +112,7 @@ fn mc_accept_implies_lo_projection_feasible() {
         ] {
             if test.is_schedulable(&ts) {
                 assert!(
-                    lo_edf.is_schedulable(&ts),
+                    edf_lo_mode(&ts),
                     "{} accepted a set whose LO projection is EDF-infeasible: {ts}",
                     test.name()
                 );
@@ -127,7 +127,7 @@ fn own_level_reservation_implies_every_mc_test() {
     // under EDF (utilization ≤ 1 implicit), EDF-VD accepts (x = 1 path),
     // and the dbf tests accept too.
     for ts in sets(DeadlineModel::Implicit, 100, 0x20) {
-        if ClassicEdf::own_level().is_schedulable(&ts) {
+        if edf_own_level(&ts) {
             assert!(
                 EdfVd::new().is_schedulable(&ts),
                 "EDF-VD rejected a fully-reservable set: {ts}"

@@ -3,7 +3,8 @@
 //! processor count and uniprocessor test, `Partition::build` with the
 //! test's native `AdmissionState` produces the exact same task→processor
 //! map (or the exact same `PartitionError`) as building through the
-//! `OneShot` bridge, which re-runs the one-shot test per attempt.
+//! `OneShot` bridge of `mcsched-oracle`, which re-runs the one-shot test
+//! per attempt.
 //!
 //! Building through a caller-owned `WorkspaceRef` (`build_reporting_in`,
 //! the experiment engine's path) must give the same result as the pooled
@@ -18,12 +19,11 @@
 //!   m = 8 batch), matching the acceptance criterion of the
 //!   incremental-admission milestone.
 
-use mcsched::analysis::{
-    AmcMax, AmcRtb, Ecdf, EdfVd, Ey, OneShot, SchedulabilityTest, WorkspaceRef,
-};
+use mcsched::analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef};
 use mcsched::core::{presets, Partition};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet};
+use mcsched_oracle::OneShot;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

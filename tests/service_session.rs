@@ -11,13 +11,14 @@
 //! * a real TCP server sheds connections beyond its pool + queue with a
 //!   typed overload reply and shuts down cleanly.
 
-use mcsched::analysis::{AdmissionState, CloneRetestState};
+use mcsched::analysis::AdmissionState;
 use mcsched::core::ClusterSession;
 use mcsched::exp::protocol::{
     parse_envelope, parse_reply, Envelope, EvalRequest, Reply, Request, RequestId,
 };
 use mcsched::exp::server::{serve_connection, Server, ServerConfig};
 use mcsched::prelude::*;
+use mcsched_oracle::CloneRetestState;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::io::{BufRead, BufReader, Write};

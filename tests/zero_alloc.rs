@@ -25,8 +25,7 @@
 #![allow(unsafe_code)]
 
 use mcsched::analysis::{
-    AmcMax, AmcRtb, AnalysisWorkspace, ClassicEdf, Ecdf, EdfVd, Ey, SchedulabilityTest,
-    WorkspaceRef,
+    AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched::exp::protocol::{parse_envelope, Envelope, EvalRequest, Request, RequestId};
 use mcsched::model::{Task, TaskId, TaskSet};
@@ -289,7 +288,6 @@ fn admission_and_one_shot_paths_are_allocation_free() {
         Box::new(Ey::new()),
         Box::new(Ecdf::new()),
         Box::new(AmcRtb::new()),
-        Box::new(AmcRtb::with_audsley()),
         Box::new(AmcMax::new()),
     ];
     let sets = vec![
@@ -306,11 +304,6 @@ fn admission_and_one_shot_paths_are_allocation_free() {
         assert_zero_alloc_admission(test.as_ref());
         assert_zero_alloc_one_shot(test.as_ref(), &sets);
     }
-    // The classic EDF baselines project through the demand kernel; they
-    // have no native admission state (the clone-and-retest bridge
-    // allocates by design), so only the one-shot path is pinned.
-    assert_zero_alloc_one_shot(&ClassicEdf::own_level(), &sets);
-    assert_zero_alloc_one_shot(&ClassicEdf::lo_mode(), &sets);
     assert_zero_alloc_warm_qpa();
     assert_zero_alloc_wide_lanes();
 }
