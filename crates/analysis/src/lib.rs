@@ -130,7 +130,7 @@ pub trait SchedulabilityTest {
     /// the workspace handle, so a `'static` test yields a `'static`
     /// state a service session can keep.
     ///
-    /// `Partition::build_reporting` passes one [`WorkspaceRef`] to all `m`
+    /// `Partition::build_reporting_in` passes one [`WorkspaceRef`] to all `m`
     /// per-processor states of a run, so the whole build shares a single
     /// set of scratch buffers and the admission path allocates nothing in
     /// steady state. Verdicts never depend on `ws` — it holds scratch

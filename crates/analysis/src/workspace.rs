@@ -17,7 +17,7 @@
 //!   native tests' [`SchedulabilityTest::is_schedulable`] wrappers use, so
 //!   repeated one-shot calls on the same thread reuse the same buffers.
 //! * [`WorkspaceRef`] — a cheaply cloneable shared handle
-//!   (`Rc<RefCell<…>>`). `Partition::build_reporting` passes one handle to
+//!   (`Rc<RefCell<…>>`). `Partition::build_reporting_in` passes one handle to
 //!   all `m` per-processor admission states
 //!   ([`SchedulabilityTest::admission_state_in`]), so a whole partitioning
 //!   run shares a single set of scratch buffers. The experiment engine

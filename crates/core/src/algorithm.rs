@@ -23,24 +23,13 @@ pub trait MultiprocessorTest {
     fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError>;
 
     /// As [`try_partition`](MultiprocessorTest::try_partition), also
-    /// reporting the admission-layer statistics of the run. The default
-    /// reports empty stats; [`PartitionedAlgorithm`] overrides it with the
-    /// real counters.
-    fn try_partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        (self.try_partition(ts, m), AdmissionStats::default())
-    }
-
-    /// As
-    /// [`try_partition_reporting`](MultiprocessorTest::try_partition_reporting),
-    /// running the build's analysis in the caller's workspace — the
-    /// experiment engine hands every worker thread one [`WorkspaceRef`] so
-    /// batch evaluation reuses scratch buffers across items. Results are
-    /// identical (the workspace is scratch only); the default ignores
-    /// `ws`, so foreign implementations are unaffected.
+    /// reporting the admission-layer statistics of the run, and running
+    /// the build's analysis in the caller's workspace — the experiment
+    /// engine hands every worker thread one [`WorkspaceRef`] so batch
+    /// evaluation reuses scratch buffers across items. Results are
+    /// identical (the workspace is scratch only). The default ignores `ws`
+    /// and reports empty stats; [`PartitionedAlgorithm`] overrides it with
+    /// the real counters.
     fn try_partition_reporting_in(
         &self,
         ts: &TaskSet,
@@ -48,7 +37,7 @@ pub trait MultiprocessorTest {
         ws: &WorkspaceRef,
     ) -> (Result<Partition, PartitionError>, AdmissionStats) {
         let _ = ws;
-        self.try_partition_reporting(ts, m)
+        (self.try_partition(ts, m), AdmissionStats::default())
     }
 
     /// `true` if the algorithm schedules the set on `m` processors.
@@ -131,18 +120,9 @@ impl<T: SchedulabilityTest> PartitionedAlgorithm<T> {
     }
 
     /// As [`partition`](PartitionedAlgorithm::partition), also returning
-    /// the aggregated admission statistics of the build.
-    pub fn partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        Partition::build_reporting(&self.strategy, &self.test, ts, m)
-    }
-
-    /// As [`partition_reporting`](PartitionedAlgorithm::partition_reporting),
-    /// sharing the caller's analysis workspace across the build's
-    /// admission states (see [`Partition::build_reporting_in`]).
+    /// the aggregated admission statistics of the build, and sharing the
+    /// caller's analysis workspace across the build's admission states
+    /// (see [`Partition::build_reporting_in`]).
     pub fn partition_reporting_in(
         &self,
         ts: &TaskSet,
@@ -160,14 +140,6 @@ impl<T: SchedulabilityTest> MultiprocessorTest for PartitionedAlgorithm<T> {
 
     fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError> {
         self.partition(ts, m)
-    }
-
-    fn try_partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        self.partition_reporting(ts, m)
     }
 
     fn try_partition_reporting_in(

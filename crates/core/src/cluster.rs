@@ -43,6 +43,7 @@
 //! # }
 //! ```
 
+use crate::partition::{self, total_stats};
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{AdmissionState, AdmissionStats};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
@@ -178,11 +179,7 @@ impl ClusterSession {
 
     /// Aggregated admission counters across all processors.
     pub fn stats(&self) -> AdmissionStats {
-        let mut total = AdmissionStats::default();
-        for s in &self.states {
-            total.merge(&s.stats());
-        }
-        total
+        total_stats(&self.states)
     }
 
     /// Task ids per processor — the session's partition witness.
@@ -206,14 +203,6 @@ impl ClusterSession {
         ts
     }
 
-    /// The processor order the task's fit rule would try right now.
-    fn fit_order(&mut self, task: &Task) -> &[usize] {
-        self.strategy
-            .fit_for(task)
-            .processor_order_by_summary_into(&self.summaries, &mut self.order);
-        &self.order
-    }
-
     /// Admits `task` onto the first processor (in the task's fit order)
     /// whose test accepts the union, committing it there and returning
     /// the processor index.
@@ -227,21 +216,17 @@ impl ClusterSession {
         if self.processor_of(task.id()).is_some() {
             return Err(AdmitError::DuplicateId(task.id()));
         }
-        self.fit_order(&task);
-        for idx in 0..self.order.len() {
-            let k = self.order[idx];
-            if self.states[k].try_admit(&task) {
-                let id = task.id();
-                self.states[k].commit(task);
-                self.summaries[k] = self.states[k].summary();
-                self.placements.push((id, k));
-                return Ok(k);
-            }
-        }
-        Err(AdmitError::Unschedulable {
-            task: task.id(),
-            processor_loads: self.states.iter().map(|s| s.tasks().len()).collect(),
-        })
+        let Some(k) = self.place(&task) else {
+            return Err(AdmitError::Unschedulable {
+                task: task.id(),
+                processor_loads: self.states.iter().map(|s| s.tasks().len()).collect(),
+            });
+        };
+        let id = task.id();
+        self.states[k].commit(task);
+        self.summaries[k] = self.states[k].summary();
+        self.placements.push((id, k));
+        Ok(k)
     }
 
     /// Force-places `task` on `processor` **without consulting the
@@ -276,14 +261,18 @@ impl ClusterSession {
         if self.processor_of(task.id()).is_some() {
             return None;
         }
-        self.fit_order(task);
-        for idx in 0..self.order.len() {
-            let k = self.order[idx];
-            if self.states[k].try_admit(task) {
-                return Some(k);
-            }
-        }
-        None
+        self.place(task)
+    }
+
+    /// The processor the task's fit rule would place it on right now.
+    fn place(&mut self, task: &Task) -> Option<usize> {
+        partition::place(
+            &self.strategy,
+            task,
+            &mut self.states,
+            &self.summaries,
+            &mut self.order,
+        )
     }
 
     /// Removes the committed task `id`, returning the processor it held.

@@ -3,7 +3,7 @@
 
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{AdmissionState, AdmissionStats, SchedulabilityTest, WorkspaceRef};
-use mcsched_model::{SystemUtilization, TaskId, TaskSet};
+use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -97,33 +97,18 @@ impl Partition {
         ts: &TaskSet,
         m: usize,
     ) -> Result<Self, PartitionError> {
-        Self::build_reporting(strategy, test, ts, m).0
+        Self::build_reporting_in(strategy, test, ts, m, &WorkspaceRef::pooled()).0
     }
 
     /// As [`Partition::build`], also returning the aggregated
     /// [`AdmissionStats`] of the run (attempts, admits, incremental vs
     /// full re-analyses) — surfaced by `mcsched-exp ablation`.
     ///
-    /// Analysis scratch comes from the thread-local workspace pool, so
-    /// repeated builds on one thread reuse the same buffers; callers that
-    /// manage their own workspace (the experiment engine's per-worker
-    /// evaluators) use [`Partition::build_reporting_in`] directly.
-    pub fn build_reporting(
-        strategy: &PartitionStrategy,
-        test: &dyn SchedulabilityTest,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Self, PartitionError>, AdmissionStats) {
-        let ws = WorkspaceRef::pooled();
-        Self::build_reporting_in(strategy, test, ts, m, &ws)
-    }
-
-    /// As [`Partition::build_reporting`], with every per-processor
-    /// admission state sharing the caller's analysis workspace: the `m`
-    /// states of the build borrow `ws`'s scratch buffers one admission
-    /// query at a time, so the whole inner loop runs allocation-free once
-    /// the buffers are warm. The resulting partition is identical — the
-    /// workspace holds scratch only.
+    /// Every per-processor admission state shares the caller's analysis
+    /// workspace: the `m` states of the build borrow `ws`'s scratch
+    /// buffers one admission query at a time, so the whole inner loop runs
+    /// allocation-free once the buffers are warm. The resulting partition
+    /// is identical — the workspace holds scratch only.
     pub fn build_reporting_in(
         strategy: &PartitionStrategy,
         test: &dyn SchedulabilityTest,
@@ -133,38 +118,21 @@ impl Partition {
     ) -> (Result<Self, PartitionError>, AdmissionStats) {
         let mut states: Vec<Box<dyn AdmissionState + '_>> =
             (0..m).map(|_| test.admission_state_in(ws)).collect();
-        let total_stats = |states: &[Box<dyn AdmissionState + '_>]| {
-            let mut total = AdmissionStats::default();
-            for s in states {
-                total.merge(&s.stats());
-            }
-            total
-        };
         let sequence = strategy.order().sequence(ts);
         let mut summaries: Vec<SystemUtilization> = vec![SystemUtilization::default(); m];
         let mut order: Vec<usize> = Vec::with_capacity(m);
         for (placed, task) in sequence.iter().enumerate() {
-            strategy
-                .fit_for(task)
-                .processor_order_by_summary_into(&summaries, &mut order);
-            let mut assigned = false;
-            for &k in &order {
-                if states[k].try_admit(task) {
-                    states[k].commit(*task);
-                    summaries[k] = states[k].summary();
-                    assigned = true;
-                    break;
-                }
-            }
-            if !assigned {
+            if let Some(k) = place(strategy, task, &mut states, &summaries, &mut order) {
+                states[k].commit(*task);
+                summaries[k] = states[k].summary();
+            } else {
                 let error = PartitionError {
                     task: task.id(),
                     placed,
                     processors: m,
                     processor_loads: states.iter().map(|s| s.tasks().len()).collect(),
                 };
-                let stats = total_stats(&states);
-                return (Err(error), stats);
+                return (Err(error), total_stats(&states));
             }
         }
         let stats = total_stats(&states);
@@ -242,6 +210,32 @@ impl Partition {
     }
 }
 
+/// The placement step shared by [`Partition::build_reporting_in`] and
+/// [`ClusterSession`](crate::ClusterSession): the first processor, in the
+/// task's fit order over the cached `summaries`, whose state admits
+/// `task`. `order` is reused scratch; nothing is committed.
+pub(crate) fn place<'a>(
+    strategy: &PartitionStrategy,
+    task: &Task,
+    states: &mut [Box<dyn AdmissionState + 'a>],
+    summaries: &[SystemUtilization],
+    order: &mut Vec<usize>,
+) -> Option<usize> {
+    strategy
+        .fit_for(task)
+        .processor_order_by_summary_into(summaries, order);
+    order.iter().copied().find(|&k| states[k].try_admit(task))
+}
+
+/// Admission counters summed over per-processor states.
+pub(crate) fn total_stats<'a>(states: &[Box<dyn AdmissionState + 'a>]) -> AdmissionStats {
+    let mut total = AdmissionStats::default();
+    for s in states {
+        total.merge(&s.stats());
+    }
+    total
+}
+
 impl fmt::Display for Partition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, p) in self.processors.iter().enumerate() {
@@ -284,7 +278,6 @@ mod tests {
     use super::*;
     use crate::presets;
     use mcsched_analysis::EdfVd;
-    use mcsched_model::Task;
 
     fn small_set() -> TaskSet {
         TaskSet::try_from_tasks(vec![
@@ -335,8 +328,9 @@ mod tests {
 
     #[test]
     fn build_reporting_counts_admissions() {
+        let ws = WorkspaceRef::new();
         let (p, stats) =
-            Partition::build_reporting(&presets::ca_udp(), &EdfVd::new(), &small_set(), 2);
+            Partition::build_reporting_in(&presets::ca_udp(), &EdfVd::new(), &small_set(), 2, &ws);
         let p = p.unwrap();
         assert_eq!(p.task_count(), 4);
         assert_eq!(stats.admits, 4);

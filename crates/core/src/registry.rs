@@ -645,15 +645,17 @@ mod tests {
 
     #[test]
     fn registry_boxes_are_workspace_aware() {
-        // Every registered algorithm must answer identically through the
-        // plain and the workspace-threaded entry points — one shared
-        // workspace across the whole lineup, as a batch worker would use.
+        // Every registered algorithm must answer identically through a
+        // fresh workspace and one shared across the whole lineup, as a
+        // batch worker would use, and agree with the pooled entry points.
         let registry = AlgorithmRegistry::standard();
         let ts = small_set();
         let ws = WorkspaceRef::new();
         for name in registry.algorithm_names() {
             let algo = registry.parse(&name).unwrap();
-            let (plain, plain_stats) = algo.try_partition_reporting(&ts, 2);
+            let (plain, plain_stats) =
+                algo.try_partition_reporting_in(&ts, 2, &WorkspaceRef::new());
+            assert_eq!(algo.try_partition(&ts, 2), plain, "{name}");
             let (in_ws, ws_stats) = algo.try_partition_reporting_in(&ts, 2, &ws);
             assert_eq!(plain, in_ws, "{name} diverged under a shared workspace");
             assert_eq!(plain_stats, ws_stats, "{name} stats diverged");

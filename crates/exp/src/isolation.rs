@@ -6,14 +6,17 @@
 //! system. This experiment generates EDF-VD-partitionable workloads, runs
 //! both regimes under identical random-overrun scenarios, and reports the
 //! **LC service ratio** — completed LC jobs over attempted LC jobs
-//! (completed + dropped) — for each.
+//! (completed + dropped) — for each. Both regimes run on the one
+//! simulation engine: the partitioned one as a single-processor
+//! `Simulator` per processor (`PartitionedSimulator`), the global one as
+//! `Simulator::global` over all `m` processors.
 
 use crate::engine::{run_batch, Accumulator, Batch, Evaluator};
 use mcsched_analysis::EdfVd;
 use mcsched_core::{presets, PartitionedAlgorithm, WorkspaceRef};
 use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::{Criticality, TaskSet};
-use mcsched_sim::{GlobalSimulator, PartitionedSimulator, Policy, Scenario, TraceEvent};
+use mcsched_sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -158,7 +161,7 @@ impl Evaluator for IsolationEvaluator {
         // Global EDF with the same broadcast mode machinery (virtual
         // deadlines are a uniprocessor construct; plain EDF is the natural
         // global dynamic-priority counterpart).
-        let global = GlobalSimulator::new(&ts, Policy::Edf, self.m).with_trace();
+        let global = Simulator::global(&ts, Policy::Edf, self.m).with_trace();
         let report = global.run(&scenario, self.horizon);
         let (c, d) = lc_service(&ts, report.trace());
         sample.g_comp += c;

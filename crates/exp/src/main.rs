@@ -16,7 +16,6 @@
 //!                     [--retries N] [--backoff-ms MS] [--journal FILE]
 //!                     [--gate-speedup X]
 //! mcexp chaos [--seeds N] [--steps N] [--out FILE]
-//! mcexp lint [--json | --fixable] [--baseline FILE] [--root DIR]
 //! ```
 //!
 //! The first word names the subcommand; an invocation that starts with a
@@ -99,12 +98,6 @@ struct Args {
     seeds: Option<u64>,
     steps: Option<usize>,
     help: bool,
-    // lint options
-    lint: bool,
-    lint_json: bool,
-    lint_fixable: bool,
-    lint_baseline: Option<PathBuf>,
-    lint_root: PathBuf,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -148,11 +141,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seeds: None,
         steps: None,
         help: false,
-        lint: false,
-        lint_json: false,
-        lint_fixable: false,
-        lint_baseline: None,
-        lint_root: PathBuf::from("."),
     };
     // Leading bare word = subcommand.
     let mut sweep = false;
@@ -168,7 +156,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "serve" => args.serve = true,
             "bench-service" => args.bench = true,
             "chaos" => args.chaos = true,
-            "lint" => args.lint = true,
             "help" | "--help" | "-h" => {
                 args.help = true;
                 return Ok(args);
@@ -193,29 +180,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             .cloned()
             .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
     };
-
-    // `lint` takes its own flag set: `--json` here is a boolean (emit the
-    // JSON report), unlike the artifact-path `--json FILE` of analysis.
-    if args.lint {
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--json" => args.lint_json = true,
-                "--fixable" => args.lint_fixable = true,
-                "--baseline" => args.lint_baseline = Some(PathBuf::from(value(&mut i)?)),
-                "--root" => args.lint_root = PathBuf::from(value(&mut i)?),
-                "--help" | "-h" => {
-                    args.help = true;
-                    return Ok(args);
-                }
-                other => return Err(format!("unknown argument for lint: {other}")),
-            }
-            i += 1;
-        }
-        if args.lint_json && args.lint_fixable {
-            return Err("--json and --fixable are mutually exclusive".to_owned());
-        }
-        return Ok(args);
-    }
 
     while i < argv.len() {
         match argv[i].as_str() {
@@ -403,7 +367,7 @@ fn validate(args: &Args) -> Result<(), String> {
 
 /// The subcommand names, for usage errors.
 const SUBCOMMANDS: &str = "sweep, headline, ablation, isolation, all, analysis, eval, serve, \
-                           bench-service, chaos, or lint";
+                           bench-service, or chaos";
 
 const HELP: &str = r#"mcexp — the DATE 2017 UDP partitioning experiment driver
 usage: mcexp <subcommand> [options]
@@ -439,9 +403,6 @@ subcommands:
                             machine behind a faulty transport; exit 1 on any
                             panic or divergence from the replay/oracle state
                             (CHAOS.json)
-  lint [--json | --fixable] [--baseline FILE] [--root DIR]
-                            project-native static analysis (mclint); exit 0
-                            clean, 1 findings, 2 usage error
 
 shared options: --m 2,4,8  --sets N  --seed S  --threads T  --out DIR
 
@@ -681,31 +642,6 @@ fn run_chaos_mode(args: &Args) -> i32 {
     i32::from(!report.passed())
 }
 
-/// Runs `mcexp lint`: the project-native static analysis. Returns the
-/// process exit code (0 clean, 1 findings, 2 engine error).
-fn run_lint_mode(args: &Args) -> i32 {
-    let opts = mcsched_lint::Options {
-        root: args.lint_root.clone(),
-        baseline: args.lint_baseline.clone(),
-    };
-    match mcsched_lint::run(&opts) {
-        Ok(report) => {
-            if args.lint_json {
-                print!("{}", mcsched_lint::render_json(&report));
-            } else if args.lint_fixable {
-                print!("{}", mcsched_lint::render_fixable(&report));
-            } else {
-                print!("{}", mcsched_lint::render_human(&report));
-            }
-            i32::from(!report.is_clean())
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -719,10 +655,6 @@ fn main() {
     if args.help {
         println!("{HELP}");
         return;
-    }
-
-    if args.lint {
-        std::process::exit(run_lint_mode(&args));
     }
 
     if args.eval {
@@ -905,7 +837,7 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_and_flag_are_usage_errors() {
-        for unknown in ["frobnicate", "perf"] {
+        for unknown in ["frobnicate", "perf", "lint"] {
             assert!(parse_args(&argv(&[unknown])).is_err(), "{unknown}");
         }
         assert!(parse_args(&argv(&["sweep", "--frob"])).is_err());
@@ -1003,28 +935,5 @@ mod tests {
         assert!(parse_args(&argv(&["serve", "--addr", "127.0.0.1"])).is_err());
         let ok = parse_args(&argv(&["serve", "--addr", "127.0.0.1:0"])).unwrap();
         assert_eq!(ok.addr.as_deref(), Some("127.0.0.1:0"));
-    }
-
-    #[test]
-    fn lint_has_its_own_flag_set() {
-        let a = parse_args(&argv(&["lint"])).unwrap();
-        assert!(a.lint && !a.lint_json && !a.lint_fixable);
-        let a = parse_args(&argv(&[
-            "lint",
-            "--json",
-            "--baseline",
-            "b",
-            "--root",
-            "/x",
-        ]))
-        .unwrap();
-        assert!(a.lint_json);
-        assert_eq!(a.lint_baseline.as_deref(), Some(std::path::Path::new("b")));
-        assert_eq!(a.lint_root, std::path::PathBuf::from("/x"));
-        assert!(parse_args(&argv(&["lint", "--json", "--fixable"])).is_err());
-        assert!(
-            parse_args(&argv(&["lint", "--sets", "3"])).is_err(),
-            "sweep flags do not leak in"
-        );
     }
 }

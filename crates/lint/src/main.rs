@@ -1,8 +1,8 @@
 //! `mclint` — standalone entry point for the workspace linter.
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage error. The same engine is
-//! reachable as `mcexp lint`; this binary exists so the lint can run
-//! even when the rest of the workspace does not build.
+//! Exit codes: 0 clean, 1 findings, 2 usage error. This binary is the
+//! linter's only front end; it depends on nothing else in the workspace,
+//! so the lint runs even when the rest of the workspace does not build.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,11 +1,12 @@
-//! The uniprocessor discrete-event engine.
+//! The discrete-event engine: `m` identical processors sharing one ready
+//! queue and one mode.
 
 use crate::policy::Policy;
 use crate::report::{MissRecord, SimReport, TraceEvent};
 use crate::scenario::Scenario;
 use mcsched_model::{Criticality, TaskSet, Time};
 
-/// Processor execution mode.
+/// Execution mode (system-wide: one mode for all `m` processors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Lo,
@@ -18,7 +19,9 @@ struct ActiveJob {
     task_idx: usize,
     release: Time,
     abs_deadline: Time,
-    abs_vdeadline: Time,
+    /// Priority key in low and high mode (indexed by [`Mode`]): lower
+    /// runs first.
+    rank: [(u64, u64); 2],
     demand: Time,
     executed: Time,
 }
@@ -29,20 +32,29 @@ impl ActiveJob {
     }
 }
 
-/// A preemptive uniprocessor simulator for one task set under one
-/// [`Policy`].
+/// A preemptive simulator for one task set under one [`Policy`] on `m`
+/// identical processors sharing one ready queue.
+///
+/// With `m = 1` ([`Simulator::new`]) it is one processor of a partitioned
+/// system: the mode switch it models is that processor's own. With
+/// `m > 1` ([`Simulator::global`]) it is global (work-conserving, fully
+/// migrating) scheduling, and the mode switch is system-wide — §II of the
+/// paper's argument against global MC scheduling: one HC overrun anywhere
+/// discards every LC task.
 ///
 /// Semantics:
 ///
 /// * Jobs are released periodically (plus scenario-controlled sporadic
 ///   delay) starting at time 0.
-/// * In low mode the policy's low-mode priority applies (virtual deadlines
-///   for EDF-VD). When a HC job executes `C^L` without signalling
-///   completion, the processor switches to high mode *at that instant*:
-///   all pending LC jobs are discarded, LC releases are suppressed, and
-///   EDF-VD reverts to real deadlines.
-/// * When a high-mode processor idles, it resets to low mode (the standard
-///   idle-instant protocol), and LC releases resume.
+/// * At every event the `m` highest-priority ready jobs run, ranked by the
+///   policy's priority under the current mode (virtual deadlines in low
+///   mode for EDF-VD), ties broken by job index.
+/// * When a running HC job executes `C^L` without signalling completion,
+///   the system switches to high mode *at that instant*: all pending LC
+///   jobs are discarded, LC releases are suppressed, and EDF-VD reverts to
+///   real deadlines.
+/// * When no job is ready in high mode, the system resets to low mode
+///   (the standard idle-instant protocol), and LC releases resume.
 /// * A *required* deadline miss (any job in low mode; HC jobs in high
 ///   mode) is recorded and the job is abandoned.
 ///
@@ -64,17 +76,47 @@ impl ActiveJob {
 pub struct Simulator<'a> {
     ts: &'a TaskSet,
     policy: Policy,
+    processors: usize,
     record_trace: bool,
-    reset_on_idle: bool,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator for a task set under a policy.
+    /// Creates a uniprocessor simulator for a task set under a policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy's per-task tables do not match the task count.
     pub fn new(ts: &'a TaskSet, policy: Policy) -> Self {
+        Self::global(ts, policy, 1)
+    }
+
+    /// Creates a global simulator over `m` processors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0` or the policy's per-task tables do not match the
+    /// task count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcsched_model::{Task, TaskSet};
+    /// use mcsched_sim::{Simulator, Policy, Scenario};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let ts = TaskSet::try_from_tasks(vec![
+    ///     Task::hi(0, 10, 2, 4)?,
+    ///     Task::lo(1, 10, 4)?,
+    ///     Task::lo(2, 20, 6)?,
+    /// ])?;
+    /// let sim = Simulator::global(&ts, Policy::edf_vd_scaled(&ts, 0.6), 2);
+    /// let report = sim.run(&Scenario::lo_only(), 200);
+    /// assert!(report.is_success());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn global(ts: &'a TaskSet, policy: Policy, m: usize) -> Self {
+        assert!(m > 0, "at least one processor required");
         match &policy {
             Policy::EdfVd { virtual_deadlines } => {
                 assert_eq!(
@@ -95,8 +137,8 @@ impl<'a> Simulator<'a> {
         Simulator {
             ts,
             policy,
+            processors: m,
             record_trace: false,
-            reset_on_idle: true,
         }
     }
 
@@ -107,28 +149,23 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Disables the high→low reset at idle instants (the processor then
-    /// stays in high mode forever after the first switch).
-    pub fn without_idle_reset(mut self) -> Self {
-        self.reset_on_idle = false;
-        self
-    }
-
-    /// Rank of a job under the current mode: lower is higher priority.
-    fn rank(&self, job: &ActiveJob, mode: Mode) -> (u64, u64) {
+    /// Priority keys of a job of task `idx` released at `release`, in low
+    /// and high mode.
+    fn rank(&self, idx: usize, release: Time) -> [(u64, u64); 2] {
+        let deadline = (release + self.ts.as_slice()[idx].deadline()).as_ticks();
         match &self.policy {
-            Policy::EdfVd { .. } => match mode {
-                Mode::Lo => (job.abs_vdeadline.as_ticks(), job.task_idx as u64),
-                Mode::Hi => (job.abs_deadline.as_ticks(), job.task_idx as u64),
-            },
-            Policy::Edf => (job.abs_deadline.as_ticks(), job.task_idx as u64),
+            Policy::EdfVd { virtual_deadlines } => [
+                ((release + virtual_deadlines[idx]).as_ticks(), idx as u64),
+                (deadline, idx as u64),
+            ],
+            Policy::Edf => [(deadline, idx as u64); 2],
             Policy::FixedPriority { priority_order } => {
                 let pos = priority_order
                     .iter()
-                    .position(|&i| i == job.task_idx)
+                    .position(|&i| i == idx)
                     .expect("job's task present in priority order")
                     as u64;
-                (pos, 0)
+                [(pos, 0); 2]
             }
         }
     }
@@ -144,18 +181,13 @@ impl<'a> Simulator<'a> {
         let tasks = self.ts.as_slice();
         let n = tasks.len();
 
-        let virtual_deadline = |idx: usize| -> Time {
-            match &self.policy {
-                Policy::EdfVd { virtual_deadlines } => virtual_deadlines[idx],
-                _ => tasks[idx].deadline(),
-            }
-        };
-
         // Next earliest release instant per task (with sporadic delay).
         let mut next_release: Vec<Time> = (0..n)
             .map(|i| Time::ZERO + sampler.release_delay(&tasks[i]))
             .collect();
         let mut jobs: Vec<ActiveJob> = Vec::with_capacity(2 * n);
+        // `(rank, job index)` of every ready job, rebuilt at each step.
+        let mut keys: Vec<((u64, u64), usize)> = Vec::with_capacity(2 * n);
         let mut mode = Mode::Lo;
         let mut t = Time::ZERO;
 
@@ -180,7 +212,7 @@ impl<'a> Simulator<'a> {
                         task_idx: i,
                         release,
                         abs_deadline: release + task.deadline(),
-                        abs_vdeadline: release + virtual_deadline(i),
+                        rank: self.rank(i, release),
                         demand,
                         executed: Time::ZERO,
                     });
@@ -212,17 +244,17 @@ impl<'a> Simulator<'a> {
                 }
             });
 
-            // 3. Pick the highest-priority ready job.
-            let running = jobs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, j)| self.rank(j, mode))
-                .map(|(idx, _)| idx);
-
-            let Some(running) = running else {
-                // Idle: possibly reset to low mode, then jump to the next
-                // release (or finish).
-                if mode == Mode::Hi && self.reset_on_idle {
+            // 3. Select the m highest-priority ready jobs, in key order.
+            keys.clear();
+            keys.extend(
+                jobs.iter()
+                    .enumerate()
+                    .map(|(idx, job)| (job.rank[mode as usize], idx)),
+            );
+            if keys.is_empty() {
+                // Idle: reset to low mode, then jump to the next release
+                // (or finish).
+                if mode == Mode::Hi {
                     mode = Mode::Lo;
                     report.push_event(self.record_trace, TraceEvent::ModeReset { at: t });
                 }
@@ -231,57 +263,76 @@ impl<'a> Simulator<'a> {
                     _ => break,
                 }
                 continue;
-            };
-
-            // 4. Advance to the next event boundary.
-            let job = jobs[running];
-            let task = &tasks[job.task_idx];
-            let mut delta = job.remaining();
-            if mode == Mode::Lo
-                && task.criticality() == Criticality::High
-                && job.demand > task.wcet_lo()
-                && job.executed < task.wcet_lo()
-            {
-                delta = delta.min(task.wcet_lo() - job.executed);
             }
-            if let Some(next) = next_release.iter().copied().min() {
-                if next > t {
-                    delta = delta.min(next - t);
+            let busy = keys.len().min(self.processors);
+            if busy < keys.len() {
+                keys.select_nth_unstable(busy - 1);
+            }
+            let running = &mut keys[..busy];
+            running.sort_unstable();
+
+            // 4. Advance to the earliest event boundary of any running job.
+            let mut delta = horizon - t;
+            for &(_, idx) in running.iter() {
+                let job = &jobs[idx];
+                let task = &tasks[job.task_idx];
+                delta = delta.min(job.remaining());
+                if mode == Mode::Lo
+                    && task.criticality() == Criticality::High
+                    && job.demand > task.wcet_lo()
+                    && job.executed < task.wcet_lo()
+                {
+                    delta = delta.min(task.wcet_lo() - job.executed);
                 }
+            }
+            // Every pending release lies after t (step 1 consumed the rest).
+            if let Some(next) = next_release.iter().copied().min() {
+                delta = delta.min(next - t);
             }
             if let Some(dl) = jobs.iter().map(|j| j.abs_deadline).filter(|&d| d > t).min() {
                 delta = delta.min(dl - t);
             }
-            delta = delta.min(horizon - t);
             if delta.is_zero() {
-                // Horizon reached exactly.
                 break;
             }
-            jobs[running].executed += delta;
+            for &(_, idx) in running.iter() {
+                jobs[idx].executed += delta;
+            }
             t += delta;
 
-            // 5. Handle the boundary.
-            let job = jobs[running];
-            if job.remaining().is_zero() {
-                report.push_event(
-                    self.record_trace,
-                    TraceEvent::Complete {
-                        at: t,
-                        task: task.id(),
-                    },
-                );
-                jobs.swap_remove(running);
-            } else if mode == Mode::Lo
-                && task.criticality() == Criticality::High
-                && job.executed == task.wcet_lo()
-            {
+            // 5. Handle the boundary: the first overrunner in key order
+            // names the switch; completions are logged in descending job
+            // index so that `swap_remove` leaves the others in place.
+            let switched_by = running.iter().find_map(|&(_, idx)| {
+                let job = &jobs[idx];
+                let task = &tasks[job.task_idx];
+                (mode == Mode::Lo
+                    && !job.remaining().is_zero()
+                    && task.criticality() == Criticality::High
+                    && job.executed == task.wcet_lo())
+                .then_some(job.task_idx)
+            });
+            running.sort_unstable_by_key(|&(_, idx)| std::cmp::Reverse(idx));
+            for &(_, idx) in running.iter() {
+                if jobs[idx].remaining().is_zero() {
+                    report.push_event(
+                        self.record_trace,
+                        TraceEvent::Complete {
+                            at: t,
+                            task: tasks[jobs[idx].task_idx].id(),
+                        },
+                    );
+                    jobs.swap_remove(idx);
+                }
+            }
+            if let Some(overrunner) = switched_by {
                 // Budget overrun without completion: mode switch.
                 mode = Mode::Hi;
                 report.push_event(
                     self.record_trace,
                     TraceEvent::ModeSwitch {
                         at: t,
-                        task: task.id(),
+                        task: tasks[overrunner].id(),
                     },
                 );
                 let record = self.record_trace;
@@ -379,20 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn without_idle_reset_stays_high() {
-        let ts = set(vec![
-            Task::hi(0, 10, 2, 4).unwrap(),
-            Task::lo(1, 10, 3).unwrap(),
-        ]);
-        let r = Simulator::new(&ts, Policy::edf_vd_scaled(&ts, 0.5))
-            .without_idle_reset()
-            .run(&Scenario::all_hi(), 200);
-        assert_eq!(r.mode_switches(), 1, "switches once, never resets");
-        assert_eq!(r.mode_resets(), 0);
-        assert!(r.is_success());
-    }
-
-    #[test]
     fn fixed_priority_respects_order() {
         // τ1 has higher DM priority (D=5); τ0's first job must wait.
         let ts = set(vec![
@@ -471,5 +508,85 @@ mod tests {
         let r = Simulator::new(&ts, Policy::Edf).run(&Scenario::lo_only(), 60);
         assert!(!r.is_success());
         assert!(r.misses().iter().all(|m| m.criticality == Criticality::Low));
+    }
+
+    #[test]
+    fn parallel_execution_uses_all_processors() {
+        // Two tasks each of utilization 1.0 fit on two processors.
+        let ts = set(vec![
+            Task::lo(0, 10, 10).unwrap(),
+            Task::lo(1, 10, 10).unwrap(),
+        ]);
+        let r = Simulator::global(&ts, Policy::Edf, 2).run(&Scenario::lo_only(), 100);
+        assert!(r.is_success());
+        assert_eq!(r.completed(), 20);
+    }
+
+    #[test]
+    fn single_processor_matches_uniprocessor_load() {
+        let ts = set(vec![
+            Task::lo(0, 10, 6).unwrap(),
+            Task::lo(1, 10, 6).unwrap(),
+        ]);
+        let r = Simulator::global(&ts, Policy::Edf, 1).run(&Scenario::lo_only(), 100);
+        assert!(!r.is_success(), "1.2 utilization on one processor");
+        let r2 = Simulator::global(&ts, Policy::Edf, 2).run(&Scenario::lo_only(), 100);
+        assert!(r2.is_success());
+    }
+
+    #[test]
+    fn global_switch_drops_lc_everywhere() {
+        // One overrunning HC task plus LC work that would be isolated under
+        // partitioning: under global scheduling every LC job is dropped.
+        let ts = set(vec![
+            Task::hi(0, 10, 2, 6).unwrap(),
+            Task::lo(1, 10, 3).unwrap(),
+            Task::lo(2, 20, 4).unwrap(),
+        ]);
+        let r = Simulator::global(&ts, Policy::edf_vd_scaled(&ts, 0.5), 2)
+            .with_trace()
+            .run(&Scenario::all_hi(), 40);
+        assert!(r.mode_switches() > 0);
+        // Both LC tasks experience drops.
+        let dropped: std::collections::HashSet<u32> = r
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Drop { task, .. } => Some(task.0),
+                _ => None,
+            })
+            .collect();
+        assert!(dropped.contains(&1) && dropped.contains(&2), "{dropped:?}");
+    }
+
+    #[test]
+    fn empty_set() {
+        let ts = TaskSet::new();
+        let r = Simulator::global(&ts, Policy::Edf, 2).run(&Scenario::all_hi(), 10);
+        assert!(r.is_success());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one processor")]
+    fn zero_processors_panics() {
+        let ts = set(vec![Task::lo(0, 10, 1).unwrap()]);
+        let _ = Simulator::global(&ts, Policy::Edf, 0);
+    }
+
+    #[test]
+    fn dhall_effect_visible() {
+        // The classic global-EDF pathology: m light tasks + one heavy task.
+        // Global EDF on 2 processors misses; the workload is partitionable.
+        let ts = set(vec![
+            Task::lo_constrained(0, 10, 1, 2).unwrap(),
+            Task::lo_constrained(1, 10, 1, 2).unwrap(),
+            Task::lo(2, 10, 10).unwrap(),
+        ]);
+        let r = Simulator::global(&ts, Policy::Edf, 2).run(&Scenario::lo_only(), 50);
+        // The two short jobs (earlier deadlines) occupy both processors in
+        // [0, 1]; the full-utilization τ2 then has only 9 of the 10 ticks
+        // it needs — a miss, although the set is trivially partitionable
+        // (τ2 alone on one processor, the short tasks on the other).
+        assert!(!r.is_success(), "Dhall effect should bite");
     }
 }

@@ -1,7 +1,6 @@
 //! # mcsched-sim
 //!
-//! A discrete-event simulator for dual-criticality scheduling on
-//! uniprocessors and partitioned multiprocessors.
+//! A discrete-event simulator for dual-criticality scheduling.
 //!
 //! The DATE 2017 paper's evaluation is purely analytical; this crate is the
 //! executable substrate that stands in for a real RTOS testbed: it runs
@@ -14,8 +13,16 @@
 //! * **plain EDF** — the single-criticality baseline,
 //!
 //! under configurable *scenarios* (which jobs overrun, when releases
-//! happen), detects deadline misses and budget overruns, triggers
-//! per-processor mode switches, and records traces.
+//! happen), detects deadline misses and budget overruns, triggers mode
+//! switches, and records traces.
+//!
+//! One engine, [`Simulator`], runs `m` identical processors that share a
+//! ready queue and a mode. With `m = 1` ([`Simulator::new`]) it is one
+//! processor of a partitioned system, and [`PartitionedSimulator`] runs
+//! one such engine per processor, so a mode switch stays on the processor
+//! whose HC job overran. With `m > 1` ([`Simulator::global`]) it is global
+//! scheduling, where a mode switch is system-wide and drops every LC task
+//! — the contrast §II of the paper draws.
 //!
 //! [`validate`] closes the loop: every task set accepted by a
 //! schedulability test is executed under adversarial scenarios and must
@@ -48,7 +55,6 @@
 
 mod engine;
 pub mod gantt;
-mod global;
 mod partitioned;
 mod policy;
 mod report;
@@ -56,7 +62,6 @@ mod scenario;
 pub mod validate;
 
 pub use engine::Simulator;
-pub use global::GlobalSimulator;
 pub use partitioned::PartitionedSimulator;
 pub use policy::Policy;
 pub use report::{MissRecord, SimReport, TraceEvent};

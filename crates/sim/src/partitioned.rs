@@ -8,10 +8,11 @@ use crate::scenario::Scenario;
 use mcsched_core::Partition;
 use mcsched_model::TaskSet;
 
-/// Simulates a [`Partition`] by running one uniprocessor engine per
-/// processor. Mode switches stay local to the processor whose HC job
-/// overran — the isolation property §II of the paper highlights as the
-/// practical advantage of partitioned over global MC scheduling.
+/// Simulates a [`Partition`] by running one single-processor
+/// [`Simulator`] per processor. Mode switches stay local to the processor
+/// whose HC job overran — the isolation property §II of the paper
+/// highlights as the practical advantage of partitioned over global MC
+/// scheduling.
 ///
 /// # Example
 ///
@@ -126,16 +127,6 @@ impl PartitionedSimulator {
             })
             .collect()
     }
-
-    /// Runs and merges all per-processor reports into one aggregate.
-    pub fn run_aggregate(&self, scenario: &Scenario, horizon: u64) -> SimReport {
-        let mut reports = self.run(scenario, horizon).into_iter();
-        let mut agg = reports.next().unwrap_or_default();
-        for r in reports {
-            agg.absorb(r);
-        }
-        agg
-    }
 }
 
 /// Clones a scenario with its seed shifted by `offset` (deterministic but
@@ -207,14 +198,6 @@ mod tests {
             "partitioned scheduling must isolate the switch"
         );
         assert_eq!(reports[1].dropped(), 0);
-    }
-
-    #[test]
-    fn aggregate_merges() {
-        let sim = partitioned();
-        let agg = sim.run_aggregate(&Scenario::lo_only(), 500);
-        assert!(agg.is_success());
-        assert!(agg.released() > 0);
     }
 
     #[test]

@@ -183,20 +183,6 @@ impl SimReport {
     pub fn horizon(&self) -> Time {
         self.horizon
     }
-
-    /// Merges another report into this one (used by multiprocessor
-    /// simulators to aggregate per-processor results).
-    pub fn absorb(&mut self, other: SimReport) {
-        self.misses.extend(other.misses);
-        self.trace.extend(other.trace);
-        self.trace.sort_by_key(|e| e.at());
-        self.mode_switches += other.mode_switches;
-        self.mode_resets += other.mode_resets;
-        self.released += other.released;
-        self.completed += other.completed;
-        self.dropped += other.dropped;
-        self.horizon = self.horizon.max(other.horizon);
-    }
 }
 
 impl fmt::Display for SimReport {
@@ -273,30 +259,6 @@ mod tests {
         assert!(!r.is_success());
         assert_eq!(r.misses(), &[miss]);
         assert!(r.trace().is_empty(), "tracing disabled");
-    }
-
-    #[test]
-    fn absorb_merges_and_sorts() {
-        let mut a = SimReport::new(Time::new(50));
-        a.push_event(
-            true,
-            TraceEvent::Release {
-                at: Time::new(10),
-                task: TaskId(0),
-            },
-        );
-        let mut b = SimReport::new(Time::new(80));
-        b.push_event(
-            true,
-            TraceEvent::Release {
-                at: Time::new(5),
-                task: TaskId(1),
-            },
-        );
-        a.absorb(b);
-        assert_eq!(a.released(), 2);
-        assert_eq!(a.horizon(), Time::new(80));
-        assert_eq!(a.trace()[0].at(), Time::new(5));
     }
 
     #[test]

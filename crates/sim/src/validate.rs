@@ -47,7 +47,10 @@ impl std::fmt::Display for CounterExample {
 /// A sensible default horizon: enough periods of the longest task for
 /// several busy intervals, capped to keep validation fast.
 pub fn default_horizon(ts: &TaskSet) -> u64 {
-    (ts.max_period().as_ticks() * 25).clamp(1_000, 50_000)
+    ts.max_period()
+        .as_ticks()
+        .saturating_mul(25)
+        .clamp(1_000, 50_000)
 }
 
 /// Runs the battery against one processor's task set under a policy.
@@ -136,12 +139,6 @@ pub fn validate_partition(
             .map_err(|ce| (k, ce))?;
     }
     Ok(())
-}
-
-/// Shorthand: the minimum horizon needed so that at least `k` jobs of
-/// every task are observed.
-pub fn horizon_for_jobs(ts: &TaskSet, k: u64) -> u64 {
-    ts.max_period().as_ticks().max(1) * k
 }
 
 #[cfg(test)]
@@ -234,8 +231,10 @@ mod tests {
     #[test]
     fn horizons() {
         let ts = TaskSet::try_from_tasks(vec![Task::lo(0, 100, 5).unwrap()]).unwrap();
-        assert_eq!(horizon_for_jobs(&ts, 10), 1000);
         assert!(default_horizon(&ts) >= 1000);
         assert!(default_horizon(&ts) <= 50_000);
+        // 25 periods overflow u64: the horizon saturates into the cap.
+        let huge = TaskSet::try_from_tasks(vec![Task::lo(0, u64::MAX / 2, 5).unwrap()]).unwrap();
+        assert_eq!(default_horizon(&huge), 50_000);
     }
 }

@@ -4,10 +4,13 @@
 //! The same workload is executed twice with an overrun injected into one
 //! HC task:
 //!
-//! * **partitioned** — only the processor hosting the overrunning task
-//!   switches to high mode and sheds its LC work; the other processor's
-//!   LC tasks run undisturbed;
-//! * **global** — the switch is system-wide and every LC task is dropped.
+//! * **partitioned** — one single-processor `Simulator` per processor
+//!   (`PartitionedSimulator`): only the processor hosting the overrunning
+//!   task switches to high mode and sheds its LC work; the other
+//!   processor's LC tasks run undisturbed;
+//! * **global** — the same engine over both processors
+//!   (`Simulator::global`): the switch is system-wide and every LC task is
+//!   dropped.
 //!
 //! This isolation is one of the reasons the paper gives for why
 //! safety-critical industries prefer partitioned MC scheduling.
@@ -17,7 +20,7 @@
 use mcsched::analysis::EdfVd;
 use mcsched::core::{presets, PartitionedAlgorithm};
 use mcsched::model::{Task, TaskSet};
-use mcsched::sim::{GlobalSimulator, PartitionedSimulator, Policy, Scenario, TraceEvent};
+use mcsched::sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
 
 fn workload() -> TaskSet {
     TaskSet::try_from_tasks(vec![
@@ -85,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n================= global =====================");
-    let sim = GlobalSimulator::new(&ts, Policy::edf_vd_scaled(&ts, 0.5), 2).with_trace();
+    let sim = Simulator::global(&ts, Policy::edf_vd_scaled(&ts, 0.5), 2).with_trace();
     let report = sim.run(&Scenario::all_hi(), horizon);
     for ev in report.trace().iter().take(18) {
         println!("  {ev}");

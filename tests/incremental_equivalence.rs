@@ -230,7 +230,8 @@ fn edfvd_states_never_run_full_analyses() {
             break ts;
         }
     };
-    let (_, stats) = Partition::build_reporting(&presets::ca_udp(), &EdfVd::new(), &ts, 4);
+    let ws = WorkspaceRef::new();
+    let (_, stats) = Partition::build_reporting_in(&presets::ca_udp(), &EdfVd::new(), &ts, 4, &ws);
     assert!(stats.attempts > 0);
     assert_eq!(stats.full, 0);
     assert_eq!(stats.incremental, stats.attempts);
