@@ -62,6 +62,17 @@
 //! * [`reseed`](DemandKernel::reseed) — bulk-retargets every virtual
 //!   deadline through `replace_vd`, so switching tuner starts
 //!   (untightened → slack-seeded → untightened) preserves the memos.
+//!   `assign` does the same from a list of deadlines (the admission
+//!   layer's committed tuning).
+//! * `lift_zero_witness` — the tuner's **zero-witness macro-move**:
+//!   every HC task with `d = 0` and `C^H > C^L` (exactly the tasks
+//!   behind `h_HI(0) > 0`) moves to `V = D − 1` through `replace_vd`,
+//!   so the memos stay exact. The seed tuner spends one greedy round
+//!   per such task, each time on the same `D − 1` move; the tuner
+//!   applies them all in one step, checks the low-mode test once and
+//!   counts one round per task moved. This is exact because low-mode
+//!   demand only grows as deadlines tighten (the argument is in
+//!   [`crate::vdtune`]).
 //!
 //! ## Why the shortcuts cannot change a verdict
 //!
@@ -347,20 +358,30 @@ impl DemandKernel {
     /// bit-identical to the seed's fresh left-to-right summation.
     fn rebuild_caches(&mut self) {
         self.lanes.load(&self.tasks);
-        let mut lo_util = 0.0;
-        let mut hi_util = 0.0;
+        self.resum_util();
         let mut untight = 0usize;
         for vt in &self.tasks {
-            let task = &vt.task;
-            lo_util += task.wcet_lo().as_f64() / task.period().as_f64();
-            if task.criticality().is_high() {
-                hi_util += task.wcet_hi().as_f64() / task.period().as_f64();
-            }
-            untight += usize::from(vt.vd == task.period());
+            untight += usize::from(vt.vd == vt.task.period());
+        }
+        self.untight_implicit = untight;
+    }
+
+    /// Re-derives both utilization sums with insertion-order loops over
+    /// the cached `u_lo` / `hc_u_hi` lanes. Those hold the very
+    /// quotients a fresh left-to-right summation over the tasks adds, in
+    /// the same order, so the sums are bit-identical to it and no
+    /// division runs.
+    fn resum_util(&mut self) {
+        let mut lo_util = 0.0;
+        for &u in &self.lanes.u_lo {
+            lo_util += u;
+        }
+        let mut hi_util = 0.0;
+        for &u in &self.lanes.hc_u_hi {
+            hi_util += u;
         }
         self.lo_util = lo_util;
         self.hi_util = hi_util;
-        self.untight_implicit = untight;
     }
 
     /// Appends a task, delta-updating every memoised demand sample by
@@ -401,22 +422,10 @@ impl DemandKernel {
         for e in &mut self.lo_anchors.entries {
             e.1 -= dbf::dbf_lo(&vt, e.0);
         }
-        // Re-derive both utilization caches with insertion-order loops:
-        // a compensated `-=` would drift from the push-path `+=`, and the
-        // summation order must match a fresh build bit-for-bit (a fresh
-        // left-to-right resum replays exactly the additions the running
-        // value accumulated).
-        let mut lo_util = 0.0;
-        let mut hi_util = 0.0;
-        for rest in &self.tasks {
-            let task = &rest.task;
-            lo_util += task.wcet_lo().as_f64() / task.period().as_f64();
-            if task.criticality().is_high() {
-                hi_util += task.wcet_hi().as_f64() / task.period().as_f64();
-            }
-        }
-        self.lo_util = lo_util;
-        self.hi_util = hi_util;
+        // Re-sum rather than subtract: a compensated `-=` would drift
+        // from the push-path `+=`, while a fresh left-to-right resum
+        // replays exactly the additions the running value accumulated.
+        self.resum_util();
         if vt.vd == vt.task.period() {
             self.untight_implicit -= 1;
         }
@@ -471,6 +480,43 @@ impl DemandKernel {
             let vd = target(&self.tasks[i].task);
             self.replace_vd(i, vd);
         }
+    }
+
+    /// Sets the first `vds.len()` virtual deadlines to `vds`, in order,
+    /// through [`replace_vd`](Self::replace_vd) (memos survive exactly);
+    /// later positions keep theirs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vds` is longer than the assignment.
+    pub(crate) fn assign(&mut self, vds: &[Time]) {
+        for (i, &vd) in vds.iter().enumerate() {
+            self.replace_vd(i, vd);
+        }
+    }
+
+    /// Moves every HC task whose origin term `dbf_HI(0) = C^H − C^L` is
+    /// positive (carry-over distance `d = 0` and `C^H > C^L`) to
+    /// `V = D − 1` through [`replace_vd`](Self::replace_vd), and returns
+    /// how many moved. Afterwards `h_HI(0) = 0`. The targets are valid
+    /// virtual deadlines: an HC task has `D ≥ C^H > C^L`, so
+    /// `D − 1 ≥ C^L`. The tuner's zero-witness macro-move (see
+    /// [`crate::vdtune`]).
+    pub(crate) fn lift_zero_witness(&mut self) -> usize {
+        let mut moved = 0;
+        for rank in 0..self.lanes.hc_len() {
+            if !self.lanes.h0_hi_positive() {
+                break;
+            }
+            let l = &self.lanes;
+            if l.hc_dist[rank] == 0 && l.hc_c_hi[rank] > l.hc_c_lo[rank] {
+                let pos = l.hc_pos[rank];
+                let vd = self.tasks[pos].task.deadline() - Time::ONE;
+                self.replace_vd(pos, vd);
+                moved += 1;
+            }
+        }
+        moved
     }
 
     /// Total demand of `mode` at `t` (exact, clamped at `Time::MAX` like
@@ -959,6 +1005,80 @@ mod tests {
         assert!(!kernel.lo_feasible());
         assert!(!kernel.lo_feasible());
         assert!(kernel.counters().anchor_hits >= 1);
+    }
+
+    #[test]
+    fn utilization_sums_stay_bit_identical_to_a_fresh_load() {
+        // Periods whose quotients round, so a different summation order
+        // or a subtraction would show in the low bits.
+        let tasks = [
+            vd(Task::hi(0, 7, 1, 3).unwrap(), 5),
+            VdTask::untightened(Task::lo(1, 11, 2).unwrap()),
+            vd(Task::hi(2, 13, 3, 5).unwrap(), 9),
+            VdTask::untightened(Task::lo(3, 17, 3).unwrap()),
+            vd(Task::hi(4, 19, 2, 7).unwrap(), 12),
+            VdTask::untightened(Task::lo(5, 23, 4).unwrap()),
+        ];
+        let assert_fresh = |kernel: &DemandKernel| {
+            let mut fresh = DemandKernel::new();
+            fresh.load(kernel.assignment());
+            assert_eq!(kernel.lo_util.to_bits(), fresh.lo_util.to_bits());
+            assert_eq!(kernel.hi_util.to_bits(), fresh.hi_util.to_bits());
+            // The seed's summation: divide per task, in task order.
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for vt in kernel.assignment() {
+                let t = &vt.task;
+                lo += t.wcet_lo().as_f64() / t.period().as_f64();
+                if t.criticality().is_high() {
+                    hi += t.wcet_hi().as_f64() / t.period().as_f64();
+                }
+            }
+            assert_eq!(kernel.lo_util.to_bits(), f64::to_bits(lo));
+            assert_eq!(kernel.hi_util.to_bits(), f64::to_bits(hi));
+        };
+        let mut kernel = DemandKernel::new();
+        for vt in tasks {
+            kernel.push_task(vt);
+            assert_fresh(&kernel);
+        }
+        kernel.replace_vd(0, Time::new(2));
+        kernel.replace_vd(4, Time::new(8));
+        for _ in 0..3 {
+            let _ = kernel.pop_task();
+            assert_fresh(&kernel);
+        }
+        kernel.push_task(tasks[5]);
+        kernel.push_task(tasks[3]);
+        kernel.replace_vd(2, Time::new(4));
+        assert_fresh(&kernel);
+        while !kernel.is_empty() {
+            let _ = kernel.pop_task();
+            assert_fresh(&kernel);
+        }
+    }
+
+    #[test]
+    fn lift_zero_witness_moves_exactly_the_hot_tasks() {
+        let mut kernel = DemandKernel::new();
+        kernel.load(&[
+            VdTask::untightened(Task::hi(0, 20, 2, 5).unwrap()),
+            VdTask::untightened(Task::lo(1, 12, 3).unwrap()),
+            // C^H = C^L: no origin term, stays put.
+            VdTask::untightened(Task::hi(2, 40, 4, 4).unwrap()),
+            // Already tightened: d > 0, stays put.
+            vd(Task::hi(3, 60, 2, 6).unwrap(), 25),
+            VdTask::untightened(Task::hi_constrained(4, 80, 3, 7, 35).unwrap()),
+        ]);
+        assert_eq!(kernel.check_hi(), DemandCheck::Violation(Time::ZERO));
+        assert_eq!(kernel.lift_zero_witness(), 2);
+        let vds: Vec<u64> = kernel
+            .assignment()
+            .iter()
+            .map(|vt| vt.vd.as_ticks())
+            .collect();
+        assert_eq!(vds, [19, 12, 40, 25, 34]);
+        assert!(!kernel.lanes.h0_hi_positive());
+        assert_eq!(kernel.lift_zero_witness(), 0);
     }
 
     #[test]

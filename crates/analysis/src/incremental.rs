@@ -22,10 +22,11 @@
 //!   sums and evaluates the closed-form condition in **O(1)**;
 //! * [`Ey`](crate::Ey) / [`Ecdf`](crate::Ecdf) keep a warm
 //!   [`DemandKernel`](crate::DemandKernel) of the committed tasks: its
-//!   running utilization sums reject overloaded candidates in O(1), and
-//!   any other candidate is pushed, judged by the same virtual-deadline
-//!   search the one-shot tests run, and popped, so the kernel's demand
-//!   memos carry from probe to probe;
+//!   running utilization sums reject overloaded candidates in O(1); an
+//!   LC candidate that fits the committed set's own tuning is admitted
+//!   by one low-mode check; any other candidate is pushed, judged by
+//!   the same virtual-deadline search the one-shot tests run, and
+//!   popped, so the kernel's demand memos carry from probe to probe;
 //! * [`AmcRtb`](crate::AmcRtb) / [`AmcMax`](crate::AmcMax) keep the
 //!   deadline-monotonic order and every response-time fixed point: tasks
 //!   with priority above the inserted task are reused verbatim, the rest
@@ -89,7 +90,8 @@ pub struct AdmissionStats {
     /// Queries that answered "admit".
     pub admits: u64,
     /// Queries answered from cached incremental state (O(1) closed forms,
-    /// warm-started fixed points, cached prefixes).
+    /// warm-started fixed points, cached prefixes, the EY / ECDF
+    /// committed tuning).
     pub incremental: u64,
     /// Queries that fell back to a full from-scratch re-analysis (a
     /// state whose cache was invalidated, or a clone-and-retest

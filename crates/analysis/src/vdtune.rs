@@ -180,16 +180,45 @@ fn tightening_moves(
 /// anchor instead of a fresh descent. Verdicts, witnesses and applied
 /// moves are exactly those of the seed descent (kept as a test oracle
 /// in the `mcsched-oracle` crate).
+///
+/// **Zero-witness macro-move.** A witness `t* = 0` means some HC tasks
+/// are *hot*: `d = 0` and `C^H > C^L`, each contributing `C^H − C^L` at
+/// the origin. The seed spends one round per hot task there, and each
+/// round applies a `V = D − 1` move: at `t* = 0` only hot tasks have
+/// moves, each one's smallest cut is `D − 1` (which clears its origin
+/// term), and low-mode demand only grows as a deadline tightens, so
+/// when a task's `D − 1` fails the low-mode check its deeper cuts fail
+/// too. The witness stays 0 until no hot task is left, so the seed
+/// either rejects on the way or reaches every hot task at `D − 1`. If
+/// that state passes the low-mode check, so does each partial state
+/// before it (each is less tightened), and the seed reaches it; if it
+/// fails, the seed cannot reach it and rejects. So the kernel applies
+/// all the moves in one step
+/// ([`DemandKernel::lift_zero_witness`]), checks the low-mode test once
+/// and charges one round per task moved. The search rejects when that
+/// reaches the round budget, as the seed would with no round left to
+/// re-check.
 fn greedy_kernel(kernel: &mut DemandKernel, effort: Effort, moves: &mut Vec<Move>) -> bool {
     if !kernel.lo_feasible() {
         return false;
     }
-    for _ in 0..effort.max_rounds {
+    let mut rounds = 0;
+    while rounds < effort.max_rounds {
         let t_star = match kernel.check_hi() {
             DemandCheck::Ok => return true,
             DemandCheck::Violation(t) => t,
             DemandCheck::Unbounded => return false,
         };
+        if t_star.is_zero() {
+            let moved = kernel.lift_zero_witness();
+            debug_assert!(moved > 0, "a zero witness has a hot HC task");
+            rounds += moved;
+            if rounds >= effort.max_rounds || !kernel.lo_feasible() {
+                return false;
+            }
+            continue;
+        }
+        rounds += 1;
         moves.clear();
         // Only HC tasks ever produce moves (LC demand has no high-mode
         // contribution); walking the HC position list — ascending, so
@@ -394,14 +423,37 @@ impl SchedulabilityTest for Ecdf {
 ///   — so the kernel's demand memos survive from probe to probe, and a
 ///   candidate whose low-mode demand trips a previously memoised
 ///   violation anchor is rejected without any QPA descent;
+/// * the **committed tuning** `A`: the virtual deadlines the last
+///   accepting search ended on, when the committed set is exactly the
+///   set that search judged. A probe that accepts records its end
+///   assignment; a following [`commit`](AdmissionState::commit) of the
+///   identical [`Task`] (the whole value, not just the id) adopts it as
+///   `A`. Any other commit, a [`remove`](AdmissionState::remove) and
+///   [`take_tasks`](AdmissionState::take_tasks) drop it;
 /// * the utilization summary the partitioning fit rules read.
 ///
-/// Verdicts stay exactly those of the one-shot tests: the greedy descent
-/// itself runs unchanged on the same seeds (its trajectory depends on
-/// the full task set, so reusing a *tuned* assignment as a warm start
-/// could accept sets the one-shot heuristic rejects — which would break
-/// the bit-identical partition guarantee). The kernel's memo and resume
-/// shortcuts never change a check's answer (see [`crate::demand`]).
+/// **The LC shortcut.** An LC candidate `c` whose union with `A`
+/// (`c` at its real deadline) passes the low-mode check is admitted
+/// without a search, and the answer is exactly the one-shot verdict.
+/// `A` is where one greedy start, run from its seed on the committed
+/// set, stopped with the high-mode check passing. Replay that start on
+/// the committed set plus `c`. An LC task adds no high-mode demand and
+/// proposes no moves, so every round sees the same witness and the same
+/// sorted moves. A move rejected before was rejected on less low-mode
+/// demand, so it is rejected again. A move applied before leads to a
+/// state no tighter than `A`, whose low-mode demand is at most that of
+/// `A ∪ {c}`, so it passes again. The start therefore ends on
+/// `A ∪ {c}` in the same number of rounds, and the search accepts:
+/// that start or an earlier one accepts. `A ∪ {c}` is itself the end of
+/// that start's trajectory on the new set, so a commit of `c` can adopt
+/// it in turn. An HC candidate gets no such shortcut: it adds high-mode
+/// demand, so the witnesses, the moves and the trajectory all change,
+/// and it always runs the full search.
+///
+/// Otherwise verdicts stay exactly those of the one-shot tests: the
+/// greedy descent itself runs unchanged on the same seeds. The kernel's
+/// memo and resume shortcuts never change a check's answer (see
+/// [`crate::demand`]).
 #[derive(Debug)]
 pub struct VdTuneState {
     committed: Committed,
@@ -412,6 +464,14 @@ pub struct VdTuneState {
     kernel: DemandKernel,
     /// Shared workspace for the per-round candidate-move buffer.
     ws: WorkspaceRef,
+    /// The committed tuning `A`, one virtual deadline per committed
+    /// task in task order; meaningful only while `tuned_valid`.
+    tuned: Vec<Time>,
+    tuned_valid: bool,
+    /// The end assignment of the last accepting probe (committed tasks,
+    /// then the candidate), kept for a commit of `pending_task`.
+    pending: Vec<Time>,
+    pending_task: Option<Task>,
 }
 
 impl VdTuneState {
@@ -421,7 +481,18 @@ impl VdTuneState {
             ecdf,
             kernel: DemandKernel::new(),
             ws,
+            tuned: Vec::new(),
+            tuned_valid: false,
+            pending: Vec::new(),
+            pending_task: None,
         }
+    }
+
+    /// Drops the committed tuning and any pending one: the committed
+    /// set is about to change in a way neither describes.
+    fn forget_tuning(&mut self) {
+        self.tuned_valid = false;
+        self.pending_task = None;
     }
 }
 
@@ -433,16 +504,34 @@ impl AdmissionState for VdTuneState {
         }
         let kernel = &mut self.kernel;
         kernel.push_task(VdTask::untightened(*task));
-        let ok = search(kernel, self.ecdf, &mut self.ws.borrow_mut().moves);
+        let shortcut = self.tuned_valid && task.criticality().is_low() && {
+            kernel.assign(&self.tuned);
+            kernel.lo_feasible()
+        };
+        let ok = shortcut || {
+            kernel.reseed(|t| t.deadline());
+            search(kernel, self.ecdf, &mut self.ws.borrow_mut().moves)
+        };
+        if ok {
+            self.pending.clear();
+            self.pending
+                .extend(kernel.assignment().iter().map(|vt| vt.vd));
+            self.pending_task = Some(*task);
+        }
         // Restore the between-probe invariant: untightened committed
         // assignment (exact delta-updates keep the memos warm).
         kernel.reseed(|t| t.deadline());
         let _ = kernel.pop_task();
-        self.committed.record(false, ok);
+        self.committed.record(shortcut, ok);
         ok
     }
 
     fn commit(&mut self, task: Task) {
+        let adopt = self.pending_task.take() == Some(task);
+        if adopt {
+            std::mem::swap(&mut self.tuned, &mut self.pending);
+        }
+        self.tuned_valid = adopt;
         self.kernel.push_task(VdTask::untightened(task));
         self.committed.push(task);
     }
@@ -451,6 +540,7 @@ impl AdmissionState for VdTuneState {
         if self.committed.remove(id).is_none() {
             return false;
         }
+        self.forget_tuning();
         self.kernel.load_untightened(&self.committed.tasks);
         true
     }
@@ -464,6 +554,7 @@ impl AdmissionState for VdTuneState {
     }
 
     fn take_tasks(&mut self) -> TaskSet {
+        self.forget_tuning();
         self.kernel.clear();
         self.committed.take()
     }

@@ -114,7 +114,11 @@ impl ScenarioSampler {
             Scenario::Sporadic {
                 max_delay_millis, ..
             } => {
-                let max = task.period().as_ticks() * u64::from(*max_delay_millis) / 1000;
+                // The product can exceed u64 for huge periods; the
+                // quotient is at most the period whenever the fraction
+                // is at most 1 (as `Scenario::sporadic` clamps it).
+                let wide = u128::from(task.period().as_ticks()) * u128::from(*max_delay_millis);
+                let max = u64::try_from(wide / 1000).unwrap_or(u64::MAX);
                 if max == 0 {
                     Time::ZERO
                 } else {
@@ -180,6 +184,17 @@ mod tests {
         for _ in 0..100 {
             let d = s.release_delay(&hc());
             assert!(d <= Time::new(3), "delay {d} above 30% of period 10");
+        }
+    }
+
+    #[test]
+    fn sporadic_delay_of_a_huge_period_does_not_overflow() {
+        let huge = Task::lo(0, u64::MAX / 2, 5).unwrap();
+        let mut s = Scenario::sporadic(0.8, 0.5, 1).sampler();
+        let max = u64::try_from(u128::from(u64::MAX / 2) * 800 / 1000).unwrap();
+        for _ in 0..100 {
+            let d = s.release_delay(&huge);
+            assert!(d.as_ticks() <= max, "delay {d} above 80% of the period");
         }
     }
 

@@ -237,4 +237,16 @@ mod tests {
         let huge = TaskSet::try_from_tasks(vec![Task::lo(0, u64::MAX / 2, 5).unwrap()]).unwrap();
         assert_eq!(default_horizon(&huge), 50_000);
     }
+
+    #[test]
+    fn huge_period_runs_the_whole_battery() {
+        // The sporadic scenarios scale the release delay by the period;
+        // for this period the product overflows u64.
+        let huge = TaskSet::try_from_tasks(vec![Task::lo(0, u64::MAX / 2, 5).unwrap()]).unwrap();
+        let policy = Policy::deadline_monotonic(&huge);
+        assert_eq!(
+            validate_uniprocessor(&huge, &policy, default_horizon(&huge), 1),
+            Ok(())
+        );
+    }
 }

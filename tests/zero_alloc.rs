@@ -184,9 +184,10 @@ fn assert_zero_alloc_warm_qpa() {
             state.commit(*t);
         }
     }
-    // A light LC probe: it passes the O(1) structural pre-reject, so
-    // every probe re-runs the greedy tuner over the warm kernel.
-    let probe = Task::lo(90, 30, 2).unwrap();
+    // A light HC probe: it passes the O(1) structural pre-reject and
+    // adds high-mode demand, so every probe re-runs the greedy tuner
+    // over the warm kernel.
+    let probe = Task::hi(90, 200, 1, 3).unwrap();
     let _ = state.try_admit(&probe); // warm-up
     let before = state.stats();
     let allocs = count_allocations(|| {
@@ -202,6 +203,26 @@ fn assert_zero_alloc_warm_qpa() {
     assert!(
         after.qpa_resumed > before.qpa_resumed,
         "probes did not resume any fixpoint: {before:?} → {after:?}"
+    );
+    // A light LC probe against the committed tuning: it is admitted by
+    // one low-mode check of the tuned assignment, with no search, and
+    // stays allocation-free.
+    let probe = Task::lo(91, 30, 2).unwrap();
+    let _ = state.try_admit(&probe); // warm-up
+    let before = state.stats();
+    let allocs = count_allocations(|| {
+        for _ in 0..64 {
+            std::hint::black_box(state.try_admit(std::hint::black_box(&probe)));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "LC probes against the committed tuning allocated {allocs} times"
+    );
+    let after = state.stats();
+    assert!(
+        after.incremental >= before.incremental + 64,
+        "LC probes were not answered from the committed tuning: {before:?} → {after:?}"
     );
 }
 
