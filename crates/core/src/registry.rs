@@ -8,11 +8,11 @@
 //!
 //! * [`TestName`] — the closed set of uniprocessor schedulability tests,
 //! * [`AlgorithmSpec`] — a strategy (name, order, fit rules) paired with a
-//!   test name; serde-able, so algorithm line-ups can live in config files
-//!   or service requests instead of Rust constructors,
+//!   test name; it serializes, so a line-up can be logged or reported as
+//!   data,
 //! * [`AlgorithmRegistry`] — parses display names like `"CU-UDP-EDF-VD"`
-//!   (or whole [`AlgorithmSpec`]s) into ready-to-run [`AlgoBox`]es and
-//!   enumerates every available algorithm name.
+//!   into ready-to-run [`AlgoBox`]es and enumerates every available
+//!   algorithm name.
 //!
 //! # Example
 //!
@@ -40,12 +40,12 @@
 
 use crate::algorithm::{MultiprocessorTest, PartitionedAlgorithm};
 use crate::presets;
-use crate::strategy::{AllocationOrder, BalanceMetric, FitRule, PartitionStrategy};
+use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{
     AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState, SchedulabilityTest,
     WorkspaceRef,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -93,15 +93,6 @@ impl TestName {
         }
     }
 
-    /// Parses a canonical display suffix (`"EDF-VD"`) or a serialized
-    /// variant identifier (`"EdfVd"`).
-    pub fn parse(s: &str) -> Option<TestName> {
-        Self::ALL
-            .iter()
-            .copied()
-            .find(|t| t.canonical() == s || variant_ident(*t) == s)
-    }
-
     /// The test this name denotes, as a `'static` instance: its
     /// [`admission_state_in`](SchedulabilityTest::admission_state_in)
     /// states borrow nothing, so a long-lived session can own them.
@@ -141,16 +132,6 @@ impl TestName {
     }
 }
 
-fn variant_ident(t: TestName) -> &'static str {
-    match t {
-        TestName::EdfVd => "EdfVd",
-        TestName::Ey => "Ey",
-        TestName::Ecdf => "Ecdf",
-        TestName::AmcRtb => "AmcRtb",
-        TestName::AmcMax => "AmcMax",
-    }
-}
-
 impl fmt::Display for TestName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.canonical())
@@ -161,9 +142,8 @@ impl fmt::Display for TestName {
 /// plus the name of a uniprocessor test, with an optional display-name
 /// override (the paper writes `CU-UDP-AMC` for `CU-UDP-AMC-max`).
 ///
-/// Specs serialize (`serde_json::to_string`) and parse back
-/// ([`AlgorithmSpec::from_value`]); [`AlgorithmSpec::build`] instantiates
-/// the runnable algorithm.
+/// Specs serialize (`serde_json::to_string`); [`AlgorithmSpec::build`]
+/// instantiates the runnable algorithm.
 ///
 /// # Example
 ///
@@ -274,48 +254,6 @@ impl AlgorithmSpec {
             .collect();
         crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
     }
-
-    /// Reconstructs a spec from a parsed JSON tree (the inverse of the
-    /// derived `Serialize`; the offline serde stub provides no typed
-    /// deserialization, so the mapping is explicit here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::InvalidSpec`] describing the first
-    /// malformed field.
-    pub fn from_value(v: &Value) -> Result<Self, RegistryError> {
-        let strategy = strategy_from_value(
-            v.get("strategy")
-                .ok_or_else(|| invalid("spec is missing `strategy`"))?,
-        )?;
-        let test_value = v
-            .get("test")
-            .ok_or_else(|| invalid("spec is missing `test`"))?;
-        let test_str = test_value
-            .as_str()
-            .ok_or_else(|| invalid("`test` must be a string"))?;
-        let test = TestName::parse(test_str).ok_or_else(|| RegistryError::UnknownTest {
-            name: test_str.to_owned(),
-            available: TestName::ALL
-                .iter()
-                .map(|t| t.canonical().to_owned())
-                .collect(),
-        })?;
-        let display_name = match v.get("display_name") {
-            None => None,
-            Some(dn) if dn.is_null() => None,
-            Some(dn) => Some(
-                dn.as_str()
-                    .ok_or_else(|| invalid("`display_name` must be a string or null"))?
-                    .to_owned(),
-            ),
-        };
-        Ok(AlgorithmSpec {
-            strategy,
-            test,
-            display_name,
-        })
-    }
 }
 
 impl fmt::Display for AlgorithmSpec {
@@ -324,7 +262,7 @@ impl fmt::Display for AlgorithmSpec {
     }
 }
 
-/// Why a registry lookup or spec reconstruction failed.
+/// Why a registry lookup failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
     /// No registered `<strategy>-<test>` combination matches the name.
@@ -334,24 +272,6 @@ pub enum RegistryError {
         /// Every name the registry can parse.
         available: Vec<String>,
     },
-    /// No registered test matches the name.
-    UnknownTest {
-        /// The test name that failed to parse.
-        name: String,
-        /// Every registered test name.
-        available: Vec<String>,
-    },
-    /// A serialized [`AlgorithmSpec`] was structurally malformed.
-    InvalidSpec {
-        /// What was wrong.
-        reason: String,
-    },
-}
-
-fn invalid(reason: impl Into<String>) -> RegistryError {
-    RegistryError::InvalidSpec {
-        reason: reason.into(),
-    }
 }
 
 impl fmt::Display for RegistryError {
@@ -364,14 +284,6 @@ impl fmt::Display for RegistryError {
                     available.join(", ")
                 )
             }
-            RegistryError::UnknownTest { name, available } => {
-                write!(
-                    f,
-                    "unknown test `{name}`; available: {}",
-                    available.join(", ")
-                )
-            }
-            RegistryError::InvalidSpec { reason } => write!(f, "invalid algorithm spec: {reason}"),
         }
     }
 }
@@ -399,47 +311,20 @@ pub struct AlgorithmRegistry {
 }
 
 impl AlgorithmRegistry {
-    /// An empty registry (register strategies and tests manually).
-    pub fn empty() -> Self {
-        AlgorithmRegistry {
-            strategies: Vec::new(),
-            tests: Vec::new(),
-        }
-    }
-
     /// The standard registry: every preset strategy
     /// ([`presets::all`]), every test ([`TestName::ALL`]), and the
     /// paper's `"AMC"` shorthand for [`TestName::AmcMax`].
     pub fn standard() -> Self {
-        let mut registry = Self::empty();
-        for strategy in presets::all() {
-            registry.register_strategy(strategy);
-        }
-        for test in TestName::ALL {
-            registry.register_test(test.canonical(), test);
-        }
-        registry.register_test("AMC", TestName::AmcMax);
-        registry
-    }
-
-    /// Registers (or replaces, by name) a strategy.
-    pub fn register_strategy(&mut self, strategy: PartitionStrategy) {
-        self.strategies.retain(|s| s.name() != strategy.name());
-        self.strategies.push(strategy);
-        self.strategies.sort_by(|a, b| {
+        let mut strategies = presets::all();
+        strategies.sort_by(|a, b| {
             b.name()
                 .len()
                 .cmp(&a.name().len())
                 .then_with(|| a.name().cmp(b.name()))
         });
-    }
-
-    /// Registers (or replaces) a test under a display suffix. Aliases are
-    /// just additional registrations (`"AMC"` → [`TestName::AmcMax`]).
-    pub fn register_test(&mut self, suffix: impl Into<String>, test: TestName) {
-        let suffix = suffix.into();
-        self.tests.retain(|(s, _)| *s != suffix);
-        self.tests.push((suffix, test));
+        let mut tests: Vec<_> = TestName::ALL.map(|t| (t.canonical().to_owned(), t)).into();
+        tests.push(("AMC".to_owned(), TestName::AmcMax));
+        AlgorithmRegistry { strategies, tests }
     }
 
     /// Looks up a registered strategy by name.
@@ -556,90 +441,10 @@ impl Default for AlgorithmRegistry {
     }
 }
 
-// ------------------------------------------------- manual deserialization
-
-fn strategy_from_value(v: &Value) -> Result<PartitionStrategy, RegistryError> {
-    let name = v
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| invalid("strategy is missing string `name`"))?;
-    let order = order_from_value(
-        v.get("order")
-            .ok_or_else(|| invalid("strategy is missing `order`"))?,
-    )?;
-    let hc_fit = fit_from_value(
-        v.get("hc_fit")
-            .ok_or_else(|| invalid("strategy is missing `hc_fit`"))?,
-    )?;
-    let lc_fit = fit_from_value(
-        v.get("lc_fit")
-            .ok_or_else(|| invalid("strategy is missing `lc_fit`"))?,
-    )?;
-    Ok(PartitionStrategy::builder(name)
-        .order(order)
-        .hc_fit(hc_fit)
-        .lc_fit(lc_fit)
-        .build())
-}
-
-fn order_from_value(v: &Value) -> Result<AllocationOrder, RegistryError> {
-    if let Some(s) = v.as_str() {
-        return match s {
-            "CriticalityUnaware" => Ok(AllocationOrder::CriticalityUnaware),
-            other => Err(invalid(format!("unknown allocation order `{other}`"))),
-        };
-    }
-    if let Some(inner) = v.get("CriticalityAware") {
-        let sorted = inner
-            .get("sorted")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| invalid("CriticalityAware needs boolean `sorted`"))?;
-        return Ok(AllocationOrder::CriticalityAware { sorted });
-    }
-    if let Some(inner) = v.get("HeavyLcFirst") {
-        let threshold = inner
-            .get("threshold_millis")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| invalid("HeavyLcFirst needs integer `threshold_millis`"))?;
-        let threshold =
-            u32::try_from(threshold).map_err(|_| invalid("`threshold_millis` out of range"))?;
-        return Ok(AllocationOrder::HeavyLcFirst {
-            threshold_millis: threshold,
-        });
-    }
-    Err(invalid("unrecognized allocation order"))
-}
-
-fn metric_from_value(v: &Value) -> Result<BalanceMetric, RegistryError> {
-    match v.as_str() {
-        Some("UtilizationDifference") => Ok(BalanceMetric::UtilizationDifference),
-        Some("HiUtilization") => Ok(BalanceMetric::HiUtilization),
-        Some("LoModeLoad") => Ok(BalanceMetric::LoModeLoad),
-        Some("OwnLevelLoad") => Ok(BalanceMetric::OwnLevelLoad),
-        Some(other) => Err(invalid(format!("unknown balance metric `{other}`"))),
-        None => Err(invalid("balance metric must be a string")),
-    }
-}
-
-fn fit_from_value(v: &Value) -> Result<FitRule, RegistryError> {
-    if let Some(s) = v.as_str() {
-        return match s {
-            "FirstFit" => Ok(FitRule::FirstFit),
-            other => Err(invalid(format!("unknown fit rule `{other}`"))),
-        };
-    }
-    if let Some(metric) = v.get("WorstFit") {
-        return Ok(FitRule::WorstFit(metric_from_value(metric)?));
-    }
-    if let Some(metric) = v.get("BestFit") {
-        return Ok(FitRule::BestFit(metric_from_value(metric)?));
-    }
-    Err(invalid("unrecognized fit rule"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{AllocationOrder, BalanceMetric, FitRule};
     use mcsched_analysis::WorkspaceRef;
     use mcsched_model::{Task, TaskSet};
 
@@ -673,11 +478,12 @@ mod tests {
 
     #[test]
     fn test_name_parsing() {
+        let registry = AlgorithmRegistry::standard();
         for t in TestName::ALL {
-            assert_eq!(TestName::parse(t.canonical()), Some(t), "{t}");
-            assert_eq!(TestName::parse(variant_ident(t)), Some(t), "{t}");
+            assert_eq!(t.to_string(), t.canonical());
+            let spec = registry.spec(&format!("CU-UDP-{t}")).unwrap();
+            assert_eq!(spec.test, t, "{t}");
         }
-        assert_eq!(TestName::parse("RTA"), None);
         assert_eq!(TestName::EdfVd.to_string(), "EDF-VD");
     }
 
@@ -687,6 +493,11 @@ mod tests {
         let names = registry.algorithm_names();
         // 6 strategies × (5 tests + AMC alias).
         assert_eq!(names.len(), 36);
+        assert_eq!(AlgorithmRegistry::default().algorithm_names(), names);
+        assert_eq!(registry.strategy_names().len(), 6);
+        assert_eq!(registry.test_names().len(), 6);
+        assert!(registry.strategy("CU-UDP").is_some());
+        assert!(registry.strategy("CU-BF").is_none());
         for name in &names {
             let algo = registry.parse(name).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(algo.name(), name, "display name must round-trip");
@@ -719,13 +530,9 @@ mod tests {
     fn unknown_names_list_available() {
         let registry = AlgorithmRegistry::standard();
         let err = registry.spec("CU-UDP-RTA").unwrap_err();
-        match &err {
-            RegistryError::UnknownAlgorithm { name, available } => {
-                assert_eq!(name, "CU-UDP-RTA");
-                assert!(available.iter().any(|n| n == "CU-UDP-EDF-VD"));
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
+        let RegistryError::UnknownAlgorithm { name, available } = &err;
+        assert_eq!(name, "CU-UDP-RTA");
+        assert!(available.iter().any(|n| n == "CU-UDP-EDF-VD"));
         let msg = err.to_string();
         assert!(msg.contains("unknown algorithm `CU-UDP-RTA`"));
         assert!(msg.contains("CA-UDP-ECDF"));
@@ -758,58 +565,5 @@ mod tests {
         let algo = spec.build();
         assert_eq!(algo.name(), "CA-WF(Ulo)-EDF-VD");
         assert!(algo.accepts(&small_set(), 2));
-    }
-
-    #[test]
-    fn spec_serde_round_trips() {
-        let registry = AlgorithmRegistry::standard();
-        for name in registry.algorithm_names() {
-            let spec = registry.spec(&name).unwrap();
-            let json = serde_json::to_string(&spec).unwrap();
-            let parsed = serde_json::parse_value(&json).unwrap();
-            let back = AlgorithmSpec::from_value(&parsed).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back, spec, "{name}");
-        }
-    }
-
-    #[test]
-    fn from_value_reports_malformed_specs() {
-        let cases = [
-            ("{}", "missing `strategy`"),
-            (r#"{"strategy": {"name": "X"}, "test": "EDF-VD"}"#, "order"),
-            (
-                r#"{"strategy": {"name": "X", "order": "CriticalityUnaware",
-                    "hc_fit": "FirstFit", "lc_fit": "FirstFit"}, "test": "RTA"}"#,
-                "unknown test",
-            ),
-            (
-                r#"{"strategy": {"name": "X", "order": "Bogus",
-                    "hc_fit": "FirstFit", "lc_fit": "FirstFit"}, "test": "EY"}"#,
-                "allocation order",
-            ),
-        ];
-        for (json, needle) in cases {
-            let v = serde_json::parse_value(json).unwrap();
-            let err = AlgorithmSpec::from_value(&v).unwrap_err().to_string();
-            assert!(err.contains(needle), "{json}: {err}");
-        }
-    }
-
-    #[test]
-    fn empty_registry_and_replacement() {
-        let mut registry = AlgorithmRegistry::empty();
-        assert!(registry.algorithm_names().is_empty());
-        registry.register_strategy(presets::cu_udp());
-        registry.register_test("EDF-VD", TestName::EdfVd);
-        assert!(registry.parse("CU-UDP-EDF-VD").is_ok());
-        assert!(registry.parse("CA-UDP-EDF-VD").is_err());
-        // Re-registering a name replaces it rather than duplicating.
-        registry.register_strategy(presets::cu_udp());
-        registry.register_test("EDF-VD", TestName::EdfVd);
-        assert_eq!(registry.strategy_names().len(), 1);
-        assert_eq!(registry.test_names().len(), 1);
-        assert!(registry.strategy("CU-UDP").is_some());
-        assert!(registry.strategy("CA-UDP").is_none());
-        assert_eq!(AlgorithmRegistry::default().algorithm_names().len(), 36);
     }
 }

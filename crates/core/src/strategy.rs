@@ -92,11 +92,6 @@ pub enum BalanceMetric {
 }
 
 impl BalanceMetric {
-    /// Evaluates the metric on a processor's current contents.
-    pub fn evaluate(&self, proc: &TaskSet) -> f64 {
-        self.evaluate_summary(&proc.system_utilization())
-    }
-
     /// Evaluates the metric on a precomputed utilization triple — the
     /// cached `summary()` of an incremental admission state, so fit rules
     /// cost O(1) per processor instead of re-summing its tasks.
@@ -136,24 +131,11 @@ pub enum FitRule {
 }
 
 impl FitRule {
-    /// Returns processor indices in the order this rule tries them.
-    pub fn processor_order(&self, procs: &[TaskSet]) -> Vec<usize> {
-        let summaries: Vec<SystemUtilization> =
-            procs.iter().map(TaskSet::system_utilization).collect();
-        self.processor_order_by_summary(&summaries)
-    }
-
-    /// As [`FitRule::processor_order`], over precomputed utilization
-    /// triples (the cached summaries of the incremental admission states).
-    pub fn processor_order_by_summary(&self, summaries: &[SystemUtilization]) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.processor_order_by_summary_into(summaries, &mut idx);
-        idx
-    }
-
-    /// As [`FitRule::processor_order_by_summary`], into a caller-supplied
-    /// buffer (cleared first) — the partitioning inner loop reuses one
-    /// across tasks so fit ordering allocates nothing. The metric is a
+    /// Writes into `out` (cleared first) the processor indices in the order
+    /// this rule tries them, given each processor's utilization triple (the
+    /// cached summaries of the incremental admission states). The
+    /// partitioning inner loop reuses one buffer across tasks, so fit
+    /// ordering allocates nothing. The metric is a
     /// pure function of the summary, so evaluating it inside the
     /// comparator yields exactly the order of the precomputed-keys path.
     pub fn processor_order_by_summary_into(
@@ -365,17 +347,34 @@ mod tests {
         let ts = sample();
         let u = ts.system_utilization();
         assert!(
-            (BalanceMetric::UtilizationDifference.evaluate(&ts) - (u.u_hh - u.u_hl)).abs() < 1e-12
+            (BalanceMetric::UtilizationDifference.evaluate_summary(&u) - (u.u_hh - u.u_hl)).abs()
+                < 1e-12
         );
-        assert!((BalanceMetric::HiUtilization.evaluate(&ts) - u.u_hh).abs() < 1e-12);
-        assert!((BalanceMetric::LoModeLoad.evaluate(&ts) - (u.u_ll + u.u_hl)).abs() < 1e-12);
-        assert!((BalanceMetric::OwnLevelLoad.evaluate(&ts) - (u.u_ll + u.u_hh)).abs() < 1e-12);
+        assert!((BalanceMetric::HiUtilization.evaluate_summary(&u) - u.u_hh).abs() < 1e-12);
+        assert!((BalanceMetric::LoModeLoad.evaluate_summary(&u) - (u.u_ll + u.u_hl)).abs() < 1e-12);
+        assert!(
+            (BalanceMetric::OwnLevelLoad.evaluate_summary(&u) - (u.u_ll + u.u_hh)).abs() < 1e-12
+        );
+    }
+
+    /// `fit`'s processor order over these utilization triples.
+    fn order_by(fit: FitRule, summaries: &[SystemUtilization]) -> Vec<usize> {
+        let mut out = vec![usize::MAX; 7];
+        fit.processor_order_by_summary_into(summaries, &mut out);
+        out
+    }
+
+    /// `fit`'s processor order over processors holding `procs`.
+    fn order(fit: FitRule, procs: &[TaskSet]) -> Vec<usize> {
+        let summaries: Vec<SystemUtilization> =
+            procs.iter().map(TaskSet::system_utilization).collect();
+        order_by(fit, &summaries)
     }
 
     #[test]
     fn first_fit_is_index_order() {
         let procs = vec![sample(), TaskSet::new(), sample()];
-        assert_eq!(FitRule::FirstFit.processor_order(&procs), vec![0, 1, 2]);
+        assert_eq!(order(FitRule::FirstFit, &procs), vec![0, 1, 2]);
     }
 
     #[test]
@@ -385,7 +384,10 @@ mod tests {
         let mut light = TaskSet::new();
         light.push_unchecked(Task::hi(8, 10, 4, 5).unwrap()); // diff 0.1
         let procs = vec![heavy, TaskSet::new(), light];
-        let order = FitRule::WorstFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order, vec![1, 2, 0]);
     }
 
@@ -394,30 +396,11 @@ mod tests {
         let mut heavy = TaskSet::new();
         heavy.push_unchecked(Task::hi(9, 10, 1, 9).unwrap());
         let procs = vec![TaskSet::new(), heavy, TaskSet::new()];
-        let order = FitRule::BestFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::BestFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order[0], 1);
-    }
-
-    #[test]
-    fn summary_order_matches_taskset_order() {
-        let mut heavy = TaskSet::new();
-        heavy.push_unchecked(Task::hi(9, 10, 1, 9).unwrap());
-        let mut light = TaskSet::new();
-        light.push_unchecked(Task::hi(8, 10, 4, 5).unwrap());
-        let procs = vec![heavy, TaskSet::new(), light];
-        let summaries: Vec<SystemUtilization> =
-            procs.iter().map(TaskSet::system_utilization).collect();
-        for fit in [
-            FitRule::FirstFit,
-            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
-            FitRule::BestFit(BalanceMetric::LoModeLoad),
-        ] {
-            assert_eq!(
-                fit.processor_order(&procs),
-                fit.processor_order_by_summary(&summaries),
-                "{fit}"
-            );
-        }
     }
 
     #[test]
@@ -431,8 +414,7 @@ mod tests {
             },
             SystemUtilization::default(),
         ];
-        let order =
-            FitRule::WorstFit(BalanceMetric::HiUtilization).processor_order_by_summary(&summaries);
+        let order = order_by(FitRule::WorstFit(BalanceMetric::HiUtilization), &summaries);
         assert_eq!(order.len(), 2);
         assert_eq!(order[0], 1, "NaN sorts after every finite key");
     }
@@ -440,7 +422,10 @@ mod tests {
     #[test]
     fn ties_break_by_index() {
         let procs = vec![TaskSet::new(), TaskSet::new(), TaskSet::new()];
-        let order = FitRule::WorstFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order, vec![0, 1, 2]);
     }
 

@@ -1,12 +1,11 @@
 //! Registry round-trips: every line-up name the experiment harness uses
-//! parses back to an algorithm with the identical display name,
-//! `AlgorithmSpec`s survive a serde round-trip, and registry-built
-//! line-ups produce **bit-identical** sweep results to directly
-//! constructed algorithms over a seeded corpus.
+//! parses back to an algorithm with the identical display name, and
+//! registry-built line-ups produce **bit-identical** sweep results to
+//! directly constructed algorithms over a seeded corpus.
 
 use mcsched::analysis::{AmcMax, Ecdf, EdfVd, Ey};
 use mcsched::exp::algorithms::{
-    ablation_specs, AMC_ABLATION_NAMES, FIG3_NAMES, FIG4_NAMES, FIG6B_NAMES, PERF_NAMES,
+    AMC_ABLATION_NAMES, FIG3_NAMES, FIG4_NAMES, FIG6B_NAMES, PERF_NAMES,
 };
 use mcsched::exp::sweep::{acceptance_sweep, SweepConfig};
 use mcsched::gen::DeadlineModel;
@@ -36,21 +35,6 @@ fn every_lineup_name_round_trips_through_the_registry() {
         let spec = registry.spec(name).unwrap();
         assert_eq!(spec.name(), name);
         assert_eq!(spec.build().name(), name);
-    }
-}
-
-#[test]
-fn ablation_specs_round_trip_through_serde() {
-    // The ablation line-up mixes registry presets with custom inline
-    // strategies — all must survive JSON serialization and manual
-    // reconstruction bit-for-bit (PartialEq on the spec).
-    for spec in ablation_specs() {
-        let json = serde_json::to_string(&spec).unwrap();
-        let value = serde_json::parse_value(&json).unwrap();
-        let back = AlgorithmSpec::from_value(&value)
-            .unwrap_or_else(|e| panic!("{}: {e}\n{json}", spec.name()));
-        assert_eq!(back, spec, "{json}");
-        assert_eq!(back.build().name(), spec.name());
     }
 }
 
@@ -92,23 +76,4 @@ fn registry_lineup_sweeps_bit_identical_to_direct_constructors() {
     let a = acceptance_sweep(&config, &direct);
     let b = acceptance_sweep(&config, &named);
     assert_eq!(a, b, "registry-built line-up must be bit-identical");
-}
-
-#[test]
-fn spec_round_trip_preserves_verdicts() {
-    // A spec reconstructed from JSON decides exactly like the original.
-    let registry = AlgorithmRegistry::standard();
-    let spec = registry.spec("CU-UDP-AMC").unwrap();
-    let json = serde_json::to_string(&spec).unwrap();
-    let back = AlgorithmSpec::from_value(&serde_json::parse_value(&json).unwrap()).unwrap();
-    let (a, b) = (spec.build(), back.build());
-    let ts = TaskSet::try_from_tasks(vec![
-        Task::hi(0, 10, 2, 5).unwrap(),
-        Task::hi(1, 20, 4, 9).unwrap(),
-        Task::lo(2, 10, 4).unwrap(),
-    ])
-    .unwrap();
-    for m in 1..=3 {
-        assert_eq!(a.try_partition(&ts, m), b.try_partition(&ts, m), "m={m}");
-    }
 }
