@@ -1525,6 +1525,7 @@ mod tests {
         let tests: Vec<Box<dyn SchedulabilityTest>> =
             vec![Box::new(AmcRtb::new()), Box::new(AmcMax::new())];
         for test in &tests {
+            let test = test.as_ref();
             let mut state = test.admission_state_in(&WorkspaceRef::new());
             for t in &sequence {
                 let expected = clone_and_retest(test, state.tasks(), t);

@@ -68,17 +68,17 @@ pub struct EdfVd {
 /// The three utilization (or density, for constrained deadlines) sums the
 /// test is computed from.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct Sums {
-    pub(crate) u_ll: f64,
-    pub(crate) u_hl: f64,
-    pub(crate) u_hh: f64,
+struct Sums {
+    u_ll: f64,
+    u_hl: f64,
+    u_hh: f64,
 }
 
 impl Sums {
     /// Adds one task's density terms. Shared by the one-shot path and the
     /// incremental state so running sums stay bit-identical to a
     /// from-scratch recomputation in insertion order.
-    pub(crate) fn accumulate(&mut self, t: &Task) {
+    fn accumulate(&mut self, t: &Task) {
         // Density C/min(D,T) equals utilization for implicit deadlines.
         let denom = t.deadline().min(t.period()).as_f64();
         if t.criticality().is_high() {
@@ -100,7 +100,7 @@ fn sums(ts: &TaskSet) -> Sums {
 
 /// The closed-form EDF-VD acceptance evaluated on precomputed sums
 /// (Theorems 1 and 2; see [`EdfVd::scaling_factor`]).
-pub(crate) fn scaling_factor_from(s: &Sums) -> Option<f64> {
+fn scaling_factor_from(s: &Sums) -> Option<f64> {
     // Low mode must be feasible for some x ≤ 1; at best (x = 1) its
     // demand is U_LL + U_HL.
     if s.u_ll + s.u_hl > 1.0 {

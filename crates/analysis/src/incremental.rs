@@ -294,7 +294,7 @@ mod tests {
         let mut state = test.admission_state_in(&ws);
         let tasks = vec![hi(0, 10, 2, 4), lo(1, 20, 6), hi(2, 25, 3, 8), lo(3, 10, 3)];
         for t in &tasks {
-            let expected = clone_and_retest(&test, state.tasks(), t);
+            let expected = clone_and_retest(test, state.tasks(), t);
             assert_eq!(state.try_admit(t), expected, "{} on {t}", test.name());
             if expected {
                 state.commit(*t);
@@ -310,7 +310,7 @@ mod tests {
         if let Some(first) = state.tasks().iter().next().copied() {
             assert!(state.remove(first.id()));
             assert!(!state.remove(first.id()));
-            let again = clone_and_retest(&test, state.tasks(), &first);
+            let again = clone_and_retest(test, state.tasks(), &first);
             assert_eq!(state.try_admit(&first), again);
         }
         let stats = state.stats();
@@ -330,7 +330,7 @@ mod tests {
                 "{} after take_tasks on {t}",
                 test.name()
             );
-            assert_eq!(expected, clone_and_retest(&test, fresh.tasks(), t));
+            assert_eq!(expected, clone_and_retest(test, fresh.tasks(), t));
             if expected {
                 state.commit(*t);
                 fresh.commit(*t);

@@ -138,36 +138,6 @@ pub trait SchedulabilityTest {
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_>;
 }
 
-impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn is_schedulable(&self, ts: &TaskSet) -> bool {
-        (**self).is_schedulable(ts)
-    }
-    fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
-        (**self).is_schedulable_in(ts, ws)
-    }
-    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        (**self).admission_state_in(ws)
-    }
-}
-
-impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn is_schedulable(&self, ts: &TaskSet) -> bool {
-        (**self).is_schedulable(ts)
-    }
-    fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
-        (**self).is_schedulable_in(ts, ws)
-    }
-    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        (**self).admission_state_in(ws)
-    }
-}
-
 #[cfg(test)]
 mod trait_tests {
     use super::*;
@@ -186,16 +156,5 @@ mod trait_tests {
         for t in &tests {
             assert!(t.is_schedulable(&ts), "{} rejected a trivial set", t.name());
         }
-    }
-
-    #[test]
-    fn blanket_impls() {
-        let ts = TaskSet::try_from_tasks(vec![Task::lo(0, 10, 1).unwrap()]).unwrap();
-        let t = EdfVd::new();
-        let by_ref: &dyn SchedulabilityTest = &&t;
-        assert!(by_ref.is_schedulable(&ts));
-        assert_eq!(by_ref.name(), "EDF-VD");
-        let boxed: Box<dyn SchedulabilityTest> = Box::new(EdfVd::new());
-        assert!(boxed.is_schedulable(&ts));
     }
 }

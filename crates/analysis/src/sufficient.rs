@@ -13,7 +13,7 @@
 //!
 //! | exact test | fast rule | soundness |
 //! |---|---|---|
-//! | EDF-VD | the closed form itself | exact: the fast tier *is* the test |
+//! | EDF-VD | none: the exact [`EdfVdState`](crate::EdfVdState) | exact: the test is already O(1) and allocation-free |
 //! | EY / ECDF | LC-only density ≤ 1 | provable against the implementations: with zero HC tasks the high-mode demand is identically zero (the tuner's round-0 check passes untightened) and LO density ≤ 1 implies the exact QPA demand check passes — so both searches accept immediately. Own-level density bounds are **not** sound here: the tuners are greedy heuristics, and `tests/sufficient.rs` pins under-the-bound HC sets that EY (implicit) and ECDF (constrained) reject |
 //! | AMC-rtb / AMC-max | own-level density ≤ Liu–Layland bound | LL ⇒ RM-feasible on the deadline-shrunk system ⇒ own-level DM RTA fits ⇒ AMC-rtb's lo/hi recurrences are dominated term-by-term ⇒ AMC-max by dominance |
 //!
@@ -35,12 +35,9 @@
 //!
 //! Floating-point: the density comparisons subtract [`FP_GUARD`] so a
 //! rounded-*down* sum can never smuggle a mathematically-over-bound set
-//! past the rule; the EDF-VD closed form needs no guard because it
-//! evaluates bit-identically to the exact state's own arithmetic.
-//! `tests/sufficient.rs` property-checks accept-soundness for all five
-//! tests over both deadline models.
+//! past the rule. `tests/sufficient.rs` property-checks accept-soundness
+//! for the four tests with a fast rule over both deadline models.
 
-use crate::edfvd;
 use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 
@@ -53,10 +50,6 @@ pub const FP_GUARD: f64 = 1e-9;
 /// [module docs](self) for the soundness argument of each).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastRule {
-    /// The EDF-VD closed form on running `(U_LL, U_HL, U_HH)` density
-    /// sums — the exact EDF-VD verdict, bit-identical to
-    /// [`EdfVdState`](crate::EdfVdState).
-    EdfVdClosedForm,
     /// Accept only LC tasks, under `Σ C^L / min(D, T) ≤ 1 − FP_GUARD`,
     /// and only while no HC task is committed (a recovered session may
     /// hold exact-tier HC commits; after that everything is "unproven").
@@ -82,7 +75,7 @@ fn ll_bound(n: usize) -> f64 {
     n * (2f64.powf(1.0 / n) - 1.0)
 }
 
-/// An allocation-free sufficient admission state: running density sums
+/// An allocation-free sufficient admission state: a running density sum
 /// plus the [`FastRule`] decision, implementing [`AdmissionState`] so it
 /// drops into the same cluster-session machinery as the exact states.
 ///
@@ -92,7 +85,6 @@ fn ll_bound(n: usize) -> f64 {
 pub struct FastState {
     rule: FastRule,
     committed: Committed,
-    sums: edfvd::Sums,
     own_density: f64,
     /// Committed HC tasks (only reachable through `commit` without a
     /// fast accept, i.e. a cross-tier session restore) — the LC-only
@@ -106,7 +98,6 @@ impl FastState {
         FastState {
             rule,
             committed: Committed::default(),
-            sums: edfvd::Sums::default(),
             own_density: 0.0,
             hc_committed: 0,
         }
@@ -121,11 +112,6 @@ impl FastState {
     /// check; no state change.
     fn would_accept(&self, task: &Task) -> bool {
         match self.rule {
-            FastRule::EdfVdClosedForm => {
-                let mut sums = self.sums;
-                sums.accumulate(task);
-                edfvd::scaling_factor_from(&sums).is_some()
-            }
             FastRule::LcOnlyDensity => {
                 task.criticality().is_low()
                     && self.hc_committed == 0
@@ -138,15 +124,13 @@ impl FastState {
         }
     }
 
-    /// Recomputes both running sums from the committed tasks, in
-    /// insertion order (bit-identical to the accumulate path — the same
+    /// Recomputes the running sum and HC count from the committed tasks,
+    /// in insertion order (bit-identical to the commit path — the same
     /// discipline [`Committed`] uses for its summary).
     fn recompute(&mut self) {
-        self.sums = edfvd::Sums::default();
         self.own_density = 0.0;
         self.hc_committed = 0;
         for t in self.committed.tasks.iter() {
-            self.sums.accumulate(t);
             self.own_density += own_density(t);
             if t.criticality().is_high() {
                 self.hc_committed += 1;
@@ -163,7 +147,6 @@ impl AdmissionState for FastState {
     }
 
     fn commit(&mut self, task: Task) {
-        self.sums.accumulate(&task);
         self.own_density += own_density(&task);
         if task.criticality().is_high() {
             self.hc_committed += 1;
@@ -189,7 +172,6 @@ impl AdmissionState for FastState {
 
     fn take_tasks(&mut self) -> TaskSet {
         let tasks = self.committed.take();
-        self.sums = edfvd::Sums::default();
         self.own_density = 0.0;
         self.hc_committed = 0;
         tasks
@@ -203,7 +185,7 @@ impl AdmissionState for FastState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdfVd, SchedulabilityTest, WorkspaceRef};
+    use crate::SchedulabilityTest;
 
     fn lo(id: u32, period: u64, wcet: u64) -> Task {
         Task::lo(id, period, wcet).expect("valid LC task")
@@ -211,28 +193,6 @@ mod tests {
 
     fn hi(id: u32, period: u64, wcet_lo: u64, wcet_hi: u64) -> Task {
         Task::hi(id, period, wcet_lo, wcet_hi).expect("valid HC task")
-    }
-
-    #[test]
-    fn edfvd_rule_matches_the_exact_state_verdicts() {
-        let mut fast = FastState::new(FastRule::EdfVdClosedForm);
-        let test = EdfVd::new();
-        let mut exact = test.admission_state_in(&WorkspaceRef::new());
-        let tasks = [
-            lo(1, 10, 3),
-            hi(2, 20, 4, 9),
-            lo(3, 5, 2),
-            hi(4, 40, 8, 20),
-            lo(5, 8, 5),
-        ];
-        for t in tasks {
-            assert_eq!(fast.try_admit(&t), exact.try_admit(&t), "task {t:?}");
-            if exact.try_admit(&t) {
-                fast.commit(t);
-                exact.commit(t);
-            }
-        }
-        assert_eq!(fast.summary(), exact.summary());
     }
 
     #[test]

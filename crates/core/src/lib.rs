@@ -14,15 +14,15 @@
 //!   admits or rejects each tentative allocation (Algorithm 1, line 5).
 //!
 //! The named strategies of the paper are exposed in [`presets`]; pair one
-//! with a uniprocessor test via [`PartitionedAlgorithm`] to obtain e.g.
-//! `CU-UDP-EDF-VD` or `CA-UDP-AMC`.
+//! with a uniprocessor test ([`TestName`]) in an [`AlgorithmSpec`] to
+//! obtain e.g. `CU-UDP-EDF-VD` or `CA-UDP-AMC`; the
+//! [`AlgorithmRegistry`] parses such names.
 //!
 //! ## Example
 //!
 //! ```
 //! use mcsched_model::{Task, TaskSet};
-//! use mcsched_analysis::EdfVd;
-//! use mcsched_core::{presets, PartitionedAlgorithm};
+//! use mcsched_core::{presets, AlgorithmSpec, TestName};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ts = TaskSet::try_from_tasks(vec![
@@ -31,8 +31,8 @@
 //!     Task::lo(2, 10, 4)?,
 //!     Task::lo(3, 25, 5)?,
 //! ])?;
-//! let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-//! let partition = algo.partition(&ts, 2)?;
+//! let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+//! let partition = algo.try_partition(&ts, 2)?;
 //! assert_eq!(partition.processor_count(), 2);
 //! assert_eq!(partition.iter().map(|p| p.len()).sum::<usize>(), 4);
 //! # Ok(())
@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod algorithm;
 pub mod cluster;
 mod partition;
 pub mod presets;
 pub mod registry;
 mod strategy;
 
-pub use algorithm::{MultiprocessorTest, PartitionedAlgorithm};
 pub use cluster::{AdmitError, ClusterSession};
 pub use partition::{verify_partition, Partition, PartitionError};
 pub use registry::{AlgoBox, AlgorithmRegistry, AlgorithmSpec, RegistryError, TestName};

@@ -1,4 +1,4 @@
-//! The algorithm registry: naming, describing and constructing complete
+//! The algorithm registry: naming, describing and running complete
 //! partitioned MC scheduling algorithms as **data**.
 //!
 //! The paper's evaluation is a cross-product of partitioning strategies
@@ -8,21 +8,20 @@
 //!
 //! * [`TestName`] — the closed set of uniprocessor schedulability tests,
 //! * [`AlgorithmSpec`] — a strategy (name, order, fit rules) paired with a
-//!   test name; it serializes, so a line-up can be logged or reported as
-//!   data,
+//!   test name; it partitions task sets, opens live sessions, and
+//!   serializes, so a line-up can be logged or reported as data,
 //! * [`AlgorithmRegistry`] — parses display names like `"CU-UDP-EDF-VD"`
-//!   into ready-to-run [`AlgoBox`]es and enumerates every available
-//!   algorithm name.
+//!   into specs and enumerates every available algorithm name.
 //!
 //! # Example
 //!
 //! ```
-//! use mcsched_core::{AlgorithmRegistry, MultiprocessorTest};
+//! use mcsched_core::AlgorithmRegistry;
 //! use mcsched_model::{Task, TaskSet};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let registry = AlgorithmRegistry::standard();
-//! let algo = registry.parse("CU-UDP-EDF-VD")?;
+//! let algo = registry.spec("CU-UDP-EDF-VD")?;
 //! assert_eq!(algo.name(), "CU-UDP-EDF-VD");
 //!
 //! let ts = TaskSet::try_from_tasks(vec![
@@ -38,20 +37,21 @@
 //! # }
 //! ```
 
-use crate::algorithm::{MultiprocessorTest, PartitionedAlgorithm};
+use crate::partition::{Partition, PartitionError};
 use crate::presets;
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{
-    AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState, SchedulabilityTest,
-    WorkspaceRef,
+    AdmissionState, AdmissionStats, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState,
+    SchedulabilityTest, WorkspaceRef,
 };
+use mcsched_model::TaskSet;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
-/// A boxed, thread-shareable partitioned algorithm — the unit the
-/// experiment harness and the evaluation service work with.
-pub type AlgoBox = Box<dyn MultiprocessorTest + Send + Sync>;
+/// Kept for the benchmark package (`perfbench/`), which names it: a spec
+/// is the runnable algorithm.
+pub type AlgoBox = AlgorithmSpec;
 
 /// The uniprocessor schedulability tests the registry can instantiate.
 ///
@@ -138,22 +138,24 @@ impl fmt::Display for TestName {
     }
 }
 
-/// A complete partitioned algorithm as **data**: a partitioning strategy
-/// plus the name of a uniprocessor test, with an optional display-name
-/// override (the paper writes `CU-UDP-AMC` for `CU-UDP-AMC-max`).
+/// A complete partitioned algorithm: a partitioning strategy plus the
+/// name of a uniprocessor test, with an optional display-name override
+/// (the paper writes `CU-UDP-AMC` for `CU-UDP-AMC-max`).
 ///
-/// Specs serialize (`serde_json::to_string`); [`AlgorithmSpec::build`]
-/// instantiates the runnable algorithm.
+/// A spec is both the data form (it serializes, `serde_json::to_string`)
+/// and the runnable algorithm: it partitions frozen task sets
+/// ([`try_partition`](Self::try_partition)) and opens live sessions
+/// ([`open_cluster`](Self::open_cluster)).
 ///
 /// # Example
 ///
 /// ```
-/// use mcsched_core::{presets, AlgorithmSpec, TestName, MultiprocessorTest};
+/// use mcsched_core::{presets, AlgorithmSpec, TestName};
 ///
-/// let spec = AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax)
-///     .with_display_name("CU-UDP-AMC");
-/// assert_eq!(spec.name(), "CU-UDP-AMC");
-/// assert_eq!(spec.build().name(), "CU-UDP-AMC");
+/// let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::AmcMax);
+/// assert_eq!(algo.name(), "CA-UDP-AMC-max");
+/// let short = algo.with_display_name("CA-UDP-AMC");
+/// assert_eq!(short.to_string(), "CA-UDP-AMC");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlgorithmSpec {
@@ -190,25 +192,67 @@ impl AlgorithmSpec {
             .unwrap_or_else(|| format!("{}-{}", self.strategy.name(), self.test.canonical()))
     }
 
-    /// Instantiates the runnable algorithm described by this spec.
-    ///
-    /// The box is a [`PartitionedAlgorithm`], so it answers through the
-    /// workspace-aware entry points
-    /// ([`MultiprocessorTest::try_partition_reporting_in`] /
-    /// [`MultiprocessorTest::accepts_in`]) with real scratch reuse —
-    /// batch harnesses hand each worker one [`WorkspaceRef`] and judge
-    /// every item through it.
+    /// Kept for the benchmark package (`perfbench/`), which calls it: a
+    /// spec is already runnable.
     pub fn build(&self) -> AlgoBox {
-        Box::new(
-            PartitionedAlgorithm::new(self.strategy.clone(), self.test.test())
-                .with_name(self.name()),
-        )
+        self.clone()
+    }
+
+    /// Attempts to partition `ts` onto `m` processors; `Ok` is the
+    /// schedulability witness.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PartitionError`] naming the first unallocatable task.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcsched_core::{presets, AlgorithmSpec, TestName};
+    /// use mcsched_model::{Task, TaskSet};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::AmcMax);
+    /// let ts = TaskSet::try_from_tasks(vec![
+    ///     Task::hi(0, 10, 2, 4)?,
+    ///     Task::lo(1, 20, 6)?,
+    /// ])?;
+    /// assert_eq!(algo.try_partition(&ts, 2)?.processor_count(), 2);
+    /// assert!(algo.accepts(&ts, 2));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError> {
+        Partition::build(&self.strategy, self.test.test(), ts, m)
+    }
+
+    /// As [`try_partition`](Self::try_partition), also reporting the
+    /// admission statistics of the run, with the analysis in the caller's
+    /// workspace: batch harnesses hand each worker one [`WorkspaceRef`]
+    /// and judge every item through it. Results never depend on `ws`.
+    pub fn try_partition_reporting_in(
+        &self,
+        ts: &TaskSet,
+        m: usize,
+        ws: &WorkspaceRef,
+    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
+        Partition::build_reporting_in(&self.strategy, self.test.test(), ts, m, ws)
+    }
+
+    /// `true` if the algorithm schedules `ts` on `m` processors.
+    pub fn accepts(&self, ts: &TaskSet, m: usize) -> bool {
+        self.try_partition(ts, m).is_ok()
+    }
+
+    /// As [`accepts`](Self::accepts), in the caller's workspace.
+    pub fn accepts_in(&self, ts: &TaskSet, m: usize, ws: &WorkspaceRef) -> bool {
+        self.try_partition_reporting_in(ts, m, ws).0.is_ok()
     }
 
     /// Opens a live [`ClusterSession`](crate::ClusterSession) over `m`
     /// processors: one persistent admission state per processor for this
     /// spec's test, placed by this spec's fit rules. Where
-    /// [`AlgorithmSpec::build`] judges frozen task sets,
+    /// [`try_partition`](Self::try_partition) judges frozen task sets,
     /// `open_cluster` serves a *stream* of admit/remove/query requests
     /// against the same cluster — the admission-control-service entry
     /// point.
@@ -222,33 +266,28 @@ impl AlgorithmSpec {
         crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
     }
 
-    /// The sufficient-tier rule that is provably sound for this spec's
-    /// exact test (fast-accept ⇒ the exact test accepts; see
-    /// [`mcsched_analysis::sufficient`]).
-    pub fn fast_rule(&self) -> FastRule {
-        match self.test {
-            // The closed form *is* the EDF-VD test.
-            TestName::EdfVd => FastRule::EdfVdClosedForm,
-            // The demand tests are greedy heuristic searches that
-            // honour no density bound on HC-bearing sets; only the
-            // LC-only region is provable against them.
-            TestName::Ey | TestName::Ecdf => FastRule::LcOnlyDensity,
-            // Liu–Layland on own-level density ⇒ the AMC RTAs accept.
-            TestName::AmcRtb | TestName::AmcMax => FastRule::LiuLaylandOwnDensity,
-        }
-    }
-
     /// Opens a **degraded-tier** cluster session: the same placement
     /// strategy and display name as [`open_cluster`](Self::open_cluster),
-    /// but every processor runs the allocation-free sufficient pre-check
-    /// ([`fast_rule`](Self::fast_rule)) instead of the exact test.
+    /// but every processor runs an allocation-free sufficient pre-check
+    /// (a [`FastRule`] sound for this spec's test; see
+    /// [`mcsched_analysis::sufficient`]) instead of the exact test.
+    /// EDF-VD keeps its exact state, which is already O(1) and
+    /// allocation-free.
     ///
     /// Accepts are sound — anything a degraded session commits, the
     /// exact test also accepts, so the session can later be rehydrated
     /// (or continued) under exact analysis. Rejects are advisory:
     /// clients retry on an exact worker for a definitive verdict.
     pub fn open_degraded_cluster(&self, m: usize) -> crate::ClusterSession {
-        let rule = self.fast_rule();
+        let rule = match self.test {
+            TestName::EdfVd => return self.open_cluster(m),
+            // The demand tests are greedy heuristic searches that
+            // honour no density bound on HC-bearing sets; only the
+            // LC-only region is provable against them.
+            TestName::Ey | TestName::Ecdf => FastRule::LcOnlyDensity,
+            // Liu–Layland on own-level density ⇒ the AMC RTAs accept.
+            TestName::AmcRtb | TestName::AmcMax => FastRule::LiuLaylandOwnDensity,
+        };
         let states = (0..m)
             .map(|_| Box::new(FastState::new(rule)) as Box<dyn AdmissionState>)
             .collect();
@@ -386,22 +425,23 @@ impl AlgorithmRegistry {
         })
     }
 
-    /// Parses a display name straight into a runnable algorithm.
+    /// Kept for the benchmark package (`perfbench/`), which calls it: the
+    /// same as [`AlgorithmRegistry::spec`].
     ///
     /// # Errors
     ///
     /// As [`AlgorithmRegistry::spec`].
     pub fn parse(&self, name: &str) -> Result<AlgoBox, RegistryError> {
-        self.spec(name).map(|spec| spec.build())
+        self.spec(name)
     }
 
     /// Parses a whole line-up of display names.
     ///
     /// # Errors
     ///
-    /// Fails on the first unknown name (see [`AlgorithmRegistry::parse`]).
-    pub fn resolve(&self, names: &[&str]) -> Result<Vec<AlgoBox>, RegistryError> {
-        names.iter().map(|n| self.parse(n)).collect()
+    /// Fails on the first unknown name (see [`AlgorithmRegistry::spec`]).
+    pub fn resolve(&self, names: &[&str]) -> Result<Vec<AlgorithmSpec>, RegistryError> {
+        names.iter().map(|n| self.spec(n)).collect()
     }
 
     /// Parses a display name and opens a live
@@ -445,8 +485,7 @@ impl Default for AlgorithmRegistry {
 mod tests {
     use super::*;
     use crate::strategy::{AllocationOrder, BalanceMetric, FitRule};
-    use mcsched_analysis::WorkspaceRef;
-    use mcsched_model::{Task, TaskSet};
+    use mcsched_model::Task;
 
     #[test]
     fn registry_boxes_are_workspace_aware() {
@@ -457,7 +496,7 @@ mod tests {
         let ts = small_set();
         let ws = WorkspaceRef::new();
         for name in registry.algorithm_names() {
-            let algo = registry.parse(&name).unwrap();
+            let algo = registry.spec(&name).unwrap();
             let (plain, plain_stats) =
                 algo.try_partition_reporting_in(&ts, 2, &WorkspaceRef::new());
             assert_eq!(algo.try_partition(&ts, 2), plain, "{name}");
@@ -499,8 +538,8 @@ mod tests {
         assert!(registry.strategy("CU-UDP").is_some());
         assert!(registry.strategy("CU-BF").is_none());
         for name in &names {
-            let algo = registry.parse(name).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(algo.name(), name, "display name must round-trip");
+            let algo = registry.spec(name).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(&algo.name(), name, "display name must round-trip");
         }
     }
 
@@ -518,10 +557,10 @@ mod tests {
     #[test]
     fn amc_alias_keeps_short_display_name() {
         let registry = AlgorithmRegistry::standard();
-        let algo = registry.parse("CU-UDP-AMC").unwrap();
+        let algo = registry.spec("CU-UDP-AMC").unwrap();
         assert_eq!(algo.name(), "CU-UDP-AMC");
         // The alias builds the same verdict function as the long name.
-        let long = registry.parse("CU-UDP-AMC-max").unwrap();
+        let long = registry.spec("CU-UDP-AMC-max").unwrap();
         let ts = small_set();
         assert_eq!(algo.accepts(&ts, 2), long.accepts(&ts, 2));
     }
@@ -541,13 +580,12 @@ mod tests {
     #[test]
     fn registry_built_matches_direct_construction() {
         let registry = AlgorithmRegistry::standard();
-        let built = registry.parse("CA-UDP-EDF-VD").unwrap();
-        let direct = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
+        let built = registry.spec("CA-UDP-EDF-VD").unwrap();
         let ts = small_set();
         for m in 1..=3 {
             assert_eq!(
                 built.try_partition(&ts, m),
-                direct.try_partition(&ts, m),
+                Partition::build(&presets::ca_udp(), &EdfVd::new(), &ts, m),
                 "m={m}"
             );
         }
@@ -562,8 +600,57 @@ mod tests {
             .build();
         let spec = AlgorithmSpec::new(custom, TestName::EdfVd);
         assert_eq!(spec.name(), "CA-WF(Ulo)-EDF-VD");
-        let algo = spec.build();
-        assert_eq!(algo.name(), "CA-WF(Ulo)-EDF-VD");
-        assert!(algo.accepts(&small_set(), 2));
+        assert!(spec.accepts(&small_set(), 2));
+    }
+
+    #[test]
+    fn names_compose() {
+        let name = |strategy, test| AlgorithmSpec::new(strategy, test).name();
+        assert_eq!(name(presets::cu_udp(), TestName::EdfVd), "CU-UDP-EDF-VD");
+        assert_eq!(name(presets::eca_wu_f(), TestName::Ey), "ECA-Wu-F-EY");
+        assert_eq!(name(presets::cu_udp(), TestName::Ecdf), "CU-UDP-ECDF");
+        let renamed =
+            AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax).with_display_name("CU-UDP-AMC");
+        assert_eq!(renamed.name(), "CU-UDP-AMC");
+        assert_eq!(renamed.to_string(), "CU-UDP-AMC");
+    }
+
+    #[test]
+    fn accepts_and_partition_agree() {
+        let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+        let ts = small_set();
+        assert_eq!(algo.accepts(&ts, 2), algo.try_partition(&ts, 2).is_ok());
+    }
+
+    #[test]
+    fn specs_mix_tests() {
+        let algos = [
+            AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd),
+            AlgorithmSpec::new(presets::cu_udp(), TestName::Ecdf),
+            AlgorithmSpec::new(presets::ca_f_f(), TestName::AmcMax),
+        ];
+        let ts = small_set();
+        for a in &algos {
+            assert!(a.accepts(&ts, 2), "{a} rejected a trivial set");
+        }
+    }
+
+    #[test]
+    fn more_processors_never_hurt_udp() {
+        // Monotonicity sanity: anything accepted on m is accepted on m+1
+        // (worst-fit spreads; first processor ordering unchanged).
+        let ts = TaskSet::try_from_tasks(vec![
+            Task::hi(0, 10, 2, 6).unwrap(),
+            Task::hi(1, 12, 3, 7).unwrap(),
+            Task::lo(2, 10, 5).unwrap(),
+            Task::lo(3, 20, 9).unwrap(),
+        ])
+        .unwrap();
+        let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+        for m in 1..4 {
+            if algo.accepts(&ts, m) {
+                assert!(algo.accepts(&ts, m + 1), "m={m} accepted but m+1 rejected");
+            }
+        }
     }
 }

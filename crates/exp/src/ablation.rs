@@ -14,9 +14,9 @@
 //! variant over the Fig. 3 workload, so a single number summarises each
 //! design decision.
 
-use crate::algorithms::{ablation_lineup, amc_ablation_lineup, AlgoBox};
+use crate::algorithms::{ablation_specs, amc_ablation_lineup};
 use crate::sweep::{acceptance_sweep, SweepConfig};
-use mcsched_core::{AdmissionStats, WorkspaceRef};
+use mcsched_core::{AdmissionStats, AlgorithmSpec, WorkspaceRef};
 use mcsched_gen::{utilization_grid, DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::TaskSet;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -41,7 +41,7 @@ pub fn strategy_ablation(
 ) -> Vec<AblationRow> {
     let cfg =
         SweepConfig::paper(m, DeadlineModel::Implicit, sets_per_bucket, seed).with_threads(threads);
-    let result = acceptance_sweep(&cfg, &ablation_lineup());
+    let result = acceptance_sweep(&cfg, &ablation_specs());
     result
         .curves
         .iter()
@@ -125,7 +125,7 @@ pub fn admission_profile(
     m: usize,
     sets: usize,
     seed: u64,
-    algorithms: &[AlgoBox],
+    algorithms: &[AlgorithmSpec],
 ) -> Vec<AdmissionRow> {
     let corpus = seeded_corpus(sets, seed, |p| {
         TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
@@ -135,7 +135,7 @@ pub fn admission_profile(
         .iter()
         .map(|algo| {
             let mut row = AdmissionRow {
-                algorithm: algo.name().to_owned(),
+                algorithm: algo.name(),
                 sets: corpus.len(),
                 accepted: 0,
                 stats: AdmissionStats::default(),

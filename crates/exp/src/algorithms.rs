@@ -1,17 +1,16 @@
 //! Named algorithm line-ups for each figure — **data, not constructors**.
 //!
-//! Each line-up is a list of registry names (or [`AlgorithmSpec`]s for
-//! the ablation's custom strategies) resolved through
-//! [`AlgorithmRegistry::standard`]; adding an algorithm to a figure means
-//! adding a name to a list, and external callers (config files, the
-//! `mcexp eval` service) address the exact same names.
+//! Each line-up is a list of registry names (or inline
+//! [`AlgorithmSpec`]s for the ablation's custom strategies) resolved
+//! through [`AlgorithmRegistry::standard`] into runnable specs; adding an
+//! algorithm to a figure means adding a name to a list, and external
+//! callers (config files, the `mcexp eval` service) address the exact
+//! same names.
 
 use mcsched_core::{
     AlgorithmRegistry, AlgorithmSpec, AllocationOrder, BalanceMetric, FitRule, PartitionStrategy,
     TestName,
 };
-
-pub use mcsched_core::AlgoBox;
 
 /// Fig. 3 line-up (implicit deadlines, all with the EDF-VD test, all with
 /// the 8/3 speed-up bound): CA-UDP, CU-UDP, CA(nosort)-F-F.
@@ -56,46 +55,46 @@ pub const PERF_NAMES: [&str; 6] = [
 /// AMC-variant ablation: AMC-max vs AMC-rtb under the CU-UDP strategy.
 pub const AMC_ABLATION_NAMES: [&str; 2] = ["CU-UDP-AMC-max", "CU-UDP-AMC-rtb"];
 
-/// Resolves a list of registry names into runnable algorithms.
+/// Resolves a list of registry names into runnable specs.
 ///
 /// # Panics
 ///
 /// Panics if a name is not registered — line-up names are compile-time
 /// constants, so a failure here is a programming error (the round-trip of
 /// every constant is asserted by `tests/registry_roundtrip.rs`).
-pub fn resolve_lineup(names: &[&str]) -> Vec<AlgoBox> {
+pub fn resolve_lineup(names: &[&str]) -> Vec<AlgorithmSpec> {
     AlgorithmRegistry::standard()
         .resolve(names)
         .unwrap_or_else(|e| panic!("line-up resolution failed: {e}"))
 }
 
 /// Fig. 3 line-up, built from [`FIG3_NAMES`].
-pub fn fig3_lineup() -> Vec<AlgoBox> {
+pub fn fig3_lineup() -> Vec<AlgorithmSpec> {
     resolve_lineup(&FIG3_NAMES)
 }
 
 /// Fig. 4 / Fig. 5 line-up, built from [`FIG4_NAMES`].
-pub fn fig4_lineup() -> Vec<AlgoBox> {
+pub fn fig4_lineup() -> Vec<AlgorithmSpec> {
     resolve_lineup(&FIG4_NAMES)
 }
 
 /// Fig. 6(a) line-up: the EDF-VD algorithms of Fig. 3.
-pub fn fig6a_lineup() -> Vec<AlgoBox> {
+pub fn fig6a_lineup() -> Vec<AlgorithmSpec> {
     fig3_lineup()
 }
 
 /// Fig. 6(b) line-up, built from [`FIG6B_NAMES`].
-pub fn fig6b_lineup() -> Vec<AlgoBox> {
+pub fn fig6b_lineup() -> Vec<AlgorithmSpec> {
     resolve_lineup(&FIG6B_NAMES)
 }
 
 /// Admission-profile line-up, built from [`PERF_NAMES`].
-pub fn perf_lineup() -> Vec<AlgoBox> {
+pub fn perf_lineup() -> Vec<AlgorithmSpec> {
     resolve_lineup(&PERF_NAMES)
 }
 
 /// AMC-variant ablation line-up, built from [`AMC_ABLATION_NAMES`].
-pub fn amc_ablation_lineup() -> Vec<AlgoBox> {
+pub fn amc_ablation_lineup() -> Vec<AlgorithmSpec> {
     resolve_lineup(&AMC_ABLATION_NAMES)
 }
 
@@ -145,18 +144,13 @@ pub fn ablation_specs() -> Vec<AlgorithmSpec> {
     ]
 }
 
-/// Ablation line-up: [`ablation_specs`] instantiated.
-pub fn ablation_lineup() -> Vec<AlgoBox> {
-    ablation_specs().iter().map(AlgorithmSpec::build).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lineups_have_expected_names() {
-        let names: Vec<String> = fig3_lineup().iter().map(|a| a.name().to_owned()).collect();
+        let names: Vec<String> = fig3_lineup().iter().map(AlgorithmSpec::name).collect();
         assert!(names.iter().any(|n| n == "CA-UDP-EDF-VD"));
         assert!(names.iter().any(|n| n == "CU-UDP-EDF-VD"));
         assert!(names.iter().any(|n| n == "CA(nosort)-F-F-EDF-VD"));
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn fig4_contains_paper_algorithms() {
         let l = fig4_lineup();
-        let names: Vec<String> = l.iter().map(|a| a.name().to_owned()).collect();
+        let names: Vec<String> = l.iter().map(AlgorithmSpec::name).collect();
         for expected in ["CU-UDP-ECDF", "CU-UDP-AMC", "ECA-Wu-F-EY", "CA-F-F-EY"] {
             assert!(
                 names.iter().any(|n| n == expected),
@@ -183,14 +177,14 @@ mod tests {
             (&PERF_NAMES[..], perf_lineup()),
             (&AMC_ABLATION_NAMES[..], amc_ablation_lineup()),
         ] {
-            let built: Vec<&str> = lineup.iter().map(|a| a.name()).collect();
+            let built: Vec<String> = lineup.iter().map(AlgorithmSpec::name).collect();
             assert_eq!(built, names);
         }
     }
 
     #[test]
     fn ablation_lineups_nonempty() {
-        assert!(ablation_lineup().len() >= 6);
+        assert!(ablation_specs().len() >= 6);
         assert_eq!(amc_ablation_lineup().len(), 2);
         assert_eq!(fig6a_lineup().len(), 3);
         assert!(fig6b_lineup().len() >= 4);
@@ -211,17 +205,11 @@ mod tests {
                 "{expected} missing from {names:?}"
             );
         }
-        // Specs and the instantiated line-up agree on names.
-        let built: Vec<String> = ablation_lineup()
-            .iter()
-            .map(|a| a.name().to_owned())
-            .collect();
-        assert_eq!(names, built);
     }
 
     #[test]
     fn perf_lineup_covers_every_test_family() {
-        let names: Vec<String> = perf_lineup().iter().map(|a| a.name().to_owned()).collect();
+        let names: Vec<String> = perf_lineup().iter().map(AlgorithmSpec::name).collect();
         assert!(names.iter().any(|n| n.contains("EDF-VD")));
         assert!(names.iter().any(|n| n.contains("ECDF")));
         assert!(names.iter().any(|n| n.ends_with("EY")));

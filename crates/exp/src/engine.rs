@@ -22,8 +22,7 @@
 //!   commutative and associative (integer counters — every accumulator in
 //!   this crate), the summary is furthermore independent of the thread
 //!   count; a non-commutative fold (e.g. floating-point summation) sees a
-//!   different, but still deterministic, fold order per thread count —
-//!   use [`Collect`] and fold in index order if exact order matters.
+//!   different, but still deterministic, fold order per thread count.
 //!
 //! # Determinism
 //!
@@ -221,40 +220,6 @@ pub fn run_batch<E: Evaluator>(batch: &Batch, evaluator: &E) -> E::Acc {
     merged
 }
 
-/// A ready-made accumulator that simply collects `(index, output)` pairs
-/// in index order — for evaluators whose outputs need no folding (the
-/// evaluation service uses it to keep verdicts in request order).
-#[derive(Debug, Clone)]
-pub struct Collect<O> {
-    items: Vec<(usize, O)>,
-}
-
-impl<O> Default for Collect<O> {
-    fn default() -> Self {
-        Collect { items: Vec::new() }
-    }
-}
-
-impl<O> Collect<O> {
-    /// The collected outputs, sorted by item index.
-    pub fn into_ordered(mut self) -> Vec<(usize, O)> {
-        self.items.sort_by_key(|&(i, _)| i);
-        self.items
-    }
-}
-
-impl<O: Send> Accumulator for Collect<O> {
-    type Output = (usize, O);
-
-    fn absorb(&mut self, output: (usize, O)) {
-        self.items.push(output);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.items.extend(other.items);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,34 +294,5 @@ mod tests {
         let acc = run_batch(&Batch::new(0, 1).with_threads(4), &DrawSum);
         assert_eq!(acc.absorbed, 0);
         assert_eq!(acc.total, 0);
-    }
-
-    #[test]
-    fn collect_orders_by_index() {
-        struct Echo;
-        impl Evaluator for Echo {
-            type Output = (usize, usize);
-            type Acc = Collect<usize>;
-            type Ctx = ();
-            fn context(&self) {}
-            fn evaluate(
-                &self,
-                index: usize,
-                _rng: &mut StdRng,
-                _ctx: &mut (),
-            ) -> Option<(usize, usize)> {
-                Some((index, index * 10))
-            }
-            fn accumulator(&self) -> Collect<usize> {
-                Collect::default()
-            }
-        }
-        let acc = run_batch(&Batch::new(9, 0).with_threads(3), &Echo);
-        let ordered = acc.into_ordered();
-        assert_eq!(ordered.len(), 9);
-        for (i, (idx, out)) in ordered.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*out, i * 10);
-        }
     }
 }

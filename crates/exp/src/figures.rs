@@ -76,7 +76,7 @@ fn fig6_generic(
     sets_per_bucket: usize,
     seed: u64,
     threads: usize,
-    lineup: fn() -> Vec<crate::algorithms::AlgoBox>,
+    lineup: fn() -> Vec<mcsched_core::AlgorithmSpec>,
 ) -> Vec<WarPoint> {
     let mut points = Vec::new();
     for &m in &FIGURE6_M {

@@ -13,7 +13,7 @@
 
 use crate::engine::{run_batch, Accumulator, Batch, Evaluator};
 use mcsched_analysis::EdfVd;
-use mcsched_core::{presets, PartitionedAlgorithm, WorkspaceRef};
+use mcsched_core::{presets, AlgorithmSpec, TestName, WorkspaceRef};
 use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::{Criticality, TaskSet};
 use mcsched_sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
@@ -107,7 +107,7 @@ struct IsolationEvaluator {
     overrun_prob: f64,
     horizon: u64,
     point: GridPoint,
-    algo: PartitionedAlgorithm<EdfVd>,
+    algo: AlgorithmSpec,
 }
 
 impl Evaluator for IsolationEvaluator {
@@ -131,7 +131,11 @@ impl Evaluator for IsolationEvaluator {
         let (ts, partition) = (0..30).find_map(|_| {
             let spec = TaskSetSpec::paper_defaults(self.m, self.point, DeadlineModel::Implicit);
             let ts = spec.generate(rng).ok()?;
-            let partition = self.algo.partition_reporting_in(&ts, self.m, ws).0.ok()?;
+            let partition = self
+                .algo
+                .try_partition_reporting_in(&ts, self.m, ws)
+                .0
+                .ok()?;
             Some((ts, partition))
         })?;
         let scenario =
@@ -200,7 +204,7 @@ pub fn isolation_experiment(
             u_hl: 0.25,
             u_ll: 0.35,
         },
-        algo: PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new()),
+        algo: AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd),
     };
     let totals = run_batch(&Batch::new(sets, seed).with_threads(threads), &evaluator);
 

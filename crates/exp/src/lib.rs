@@ -59,7 +59,7 @@ pub mod server;
 pub mod service;
 pub mod sweep;
 
-pub use algorithms::{fig3_lineup, fig4_lineup, perf_lineup, AlgoBox};
+pub use algorithms::{fig3_lineup, fig4_lineup, perf_lineup};
 pub use analysis_perf::{analysis_throughput, AnalysisPerfReport, AnalysisPerfRow};
 pub use engine::{run_batch, Accumulator, Batch, Evaluator};
 pub use sweep::{AcceptanceCurve, SweepConfig, SweepResult};

@@ -303,7 +303,7 @@ fn parse_bench_service(flags: &mut Flags) -> Result<Command, String> {
             "--sets" => config.sets = flags.count()?,
             "--seed" => config.seed = flags.num()?,
             "--pipeline" => config.pipeline = flags.count()?,
-            "--burst" => config.burst = flags.count()?,
+            "--burst" => config.burst = flags.num()?,
             "--out" => out = flags.path()?,
             "--shutdown" => config.shutdown_after = true,
             "--retries" => config.retries = flags.num()?,
@@ -1003,12 +1003,17 @@ mod tests {
             "serve --workers 0",
             "serve --queue 0",
             "bench-service --pipeline 0",
-            "bench-service --burst 0",
+            "bench-service --burst many",
             "bench-service --m 0",
             "bench-service --sets 0",
         ] {
             assert!(parse(args).is_err(), "{args}");
         }
+        // A zero burst skips the overload phase; it is not a usage error.
+        let Ok(Command::BenchService(config, ..)) = parse("bench-service --burst 0") else {
+            panic!("bench-service --burst 0")
+        };
+        assert_eq!(config.burst, 0);
     }
 
     #[test]

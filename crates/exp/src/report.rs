@@ -65,15 +65,6 @@ pub fn write_csv(result: &SweepResult, path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Renders a `(label, value)` listing as a two-column markdown table.
-pub fn render_pairs(title: &str, pairs: &[(String, f64)]) -> String {
-    let mut out = format!("| {title} | value |\n|----|----|\n");
-    for (label, value) in pairs {
-        out.push_str(&format!("| {label} | {value:.3} |\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,12 +107,5 @@ mod tests {
         assert!(content.starts_with("ub,A,B"));
         assert!(content.contains("0.50,1.0000,0.9000"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pairs_render() {
-        let s = render_pairs("metric", &[("x".to_owned(), 1.5), ("y".to_owned(), 0.25)]);
-        assert!(s.contains("| x | 1.500 |"));
-        assert!(s.contains("| y | 0.250 |"));
     }
 }

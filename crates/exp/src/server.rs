@@ -19,7 +19,8 @@
 //! never blocks the acceptor. When the exact pool saturates, new
 //! connections spill to a small **degraded** pool whose sessions use
 //! the allocation-free sufficient tier
-//! ([`FastState`](mcsched_analysis::FastState)): accepts are still
+//! ([`FastState`](mcsched_analysis::FastState); EDF-VD keeps its exact
+//! state, already O(1)): accepts are still
 //! sound (the exact test would agree), rejects only mean "unproven",
 //! and every reply is tagged `"degraded": true` so the client can
 //! reconnect later for exact verdicts. Only when *both* queues are
@@ -71,8 +72,8 @@ pub enum AdmissionTier {
     /// analysis verdicts on the committed union.
     Exact,
     /// The sufficient tier: allocation-free accept-sound pre-checks
-    /// (see [`mcsched_analysis::FastState`]); replies carry
-    /// `"degraded": true`.
+    /// (see [`mcsched_analysis::FastState`]; EDF-VD keeps its exact
+    /// state); replies carry `"degraded": true`.
     Degraded,
 }
 

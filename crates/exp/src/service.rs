@@ -20,7 +20,7 @@ pub fn evaluate_request(
     request: &EvalRequest,
 ) -> Result<EvalResponse, String> {
     let algo = registry
-        .parse(&request.algorithm)
+        .spec(&request.algorithm)
         .map_err(|e| e.to_string())?;
     let verdict = algo.try_partition(&request.tasks, request.m);
     Ok(EvalResponse {

@@ -5,9 +5,8 @@
 //! has its own deterministic RNG streams) and the accumulator counts
 //! per-algorithm accepts.
 
-use crate::algorithms::AlgoBox;
 use crate::engine::{run_batch, Accumulator, Batch, Evaluator};
-use mcsched_core::WorkspaceRef;
+use mcsched_core::{AlgorithmSpec, WorkspaceRef};
 use mcsched_gen::{bucketed_grid, DeadlineModel, GridPoint, TaskSetSpec, UbBucket};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -139,7 +138,7 @@ impl SweepResult {
 ///
 /// Buckets whose grid points cannot produce feasible task sets under the
 /// configuration are skipped (this happens only at extreme `P_H`).
-pub fn acceptance_sweep(config: &SweepConfig, algorithms: &[AlgoBox]) -> SweepResult {
+pub fn acceptance_sweep(config: &SweepConfig, algorithms: &[AlgorithmSpec]) -> SweepResult {
     let buckets: Vec<(UbBucket, Vec<GridPoint>)> = bucketed_grid()
         .into_iter()
         .filter(|(b, _)| b.0 >= config.min_bucket_percent)
@@ -148,7 +147,7 @@ pub fn acceptance_sweep(config: &SweepConfig, algorithms: &[AlgoBox]) -> SweepRe
     let mut curves: Vec<AcceptanceCurve> = algorithms
         .iter()
         .map(|a| AcceptanceCurve {
-            algorithm: a.name().to_owned(),
+            algorithm: a.name(),
             points: Vec::with_capacity(buckets.len()),
         })
         .collect();
@@ -196,7 +195,7 @@ impl Accumulator for BucketAccepts {
 /// per-algorithm accept verdicts.
 struct BucketEvaluator<'a> {
     config: &'a SweepConfig,
-    algorithms: &'a [AlgoBox],
+    algorithms: &'a [AlgorithmSpec],
     points: &'a [GridPoint],
 }
 
@@ -237,7 +236,7 @@ impl Evaluator for BucketEvaluator<'_> {
 /// Evaluates all algorithms over one bucket's generated sets, in parallel.
 fn bucket_accepts(
     config: &SweepConfig,
-    algorithms: &[AlgoBox],
+    algorithms: &[AlgorithmSpec],
     bucket: UbBucket,
     points: &[GridPoint],
 ) -> Option<BucketAccepts> {

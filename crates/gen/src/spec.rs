@@ -182,8 +182,7 @@ impl TaskSetSpec {
         let &(_, n_hc, n_lc) = &feasible[rng.random_range(0..feasible.len())];
         let (t_hl, t_hh, t_ll) = self.totals();
 
-        const TRIES: usize = 2000;
-        let pairs = paired_utilizations(rng, n_hc, t_hl, t_hh, self.umin, self.umax, TRIES)
+        let pairs = paired_utilizations(rng, n_hc, t_hl, t_hh, self.umin, self.umax)
             .ok_or(GenError::SamplingExhausted)?;
         let lc_utils = if n_lc == 0 {
             Vec::new()

@@ -149,7 +149,7 @@ pub fn uunifast_bounded(
 /// high side (`u_lo` respects `umin` and its cap `u_hi`).
 ///
 /// Strategy (fair-generator style): draw both vectors with
-/// [`uunifast_discard`], sort both descending and pair rank-by-rank — this
+/// [`uunifast_bounded`], sort both descending and pair rank-by-rank — this
 /// makes most pairs already satisfy `u_lo ≤ u_hi` — then clamp any
 /// violating `u_lo` to its cap and redistribute the clipped excess to
 /// pairs with headroom, preserving the low-side sum exactly. The pairs are
@@ -164,7 +164,6 @@ pub fn paired_utilizations(
     total_hi: f64,
     umin: f64,
     umax: f64,
-    max_tries: usize,
 ) -> Option<Vec<(f64, f64)>> {
     if total_lo > total_hi + 1e-12 {
         return None;
@@ -176,7 +175,6 @@ pub fn paired_utilizations(
             None
         };
     }
-    let _ = max_tries;
     let mut hi = uunifast_bounded(rng, n, total_hi, umin, umax)?;
     let mut lo = uunifast_bounded(rng, n, total_lo, umin.min(total_lo / n as f64), umax)?;
     hi.sort_by(|a, b| b.total_cmp(a));
@@ -294,7 +292,7 @@ mod tests {
             (1.5, 1.8, 6),
             (0.9, 0.9, 3),
         ] {
-            let pairs = paired_utilizations(&mut rng, n, tl, th, 0.001, 0.99, 2000)
+            let pairs = paired_utilizations(&mut rng, n, tl, th, 0.001, 0.99)
                 .unwrap_or_else(|| panic!("feasible config {tl}/{th}/{n}"));
             assert_eq!(pairs.len(), n);
             let sum_lo: f64 = pairs.iter().map(|p| p.0).sum();
@@ -312,23 +310,23 @@ mod tests {
     #[test]
     fn paired_rejects_inverted_totals() {
         let mut rng = StdRng::seed_from_u64(18);
-        assert!(paired_utilizations(&mut rng, 3, 1.0, 0.5, 0.001, 0.99, 100).is_none());
+        assert!(paired_utilizations(&mut rng, 3, 1.0, 0.5, 0.001, 0.99).is_none());
     }
 
     #[test]
     fn paired_zero_tasks() {
         let mut rng = StdRng::seed_from_u64(19);
         assert_eq!(
-            paired_utilizations(&mut rng, 0, 0.0, 0.0, 0.001, 0.99, 10),
+            paired_utilizations(&mut rng, 0, 0.0, 0.0, 0.001, 0.99),
             Some(vec![])
         );
-        assert!(paired_utilizations(&mut rng, 0, 0.0, 0.5, 0.001, 0.99, 10).is_none());
+        assert!(paired_utilizations(&mut rng, 0, 0.0, 0.5, 0.001, 0.99).is_none());
     }
 
     #[test]
     fn paired_equal_totals_forces_equal_pairs() {
         let mut rng = StdRng::seed_from_u64(20);
-        let pairs = paired_utilizations(&mut rng, 3, 0.9, 0.9, 0.001, 0.99, 2000).unwrap();
+        let pairs = paired_utilizations(&mut rng, 3, 0.9, 0.9, 0.001, 0.99).unwrap();
         for &(l, h) in &pairs {
             assert!((l - h).abs() < 1e-6, "equal totals should pin l == h");
         }

@@ -19,7 +19,7 @@ use mcsched_model::TaskSet;
 /// ```
 /// use mcsched_model::{Task, TaskSet};
 /// use mcsched_analysis::EdfVd;
-/// use mcsched_core::{presets, PartitionedAlgorithm};
+/// use mcsched_core::{presets, AlgorithmSpec, TestName};
 /// use mcsched_sim::{PartitionedSimulator, Policy, Scenario};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +29,8 @@ use mcsched_model::TaskSet;
 ///     Task::hi(2, 20, 4, 9)?,
 ///     Task::lo(3, 25, 5)?,
 /// ])?;
-/// let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-/// let partition = algo.partition(&ts, 2)?;
+/// let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+/// let partition = algo.try_partition(&ts, 2)?;
 /// let sim = PartitionedSimulator::from_partition(&partition, |proc| {
 ///     let x = EdfVd::new().scaling_factor(proc).unwrap_or(1.0);
 ///     Policy::edf_vd_scaled(proc, x)
@@ -155,7 +155,7 @@ fn reseed(scenario: &Scenario, offset: u64) -> Scenario {
 mod tests {
     use super::*;
     use mcsched_analysis::EdfVd;
-    use mcsched_core::{presets, PartitionedAlgorithm};
+    use mcsched_core::{presets, AlgorithmSpec, TestName};
     use mcsched_model::Task;
 
     fn partitioned() -> PartitionedSimulator {
@@ -166,8 +166,8 @@ mod tests {
             Task::lo(3, 25, 5).unwrap(),
         ])
         .unwrap();
-        let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-        let partition = algo.partition(&ts, 2).unwrap();
+        let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+        let partition = algo.try_partition(&ts, 2).unwrap();
         PartitionedSimulator::from_partition(&partition, |proc| {
             let x = EdfVd::new().scaling_factor(proc).unwrap_or(1.0);
             Policy::edf_vd_scaled(proc, x)

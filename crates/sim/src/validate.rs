@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn partition_validation() {
-        use mcsched_core::{presets, PartitionedAlgorithm};
+        use mcsched_core::{presets, AlgorithmSpec, TestName};
         let ts = TaskSet::try_from_tasks(vec![
             Task::hi(0, 10, 2, 5).unwrap(),
             Task::lo(1, 10, 4).unwrap(),
@@ -214,8 +214,8 @@ mod tests {
             Task::lo(3, 25, 5).unwrap(),
         ])
         .unwrap();
-        let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-        let partition = algo.partition(&ts, 2).unwrap();
+        let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+        let partition = algo.try_partition(&ts, 2).unwrap();
         let procs: Vec<TaskSet> = partition.iter().cloned().collect();
         validate_partition(
             &procs,

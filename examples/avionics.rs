@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example avionics`
 
 use mcsched::analysis::{AmcMax, EdfVd, SchedulabilityTest};
-use mcsched::core::{presets, MultiprocessorTest, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::model::{Task, TaskSet};
 use mcsched::sim::{PartitionedSimulator, Policy, Scenario};
 
@@ -52,13 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The workload has constrained deadlines, so EDF-VD's utilization test
     // does not apply cleanly; AMC (fixed priority — the industry
     // preference the paper notes) is the natural choice.
-    let candidates: Vec<Box<dyn MultiprocessorTest>> = vec![
-        Box::new(PartitionedAlgorithm::new(presets::cu_udp(), AmcMax::new())),
-        Box::new(PartitionedAlgorithm::new(presets::ca_udp(), AmcMax::new())),
-        Box::new(PartitionedAlgorithm::new(
-            presets::ca_nosort_f_f(),
-            AmcMax::new(),
-        )),
+    let candidates = [
+        AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax),
+        AlgorithmSpec::new(presets::ca_udp(), TestName::AmcMax),
+        AlgorithmSpec::new(presets::ca_nosort_f_f(), TestName::AmcMax),
     ];
     for algo in &candidates {
         match algo.try_partition(&ts, 2) {
@@ -74,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Commit to CU-UDP-AMC and run it hard: sporadic arrivals, 35% of HC
     // jobs overrun, three different seeds, 100k ticks each.
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), AmcMax::new());
-    let partition = algo.partition(&ts, 2)?;
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax);
+    let partition = algo.try_partition(&ts, 2)?;
     println!("\nChosen partition (CU-UDP-AMC):");
     print!("{partition}");
 

@@ -18,7 +18,7 @@
 //! Run with: `cargo run --example mode_switch_trace`
 
 use mcsched::analysis::EdfVd;
-use mcsched::core::{presets, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::model::{Task, TaskSet};
 use mcsched::sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
 
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = 60;
 
     println!("=============== partitioned =================");
-    let algo = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
-    let partition = algo.partition(&ts, 2)?;
+    let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+    let partition = algo.try_partition(&ts, 2)?;
     print!("{partition}");
 
     // Overrun scenario only on the processor hosting τ0.

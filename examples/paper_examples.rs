@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --example paper_examples`
 
-use mcsched::analysis::EdfVd;
-use mcsched::core::{presets, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::model::{Task, TaskSet};
 
 fn fig1_set() -> TaskSet {
@@ -38,9 +37,9 @@ fn fig2_set() -> TaskSet {
     .expect("unique ids")
 }
 
-fn show(name: &str, algo: &PartitionedAlgorithm<EdfVd>, ts: &TaskSet) {
+fn show(name: &str, algo: &AlgorithmSpec, ts: &TaskSet) {
     println!("--- {name} ---");
-    match algo.partition(ts, 2) {
+    match algo.try_partition(ts, 2) {
         Ok(p) => {
             println!("SUCCESS:");
             print!("{p}");
@@ -51,9 +50,9 @@ fn show(name: &str, algo: &PartitionedAlgorithm<EdfVd>, ts: &TaskSet) {
 }
 
 fn main() {
-    let ca_udp = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
-    let cu_udp = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-    let ca_wu_f = PartitionedAlgorithm::new(presets::ca_wu_f(), EdfVd::new());
+    let ca_udp = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+    let cu_udp = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+    let ca_wu_f = AlgorithmSpec::new(presets::ca_wu_f(), TestName::EdfVd);
 
     println!("================ Figure 1 ================");
     println!("Balancing U_H^H alone strands the LC task; balancing the");

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use mcsched::analysis::EdfVd;
-use mcsched::core::{presets, MultiprocessorTest, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::model::{Task, TaskSet};
 use mcsched::sim::{PartitionedSimulator, Policy, Scenario};
 
@@ -33,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // decreasing own-level utilization), worst-fit on the utilization
     // difference for HC tasks, first-fit for LC tasks, admission by the
     // EDF-VD utilization test.
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
     println!("Partitioning with {} onto 2 processors...\n", algo.name());
-    let partition = algo.partition(&ts, 2)?;
+    let partition = algo.try_partition(&ts, 2)?;
     print!("{partition}");
 
     println!(

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 struct AcceptCount<'a> {
     m: usize,
     spec: TaskSetSpec,
-    algorithms: &'a [AlgoBox],
+    algorithms: &'a [AlgorithmSpec],
 }
 
 #[derive(Default)]

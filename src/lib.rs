@@ -19,8 +19,7 @@
 //!
 //! ```
 //! use mcsched::model::{Task, TaskSet};
-//! use mcsched::analysis::EdfVd;
-//! use mcsched::core::{PartitionedAlgorithm, presets};
+//! use mcsched::core::{presets, AlgorithmSpec, TestName};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ts = TaskSet::try_from_tasks(vec![
@@ -32,8 +31,8 @@
 //!
 //! // Partition onto 2 processors with the paper's CU-UDP strategy,
 //! // admitting tasks with the EDF-VD schedulability test.
-//! let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-//! let partition = algo.partition(&ts, 2)?;
+//! let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+//! let partition = algo.try_partition(&ts, 2)?;
 //! assert_eq!(partition.processor_count(), 2);
 //! # Ok(())
 //! # }
@@ -44,9 +43,10 @@
 //! Algorithms are also addressable as **data**: the
 //! [`AlgorithmRegistry`](core::AlgorithmRegistry) parses display names
 //! like `"CU-UDP-EDF-VD"` (any `"<strategy>-<test>"` combination of the
-//! six preset strategies and five uniprocessor tests) into runnable
-//! algorithms, and serde-able [`AlgorithmSpec`](core::AlgorithmSpec)s
-//! describe custom combinations. The experiment harness's line-ups are
+//! six preset strategies and five uniprocessor tests) into
+//! [`AlgorithmSpec`](core::AlgorithmSpec)s: serde-able data that also
+//! partitions task sets and opens live sessions, so custom combinations
+//! run the same way. The experiment harness's line-ups are
 //! lists of these names, every experiment loop runs on the shared
 //! [`engine`](exp::engine) (deterministic per-item RNG streams, sharded
 //! workers, streaming aggregators), and `mcexp eval` serves JSONL
@@ -57,7 +57,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let registry = AlgorithmRegistry::standard();
-//! let algo = registry.parse("CU-UDP-EDF-VD")?;
+//! let algo = registry.spec("CU-UDP-EDF-VD")?;
 //!
 //! let ts = TaskSet::try_from_tasks(vec![
 //!     Task::hi(0, 10, 2, 5)?,
@@ -87,7 +87,7 @@ pub use mcsched_sim as sim;
 /// use mcsched::prelude::*;
 ///
 /// let algo = AlgorithmRegistry::standard()
-///     .parse("CA-UDP-ECDF")
+///     .spec("CA-UDP-ECDF")
 ///     .expect("registered name");
 /// assert_eq!(algo.name(), "CA-UDP-ECDF");
 /// ```
@@ -96,11 +96,16 @@ pub mod prelude {
         AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
     };
     pub use mcsched_core::{
-        presets, AlgoBox, AlgorithmRegistry, AlgorithmSpec, AllocationOrder, BalanceMetric,
-        FitRule, MultiprocessorTest, Partition, PartitionError, PartitionStrategy,
-        PartitionedAlgorithm, RegistryError, TestName,
+        presets, AlgorithmRegistry, AlgorithmSpec, AllocationOrder, BalanceMetric, FitRule,
+        Partition, PartitionError, PartitionStrategy, RegistryError, TestName,
     };
     pub use mcsched_exp::engine::{run_batch, Accumulator, Batch, Evaluator};
     pub use mcsched_exp::{SweepConfig, SweepResult};
     pub use mcsched_model::{Criticality, Task, TaskId, TaskSet, Time};
 }
+
+/// The README's Rust examples, compiled as doctests so an API change
+/// cannot leave them stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

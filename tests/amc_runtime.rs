@@ -3,7 +3,7 @@
 //! a set whose deadline-monotonic order really misses at runtime.
 
 use mcsched::analysis::{AmcMax, AmcRtb, SchedulabilityTest};
-use mcsched::core::{presets, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet};
 use mcsched::sim::{PartitionedSimulator, Policy, Scenario};
@@ -12,7 +12,7 @@ use rand::{rngs::StdRng, SeedableRng};
 #[test]
 fn partitioned_amc_survives_adversarial_runtime() {
     let mut rng = StdRng::seed_from_u64(0xACDC);
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), AmcMax::new());
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax);
     let mut validated = 0;
     for _ in 0..40 {
         let spec = TaskSetSpec::paper_defaults(
@@ -27,7 +27,7 @@ fn partitioned_amc_survives_adversarial_runtime() {
         let Ok(ts) = spec.generate(&mut rng) else {
             continue;
         };
-        let Ok(partition) = algo.partition(&ts, 2) else {
+        let Ok(partition) = algo.try_partition(&ts, 2) else {
             continue;
         };
         validated += 1;
@@ -77,8 +77,8 @@ fn dm_order_misses_where_opa_succeeds() {
 fn amc_partitioning_handles_heavy_lc_mix() {
     // High P_H stresses the criticality-unaware ordering with AMC.
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), AmcMax::new());
-    let base = PartitionedAlgorithm::new(presets::ca_f_f(), AmcMax::new());
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax);
+    let base = AlgorithmSpec::new(presets::ca_f_f(), TestName::AmcMax);
     let (mut udp_ok, mut base_ok) = (0u32, 0u32);
     for _ in 0..60 {
         let spec = TaskSetSpec::paper_defaults(
@@ -94,10 +94,10 @@ fn amc_partitioning_handles_heavy_lc_mix() {
         let Ok(ts) = spec.generate(&mut rng) else {
             continue;
         };
-        if algo.partition(&ts, 2).is_ok() {
+        if algo.try_partition(&ts, 2).is_ok() {
             udp_ok += 1;
         }
-        if base.partition(&ts, 2).is_ok() {
+        if base.try_partition(&ts, 2).is_ok() {
             base_ok += 1;
         }
     }

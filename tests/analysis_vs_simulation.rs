@@ -149,7 +149,7 @@ fn amc_rtb_acceptances_hold_at_runtime() {
 
 #[test]
 fn partitioned_acceptances_hold_at_runtime() {
-    use mcsched::core::{presets, PartitionedAlgorithm};
+    use mcsched::core::{presets, AlgorithmSpec, TestName};
     use mcsched::sim::Policy;
     let mut rng = StdRng::seed_from_u64(0xFACE);
     let mut validated = 0;
@@ -166,8 +166,8 @@ fn partitioned_acceptances_hold_at_runtime() {
         let Ok(ts) = spec.generate(&mut rng) else {
             continue;
         };
-        let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-        let Ok(partition) = algo.partition(&ts, 2) else {
+        let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+        let Ok(partition) = algo.try_partition(&ts, 2) else {
             continue;
         };
         validated += 1;

@@ -142,8 +142,8 @@ fn own_level_reservation_implies_every_mc_test() {
 
 #[test]
 fn partitioned_udp_monotone_in_processors() {
-    use mcsched::core::{presets, MultiprocessorTest, PartitionedAlgorithm};
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
+    use mcsched::core::{presets, AlgorithmSpec, TestName};
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
     let mut rng = StdRng::seed_from_u64(0x30);
     let mut checked = 0;
     for _ in 0..60 {
@@ -177,9 +177,9 @@ fn partitioned_udp_monotone_in_processors() {
 fn udp_never_loses_to_nosort_baseline_in_aggregate() {
     // Pointwise UDP can lose on adversarial sets; in aggregate over random
     // sets it must not (this is the paper's Fig. 3 in miniature).
-    use mcsched::core::{presets, MultiprocessorTest, PartitionedAlgorithm};
-    let udp = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-    let base = PartitionedAlgorithm::new(presets::ca_nosort_f_f(), EdfVd::new());
+    use mcsched::core::{presets, AlgorithmSpec, TestName};
+    let udp = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+    let base = AlgorithmSpec::new(presets::ca_nosort_f_f(), TestName::EdfVd);
     let mut rng = StdRng::seed_from_u64(0x40);
     let (mut udp_wins, mut base_wins) = (0u32, 0u32);
     for _ in 0..200 {

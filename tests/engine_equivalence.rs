@@ -15,11 +15,12 @@ use rand::RngExt;
 /// each bucket, `sets_per_bucket` items with per-(bucket, index) RNG
 /// streams, eight generation retries per item, skipped items dropped
 /// from both counts.
-fn reference_sweep(config: &SweepConfig, algorithms: &[AlgoBox]) -> Vec<(String, Vec<(f64, f64)>)> {
-    let mut curves: Vec<(String, Vec<(f64, f64)>)> = algorithms
-        .iter()
-        .map(|a| (a.name().to_owned(), Vec::new()))
-        .collect();
+fn reference_sweep(
+    config: &SweepConfig,
+    algorithms: &[AlgorithmSpec],
+) -> Vec<(String, Vec<(f64, f64)>)> {
+    let mut curves: Vec<(String, Vec<(f64, f64)>)> =
+        algorithms.iter().map(|a| (a.name(), Vec::new())).collect();
     for (bucket, points) in bucketed_grid() {
         if bucket.0 < config.min_bucket_percent {
             continue;

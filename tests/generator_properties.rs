@@ -63,7 +63,7 @@ proptest! {
         let total_lo = total_hi * lo_frac;
         let mut rng = StdRng::seed_from_u64(seed);
         if let Some(pairs) =
-            paired_utilizations(&mut rng, n, total_lo, total_hi, 0.001, 0.99, 500)
+            paired_utilizations(&mut rng, n, total_lo, total_hi, 0.001, 0.99)
         {
             let sl: f64 = pairs.iter().map(|p| p.0).sum();
             let sh: f64 = pairs.iter().map(|p| p.1).sum();

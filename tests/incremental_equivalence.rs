@@ -121,15 +121,15 @@ fn assert_equivalent(ts: &TaskSet, m_values: &[usize], ws: &WorkspaceRef) -> usi
     for (incremental, one_shot, name) in test_pairs() {
         for strategy in [presets::ca_udp(), presets::cu_udp(), presets::ca_f_f()] {
             for &m in m_values {
-                let fast = Partition::build(&strategy, &incremental, ts, m);
-                let slow = Partition::build(&strategy, &one_shot, ts, m);
+                let fast = Partition::build(&strategy, &*incremental, ts, m);
+                let slow = Partition::build(&strategy, &*one_shot, ts, m);
                 assert_eq!(
                     fast,
                     slow,
                     "{name}/{} diverged at m={m} on {ts}",
                     strategy.name()
                 );
-                let (in_ws, _) = Partition::build_reporting_in(&strategy, &incremental, ts, m, ws);
+                let (in_ws, _) = Partition::build_reporting_in(&strategy, &*incremental, ts, m, ws);
                 assert_eq!(
                     in_ws,
                     fast,

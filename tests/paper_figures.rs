@@ -3,7 +3,7 @@
 //! mechanism behind them.
 
 use mcsched::analysis::EdfVd;
-use mcsched::core::{presets, PartitionedAlgorithm};
+use mcsched::core::{presets, AlgorithmSpec, TestName};
 use mcsched::model::{Task, TaskId, TaskSet};
 
 fn fig1_set() -> TaskSet {
@@ -29,8 +29,8 @@ fn fig2_set() -> TaskSet {
 
 #[test]
 fn fig1_ca_wu_f_fails_on_the_lc_task() {
-    let algo = PartitionedAlgorithm::new(presets::ca_wu_f(), EdfVd::new());
-    let err = algo.partition(&fig1_set(), 2).unwrap_err();
+    let algo = AlgorithmSpec::new(presets::ca_wu_f(), TestName::EdfVd);
+    let err = algo.try_partition(&fig1_set(), 2).unwrap_err();
     // All three HC tasks place; the LC task τ4 strands.
     assert_eq!(err.task, TaskId(4));
     assert_eq!(err.placed, 3);
@@ -38,8 +38,8 @@ fn fig1_ca_wu_f_fails_on_the_lc_task() {
 
 #[test]
 fn fig1_ca_udp_succeeds_with_the_papers_allocation() {
-    let algo = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
-    let p = algo.partition(&fig1_set(), 2).unwrap();
+    let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+    let p = algo.try_partition(&fig1_set(), 2).unwrap();
     // Balancing the difference pairs τ1 (diff .30) with τ3 (diff .05) and
     // leaves τ2 (diff .50) alone; τ4 then fits beside τ2 — exactly the
     // paper's narrative ("τ1 and τ3 on one processor, τ2 on the other,
@@ -73,8 +73,8 @@ fn fig1_mechanism_gap_bound() {
 
 #[test]
 fn fig2_ca_udp_fails_on_the_heavy_lc_task() {
-    let algo = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
-    let err = algo.partition(&fig2_set(), 2).unwrap_err();
+    let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+    let err = algo.try_partition(&fig2_set(), 2).unwrap_err();
     assert_eq!(err.task, TaskId(5));
     assert_eq!(err.placed, 4, "all four HC tasks placed first");
 }
@@ -91,8 +91,8 @@ fn fig2_ca_udp_intermediate_allocation_matches_paper() {
         Task::hi(4, 200, 39, 40).unwrap(),
     ])
     .unwrap();
-    let algo = PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new());
-    let p = algo.partition(&hc_only, 2).unwrap();
+    let algo = AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd);
+    let p = algo.try_partition(&hc_only, 2).unwrap();
     // τ3 joins the *other* heavy task than τ4 (worst-fit on difference
     // spreads the two heavies and then packs against the smaller diff).
     assert_ne!(p.processor_of(TaskId(1)), p.processor_of(TaskId(2)));
@@ -101,8 +101,8 @@ fn fig2_ca_udp_intermediate_allocation_matches_paper() {
 
 #[test]
 fn fig2_cu_udp_succeeds_placing_the_lc_task_early() {
-    let algo = PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new());
-    let p = algo.partition(&fig2_set(), 2).unwrap();
+    let algo = AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd);
+    let p = algo.try_partition(&fig2_set(), 2).unwrap();
     // τ5 shares a processor with exactly one of the heavy HC tasks
     // (τ1 or τ2), and the remaining three HC tasks pack on the other.
     let p5 = p.processor_of(TaskId(5)).unwrap();
@@ -135,8 +135,8 @@ fn examples_survive_the_simulator() {
         (presets::ca_udp(), fig1_set()),
         (presets::cu_udp(), fig2_set()),
     ] {
-        let algo = PartitionedAlgorithm::new(strategy, EdfVd::new());
-        let partition = algo.partition(&ts, 2).unwrap();
+        let algo = AlgorithmSpec::new(strategy, TestName::EdfVd);
+        let partition = algo.try_partition(&ts, 2).unwrap();
         let sim = PartitionedSimulator::from_partition(&partition, |proc| {
             let x = EdfVd::new().scaling_factor(proc).expect("admitted");
             Policy::edf_vd_scaled(proc, x)

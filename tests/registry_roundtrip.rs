@@ -1,9 +1,8 @@
 //! Registry round-trips: every line-up name the experiment harness uses
-//! parses back to an algorithm with the identical display name, and
-//! registry-built line-ups produce **bit-identical** sweep results to
-//! directly constructed algorithms over a seeded corpus.
+//! parses back to a spec with the identical display name, and
+//! registry-resolved line-ups produce **bit-identical** sweep results to
+//! directly constructed specs over a seeded corpus.
 
-use mcsched::analysis::{AmcMax, Ecdf, EdfVd, Ey};
 use mcsched::exp::algorithms::{
     AMC_ABLATION_NAMES, FIG3_NAMES, FIG4_NAMES, FIG6B_NAMES, PERF_NAMES,
 };
@@ -27,14 +26,10 @@ fn every_lineup_name() -> Vec<&'static str> {
 fn every_lineup_name_round_trips_through_the_registry() {
     let registry = AlgorithmRegistry::standard();
     for name in every_lineup_name() {
-        let algo = registry
-            .parse(name)
+        let spec = registry
+            .spec(name)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(algo.name(), name, "display name must round-trip");
-        // The parsed spec round-trips to the same display name too.
-        let spec = registry.spec(name).unwrap();
-        assert_eq!(spec.name(), name);
-        assert_eq!(spec.build().name(), name);
+        assert_eq!(spec.name(), name, "display name must round-trip");
     }
 }
 
@@ -42,23 +37,18 @@ fn every_lineup_name_round_trips_through_the_registry() {
 fn registry_lineup_sweeps_bit_identical_to_direct_constructors() {
     // The exact algorithms `fig3_lineup`/`fig4_lineup` used to hard-code,
     // constructed directly...
-    let direct: Vec<AlgoBox> = vec![
-        Box::new(PartitionedAlgorithm::new(presets::ca_udp(), EdfVd::new())),
-        Box::new(PartitionedAlgorithm::new(presets::cu_udp(), EdfVd::new())),
-        Box::new(PartitionedAlgorithm::new(
-            presets::ca_nosort_f_f(),
-            EdfVd::new(),
-        )),
-        Box::new(PartitionedAlgorithm::new(presets::cu_udp(), Ecdf::new())),
-        Box::new(
-            PartitionedAlgorithm::new(presets::cu_udp(), AmcMax::new()).with_name("CU-UDP-AMC"),
-        ),
-        Box::new(PartitionedAlgorithm::new(presets::eca_wu_f(), Ey::new())),
-        Box::new(PartitionedAlgorithm::new(presets::ca_f_f(), Ey::new())),
+    let direct = [
+        AlgorithmSpec::new(presets::ca_udp(), TestName::EdfVd),
+        AlgorithmSpec::new(presets::cu_udp(), TestName::EdfVd),
+        AlgorithmSpec::new(presets::ca_nosort_f_f(), TestName::EdfVd),
+        AlgorithmSpec::new(presets::cu_udp(), TestName::Ecdf),
+        AlgorithmSpec::new(presets::cu_udp(), TestName::AmcMax).with_display_name("CU-UDP-AMC"),
+        AlgorithmSpec::new(presets::eca_wu_f(), TestName::Ey),
+        AlgorithmSpec::new(presets::ca_f_f(), TestName::Ey),
     ];
     // ... and the same line-up resolved through the registry.
     let registry = AlgorithmRegistry::standard();
-    let named: Vec<AlgoBox> = registry
+    let named = registry
         .resolve(&[
             "CA-UDP-EDF-VD",
             "CU-UDP-EDF-VD",

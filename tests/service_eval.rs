@@ -149,7 +149,7 @@ fn verdicts_agree_with_direct_registry_calls() {
         let parsed = serde_json::parse_value(request).unwrap();
         let name = parsed.get("algorithm").and_then(Value::as_str).unwrap();
         let m = parsed.get("m").and_then(Value::as_u64).unwrap() as usize;
-        let algo = registry.parse(name).unwrap();
+        let algo = registry.spec(name).unwrap();
         // Rebuild the task set through the facade API.
         let mut ts = TaskSet::new();
         for tv in parsed.get("tasks").and_then(Value::as_seq).unwrap() {

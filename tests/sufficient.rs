@@ -6,7 +6,8 @@
 //!
 //! Checked per rule against every exact test it fronts, over both
 //! deadline models, at the state level (one processor, admit/remove
-//! streams) and at the cluster level (`open_degraded_session`).
+//! streams) and at the cluster level (`open_degraded_session`). EDF-VD
+//! has no fast rule: its degraded sessions run the exact state.
 
 use mcsched::analysis::{
     AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState, SchedulabilityTest,
@@ -58,10 +59,9 @@ fn sets(deadlines: DeadlineModel, count: usize, seed: u64) -> Vec<TaskSet> {
 }
 
 /// The exact tests each rule must be sound for (the mapping
-/// `AlgorithmSpec::fast_rule` commits to).
+/// `AlgorithmSpec::open_degraded_cluster` commits to).
 fn exact_tests(rule: FastRule) -> Vec<(&'static str, Box<dyn SchedulabilityTest>)> {
     match rule {
-        FastRule::EdfVdClosedForm => vec![("EDF-VD", Box::new(EdfVd::new()))],
         // Both demand tests are fronted by the LC-only rule: their
         // greedy searches reject HC-bearing sets well under any density
         // bound (see the pinned counterexamples below).
@@ -120,9 +120,33 @@ fn assert_rule_sound(rule: FastRule, seed: u64) {
     );
 }
 
+/// A degraded EDF-VD session runs the exact state, so it admits, places
+/// and removes exactly like an exact one over the same task stream.
 #[test]
-fn edfvd_closed_form_rule_is_sound() {
-    assert_rule_sound(FastRule::EdfVdClosedForm, 0xFA57);
+fn degraded_edfvd_cluster_admits_like_the_exact_one() {
+    let registry = AlgorithmRegistry::standard();
+    let mut rng = StdRng::seed_from_u64(0xFA57);
+    let mut admitted = 0usize;
+    for deadlines in [DeadlineModel::Implicit, DeadlineModel::Constrained] {
+        for ts in sets(deadlines, 60, 0xFA57) {
+            let name = "CU-UDP-EDF-VD";
+            let mut degraded = registry.open_degraded_session(name, 2).expect("known");
+            let mut exact = registry.open_session(name, 2).expect("known");
+            for task in ts.iter() {
+                let verdict = exact.admit(*task);
+                assert_eq!(degraded.admit(*task), verdict, "{task}");
+                admitted += usize::from(verdict.is_ok());
+                // Occasionally evict the oldest committed task.
+                if exact.task_count() > 2 && rng.random_range(0..3) == 0 {
+                    let oldest = exact.committed_tasks().iter().next().map(|t| t.id());
+                    let victim = oldest.unwrap_or(TaskId(0));
+                    assert_eq!(degraded.remove(victim), exact.remove(victim));
+                }
+            }
+            assert_eq!(degraded.snapshot(), exact.snapshot(), "{ts}");
+        }
+    }
+    assert!(admitted >= 50, "only {admitted} admits — no coverage");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! single algorithm) is broken.
 
 use mcsched::analysis::EdfVd;
-use mcsched::core::{presets, verify_partition, PartitionedAlgorithm};
+use mcsched::core::{presets, verify_partition, AlgorithmSpec, TestName};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::TaskSet;
 use mcsched::sim::{PartitionedSimulator, Policy, Scenario};
@@ -38,8 +38,8 @@ fn generator_to_partition_to_simulation() {
     let mut accepted = 0usize;
     for strategy in [presets::cu_udp(), presets::ca_udp()] {
         let name = strategy.name().to_owned();
-        let algo = PartitionedAlgorithm::new(strategy, EdfVd::new());
-        let partition = match algo.partition(&ts, M) {
+        let algo = AlgorithmSpec::new(strategy, TestName::EdfVd);
+        let partition = match algo.try_partition(&ts, M) {
             Ok(p) => p,
             // A light-load set can still be rejected by a sufficient
             // test; that is a valid analysis outcome, not a smoke
