@@ -14,10 +14,10 @@
 //! * [`AmcRtb`] / [`AmcMax`] — fixed-priority Adaptive Mixed-Criticality
 //!   response-time analyses of Baruah, Burns & Davis (RTSS 2011).
 //!
-//! Beside the five tests the crate holds only their shared kernels and
-//! the accept-sound degraded tier of [`sufficient`]. Every test
-//! implements the object-safe [`SchedulabilityTest`] trait, so
-//! partitioning strategies in `mcsched-core` can treat them uniformly.
+//! Beside the five tests the crate holds only their shared kernels.
+//! Every test implements the object-safe [`SchedulabilityTest`] trait,
+//! so partitioning strategies in `mcsched-core` can treat them
+//! uniformly.
 //!
 //! ## One-shot vs incremental
 //!
@@ -41,9 +41,8 @@
 //! ([`mcsched_model::Time`]). Some verdict-bearing utilization
 //! comparisons are still f64 sums: the closed-form EDF-VD test, the
 //! demand prelude's `U ≤ 1 ± UTIL_EPS` thresholds and busy-window bound
-//! ([`dbf`], [`demand`]), the EY / ECDF overload rule `U > 1`
-//! ([`DemandKernel::overloaded`]) and the fast rules' `FP_GUARD` margins
-//! ([`sufficient`]). Making them exact is ROADMAP item 1.
+//! ([`dbf`], [`demand`]) and the EY / ECDF overload rule `U > 1`
+//! ([`DemandKernel::overloaded`]). Making them exact is ROADMAP item 1.
 //!
 //! ## Example
 //!
@@ -72,7 +71,6 @@ pub mod dbf;
 pub mod demand;
 pub mod edfvd;
 pub mod incremental;
-pub mod sufficient;
 pub mod vdtune;
 pub mod workspace;
 
@@ -81,7 +79,6 @@ pub use dbf::{DemandCheck, VdTask};
 pub use demand::{DemandKernel, QpaCounters};
 pub use edfvd::{EdfVd, EdfVdState};
 pub use incremental::{AdmissionState, AdmissionStats};
-pub use sufficient::{FastRule, FastState};
 pub use vdtune::{Ecdf, Ey, VdAssignment, VdTuneState};
 pub use workspace::{AnalysisWorkspace, PooledWorkspace, WorkspaceRef};
 

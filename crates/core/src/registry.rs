@@ -41,8 +41,7 @@ use crate::partition::{Partition, PartitionError};
 use crate::presets;
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{
-    AdmissionState, AdmissionStats, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, FastRule, FastState,
-    SchedulabilityTest, WorkspaceRef,
+    AdmissionStats, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched_model::TaskSet;
 use serde::{Deserialize, Serialize};
@@ -265,34 +264,6 @@ impl AlgorithmSpec {
         let states = (0..m).map(|_| test.admission_state_in(&ws)).collect();
         crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
     }
-
-    /// Opens a **degraded-tier** cluster session: the same placement
-    /// strategy and display name as [`open_cluster`](Self::open_cluster),
-    /// but every processor runs an allocation-free sufficient pre-check
-    /// (a [`FastRule`] sound for this spec's test; see
-    /// [`mcsched_analysis::sufficient`]) instead of the exact test.
-    /// EDF-VD keeps its exact state, which is already O(1) and
-    /// allocation-free.
-    ///
-    /// Accepts are sound — anything a degraded session commits, the
-    /// exact test also accepts, so the session can later be rehydrated
-    /// (or continued) under exact analysis. Rejects are advisory:
-    /// clients retry on an exact worker for a definitive verdict.
-    pub fn open_degraded_cluster(&self, m: usize) -> crate::ClusterSession {
-        let rule = match self.test {
-            TestName::EdfVd => return self.open_cluster(m),
-            // The demand tests are greedy heuristic searches that
-            // honour no density bound on HC-bearing sets; only the
-            // LC-only region is provable against them.
-            TestName::Ey | TestName::Ecdf => FastRule::LcOnlyDensity,
-            // Liu–Layland on own-level density ⇒ the AMC RTAs accept.
-            TestName::AmcRtb | TestName::AmcMax => FastRule::LiuLaylandOwnDensity,
-        };
-        let states = (0..m)
-            .map(|_| Box::new(FastState::new(rule)) as Box<dyn AdmissionState>)
-            .collect();
-        crate::ClusterSession::from_states(self.name(), self.strategy.clone(), states)
-    }
 }
 
 impl fmt::Display for AlgorithmSpec {
@@ -457,21 +428,6 @@ impl AlgorithmRegistry {
         m: usize,
     ) -> Result<crate::ClusterSession, RegistryError> {
         self.spec(name).map(|spec| spec.open_cluster(m))
-    }
-
-    /// Parses a display name and opens a **degraded-tier** session (the
-    /// sufficient pre-check instead of the exact test; see
-    /// [`AlgorithmSpec::open_degraded_cluster`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`AlgorithmRegistry::spec`].
-    pub fn open_degraded_session(
-        &self,
-        name: &str,
-        m: usize,
-    ) -> Result<crate::ClusterSession, RegistryError> {
-        self.spec(name).map(|spec| spec.open_degraded_cluster(m))
     }
 }
 

@@ -594,9 +594,10 @@ mod tests {
 
     #[test]
     fn overload_burst_sheds_when_saturated() {
-        // Tiny pool: 1 worker, queue of 1, degraded tier disabled so
-        // overflow sheds instead of spilling. With 6 connections at
-        // least a few must be shed with a typed overload reply.
+        // Tiny pool: 1 worker, queue of 1, overflow pool disabled so
+        // extra connections are shed instead of spilling. With 6
+        // connections at least a few must be shed with a typed overload
+        // reply.
         let server = Server::bind(
             AlgorithmRegistry::standard(),
             ServerConfig {

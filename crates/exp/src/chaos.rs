@@ -26,9 +26,9 @@
 //! All three must agree **bit-for-bit**: identical placements and
 //! identical per-processor utilization summaries under
 //! [`f64::to_bits`]. On top of that, every processor's committed set
-//! must pass the exact one-shot schedulability test — which holds for
-//! the degraded tier too, because its fast rules are accept-sound
-//! (fast-accept ⇒ exact-accept; see `mcsched_analysis::sufficient`).
+//! must pass the exact one-shot schedulability test. Odd seeds are
+//! served as overflow (`"degraded"`) connections; both pools run the
+//! same exact sessions, so the checks are the same for every seed.
 //!
 //! Disagreements are collected as strings, never panics: the harness
 //! runs the server inside `catch_unwind` precisely because "no panic
@@ -88,7 +88,7 @@ impl Default for ChaosConfig {
 pub struct SeedReport {
     /// The seed (script + fault schedule).
     pub seed: u64,
-    /// `"exact"` or `"degraded"` — which admission tier served it.
+    /// `"exact"` or `"degraded"` — which server pool served it.
     pub tier: String,
     /// Registry name of the scripted algorithm.
     pub algorithm: String,
@@ -244,20 +244,17 @@ fn summary_bits(cluster: &ClusterSession) -> Vec<[u64; 3]> {
         .collect()
 }
 
-/// Replays journal rows into a fresh same-tier session. `Err` carries a
+/// Replays journal rows into a fresh session. `Err` carries a
 /// human-readable reason (unknown algorithm, occupied slot, …).
 fn rebuild(
     registry: &AlgorithmRegistry,
-    tier: AdmissionTier,
     algorithm: &str,
     m: usize,
     rows: &[(Task, usize)],
 ) -> Result<ClusterSession, String> {
-    let mut cluster = match tier {
-        AdmissionTier::Exact => registry.open_session(algorithm, m),
-        AdmissionTier::Degraded => registry.open_degraded_session(algorithm, m),
-    }
-    .map_err(|e| format!("rebuild open failed: {e}"))?;
+    let mut cluster = registry
+        .open_session(algorithm, m)
+        .map_err(|e| format!("rebuild open failed: {e}"))?;
     restore_rows(&mut cluster, rows)?;
     Ok(cluster)
 }
@@ -402,7 +399,7 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
                     live.processor_count()
                 ));
             }
-            match rebuild(registry, tier, &image.algorithm, image.m, &image.rows) {
+            match rebuild(registry, &image.algorithm, image.m, &image.rows) {
                 Ok(rebuilt) => {
                     compare_clusters("recovered vs live", live, &rebuilt, &mut report.mismatches)
                 }
@@ -420,8 +417,7 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
                                 &mut report.mismatches,
                             );
                             // Accept-soundness: every processor's committed
-                            // set must pass the *exact* one-shot test, on
-                            // both tiers.
+                            // set must pass the *exact* one-shot test.
                             for (k, ids) in oracle.snapshot().iter().enumerate() {
                                 let mut ts = TaskSet::with_capacity(ids.len());
                                 for (task, proc) in &image.rows {

@@ -593,15 +593,20 @@ fn run_serve(config: ServerConfig) -> io::Result<i32> {
         "signal-only"
     };
     eprintln!(
-        "[mcexp] serving protocol v1 on {} ({} worker(s), queue {}, shutdown {shutdown})",
+        "[mcexp] serving protocol v1 on {} ({} worker(s) + {} overflow, queue {}, shutdown {shutdown})",
         server.local_addr(),
         config.workers,
+        config.degraded_workers,
         config.queue_depth
     );
     let stats = server.run()?;
     eprintln!(
-        "[mcexp] server stopped: {} connection(s), {} request(s), {} error(s), {} shed",
-        stats.connections, stats.requests, stats.errors, stats.overloads
+        "[mcexp] server stopped: {} connection(s), {} request(s), {} error(s), {} spilled, {} shed",
+        stats.connections,
+        stats.requests,
+        stats.errors,
+        stats.degraded_connections,
+        stats.overloads
     );
     Ok(0)
 }

@@ -648,10 +648,10 @@ pub struct SessionReply {
     pub algorithm: String,
     /// The session's processor count.
     pub m: usize,
-    /// `true` when the session was opened on the degraded (sufficient)
-    /// admission tier: verdicts are accept-sound pre-checks, and a
-    /// `false` admit means "unproven", not "infeasible". Rendered on
-    /// the wire only when `true`, so v1 clients are unaffected.
+    /// `true` when the session was opened on the server's overflow
+    /// pool. Its verdicts are the same exact verdicts; the flag names
+    /// the pool. Rendered on the wire only when `true`, so v1 clients
+    /// are unaffected.
     pub degraded: bool,
 }
 
@@ -668,10 +668,8 @@ pub struct AdmitReply {
     pub tasks: usize,
     /// Why the task was rejected (present iff not admitted).
     pub detail: Option<String>,
-    /// `true` when the verdict came from the degraded (sufficient)
-    /// tier: an accept is still sound, a reject only means the cheap
-    /// rule could not prove it — retry later for an exact verdict.
-    /// Rendered only when `true`.
+    /// `true` when the session runs on the server's overflow pool (the
+    /// verdict is exact either way). Rendered only when `true`.
     pub degraded: bool,
 }
 
@@ -710,9 +708,8 @@ pub struct QueryReply {
     pub partition: Vec<Vec<u32>>,
     /// The placement probe, when the query carried a task.
     pub probe: Option<ProbeReply>,
-    /// `true` when this session runs on the degraded (sufficient)
-    /// admission tier (probe verdicts are accept-sound pre-checks).
-    /// Rendered only when `true`.
+    /// `true` when this session runs on the server's overflow pool (the
+    /// probe verdict is exact either way). Rendered only when `true`.
     pub degraded: bool,
 }
 

@@ -12,22 +12,21 @@
 //! [`protocol`](crate::protocol) (versioned, id-echoing). The transport
 //! is plain TCP via the vendored [`netframe`] layer.
 //!
-//! ## Concurrency, backpressure, and the degraded tier
+//! ## Concurrency, backpressure, and the overflow pool
 //!
 //! One acceptor thread hands connections to a fixed pool of worker
 //! threads over a bounded queue. The pool never grows and the queue
-//! never blocks the acceptor. When the exact pool saturates, new
-//! connections spill to a small **degraded** pool whose sessions use
-//! the allocation-free sufficient tier
-//! ([`FastState`](mcsched_analysis::FastState); EDF-VD keeps its exact
-//! state, already O(1)): accepts are still
-//! sound (the exact test would agree), rejects only mean "unproven",
-//! and every reply is tagged `"degraded": true` so the client can
-//! reconnect later for exact verdicts. Only when *both* queues are
-//! full is a connection *shed* with a typed `{"type": "overload"}`
-//! reply — callers always see explicit backpressure, never unbounded
-//! latency. Sessions hold `Rc`-based analysis scratch, so each lives
-//! entirely on the worker thread that serves its connection.
+//! never blocks the acceptor. When that pool saturates, new connections
+//! spill to a small **overflow** pool
+//! ([`ServerConfig::degraded_workers`]) with its own queue. Both pools
+//! open the same exact sessions, so an overflow verdict is the verdict
+//! the main pool would give; its replies carry `"degraded": true`,
+//! which names the pool the connection landed on, not a weaker verdict.
+//! Only when *both* queues are full is a connection *shed* with a typed
+//! `{"type": "overload"}` reply — callers always see explicit
+//! backpressure, never unbounded latency. Sessions hold `Rc`-based
+//! analysis scratch, so each lives entirely on the worker thread that
+//! serves its connection.
 //!
 //! ## Durability
 //!
@@ -65,15 +64,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which admission tier a worker serves connections on.
+/// Which worker pool serves a connection. Both run the same exact
+/// sessions: verdicts are exactly the one-shot analysis verdicts on the
+/// committed union. The tier only tags replies and counts connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionTier {
-    /// Full-precision admission: verdicts are exactly the one-shot
-    /// analysis verdicts on the committed union.
+    /// The main pool ([`ServerConfig::workers`]).
     Exact,
-    /// The sufficient tier: allocation-free accept-sound pre-checks
-    /// (see [`mcsched_analysis::FastState`]; EDF-VD keeps its exact
-    /// state); replies carry `"degraded": true`.
+    /// The overflow pool ([`ServerConfig::degraded_workers`]), which
+    /// takes connections the main pool's queue cannot; replies carry
+    /// `"degraded": true` and [`ServerStats::degraded_connections`]
+    /// counts them.
     Degraded,
 }
 
@@ -103,8 +104,10 @@ pub struct ServerConfig {
     /// idle timeout cannot catch this case: a byte every few seconds
     /// keeps the socket "active" while the half-frame pins a worker.
     pub frame_deadline: Option<Duration>,
-    /// Worker threads of the degraded (sufficient-tier) spillover pool;
-    /// `0` disables the tier and overflow connections are shed.
+    /// Worker threads of the overflow pool, which serves connections
+    /// the main queue cannot take with the same exact sessions (replies
+    /// tagged `"degraded": true`); `0` disables it and those
+    /// connections are shed.
     pub degraded_workers: usize,
     /// Journal committed named-session operations to this file.
     pub journal: Option<PathBuf>,
@@ -157,7 +160,7 @@ pub struct ServerStats {
     pub requests: u64,
     /// Requests answered with an error reply.
     pub errors: u64,
-    /// Connections served on the degraded (sufficient) tier.
+    /// Connections served by the overflow pool.
     pub degraded_connections: u64,
     /// Connections shed with an overload reply.
     pub overloads: u64,
@@ -318,7 +321,7 @@ impl Server {
                     // The wake-up nudge itself; drop it and stop.
                     break;
                 }
-                // Exact pool first; spill to the degraded tier when it
+                // Main pool first; spill to the overflow pool when it
                 // is saturated; shed only when both queues are full.
                 match queue.try_push(stream) {
                     Ok(()) => {}
@@ -397,8 +400,8 @@ enum Control {
 }
 
 /// One connection's session state: the live cluster plus the durable
-/// name it is attached under (when journaled) and the tier it was
-/// opened on.
+/// name it is attached under (when journaled) and whether the overflow
+/// pool serves it.
 struct ConnSession {
     cluster: ClusterSession,
     /// The journal attachment to release when this session ends.
@@ -419,7 +422,7 @@ pub struct ConnOutcome {
 }
 
 /// Serves one connection over any byte stream, as
-/// [`serve_connection`], with the admission tier and journal explicit
+/// [`serve_connection`], with the serving pool and journal explicit
 /// and the final session state returned for inspection.
 pub fn serve_connection_outcome<R: Read, W: Write>(
     registry: &AlgorithmRegistry,
@@ -531,7 +534,7 @@ pub fn serve_connection_outcome<R: Read, W: Write>(
 /// I/O error, `close`, an honoured `shutdown`, the idle timeout
 /// (surfaced by the transport as [`FrameError::TimedOut`]), a frame
 /// outliving [`ServerConfig::frame_deadline`], or the per-connection
-/// request cap. Runs the exact tier with no journal; the full-fidelity
+/// request cap. Runs on the main pool with no journal; the full-fidelity
 /// entry point is [`serve_connection_outcome`].
 pub fn serve_connection<R: Read, W: Write>(
     registry: &AlgorithmRegistry,
@@ -584,11 +587,7 @@ fn handle_request(
                     j.detach(old_name);
                 }
             }
-            let opened = match tier {
-                AdmissionTier::Exact => registry.open_session(&algorithm, m),
-                AdmissionTier::Degraded => registry.open_degraded_session(&algorithm, m),
-            };
-            let mut cluster = match opened {
+            let mut cluster = match registry.open_session(&algorithm, m) {
                 Ok(cluster) => cluster,
                 Err(e) => return (id, Reply::error(e.to_string()), Control::Continue),
             };
@@ -777,7 +776,12 @@ fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_reply;
+    use crate::ablation::seeded_corpus;
+    use crate::protocol::{parse_reply, Envelope};
+    use mcsched_gen::{DeadlineModel, TaskSetSpec};
+    use mcsched_model::TaskSet;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn config() -> ServerConfig {
         ServerConfig::default()
@@ -983,66 +987,248 @@ mod tests {
         assert!(matches!(&replies[0].1, Reply::Closed { reason } if reason == "server shutdown"));
     }
 
-    #[test]
-    fn degraded_tier_tags_replies_and_rejects_unproven_admits() {
+    /// Serves `input` on `tier` and returns the reply lines and the
+    /// connection's outcome.
+    fn serve_on(tier: AdmissionTier, input: &str) -> (Vec<String>, ConnOutcome) {
         let registry = AlgorithmRegistry::standard();
-        let input = concat!(
-            r#"{"type": "open_session", "algorithm": "CU-UDP-ECDF", "m": 2}"#,
-            "\n",
-            r#"{"type": "admit", "task": {"id": 0, "period": 100, "wcet_lo": 1}}"#,
-            "\n",
-            r#"{"type": "admit", "task": {"id": 1, "period": 10, "criticality": "HI", "wcet_lo": 2, "wcet_hi": 4}}"#,
-            "\n",
-            r#"{"type": "query"}"#,
-            "\n",
-        );
         let mut out = Vec::new();
-        let outcome = serve_connection_outcome(
-            &registry,
-            &config(),
-            AdmissionTier::Degraded,
-            None,
-            input.as_bytes(),
-            &mut out,
-        );
+        let outcome =
+            serve_connection_outcome(&registry, &config(), tier, None, input.as_bytes(), &mut out);
         let text = String::from_utf8(out).unwrap();
-        let replies: Vec<_> = text
-            .lines()
-            .map(|l| parse_reply(l).unwrap_or_else(|e| panic!("{l}: {e}")).1)
-            .collect();
-        match &replies[0] {
-            Reply::Session(s) => assert!(s.degraded, "session reply carries the tier"),
-            other => panic!("expected session, got {other:?}"),
+        (text.lines().map(str::to_owned).collect(), outcome)
+    }
+
+    /// The five uniprocessor tests a session can run on.
+    const SESSION_TESTS: [&str; 5] = [
+        "CU-UDP-EDF-VD",
+        "CU-UDP-EY",
+        "CU-UDP-ECDF",
+        "CA-UDP-AMC-rtb",
+        "CA-UDP-AMC-max",
+    ];
+
+    /// Serves `input` on the main pool and on the overflow pool and
+    /// asserts the overflow pool's replies are the main pool's with
+    /// `"degraded":true` added to every session, admit and query reply.
+    /// Returns the main pool's replies and both final sessions.
+    fn serve_on_both_pools(
+        name: &str,
+        input: &str,
+    ) -> (Vec<String>, ClusterSession, ClusterSession) {
+        const TAG: &str = r#","degraded":true"#;
+        let (exact, exact_outcome) = serve_on(AdmissionTier::Exact, input);
+        let (spilled, spilled_outcome) = serve_on(AdmissionTier::Degraded, input);
+        let untagged: Vec<String> = spilled.iter().map(|l| l.replace(TAG, "")).collect();
+        assert_eq!(untagged, exact, "{name}");
+        for line in &spilled {
+            let (_, reply) = parse_reply(line).unwrap();
+            let tagged = matches!(reply, Reply::Session(_) | Reply::Admit(_) | Reply::Query(_));
+            assert_eq!(line.contains(TAG), tagged, "{name}: {line}");
         }
-        match &replies[1] {
-            Reply::Admit(a) => {
-                assert!(a.admitted, "a light LC task passes the sufficient rule");
-                assert!(a.degraded);
+        (
+            exact,
+            exact_outcome.session.expect("main-pool session"),
+            spilled_outcome.session.expect("overflow session"),
+        )
+    }
+
+    /// The `(task, admitted)` pairs of the admit replies among `replies`.
+    fn admit_verdicts(replies: &[String]) -> Vec<(u32, bool)> {
+        replies
+            .iter()
+            .filter_map(|l| match parse_reply(l).unwrap().1 {
+                Reply::Admit(a) => Some((a.task, a.admitted)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Both pools open the same exact sessions: one script with passing
+    /// and failing LC and HC admits, removes, probes and a malformed
+    /// request gets the same replies under every test, apart from the
+    /// overflow tag.
+    #[test]
+    fn overflow_pool_tags_replies_and_serves_the_exact_verdicts() {
+        for name in SESSION_TESTS {
+            let open =
+                format!(r#"{{"id": 1, "type": "open_session", "algorithm": "{name}", "m": 2}}"#);
+            let input = [
+                open.as_str(),
+                r#"{"id": 2, "type": "admit", "task": {"id": 0, "period": 100, "wcet_lo": 1}}"#,
+                r#"{"id": 3, "type": "admit", "task": {"id": 1, "period": 10, "criticality": "HI", "wcet_lo": 2, "wcet_hi": 4}}"#,
+                r#"{"id": 4, "type": "admit", "task": {"id": 2, "period": 20, "criticality": "HI", "wcet_lo": 6, "wcet_hi": 14}}"#,
+                r#"{"id": 5, "type": "admit", "task": {"id": 3, "period": 10, "wcet_lo": 7}}"#,
+                r#"{"id": 6, "type": "admit", "task": {"id": 4, "period": 10, "criticality": "HI", "wcet_lo": 5, "wcet_hi": 9}}"#,
+                r#"{"id": 7, "type": "query", "task": {"id": 5, "period": 10, "wcet_lo": 9}}"#,
+                r#"{"id": 8, "type": "remove", "task_id": 2}"#,
+                r#"{"id": 9, "type": "remove", "task_id": 99}"#,
+                r#"{"id": 10, "type": "admit", "task": {"id": 4, "period": 10, "criticality": "HI", "wcet_lo": 5, "wcet_hi": 9}}"#,
+                r#"{"id": 11, "type": "admit"}"#,
+                r#"{"id": 12, "type": "query", "task": {"id": 6, "period": 40, "wcet_lo": 2}}"#,
+                r#"{"id": 13, "type": "close"}"#,
+            ]
+            .join("\n");
+            let (exact, exact_session, spilled_session) = serve_on_both_pools(name, &input);
+            assert_eq!(exact.len(), 13, "{name}: {exact:#?}");
+            // The script must exercise both verdicts, on HC tasks too.
+            let verdicts = admit_verdicts(&exact);
+            let hc_admitted = verdicts.iter().any(|&(t, ok)| ok && [1, 2, 4].contains(&t));
+            assert!(hc_admitted, "{name}: no HC admit passed: {exact:#?}");
+            let rejected = verdicts.iter().any(|&(_, ok)| !ok);
+            assert!(rejected, "{name}: no admit failed: {exact:#?}");
+            assert_eq!(
+                spilled_session.snapshot(),
+                exact_session.snapshot(),
+                "{name}"
+            );
+        }
+    }
+
+    /// A script that opens a session of `name` on `m` processors, admits
+    /// every task of `ts`, removes a random earlier task after about one
+    /// admit in three, and ends with a placement query.
+    fn admit_script(name: &str, m: usize, ts: &TaskSet, rng: &mut StdRng) -> String {
+        let mut lines = Vec::new();
+        let mut push = |request: Request| {
+            let id = RequestId::Num(lines.len() as u64);
+            lines.push(Envelope::with_id(id, request).render());
+        };
+        push(Request::OpenSession {
+            algorithm: name.to_owned(),
+            m,
+            session: None,
+        });
+        let mut seen = Vec::new();
+        for &task in ts.iter() {
+            seen.push(task.id());
+            push(Request::Admit { task, op_id: None });
+            if seen.len() > 2 && rng.random_range(0..3u32) == 0 {
+                let victim = seen.swap_remove(rng.random_range(0..seen.len()));
+                push(Request::Remove {
+                    task_id: victim,
+                    op_id: None,
+                });
             }
-            other => panic!("expected admit, got {other:?}"),
         }
-        match &replies[2] {
-            Reply::Admit(a) => {
-                assert!(
-                    !a.admitted,
-                    "the LC-only rule cannot prove an HC admit — unproven, not committed"
-                );
-                assert!(a.degraded, "the reject is tagged so clients retry exact");
+        push(Request::Query { probe: None });
+        lines.join("\n")
+    }
+
+    /// Generated task sets, admitted task by task with removals in
+    /// between, get the same verdicts and leave the same placement on
+    /// both pools, under both deadline models and every test.
+    #[test]
+    fn overflow_sessions_admit_like_the_exact_ones() {
+        let mut rng = StdRng::seed_from_u64(0xFA57);
+        for deadlines in [DeadlineModel::Implicit, DeadlineModel::Constrained] {
+            let sets = seeded_corpus(6, 0xFA57, |p| TaskSetSpec::paper_defaults(2, p, deadlines));
+            for name in SESSION_TESTS {
+                let (mut admitted, mut rejected) = (0usize, 0usize);
+                for ts in &sets {
+                    let input = admit_script(name, 2, ts, &mut rng);
+                    let (exact, exact_session, spilled_session) = serve_on_both_pools(name, &input);
+                    for (_, ok) in admit_verdicts(&exact) {
+                        if ok {
+                            admitted += 1;
+                        } else {
+                            rejected += 1;
+                        }
+                    }
+                    assert_eq!(spilled_session.snapshot(), exact_session.snapshot(), "{ts}");
+                }
+                assert!(admitted >= 20, "{name}: only {admitted} admits");
+                assert!(rejected >= 1, "{name}: no admit failed");
             }
-            other => panic!("expected admit, got {other:?}"),
         }
-        match &replies[3] {
-            Reply::Query(q) => {
-                assert_eq!(q.tasks, 1, "only the proven admit was committed");
-                assert!(q.degraded);
+    }
+
+    /// Every processor an overflow session commits to passes its test's
+    /// one-shot check, on two and three processors.
+    #[test]
+    fn overflow_sessions_commit_only_exactly_valid_sets() {
+        let registry = AlgorithmRegistry::standard();
+        let mut rng = StdRng::seed_from_u64(0xC1A0);
+        for name in SESSION_TESTS {
+            let test = registry.spec(name).unwrap().test.test();
+            let mut admitted = 0usize;
+            for m in [2, 3] {
+                let sets = seeded_corpus(5, 0xC1A0, |p| {
+                    TaskSetSpec::paper_defaults(m, p, DeadlineModel::Constrained)
+                });
+                for ts in &sets {
+                    let input = admit_script(name, m, ts, &mut rng);
+                    let (replies, outcome) = serve_on(AdmissionTier::Degraded, &input);
+                    admitted += admit_verdicts(&replies).iter().filter(|v| v.1).count();
+                    let session = outcome.session.expect("overflow session");
+                    for k in 0..m {
+                        let committed = session.processor(k).unwrap();
+                        assert!(
+                            committed.is_empty() || test.is_schedulable(committed),
+                            "{name}: processor {k} fails the exact test: {committed}"
+                        );
+                    }
+                }
             }
-            other => panic!("expected query, got {other:?}"),
+            assert!(admitted >= 25, "{name}: only {admitted} admits");
         }
-        assert_eq!(
-            outcome.session.map(|s| s.task_count()),
-            Some(1),
-            "the live cluster agrees with the wire"
+    }
+
+    /// A connection that finds the main pool busy and its queue full
+    /// lands on the overflow pool: its replies are tagged, and it admits
+    /// the HC task the main pool would admit.
+    #[test]
+    fn overflow_connections_spill_to_the_degraded_queue_over_tcp() {
+        use std::io::BufRead;
+        let server = Server::bind(
+            AlgorithmRegistry::standard(),
+            ServerConfig {
+                workers: 1,
+                queue_depth: 1,
+                degraded_workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let thread = std::thread::spawn(move || server.run());
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        };
+        let request = |(stream, reader): &mut (TcpStream, BufReader<TcpStream>), line: &str| {
+            writeln!(stream, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        };
+        let open = r#"{"type": "open_session", "algorithm": "CU-UDP-ECDF", "m": 2}"#;
+
+        // Connection 1 occupies the only worker; connection 2 fills its
+        // queue.
+        let mut first = connect();
+        assert!(!request(&mut first, open).contains("degraded"));
+        let second = connect();
+
+        let mut third = connect();
+        let session = request(&mut third, open);
+        assert!(session.contains(r#""degraded":true"#), "{session}");
+        let hc = r#"{"type": "admit", "task": {"id": 1, "period": 10, "criticality": "HI", "wcet_lo": 2, "wcet_hi": 4}}"#;
+        let admit = request(&mut third, hc);
+        assert!(
+            admit.contains(r#""admitted":true"#) && admit.contains(r#""degraded":true"#),
+            "{admit}"
         );
+
+        drop((third, second, first));
+        handle.shutdown();
+        let stats = thread.join().unwrap().unwrap();
+        assert_eq!(stats.degraded_connections, 1, "{stats:?}");
+        assert_eq!(stats.overloads, 0, "{stats:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use mcsched::analysis::{AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
-use mcsched::model::TaskSet;
+use mcsched::model::{Task, TaskSet};
 use mcsched_oracle::classic::{edf_lo_mode, edf_own_level};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -82,6 +82,27 @@ fn ecdf_strictly_beats_ey_somewhere() {
         }
     }
     assert!(extra > 0, "expected ECDF to accept some EY-rejected set");
+}
+
+/// A pinned instance of ECDF strictly beating EY: three HC tasks with
+/// own-level density ≈ 0.87, so reserving `C^H` in every mode fits, yet
+/// EY's single-start greedy rejects the set while ECDF's multi-start
+/// search accepts it.
+#[test]
+fn ey_rejects_an_own_density_set_that_ecdf_accepts() {
+    let ts = TaskSet::try_from_tasks(vec![
+        Task::hi(0, 84, 14, 45).expect("valid HC task"),
+        Task::hi(1, 72, 8, 15).expect("valid HC task"),
+        Task::hi(2, 173, 14, 22).expect("valid HC task"),
+    ])
+    .expect("valid set");
+    let density: f64 = ts
+        .iter()
+        .map(|t| t.wcet_own().as_f64() / t.deadline().min(t.period()).as_f64())
+        .sum();
+    assert!(density < 1.0, "the set sits under the own-density bound");
+    assert!(!Ey::new().is_schedulable(&ts), "EY's greedy rejects it");
+    assert!(Ecdf::new().is_schedulable(&ts), "ECDF's search accepts it");
 }
 
 #[test]
