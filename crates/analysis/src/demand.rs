@@ -299,10 +299,9 @@ impl DemandKernel {
     }
 
     /// The EY / ECDF structural overload rule `Σ_HC C^H/T > 1 or
-    /// Σ C^L/T > 1` over the running sums — bit-identical to the same
-    /// rule over [`TaskSet::utilization_hi_total`] /
-    /// [`TaskSet::utilization_lo_total`] of the loaded tasks (both sum
-    /// in task order).
+    /// Σ C^L/T > 1` over the running sums — bit-identical to the seed
+    /// tuner's overload rule in `mcsched_oracle::vdtune`, which sums the
+    /// loaded tasks in the same task order.
     pub fn overloaded(&self) -> bool {
         self.hi_util > 1.0 || self.lo_util > 1.0
     }

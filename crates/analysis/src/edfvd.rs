@@ -36,7 +36,7 @@
 use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use crate::{SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The EDF-VD utilization-based schedulability test.
 ///
@@ -60,7 +60,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct EdfVd {
     _priv: (),
 }
@@ -80,12 +80,11 @@ impl Sums {
     /// from-scratch recomputation in insertion order.
     fn accumulate(&mut self, t: &Task) {
         // Density C/min(D,T) equals utilization for implicit deadlines.
-        let denom = t.deadline().min(t.period()).as_f64();
         if t.criticality().is_high() {
-            self.u_hl += t.wcet_lo().as_f64() / denom;
-            self.u_hh += t.wcet_hi().as_f64() / denom;
+            self.u_hl += t.density_lo();
+            self.u_hh += t.density_hi();
         } else {
-            self.u_ll += t.wcet_lo().as_f64() / denom;
+            self.u_ll += t.density_lo();
         }
     }
 }

@@ -77,13 +77,13 @@
 //! ```
 
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Counters describing how a partitioning run exercised the admission
 /// layer. Aggregated per build by `mcsched-core` and surfaced by
 /// `mcsched-exp ablation`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct AdmissionStats {
     /// Admission queries ([`AdmissionState::try_admit`] calls).
     pub attempts: u64,

@@ -190,19 +190,6 @@ impl ClusterSession {
             .collect()
     }
 
-    /// All committed tasks as one set (admission order within each
-    /// processor, processors in index order) — the "surviving task set"
-    /// the lifecycle oracle replays.
-    pub fn committed_tasks(&self) -> TaskSet {
-        let mut ts = TaskSet::with_capacity(self.task_count());
-        for s in &self.states {
-            for t in s.tasks() {
-                ts.push_unchecked(*t);
-            }
-        }
-        ts
-    }
-
     /// Admits `task` onto the first processor (in the task's fit order)
     /// whose test accepts the union, committing it there and returning
     /// the processor index.
@@ -397,9 +384,7 @@ mod tests {
         let snapshot = c.snapshot();
         assert_eq!(snapshot[k1], vec![TaskId(1)]);
         assert_eq!(snapshot[k2], vec![TaskId(2)]);
-        let union = c.committed_tasks();
-        assert_eq!(union.len(), 2);
-        assert!(union.get(TaskId(0)).is_none());
+        assert_eq!(c.task_count(), 2);
     }
 
     #[test]

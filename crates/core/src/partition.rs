@@ -4,13 +4,13 @@
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{AdmissionState, AdmissionStats, SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
 /// A failed partitioning attempt: some task could not be placed on any
 /// processor without failing the schedulability test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PartitionError {
     /// The task that could not be allocated.
     pub task: TaskId,
@@ -21,7 +21,6 @@ pub struct PartitionError {
     /// How many tasks each processor held when the task was rejected
     /// (`processor_loads[k]` is φk+1's task count), straight from the
     /// per-processor admission states.
-    #[serde(default)]
     pub processor_loads: Vec<usize>,
 }
 
@@ -67,7 +66,7 @@ impl Error for PartitionError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Partition {
     processors: Vec<TaskSet>,
 }
@@ -202,11 +201,6 @@ impl Partition {
     /// Total number of tasks across all processors.
     pub fn task_count(&self) -> usize {
         self.processors.iter().map(TaskSet::len).sum()
-    }
-
-    /// Consumes the partition, returning the per-processor sets.
-    pub fn into_processors(self) -> Vec<TaskSet> {
-        self.processors
     }
 }
 
@@ -418,8 +412,6 @@ mod tests {
         assert_eq!(p.utilizations().len(), 2);
         assert_eq!(p.as_slice().len(), 2);
         assert_eq!((&p).into_iter().count(), 2);
-        let procs = p.clone().into_processors();
-        assert_eq!(procs.len(), 2);
         assert!(p.processor_of(TaskId(99)).is_none());
     }
 }

@@ -44,7 +44,7 @@ use mcsched_analysis::{
     AdmissionStats, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched_model::TaskSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
@@ -57,7 +57,7 @@ pub type AlgoBox = AlgorithmSpec;
 /// This is the closed set of tests shipped by `mcsched-analysis`; each
 /// variant knows its canonical display suffix (the part after the strategy
 /// name in `"CU-UDP-EDF-VD"`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TestName {
     /// The utilization-based EDF-VD test (`"EDF-VD"`).
     EdfVd,
@@ -156,7 +156,7 @@ impl fmt::Display for TestName {
 /// let short = algo.with_display_name("CA-UDP-AMC");
 /// assert_eq!(short.to_string(), "CA-UDP-AMC");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AlgorithmSpec {
     /// The partitioning strategy (order + fit rules).
     pub strategy: PartitionStrategy,

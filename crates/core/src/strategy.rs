@@ -1,11 +1,11 @@
 //! Strategy vocabulary: allocation orders, balance metrics and fit rules.
 
 use mcsched_model::{SystemUtilization, Task, TaskSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The order in which a strategy offers tasks to the partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AllocationOrder {
     /// Criticality-aware: all HC tasks before any LC task. With
     /// `sorted = true`, each class is sorted by decreasing utilization at
@@ -78,7 +78,7 @@ impl AllocationOrder {
 
 /// A per-processor load statistic that worst-/best-fit rules order
 /// processors by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BalanceMetric {
     /// `U_H^H(φk) − U_H^L(φk)` — the utilization difference, UDP's metric.
     UtilizationDifference,
@@ -97,9 +97,9 @@ impl BalanceMetric {
     /// cost O(1) per processor instead of re-summing its tasks.
     pub fn evaluate_summary(&self, u: &SystemUtilization) -> f64 {
         match self {
-            BalanceMetric::UtilizationDifference => u.u_hh - u.u_hl,
+            BalanceMetric::UtilizationDifference => u.difference(),
             BalanceMetric::HiUtilization => u.u_hh,
-            BalanceMetric::LoModeLoad => u.u_ll + u.u_hl,
+            BalanceMetric::LoModeLoad => u.lo_mode_total(),
             BalanceMetric::OwnLevelLoad => u.u_ll + u.u_hh,
         }
     }
@@ -117,7 +117,7 @@ impl fmt::Display for BalanceMetric {
 }
 
 /// The order processors are tried in when placing one task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FitRule {
     /// Processors in index order (`φ1, φ2, …`).
     FirstFit,
@@ -198,7 +198,7 @@ impl fmt::Display for FitRule {
 ///     .build();
 /// assert_eq!(custom.name(), "CA-BF");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PartitionStrategy {
     name: String,
     order: AllocationOrder,

@@ -20,10 +20,10 @@ use mcsched_core::{AdmissionStats, AlgorithmSpec, WorkspaceRef};
 use mcsched_gen::{utilization_grid, DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::TaskSet;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The WAR of one algorithm variant in an ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AblationRow {
     /// Variant name.
     pub algorithm: String,
@@ -76,7 +76,7 @@ pub fn amc_ablation(
 /// Per-algorithm admission-layer counters over a seeded corpus: how many
 /// `(task, processor)` admission queries each strategy issued and how many
 /// were answered incrementally vs by a full re-analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdmissionRow {
     /// Algorithm display name.
     pub algorithm: String,

@@ -13,10 +13,10 @@
 
 use crate::figures::{fig3_panel, fig4_panel, fig5_panel, FIGURE_M};
 use crate::sweep::SweepResult;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One headline comparison: best-UDP-vs-baseline maximum gain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Headline {
     /// Which figure the number belongs to.
     pub figure: String,

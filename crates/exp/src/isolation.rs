@@ -18,10 +18,10 @@ use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::{Criticality, TaskSet};
 use mcsched_sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate outcome of the isolation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IsolationResult {
     /// Number of workloads measured.
     pub sets: usize,

@@ -10,14 +10,14 @@
 //! utilization `UB = max(U_H^L + U_L^L, U_H^H)`, generating 1000 task sets
 //! per bucket. Acceptance ratios are plotted against `UB`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One normalized utilization configuration `(U_H^H, U_H^L, U_L^L)`.
 ///
 /// All three values are *normalized by the processor count* `m`, exactly as
 /// in the paper; multiply by `m` to get the task-level sums a generator
 /// must hit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GridPoint {
     /// Normalized total high-mode utilization of HC tasks, `U_H^H`.
     pub u_hh: f64,
@@ -39,7 +39,7 @@ impl GridPoint {
 ///
 /// Using integer percent keys makes bucketing exact (no float keys in
 /// maps) while matching the 0.05-granular paper grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct UbBucket(pub u32);
 
 impl UbBucket {

@@ -1,19 +1,10 @@
-//! Workspace walker and baseline matching.
+//! Workspace walker.
 //!
 //! [`run`] walks every `.rs` file under the workspace root (skipping
-//! `target/`, `vendor/` stubs, `.git/` and lint fixtures), lints each
-//! with [`lint_file`], then subtracts the
-//! baseline. Baselines are the migration path for adopting a new rule
-//! on an old codebase: a committed text file of known findings that the
-//! CI gate tolerates while the burn-down happens. This repo's baseline
-//! (`mclint.baseline`) is empty — the launch burn-down fixed everything
-//! — and the self-run test keeps it that way.
-//!
-//! Baseline lines are `rule<TAB>path<TAB>snippet` (the flagged token
-//! text, not line numbers, so entries survive unrelated edits above
-//! them). `#`-prefixed lines and blanks are comments. Matching consumes
-//! entries as a multiset; leftovers are reported as stale so the file
-//! shrinks monotonically.
+//! `target/`, `vendor/` stubs, `.git/` and lint fixtures) and lints each
+//! with [`lint_file`]. Every finding that no inline allow suppresses
+//! counts: a new finding is fixed or suppressed with a reasoned
+//! `// mclint: allow(rule)`, never tolerated by a list of known ones.
 
 use crate::rules::{lint_file, Finding};
 use std::fs;
@@ -28,40 +19,22 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "node_modules"];
 /// deliberate violations.
 const SKIP_FRAGMENTS: &[&str] = &["crates/lint/tests/fixtures"];
 
-/// One baseline line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Rule id.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// Flagged token text.
-    pub snippet: String,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Workspace root to walk.
     pub root: PathBuf,
-    /// Baseline file; `None` means no baseline (every finding counts).
-    pub baseline: Option<PathBuf>,
 }
 
 /// The outcome of a workspace run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings that survived suppressions and the baseline, sorted by
-    /// (path, line, col).
+    /// Findings that survived suppressions, sorted by (path, line, col).
     pub findings: Vec<Finding>,
     /// Number of `.rs` files linted.
     pub files: usize,
     /// Findings suppressed by valid inline allows.
     pub suppressed: usize,
-    /// Findings absorbed by the baseline.
-    pub baselined: usize,
-    /// Baseline entries that matched nothing (candidates for removal).
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Wall-clock scan time.
     pub elapsed: Duration,
 }
@@ -71,34 +44,6 @@ impl LintReport {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Parses baseline text. Unparsable lines (fewer than three tab-split
-/// fields) are an error naming the line number — a malformed baseline
-/// silently tolerating nothing is worse than a loud failure.
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let mut entries = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some(rule), Some(path), Some(snippet)) => entries.push(BaselineEntry {
-                rule: rule.to_owned(),
-                path: path.to_owned(),
-                snippet: snippet.to_owned(),
-            }),
-            _ => {
-                return Err(format!(
-                    "baseline line {}: expected `rule<TAB>path<TAB>snippet`, got `{line}`",
-                    i + 1
-                ))
-            }
-        }
-    }
-    Ok(entries)
 }
 
 /// Collects workspace-relative (slash-separated) paths of every `.rs`
@@ -134,46 +79,23 @@ fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// Lints the workspace under `opts.root` and applies the baseline.
+/// Lints the workspace under `opts.root`.
 pub fn run(opts: &Options) -> Result<LintReport, String> {
     let started = Instant::now();
-    let mut baseline = match &opts.baseline {
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-            parse_baseline(&text)?
-        }
-        None => Vec::new(),
-    };
     let files = collect_files(&opts.root)
         .map_err(|e| format!("cannot walk {}: {e}", opts.root.display()))?;
     let mut report = LintReport::default();
     for (rel, abs) in &files {
         let src =
             fs::read_to_string(abs).map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let (mut findings, suppressed) = lint_file(rel, &src);
+        let (findings, suppressed) = lint_file(rel, &src);
         report.suppressed += suppressed;
-        findings.retain(|f| {
-            match baseline
-                .iter()
-                .position(|b| b.rule == f.rule && b.path == f.path && b.snippet == f.snippet)
-            {
-                Some(i) => {
-                    baseline.swap_remove(i);
-                    report.baselined += 1;
-                    false
-                }
-                None => true,
-            }
-        });
         report.findings.extend(findings);
         report.files += 1;
     }
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-    baseline.sort_by(|a, b| (&a.path, &a.rule).cmp(&(&b.path, &b.rule)));
-    report.stale_baseline = baseline;
     report.elapsed = started.elapsed();
     Ok(report)
 }
@@ -181,22 +103,6 @@ pub fn run(opts: &Options) -> Result<LintReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_parses_and_skips_comments() {
-        let text = "# header\n\nno-panic\tcrates/x.rs\tunwrap\n";
-        let entries = parse_baseline(text).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].rule, "no-panic");
-        assert_eq!(entries[0].path, "crates/x.rs");
-        assert_eq!(entries[0].snippet, "unwrap");
-    }
-
-    #[test]
-    fn malformed_baseline_is_an_error() {
-        let err = parse_baseline("not a baseline line\n").unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
-    }
 
     #[test]
     fn fixture_paths_are_excluded() {

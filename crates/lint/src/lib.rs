@@ -6,8 +6,7 @@
 //! token-level lexer ([`lexer`], zero dependencies — it must work even
 //! when the workspace doesn't compile), structural scoping per file
 //! ([`source`]), a data-driven rule set ([`rules`]), a workspace walker
-//! with baseline support ([`engine`]), and human/JSON/fixable reporters
-//! ([`report`]).
+//! ([`engine`]), and human/JSON reporters ([`report`]).
 //!
 //! # The rules, and where each invariant came from
 //!
@@ -35,13 +34,8 @@
 //! the next code line. `reason="…"` is mandatory; an allow that
 //! suppresses nothing is itself a finding.
 //!
-//! # Baseline workflow
-//!
-//! `mclint.baseline` at the repo root holds tolerated findings as
-//! `rule<TAB>path<TAB>snippet` lines. New rules land by committing
-//! their current findings to the baseline, then burning entries down;
-//! stale entries are warned on so the file only shrinks. This repo's
-//! baseline is empty and `tests/workspace_clean.rs` keeps it that way.
+//! Every other finding fails the run: there is no list of tolerated
+//! findings, and `tests/workspace_clean.rs` keeps the workspace clean.
 
 pub mod engine;
 pub mod lexer;
@@ -49,8 +43,8 @@ pub mod report;
 pub mod rules;
 pub mod source;
 
-pub use engine::{parse_baseline, run, BaselineEntry, LintReport, Options};
+pub use engine::{run, LintReport, Options};
 pub use lexer::{lex, Token, TokenKind};
-pub use report::{render_baseline, render_fixable, render_human, render_json, render_rules};
+pub use report::{render_human, render_json, render_rules};
 pub use rules::{lint_file, rule, Finding, RuleInfo, Severity, RULES};
 pub use source::{Allow, FileCtx};

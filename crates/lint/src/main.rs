@@ -11,13 +11,11 @@ const USAGE: &str = "\
 mclint — project-native static analysis for the mcsched workspace
 
 USAGE:
-    mclint [--root DIR] [--baseline FILE] [--json | --fixable] [--list-rules]
+    mclint [--root DIR] [--json] [--list-rules]
 
 OPTIONS:
     --root DIR        workspace root to scan (default: .)
-    --baseline FILE   tolerate findings listed in FILE (rule<TAB>path<TAB>snippet)
     --json            emit the JSON report instead of human output
-    --fixable         emit machine-readable spans (rule\\tpath\\tline\\tcol\\tlen\\tsnippet)
     --list-rules      print the rule table and exit
     -h, --help        print this help
 
@@ -27,18 +25,14 @@ EXIT CODES:
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: bool,
-    fixable: bool,
     list_rules: bool,
 }
 
 fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
         json: false,
-        fixable: false,
         list_rules: false,
     };
     let mut it = argv.iter();
@@ -50,21 +44,11 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                         .ok_or_else(|| "--root needs a directory".to_owned())?,
                 )
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--baseline needs a file".to_owned())?,
-                ))
-            }
             "--json" => args.json = true,
-            "--fixable" => args.fixable = true,
             "--list-rules" => args.list_rules = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if args.json && args.fixable {
-        return Err("--json and --fixable are mutually exclusive".to_owned());
     }
     Ok(args)
 }
@@ -88,16 +72,11 @@ fn main() -> ExitCode {
         print!("{}", mcsched_lint::render_rules());
         return ExitCode::SUCCESS;
     }
-    let opts = mcsched_lint::Options {
-        root: args.root,
-        baseline: args.baseline,
-    };
+    let opts = mcsched_lint::Options { root: args.root };
     match mcsched_lint::run(&opts) {
         Ok(report) => {
             if args.json {
                 print!("{}", mcsched_lint::render_json(&report));
-            } else if args.fixable {
-                print!("{}", mcsched_lint::render_fixable(&report));
             } else {
                 print!("{}", mcsched_lint::render_human(&report));
             }
@@ -126,23 +105,23 @@ mod tests {
     fn defaults() {
         let a = parse(&argv(&[])).unwrap();
         assert_eq!(a.root, std::path::PathBuf::from("."));
-        assert!(a.baseline.is_none() && !a.json && !a.fixable && !a.list_rules);
+        assert!(!a.json && !a.list_rules);
     }
 
     #[test]
     fn full_flags() {
-        let a = parse(&argv(&["--root", "/x", "--baseline", "b", "--json"])).unwrap();
+        let a = parse(&argv(&["--root", "/x", "--json", "--list-rules"])).unwrap();
         assert_eq!(a.root, std::path::PathBuf::from("/x"));
-        assert_eq!(a.baseline.as_deref(), Some(std::path::Path::new("b")));
-        assert!(a.json);
+        assert!(a.json && a.list_rules);
     }
 
     #[test]
     fn rejections() {
         assert!(parse(&argv(&["--root"])).is_err());
-        assert!(parse(&argv(&["--baseline"])).is_err());
         assert!(parse(&argv(&["--frob"])).is_err());
-        assert!(parse(&argv(&["--json", "--fixable"])).is_err());
+        // The removed baseline and span modes are unknown arguments.
+        assert!(parse(&argv(&["--baseline", "x"])).is_err());
+        assert!(parse(&argv(&["--fixable"])).is_err());
     }
 
     #[test]

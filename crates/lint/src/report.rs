@@ -1,4 +1,4 @@
-//! Reporters: human, JSON, and `--fixable` machine-readable spans.
+//! Reporters: human and JSON.
 //!
 //! JSON is emitted by hand (this crate has zero dependencies, vendored
 //! stubs included — it must be able to lint the workspace even when the
@@ -9,10 +9,8 @@
 //!   "tool": "mclint",
 //!   "files": 61,
 //!   "suppressed": 9,
-//!   "baselined": 0,
 //!   "findings": [ {"rule": …, "severity": …, "path": …, "line": …,
-//!                  "col": …, "len": …, "snippet": …, "message": …} ],
-//!   "stale_baseline": [ {"rule": …, "path": …, "snippet": …} ]
+//!                  "col": …, "len": …, "snippet": …, "message": …} ]
 //! }
 //! ```
 
@@ -35,39 +33,15 @@ pub fn render_human(report: &LintReport) -> String {
             f.message
         );
     }
-    for e in &report.stale_baseline {
-        let _ = writeln!(
-            out,
-            "warning[stale-baseline]: `{}` at {} ({}) no longer fires; remove it from the \
-             baseline",
-            e.rule, e.path, e.snippet
-        );
-    }
     let _ = writeln!(
         out,
-        "mclint: {} finding{} in {} file{} ({} suppressed, {} baselined)",
+        "mclint: {} finding{} in {} file{} ({} suppressed)",
         report.findings.len(),
         if report.findings.len() == 1 { "" } else { "s" },
         report.files,
         if report.files == 1 { "" } else { "s" },
         report.suppressed,
-        report.baselined,
     );
-    out
-}
-
-/// `--fixable` rendering: tab-separated spans, one finding per line,
-/// stable column order (`rule path line col len snippet`) so future
-/// PRs can auto-triage findings with cut/awk or a script.
-pub fn render_fixable(report: &LintReport) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            f.rule, f.path, f.line, f.col, f.len, f.snippet
-        );
-    }
     out
 }
 
@@ -76,8 +50,8 @@ pub fn render_json(report: &LintReport) -> String {
     let mut out = String::from("{\n");
     let _ = write!(
         out,
-        "  \"tool\": \"mclint\",\n  \"files\": {},\n  \"suppressed\": {},\n  \"baselined\": {},\n",
-        report.files, report.suppressed, report.baselined
+        "  \"tool\": \"mclint\",\n  \"files\": {},\n  \"suppressed\": {},\n",
+        report.files, report.suppressed
     );
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
@@ -85,22 +59,6 @@ pub fn render_json(report: &LintReport) -> String {
         out.push_str(&finding_json(f));
     }
     out.push_str(if report.findings.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    out.push_str("  \"stale_baseline\": [");
-    for (i, e) in report.stale_baseline.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"rule\": {}, \"path\": {}, \"snippet\": {}}}",
-            json_str(&e.rule),
-            json_str(&e.path),
-            json_str(&e.snippet)
-        );
-    }
-    out.push_str(if report.stale_baseline.is_empty() {
         "]\n"
     } else {
         "\n  ]\n"
@@ -154,16 +112,6 @@ pub fn render_rules() -> String {
     out
 }
 
-/// Renders findings in the committed-baseline line format
-/// (`rule<TAB>path<TAB>snippet`) so a baseline can be regenerated.
-pub fn render_baseline(report: &LintReport) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        let _ = writeln!(out, "{}\t{}\t{}", f.rule, f.path, f.snippet);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +127,8 @@ mod tests {
         let report = LintReport::default();
         let json = render_json(&report);
         assert!(json.contains("\"findings\": []"));
-        assert!(json.contains("\"stale_baseline\": []"));
-    }
-
-    #[test]
-    fn stale_entry_rendered_in_human_output() {
-        let report = LintReport {
-            stale_baseline: vec![crate::engine::BaselineEntry {
-                rule: "no-panic".into(),
-                path: "x.rs".into(),
-                snippet: "unwrap".into(),
-            }],
-            ..LintReport::default()
-        };
-        assert!(render_human(&report).contains("stale-baseline"));
+        // Every finding counts, so the report carries no baseline keys.
+        assert!(!json.contains("\"baselined\""));
+        assert!(!json.contains("\"stale_baseline\""));
     }
 }

@@ -37,7 +37,7 @@ impl Severity {
 /// One rule's identity and documentation.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable kebab-case id — what `allow(…)` and baselines name.
+    /// Stable kebab-case id — what `allow(…)` names.
     pub id: &'static str,
     /// Default severity.
     pub severity: Severity,
@@ -152,7 +152,7 @@ pub struct Finding {
     pub col: usize,
     /// Span length in bytes.
     pub len: usize,
-    /// The flagged token text (baseline key, stable across line drift).
+    /// The flagged token text.
     pub snippet: String,
     /// Human explanation with the required fix.
     pub message: String,

@@ -51,5 +51,5 @@ mod time;
 pub use criticality::Criticality;
 pub use error::ModelError;
 pub use task::{Task, TaskBuilder, TaskId};
-pub use taskset::{DeadlineKind, SystemUtilization, TaskSet};
+pub use taskset::{SystemUtilization, TaskSet};
 pub use time::Time;

@@ -1,7 +1,7 @@
 //! The dual-criticality sporadic task.
 
 use crate::{Criticality, ModelError, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a task within a task set.
@@ -11,9 +11,7 @@ use std::fmt;
 /// let id = TaskId(3);
 /// assert_eq!(id.to_string(), "τ3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct TaskId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -54,7 +52,7 @@ impl From<u32> for TaskId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Task {
     id: TaskId,
     period: Time,
@@ -300,24 +298,6 @@ impl Task {
     pub fn is_implicit_deadline(&self) -> bool {
         self.deadline == self.period
     }
-
-    /// Returns a copy with a different deadline (used by constrained-deadline
-    /// generators and deadline-tuning analyses).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::DeadlineOutOfRange`] if the new deadline
-    /// violates `C ≤ D ≤ T`.
-    pub fn with_deadline(&self, deadline: Time) -> Result<Self, ModelError> {
-        Self::build(
-            self.id,
-            self.period,
-            self.criticality,
-            self.wcet_lo,
-            Some(self.wcet_hi),
-            deadline,
-        )
-    }
 }
 
 impl fmt::Display for Task {
@@ -524,15 +504,6 @@ mod tests {
     fn builder_defaults_hi_to_lo() {
         let t = Task::builder(1).period(10).wcet_lo(2).try_build().unwrap();
         assert_eq!(t.wcet_hi(), Time::new(2));
-    }
-
-    #[test]
-    fn with_deadline() {
-        let t = Task::hi(0, 50, 5, 10).unwrap();
-        let tightened = t.with_deadline(Time::new(20)).unwrap();
-        assert_eq!(tightened.deadline(), Time::new(20));
-        assert!(t.with_deadline(Time::new(9)).is_err()); // below C^H
-        assert!(t.with_deadline(Time::new(51)).is_err()); // above T
     }
 
     #[test]

@@ -1,28 +1,9 @@
 //! Collections of dual-criticality tasks and their system-level statistics.
 
 use crate::{Criticality, ModelError, Task, TaskId, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 use std::fmt;
-
-/// Whether every task in a set has an implicit deadline (`D = T`) or the
-/// set contains constrained deadlines (`D ≤ T`, at least one strict).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeadlineKind {
-    /// All tasks have `Di = Ti`.
-    Implicit,
-    /// All tasks have `Di ≤ Ti` and at least one has `Di < Ti`.
-    Constrained,
-}
-
-impl fmt::Display for DeadlineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeadlineKind::Implicit => write!(f, "implicit"),
-            DeadlineKind::Constrained => write!(f, "constrained"),
-        }
-    }
-}
 
 /// The three system-level utilization sums the paper's analysis revolves
 /// around (unnormalized — divide by `m` for the paper's normalized values):
@@ -46,7 +27,7 @@ impl fmt::Display for DeadlineKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct SystemUtilization {
     /// Total low-mode utilization of the LC tasks.
     pub u_ll: f64,
@@ -77,15 +58,6 @@ impl SystemUtilization {
         }
     }
 
-    /// The triple with `task`'s contribution added last (the candidate
-    /// summary an admission test evaluates before committing).
-    #[inline]
-    #[must_use]
-    pub fn with_task(mut self, task: &Task) -> Self {
-        self.accumulate(task);
-        self
-    }
-
     /// The utilization difference `u_hh − u_hl` — the quantity UDP
     /// balances across processors.
     #[inline]
@@ -97,14 +69,6 @@ impl SystemUtilization {
     #[inline]
     pub fn lo_mode_total(&self) -> f64 {
         self.u_ll + self.u_hl
-    }
-
-    /// The paper's total normalized utilization bucket value
-    /// `UB = max(U_H^L + U_L^L, U_H^H)` for a platform of `m` processors.
-    #[inline]
-    pub fn normalized_bound(&self, m: usize) -> f64 {
-        let m = m as f64;
-        ((self.u_hl + self.u_ll) / m).max(self.u_hh / m)
     }
 }
 
@@ -131,7 +95,7 @@ impl SystemUtilization {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }
@@ -229,16 +193,6 @@ impl TaskSet {
         self.tasks.iter().filter(|t| t.criticality().is_low())
     }
 
-    /// Splits into `(τH, τL)` copies, preserving relative order.
-    pub fn split_by_criticality(&self) -> (TaskSet, TaskSet) {
-        let (hi, lo): (Vec<Task>, Vec<Task>) = self
-            .tasks
-            .iter()
-            .copied()
-            .partition(|t| t.criticality().is_high());
-        (TaskSet { tasks: hi }, TaskSet { tasks: lo })
-    }
-
     /// The system-level utilization sums (`Σ u^L` over LC, `Σ u^L` over HC,
     /// `Σ u^H` over HC) — see [`SystemUtilization`].
     pub fn system_utilization(&self) -> SystemUtilization {
@@ -249,34 +203,14 @@ impl TaskSet {
         u
     }
 
-    /// Total low-mode utilization of **all** tasks (`Σ u^L_i`).
-    pub fn utilization_lo_total(&self) -> f64 {
-        // Insertion-order sum: verdicts compare this against thresholds,
-        // so the accumulation order must never reassociate.
-        let mut u = 0.0;
-        for t in &self.tasks {
-            u += t.utilization_lo();
-        }
-        u
-    }
-
-    /// Total high-mode utilization of the HC tasks (`Σ_{HC} u^H_i`).
-    pub fn utilization_hi_total(&self) -> f64 {
-        // Insertion-order sum (see `utilization_lo_total`).
-        let mut u = 0.0;
-        for t in self.hi_tasks() {
-            u += t.utilization_hi();
-        }
-        u
-    }
-
     /// The utilization difference of this set:
     /// `Σ_{HC} u^H_i − Σ_{HC} u^L_i`.
     ///
     /// This is the quantity the UDP strategies balance across processors
     /// (`U_H^H(φk) − U_H^L(φk)` in the paper).
     pub fn utilization_difference(&self) -> f64 {
-        // Insertion-order sum (see `utilization_lo_total`).
+        // Insertion-order sum: verdicts compare this against thresholds,
+        // so the accumulation order must never reassociate.
         let mut u = 0.0;
         for t in self.hi_tasks() {
             u += t.utilization_difference();
@@ -284,28 +218,11 @@ impl TaskSet {
         u
     }
 
-    /// Whether all deadlines are implicit or some are constrained.
-    pub fn deadline_kind(&self) -> DeadlineKind {
-        if self.tasks.iter().all(Task::is_implicit_deadline) {
-            DeadlineKind::Implicit
-        } else {
-            DeadlineKind::Constrained
-        }
-    }
-
     /// The largest period in the set, or zero when empty.
     pub fn max_period(&self) -> Time {
         self.tasks
             .iter()
             .map(Task::period)
-            .fold(Time::ZERO, Time::max)
-    }
-
-    /// The largest deadline in the set, or zero when empty.
-    pub fn max_deadline(&self) -> Time {
-        self.tasks
-            .iter()
-            .map(Task::deadline)
             .fold(Time::ZERO, Time::max)
     }
 
@@ -421,11 +338,8 @@ mod tests {
         let ts = sample();
         assert_eq!(ts.hi_tasks().count(), 2);
         assert_eq!(ts.lo_tasks().count(), 2);
-        let (hi, lo) = ts.split_by_criticality();
-        assert_eq!(hi.len(), 2);
-        assert_eq!(lo.len(), 2);
-        assert!(hi.iter().all(|t| t.criticality().is_high()));
-        assert!(lo.iter().all(|t| t.criticality().is_low()));
+        assert!(ts.hi_tasks().all(|t| t.criticality().is_high()));
+        assert!(ts.lo_tasks().all(|t| t.criticality().is_low()));
     }
 
     #[test]
@@ -440,28 +354,6 @@ mod tests {
         assert!((u.difference() - 0.5).abs() < 1e-12);
         assert!((u.lo_mode_total() - 0.85).abs() < 1e-12);
         assert!((ts.utilization_difference() - 0.5).abs() < 1e-12);
-        assert!((ts.utilization_lo_total() - 0.85).abs() < 1e-12);
-        assert!((ts.utilization_hi_total() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_bound_matches_paper_definition() {
-        let ts = sample();
-        let u = ts.system_utilization();
-        // UB = max(U_H^L + U_L^L, U_H^H) normalized by m = 2.
-        let ub = u.normalized_bound(2);
-        assert!((ub - (0.85f64 / 2.0).max(0.8 / 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deadline_kind_detection() {
-        let ts = sample();
-        assert_eq!(ts.deadline_kind(), DeadlineKind::Implicit);
-        let mut constrained = sample();
-        constrained.push_unchecked(Task::hi_constrained(9, 100, 5, 10, 50).unwrap());
-        assert_eq!(constrained.deadline_kind(), DeadlineKind::Constrained);
-        assert_eq!(DeadlineKind::Implicit.to_string(), "implicit");
-        assert_eq!(DeadlineKind::Constrained.to_string(), "constrained");
     }
 
     #[test]
@@ -470,7 +362,6 @@ mod tests {
         assert_eq!(ts.get(TaskId(1)).unwrap().period(), Time::new(20));
         assert!(ts.get(TaskId(42)).is_none());
         assert_eq!(ts.max_period(), Time::new(40));
-        assert_eq!(ts.max_deadline(), Time::new(40));
         assert_eq!(TaskSet::new().max_period(), Time::ZERO);
     }
 
@@ -508,12 +399,12 @@ mod tests {
         assert_eq!(running.u_hl.to_bits(), fresh.u_hl.to_bits());
         assert_eq!(running.u_hh.to_bits(), fresh.u_hh.to_bits());
         let extra = Task::hi(9, 30, 3, 7).unwrap();
-        let candidate = running.with_task(&extra);
+        running.accumulate(&extra);
         let mut grown = ts.clone();
         grown.push_unchecked(extra);
         let fresh = grown.system_utilization();
-        assert_eq!(candidate.u_hl.to_bits(), fresh.u_hl.to_bits());
-        assert_eq!(candidate.u_hh.to_bits(), fresh.u_hh.to_bits());
+        assert_eq!(running.u_hl.to_bits(), fresh.u_hl.to_bits());
+        assert_eq!(running.u_hh.to_bits(), fresh.u_hh.to_bits());
     }
 
     #[test]
@@ -534,6 +425,5 @@ mod tests {
         assert_eq!(u.u_hl, 0.0);
         assert_eq!(u.u_hh, 0.0);
         assert_eq!(ts.utilization_difference(), 0.0);
-        assert_eq!(ts.deadline_kind(), DeadlineKind::Implicit);
     }
 }

@@ -165,12 +165,33 @@ fn greedy(mut tasks: Vec<VdTask>, effort: Effort) -> Option<Vec<VdTask>> {
     None
 }
 
+/// Total low-mode utilization of **all** tasks (`Σ u^L_i`).
+fn utilization_lo_total(ts: &TaskSet) -> f64 {
+    // Insertion-order sum: the overload rule compares it against 1, so
+    // the accumulation order must never reassociate.
+    let mut u = 0.0;
+    for t in ts {
+        u += t.utilization_lo();
+    }
+    u
+}
+
+/// Total high-mode utilization of the HC tasks (`Σ_{HC} u^H_i`).
+fn utilization_hi_total(ts: &TaskSet) -> f64 {
+    // Insertion-order sum (see `utilization_lo_total`).
+    let mut u = 0.0;
+    for t in ts.hi_tasks() {
+        u += t.utilization_hi();
+    }
+    u
+}
+
 /// The seed `tune`: fresh start vectors per attempt; the ECDF effort
 /// adds the slack-seeded start.
 fn tune(ts: &TaskSet, ecdf: bool) -> Option<Vec<VdTask>> {
     let effort = if ecdf { ECDF_EFFORT } else { EY_EFFORT };
-    let hi_util: f64 = ts.utilization_hi_total();
-    let lo_util: f64 = ts.utilization_lo_total();
+    let hi_util = utilization_hi_total(ts);
+    let lo_util = utilization_lo_total(ts);
     if hi_util > 1.0 || lo_util > 1.0 {
         return None;
     }
