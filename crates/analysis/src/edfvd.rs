@@ -36,7 +36,6 @@
 use crate::incremental::{AdmissionState, AdmissionStats, Committed};
 use crate::{SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
-use serde::Serialize;
 
 /// The EDF-VD utilization-based schedulability test.
 ///
@@ -60,7 +59,7 @@ use serde::Serialize;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EdfVd {
     _priv: (),
 }

@@ -77,13 +77,12 @@
 //! ```
 
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
-use serde::Serialize;
 use std::fmt;
 
 /// Counters describing how a partitioning run exercised the admission
 /// layer. Aggregated per build by `mcsched-core` and surfaced by
 /// `mcsched-exp ablation`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionStats {
     /// Admission queries ([`AdmissionState::try_admit`] calls).
     pub attempts: u64,

@@ -4,13 +4,12 @@
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{AdmissionState, AdmissionStats, SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
-use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
 /// A failed partitioning attempt: some task could not be placed on any
 /// processor without failing the schedulability test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionError {
     /// The task that could not be allocated.
     pub task: TaskId,
@@ -66,7 +65,7 @@ impl Error for PartitionError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     processors: Vec<TaskSet>,
 }

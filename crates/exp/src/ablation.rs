@@ -17,13 +17,10 @@
 use crate::algorithms::{ablation_specs, amc_ablation_lineup};
 use crate::sweep::{acceptance_sweep, SweepConfig};
 use mcsched_core::{AdmissionStats, AlgorithmSpec, WorkspaceRef};
-use mcsched_gen::{utilization_grid, DeadlineModel, GridPoint, TaskSetSpec};
-use mcsched_model::TaskSet;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::Serialize;
+use mcsched_gen::{seeded_corpus, DeadlineModel, TaskSetSpec};
 
 /// The WAR of one algorithm variant in an ablation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Variant name.
     pub algorithm: String,
@@ -76,7 +73,7 @@ pub fn amc_ablation(
 /// Per-algorithm admission-layer counters over a seeded corpus: how many
 /// `(task, processor)` admission queries each strategy issued and how many
 /// were answered incrementally vs by a full re-analysis.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionRow {
     /// Algorithm display name.
     pub algorithm: String,
@@ -86,36 +83,6 @@ pub struct AdmissionRow {
     pub accepted: usize,
     /// Aggregated admission counters.
     pub stats: AdmissionStats,
-}
-
-/// Generates a deterministic corpus of `count` task sets at mid-to-high
-/// load (`UB ∈ [0.5, 0.9]`), where admission decisions are non-trivial.
-///
-/// Each draw picks a grid point with one seeded RNG and generates from
-/// `spec(point)`, so the caller fixes the shape: the whole
-/// `m`-processor system (the admission profile) or one processor's
-/// share of it ([`uniprocessor_spec`](crate::analysis_perf::uniprocessor_spec)).
-/// Gives up after `40 · count` draws, so a corpus can come out short.
-pub fn seeded_corpus(
-    count: usize,
-    seed: u64,
-    spec: impl Fn(GridPoint) -> TaskSetSpec,
-) -> Vec<TaskSet> {
-    let points: Vec<_> = utilization_grid()
-        .into_iter()
-        .filter(|p| (0.5..=0.9).contains(&p.ub()))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count);
-    let mut guard = 0usize;
-    while out.len() < count && guard < count * 40 {
-        guard += 1;
-        let point = points[rng.random_range(0..points.len())];
-        if let Ok(ts) = spec(point).generate(&mut rng) {
-            out.push(ts);
-        }
-    }
-    out
 }
 
 /// Profiles the admission layer: partitions the same [`seeded_corpus`]
@@ -225,51 +192,6 @@ mod tests {
         let b = seeded_corpus(6, 11, shape);
         assert_eq!(a, b);
         assert_eq!(a.len(), 6);
-    }
-
-    #[test]
-    fn corpus_shapes_keep_their_sets() {
-        use crate::analysis_perf::uniprocessor_spec;
-        use mcsched_model::Criticality;
-        // (sets, tasks, FNV-1a over every task's parameters) of both
-        // corpus shapes at seed 2017, as the two separate generator
-        // loops this function replaced produced them.
-        let fingerprint = |corpus: &[TaskSet]| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for t in corpus.iter().flat_map(TaskSet::iter) {
-                for v in [
-                    u64::from(t.id().0),
-                    t.period().as_ticks(),
-                    t.wcet_lo().as_ticks(),
-                    t.wcet_hi().as_ticks(),
-                    t.deadline().as_ticks(),
-                    u64::from(t.criticality() == Criticality::High),
-                ] {
-                    h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-            (
-                corpus.len(),
-                corpus.iter().map(TaskSet::len).sum::<usize>(),
-                h,
-            )
-        };
-        let partition = |m| {
-            seeded_corpus(16, 2017, |p| {
-                TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
-            })
-        };
-        let uniprocessor = |m, n| seeded_corpus(n, 2017, |p| uniprocessor_spec(m, p));
-        assert_eq!(fingerprint(&partition(2)), (16, 101, 8880023700383817821));
-        assert_eq!(fingerprint(&partition(4)), (16, 227, 13011548914705025270));
-        assert_eq!(
-            fingerprint(&uniprocessor(4, 16)),
-            (16, 214, 3921181817606960141)
-        );
-        assert_eq!(
-            fingerprint(&uniprocessor(2, 256)),
-            (256, 1656, 683615834020349178)
-        );
     }
 
     #[test]

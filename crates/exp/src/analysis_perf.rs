@@ -22,34 +22,13 @@
 //! every round is **asserted equal** — a divergence panics, which is
 //! exactly what the `perf-analysis` CI job promotes into a failure.
 
-use crate::ablation::seeded_corpus;
 use mcsched_analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
-use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
+use mcsched_gen::{seeded_corpus, uniprocessor_spec};
 use mcsched_model::TaskSet;
 use mcsched_oracle::{amc as reference, vdtune as vd_reference};
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
-
-/// The generator shape of a **uniprocessor-load** corpus: one processor's
-/// utilization at `point`, with the task-count range of an `m`-processor
-/// workload (`n ∈ [m+1, 5m]`). Draw a corpus with
-/// `seeded_corpus(count, seed, |p| uniprocessor_spec(m, p))`.
-///
-/// This is the shape the uniprocessor tests actually see inside the
-/// partitioning inner loop: one processor's share of the load, but drawn
-/// from systems whose task counts grow with `m`. (The partition-level
-/// shape of the admission profile keeps the full `m`-processor
-/// utilization and would trip every test's O(1) structural overload
-/// rejection, measuring nothing but the fast path.)
-/// The corpus's `UB ∈ [0.5, 0.9]` keeps verdicts mixed and fixpoints
-/// non-trivial.
-pub fn uniprocessor_spec(m: usize, point: GridPoint) -> TaskSetSpec {
-    let mut spec = TaskSetSpec::paper_defaults(1, point, DeadlineModel::Implicit);
-    spec.n_min = m + 1;
-    spec.n_max = 5 * m;
-    spec
-}
 
 /// One `(test, m)` cell of the throughput report.
 #[derive(Debug, Clone, PartialEq, Serialize)]

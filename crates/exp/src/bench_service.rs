@@ -28,11 +28,10 @@
 //! them on a journaled server. [`ServiceBenchConfig::journal`] turns the
 //! same durable workload on for the in-process server.
 
-use crate::ablation::seeded_corpus;
-use crate::analysis_perf::uniprocessor_spec;
-use crate::protocol::{Envelope, EvalRequest, Reply, Request, RequestId};
-use crate::server::{Server, ServerConfig};
 use mcsched_core::AlgorithmRegistry;
+use mcsched_gen::{seeded_corpus, uniprocessor_spec};
+use mcsched_service::protocol::{parse_reply, Envelope, EvalRequest, Reply, Request, RequestId};
+use mcsched_service::server::{Server, ServerConfig};
 use netframe::{write_frame, FrameReader};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -190,7 +189,7 @@ impl Client {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
             })?;
-        crate::protocol::parse_reply(&line)
+        parse_reply(&line)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}: {line}")))
     }
 }

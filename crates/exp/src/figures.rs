@@ -3,7 +3,6 @@
 use crate::algorithms::{fig3_lineup, fig4_lineup, fig6a_lineup, fig6b_lineup};
 use crate::sweep::{acceptance_sweep, AcceptanceCurve, SweepConfig, SweepResult};
 use mcsched_gen::DeadlineModel;
-use serde::Serialize;
 
 /// The processor counts of Figs. 3–5.
 pub const FIGURE_M: [usize; 3] = [2, 4, 8];
@@ -37,7 +36,7 @@ pub fn fig5_panel(m: usize, sets_per_bucket: usize, seed: u64, threads: usize) -
 
 /// One data point of Fig. 6: the weighted acceptance ratio of every
 /// algorithm at a given `(m, P_H)`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarPoint {
     /// Processor count.
     pub m: usize,

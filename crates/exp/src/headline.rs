@@ -13,10 +13,9 @@
 
 use crate::figures::{fig3_panel, fig4_panel, fig5_panel, FIGURE_M};
 use crate::sweep::SweepResult;
-use serde::Serialize;
 
 /// One headline comparison: best-UDP-vs-baseline maximum gain.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
     /// Which figure the number belongs to.
     pub figure: String,

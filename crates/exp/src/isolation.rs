@@ -18,10 +18,9 @@ use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::{Criticality, TaskSet};
 use mcsched_sim::{PartitionedSimulator, Policy, Scenario, Simulator, TraceEvent};
 use rand::rngs::StdRng;
-use serde::Serialize;
 
 /// Aggregate outcome of the isolation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsolationResult {
     /// Number of workloads measured.
     pub sets: usize,

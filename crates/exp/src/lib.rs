@@ -24,12 +24,12 @@
 //! lists resolved through `mcsched_core::AlgorithmRegistry`), and every
 //! experiment loop runs on the shared batch [`engine`] (deterministic
 //! per-item RNG streams, sharded workers, streaming aggregators — the
-//! shared worker-pool substrate; the [`server`] accept pool is the only
-//! other thread spawner in the workspace).
+//! shared worker-pool substrate; the `mcsched-service` server's accept
+//! pool is the only other thread spawner in the workspace).
 //!
 //! The binary `mcexp` drives everything, including the admission-control
-//! server ([`server`] + [`protocol`] + [`service`], benchmarked by
-//! [`bench_service`]), which `mcexp eval` runs over stdin/stdout:
+//! server of `mcsched-service` (benchmarked by [`bench_service`]), which
+//! `mcexp eval` runs over stdin/stdout:
 //!
 //! ```text
 //! mcexp sweep --fig 3 --sets 200 --seed 42 --out results/
@@ -47,17 +47,17 @@ pub mod ablation;
 pub mod algorithms;
 pub mod analysis_perf;
 pub mod bench_service;
-pub mod chaos;
 pub mod engine;
 pub mod figures;
 pub mod headline;
 pub mod isolation;
-pub mod journal;
-pub mod protocol;
 pub mod report;
-pub mod server;
-pub mod service;
 pub mod sweep;
+
+/// The service plane's modules under their old paths, which the
+/// benchmark package (`perfbench/`) and the wire golden tests still
+/// name.
+pub use mcsched_service::{journal, protocol, server, service};
 
 pub use algorithms::{fig3_lineup, fig4_lineup, perf_lineup};
 pub use analysis_perf::{analysis_throughput, AnalysisPerfReport, AnalysisPerfRow};

@@ -18,7 +18,6 @@
 //!                     [--pipeline K] [--burst N] [--out FILE] [--shutdown]
 //!                     [--retries N] [--backoff-ms MS] [--journal FILE]
 //!                     [--gate-speedup X]
-//! mcexp chaos [--seeds N] [--steps N] [--out FILE]
 //! ```
 //!
 //! Experiment defaults: `--m 2,4,8`, `--sets 200` per utilization bucket
@@ -35,14 +34,13 @@ use mcsched_exp::analysis_perf::{
 use mcsched_exp::bench_service::{
     render_service_bench, run_service_bench, write_service_json, ServiceBenchConfig,
 };
-use mcsched_exp::chaos::{self, render_chaos, write_chaos_json, ChaosConfig};
 use mcsched_exp::figures::{self, render_war_table, FIGURE_M};
 use mcsched_exp::headline::{headlines, render_headlines};
 use mcsched_exp::isolation::{isolation_experiment, render_isolation};
 use mcsched_exp::report::{render_table, write_csv};
-use mcsched_exp::server::{serve_connection, Server, ServerConfig};
 use mcsched_exp::sweep::default_threads;
 use mcsched_exp::SweepResult;
+use mcsched_service::server::{serve_connection, Server, ServerConfig};
 use std::fmt::Display;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -72,8 +70,6 @@ enum Command {
     Serve(ServerConfig),
     /// With the `--out` artifact path and the `--gate-speedup`.
     BenchService(ServiceBenchConfig, Option<PathBuf>, Option<f64>),
-    /// With the `--out` artifact path.
-    Chaos(ChaosConfig, Option<PathBuf>),
 }
 
 /// What the experiment subcommands (`sweep` … `analysis`) run with.
@@ -201,7 +197,6 @@ fn parse_command(argv: &[String]) -> Result<Command, String> {
         "eval" => parse_eval(flags),
         "serve" => parse_serve(flags),
         "bench-service" => parse_bench_service(flags),
-        "chaos" => parse_chaos(flags),
         flag if flag.starts_with('-') => Err(format!(
             "`{flag}` before a subcommand (expected {SUBCOMMANDS})"
         )),
@@ -326,22 +321,9 @@ fn parse_bench_service(flags: &mut Flags) -> Result<Command, String> {
     Ok(Command::BenchService(config, out, gate_speedup))
 }
 
-fn parse_chaos(flags: &mut Flags) -> Result<Command, String> {
-    let (mut config, mut out) = (ChaosConfig::default(), None);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--seeds" => config.seeds = flags.count()?,
-            "--steps" => config.steps = flags.count()?,
-            "--out" => out = flags.path()?,
-            _ => return Err(flags.unknown()),
-        }
-    }
-    Ok(Command::Chaos(config, out))
-}
-
 /// The subcommand names, for usage errors.
 const SUBCOMMANDS: &str = "sweep, headline, ablation, isolation, all, analysis, eval, serve, \
-                           bench-service, or chaos";
+                           or bench-service";
 
 const HELP: &str = r#"mcexp — the DATE 2017 UDP partitioning experiment driver
 usage: mcexp <subcommand> [options]; each subcommand takes only its own options
@@ -377,10 +359,6 @@ usage: mcexp <subcommand> [options]; each subcommand takes only its own options
         cold vs warm service benchmark (BENCH_service.json; m = 4, 40 sets
         by default); --retries bounds connect/shed retry-with-backoff, and
         the run fails (exit 1) if the warm/cold speedup is below X
-  chaos [--seeds N] [--steps N] [--out FILE]
-        deterministic fault-injection soak (CHAOS.json): N seeded schedules
-        through the protocol state machine behind a faulty transport; exit 1
-        on any panic or divergence from the replay/oracle state
 
 eval serves one protocol-v1 connection with no frame size cap and no
 timeout, and exits 1 on a read or write failure; serve speaks the same
@@ -646,19 +624,6 @@ fn run_bench_service(
     Ok(0)
 }
 
-/// Runs `mcexp chaos`: the deterministic fault-injection soak. Returns
-/// the exit code (0 every seed consistent, 1 divergence).
-fn run_chaos(config: &ChaosConfig, out: &Option<PathBuf>) -> i32 {
-    let (seeds, steps) = (config.seeds, config.steps);
-    eprintln!("[mcexp] chaos soak: {seeds} seed(s), {steps} step(s) each");
-    let report = chaos::run_chaos(config);
-    println!("{}", render_chaos(&report));
-    match out {
-        Some(path) if !wrote(path, write_chaos_json(&report, path)) => 1,
-        _ => i32::from(!report.passed()),
-    }
-}
-
 /// Runs one subcommand; returns the exit code, or the I/O error that
 /// ended a service mode.
 fn run(command: Command) -> io::Result<i32> {
@@ -685,7 +650,6 @@ fn run(command: Command) -> io::Result<i32> {
         Command::Eval(input, output) => return run_eval(&input, &output),
         Command::Serve(config) => return run_serve(config),
         Command::BenchService(config, out, gate) => return run_bench_service(&config, &out, gate),
-        Command::Chaos(config, out) => return Ok(run_chaos(&config, &out)),
     }
     Ok(0)
 }
@@ -740,7 +704,7 @@ mod tests {
     }
 
     /// The flags each subcommand takes, as the usage text lists them.
-    const TAKES: [(&str, &str); 10] = [
+    const TAKES: [(&str, &str); 9] = [
         ("sweep", "--fig --m --sets --seed --threads --out"),
         ("headline", "--sets --seed --threads"),
         ("ablation", "--m --sets --seed --threads"),
@@ -758,7 +722,6 @@ mod tests {
             "--addr --algorithm --m --sets --seed --pipeline --burst --out --shutdown --retries \
              --backoff-ms --journal --gate-speedup",
         ),
-        ("chaos", "--seeds --steps --out"),
     ];
 
     /// `flag` with a value it accepts (switches take none; `--recover`
@@ -889,19 +852,6 @@ mod tests {
                 ("--gate-speedup 2.5", |(.., gate)| *gate == Some(2.5)),
             ],
         );
-        let chaos = |c| match c {
-            Command::Chaos(config, out) => (config, out),
-            other => panic!("{other:?}"),
-        };
-        fills(
-            "chaos",
-            chaos,
-            &[
-                ("--seeds 3", |(k, _)| k.seeds == 3),
-                ("--steps 4", |(k, _)| k.steps == 4),
-                ("--out c.json", |(_, out)| *out == Some("c.json".into())),
-            ],
-        );
     }
 
     #[test]
@@ -923,10 +873,6 @@ mod tests {
         };
         assert_eq!((bench.m, bench.sets), (4, 40));
         assert_eq!(debug(bench), debug(ServiceBenchConfig::default()));
-        let Ok(Command::Chaos(chaos, None)) = parse("chaos") else {
-            panic!("chaos")
-        };
-        assert_eq!(debug(chaos), debug(ChaosConfig::default()));
     }
 
     #[test]
@@ -938,7 +884,6 @@ mod tests {
                 "`--gate` for `mcexp headline`",
             ),
             ("eval --seed 5 --m 3", "`--seed` for `mcexp eval`"),
-            ("chaos --m 7 --pipeline 3", "`--m` for `mcexp chaos`"),
             ("serve --sets 0", "`--sets` for `mcexp serve`"),
             ("sweep", "`mcexp sweep` needs --fig"),
             ("sweep --sets 1", "`mcexp sweep` needs --fig"),
@@ -966,7 +911,7 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_and_flag_are_usage_errors() {
-        for unknown in ["frobnicate", "perf", "lint"] {
+        for unknown in ["frobnicate", "perf", "lint", "chaos"] {
             assert!(parse(unknown).is_err(), "{unknown}");
         }
         assert!(parse("sweep --fig 3 --frob").is_err());
@@ -1023,14 +968,8 @@ mod tests {
 
     #[test]
     fn chaos_and_durability_flags_parse() {
-        let Ok(Command::Chaos(config, out)) = parse("chaos --seeds 8 --steps 40 --out c.json")
-        else {
-            panic!("chaos")
-        };
-        assert_eq!((config.seeds, config.steps), (8, 40));
-        assert!(out.is_some());
-        assert!(parse("chaos --seeds 0").is_err());
-        assert!(parse("chaos --steps 0").is_err());
+        // The chaos soak runs as the `mcsched-service` test `chaos`, not a subcommand.
+        assert!(parse("chaos --seeds 8 --steps 40 --out c.json").is_err());
 
         let Ok(Command::Serve(config)) = parse("serve --journal j.jsonl --recover") else {
             panic!("serve")

@@ -10,10 +10,9 @@ use mcsched_core::{AlgorithmSpec, WorkspaceRef};
 use mcsched_gen::{bucketed_grid, DeadlineModel, GridPoint, TaskSetSpec, UbBucket};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::Serialize;
 
 /// Configuration of one acceptance-ratio sweep (one panel of Figs. 3–5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepConfig {
     /// Processor count `m`.
     pub m: usize,
@@ -69,7 +68,7 @@ pub fn default_threads() -> usize {
 }
 
 /// One algorithm's acceptance-ratio curve over `UB`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceptanceCurve {
     /// Algorithm display name.
     pub algorithm: String,
@@ -117,7 +116,7 @@ impl AcceptanceCurve {
 
 /// The outcome of a sweep: one curve per algorithm over the same paired
 /// task sets.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// The configuration that produced this result.
     pub config: SweepConfig,

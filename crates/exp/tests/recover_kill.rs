@@ -5,8 +5,8 @@
 //! already-committed `op_id` after recovery: the verdict must come from
 //! the idempotency window, not a second commit.
 
-use mcsched_exp::protocol::{Envelope, Request, RequestId};
 use mcsched_model::Task;
+use mcsched_service::protocol::{Envelope, Request, RequestId};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};

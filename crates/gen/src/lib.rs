@@ -18,7 +18,8 @@
 //! The [`grid`] module enumerates the paper's `(U_H^H, U_H^L, U_L^L)`
 //! utilization grid and buckets it by the total normalized utilization
 //! `UB = max(U_H^L + U_L^L, U_H^H)` used on every x-axis of the paper's
-//! figures.
+//! figures. The [`corpus`] module draws seeded task-set corpora over the
+//! mid-to-high-load part of that grid.
 //!
 //! ## Example
 //!
@@ -39,11 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod corpus;
 pub mod grid;
 pub mod periods;
 pub mod spec;
 pub mod uunifast;
 
+pub use corpus::{seeded_corpus, uniprocessor_spec};
 pub use grid::{bucket_of, bucketed_grid, utilization_grid, GridPoint, UbBucket};
 pub use periods::log_uniform_period;
 pub use spec::{DeadlineModel, GenError, TaskSetSpec};

@@ -5,13 +5,12 @@ use crate::periods::log_uniform_period;
 use crate::uunifast::{paired_utilizations, uunifast_bounded};
 use mcsched_model::{Task, TaskSet};
 use rand::{Rng, RngExt};
-use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
 /// Whether generated tasks have implicit (`D = T`) or constrained
 /// (`D ~ U[C^H, T]`) deadlines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeadlineModel {
     /// `Di = Ti` for every task.
     Implicit,
@@ -72,7 +71,7 @@ impl Error for GenError {}
 /// // The integer quantization C = ⌈u·T⌉ only ever rounds up, slightly.
 /// assert!(u.u_hh >= 0.6 * 4.0 - 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSetSpec {
     /// Number of processors `m` (used to scale the normalized targets and
     /// to bound the task count).

@@ -5,8 +5,11 @@
 //! with [`lint_file`]. Every finding that no inline allow suppresses
 //! counts: a new finding is fixed or suppressed with a reasoned
 //! `// mclint: allow(rule)`, never tolerated by a list of known ones.
+//! A path a path-scoped rule names ([`scoped_paths`]) that the walk did
+//! not find is a finding too, so a moved file cannot leave its rule's
+//! scope unnoticed.
 
-use crate::rules::{lint_file, Finding};
+use crate::rules::{lint_file, rule, scoped_paths, Finding, Severity};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -93,6 +96,23 @@ pub fn run(opts: &Options) -> Result<LintReport, String> {
         report.findings.extend(findings);
         report.files += 1;
     }
+    for (rule_id, path) in scoped_paths() {
+        if !files.iter().any(|(rel, _)| rel == path) {
+            report.findings.push(Finding {
+                rule: rule_id,
+                severity: rule(rule_id).map_or(Severity::Error, |r| r.severity),
+                path: path.to_owned(),
+                line: 1,
+                col: 1,
+                len: 0,
+                snippet: String::new(),
+                message: format!(
+                    "`{rule_id}` is scoped to this path, but no such file exists; \
+                     update the rule's file list to where the file moved"
+                ),
+            });
+        }
+    }
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
@@ -103,6 +123,27 @@ pub fn run(opts: &Options) -> Result<LintReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scope_paths_missing_from_the_walk_are_findings() {
+        let root = std::env::temp_dir().join(format!("mclint-stale-{}", std::process::id()));
+        fs::create_dir_all(root.join("crates/exp/src")).unwrap();
+        fs::write(root.join("crates/exp/src/engine.rs"), "fn main() {}\n").unwrap();
+        let report = run(&Options { root: root.clone() });
+        let _ = fs::remove_dir_all(&root);
+        let missing: Vec<_> = report
+            .unwrap()
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.path.clone()))
+            .collect();
+        let mut expected: Vec<_> = scoped_paths()
+            .filter(|(_, path)| *path != "crates/exp/src/engine.rs")
+            .map(|(rule, path)| (rule, path.to_owned()))
+            .collect();
+        expected.sort_by(|a, b| (&a.1, a.0).cmp(&(&b.1, b.0)));
+        assert_eq!(missing, expected);
+    }
 
     #[test]
     fn fixture_paths_are_excluded() {

@@ -54,8 +54,9 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         summary: "no unwrap/expect/panic!/indexing-by-literal in server-path files",
         rationale: "PR 6's server must answer every request with a typed, id-echoing reply; \
-                    a panic in the connection path kills the worker instead (server.rs, \
-                    service.rs, protocol.rs, cluster.rs).",
+                    a panic in the connection path kills the worker instead (the \
+                    mcsched-service server.rs, service.rs, protocol.rs and journal.rs, and \
+                    core's cluster.rs).",
     },
     RuleInfo {
         id: "no-partial-cmp",
@@ -162,10 +163,10 @@ pub struct Finding {
 /// `no-panic`): the request-serving path, including the durability
 /// layer a crashed-and-recovering server replays through.
 pub const PANIC_FREE_FILES: &[&str] = &[
-    "crates/exp/src/server.rs",
-    "crates/exp/src/service.rs",
-    "crates/exp/src/protocol.rs",
-    "crates/exp/src/journal.rs",
+    "crates/service/src/server.rs",
+    "crates/service/src/service.rs",
+    "crates/service/src/protocol.rs",
+    "crates/service/src/journal.rs",
     "crates/core/src/cluster.rs",
 ];
 
@@ -190,13 +191,29 @@ pub const HOT_REQUIRED_FILES: &[&str] = &[
 /// Files whose `Reply` render sites must bind the request id (rule
 /// `reply-id`).
 pub const REPLY_FILES: &[&str] = &[
-    "crates/exp/src/server.rs",
-    "crates/exp/src/service.rs",
-    "crates/exp/src/protocol.rs",
+    "crates/service/src/server.rs",
+    "crates/service/src/service.rs",
+    "crates/service/src/protocol.rs",
 ];
 
 /// The one file allowed to call `thread::scope` (rule `scoped-threads`).
 pub const ENGINE_FILE: &str = "crates/exp/src/engine.rs";
+
+/// Every `(rule, path)` a path-scoped rule names. A rule picks its files
+/// by exact path, so a moved file would silently drop out of its scope;
+/// [`run`](crate::run) reports each path here that the walk did not find.
+pub fn scoped_paths() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let scopes: [(&'static str, &[&'static str]); 5] = [
+        ("no-panic", PANIC_FREE_FILES),
+        ("time-arith", KERNEL_FILES),
+        ("hot-path-alloc", HOT_REQUIRED_FILES),
+        ("reply-id", REPLY_FILES),
+        ("scoped-threads", &[ENGINE_FILE]),
+    ];
+    scopes
+        .into_iter()
+        .flat_map(|(rule, paths)| paths.iter().map(move |path| (rule, *path)))
+}
 
 /// Crate prefixes where f64 reductions are verdict-bearing (rule
 /// `float-sum`).

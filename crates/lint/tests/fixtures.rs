@@ -32,7 +32,7 @@ fn row(rule: &str, line: usize, col: usize, len: usize, snippet: &str) -> Row {
 
 #[test]
 fn no_panic_fixture() {
-    let (rows, suppressed) = lint_as("crates/exp/src/server.rs", "no_panic.rs");
+    let (rows, suppressed) = lint_as("crates/service/src/server.rs", "no_panic.rs");
     assert_eq!(
         rows,
         vec![
@@ -102,7 +102,7 @@ fn float_sum_fixture() {
 
 #[test]
 fn reply_id_fixture() {
-    let (rows, suppressed) = lint_as("crates/exp/src/service.rs", "reply_id.rs");
+    let (rows, suppressed) = lint_as("crates/service/src/service.rs", "reply_id.rs");
     assert_eq!(
         rows,
         vec![
@@ -154,13 +154,13 @@ fn every_fixture_violation_fails_the_run() {
     // The acceptance criterion: the linter exits non-zero on every
     // fixture that seeds a violation (all except the engine re-lint).
     for (path, fixture) in [
-        ("crates/exp/src/server.rs", "no_panic.rs"),
+        ("crates/service/src/server.rs", "no_panic.rs"),
         ("crates/gen/src/sort.rs", "no_partial_cmp.rs"),
         ("crates/analysis/src/scratch.rs", "hot_path_alloc.rs"),
         ("crates/analysis/src/dbf.rs", "time_arith.rs"),
         ("crates/analysis/src/workspace.rs", "fast_regions.rs"),
         ("crates/analysis/src/vdtune.rs", "float_sum.rs"),
-        ("crates/exp/src/service.rs", "reply_id.rs"),
+        ("crates/service/src/service.rs", "reply_id.rs"),
         ("crates/lint/tests/x.rs", "unstable_sort.rs"),
         ("crates/sim/src/run.rs", "scoped_threads.rs"),
         ("crates/gen/src/meta.rs", "allow_meta.rs"),

@@ -1,4 +1,4 @@
-// Fixture for rule `no-panic` (linted as crates/exp/src/server.rs).
+// Fixture for rule `no-panic` (linted as crates/service/src/server.rs).
 // Violations below are deliberate; spans are asserted by tests/fixtures.rs.
 
 fn handle(opt: Option<u32>, xs: &[u32]) -> u32 {

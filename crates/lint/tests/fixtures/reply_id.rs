@@ -1,4 +1,4 @@
-// Fixture for rule `reply-id` (linted as crates/exp/src/service.rs).
+// Fixture for rule `reply-id` (linted as crates/service/src/service.rs).
 
 struct Reply;
 impl Reply {

@@ -1,6 +1,5 @@
 //! Criticality levels for dual-criticality systems.
 
-use serde::Serialize;
 use std::fmt;
 
 /// The criticality level `χi` of a task in a dual-criticality system.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert!(Criticality::High.is_high());
 /// assert_eq!(Criticality::Low.to_string(), "LC");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Criticality {
     /// Low criticality (`LC`). Deadlines only guaranteed in low mode.
     #[default]

@@ -1,7 +1,6 @@
 //! The dual-criticality sporadic task.
 
 use crate::{Criticality, ModelError, Time};
-use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a task within a task set.
@@ -11,7 +10,7 @@ use std::fmt;
 /// let id = TaskId(3);
 /// assert_eq!(id.to_string(), "τ3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -52,7 +51,7 @@ impl From<u32> for TaskId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     id: TaskId,
     period: Time,

@@ -1,7 +1,6 @@
 //! Collections of dual-criticality tasks and their system-level statistics.
 
 use crate::{Criticality, ModelError, Task, TaskId, Time};
-use serde::Serialize;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -27,7 +26,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemUtilization {
     /// Total low-mode utilization of the LC tasks.
     pub u_ll: f64,
@@ -95,7 +94,7 @@ impl SystemUtilization {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

@@ -5,8 +5,8 @@
 //! paper's Algorithm 1 states it: clone the committed set, append the
 //! candidate, re-run the one-shot test. It shares nothing with the native
 //! states but the public [`AdmissionState`] trait and the model types, so
-//! the equivalence suites, the session oracles and the `mcexp chaos`
-//! harness hold the native states against it. [`OneShot`] wraps any test
+//! the equivalence suites, the session oracles and the service's chaos
+//! soak hold the native states against it. [`OneShot`] wraps any test
 //! so that a partitioner builds its states this way.
 
 use mcsched_analysis::{AdmissionState, AdmissionStats, SchedulabilityTest, WorkspaceRef};

@@ -20,7 +20,7 @@
 //! The equivalence suites (`tests/analysis_workspace.rs`,
 //! `tests/demand_kernel.rs`, `tests/incremental_equivalence.rs`,
 //! `tests/service_session.rs`, `crates/analysis/tests/saturation.rs`, the
-//! unit tests here), the `mcexp chaos` harness and the
+//! unit tests here), the chaos soak of `mcsched-service` and the
 //! reference-vs-workspace ratios of `mcexp analysis` compare the
 //! production code against these.
 //!

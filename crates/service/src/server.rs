@@ -776,9 +776,8 @@ fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ablation::seeded_corpus;
     use crate::protocol::{parse_reply, Envelope};
-    use mcsched_gen::{DeadlineModel, TaskSetSpec};
+    use mcsched_gen::{seeded_corpus, DeadlineModel, TaskSetSpec};
     use mcsched_model::TaskSet;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};

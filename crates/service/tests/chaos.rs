@@ -1,4 +1,7 @@
-//! Deterministic chaos harness for the admission-control service plane.
+//! The chaos soak of the admission-control service plane: seeded fault
+//! schedules driven through the full protocol state machine behind a
+//! faulty transport. Run it with `cargo test -p mcsched-service --test
+//! chaos`; [`eight_seed_soak_survives_and_agrees`] is the 8-seed soak.
 //!
 //! Each **seed** scripts one complete client session — a named
 //! `open_session` followed by a few dozen id-tagged admits (some resent
@@ -14,7 +17,7 @@
 //! independent sources of truth against each other:
 //!
 //! 1. **In-memory** — the session the server held when the connection
-//!    ended ([`ConnOutcome::session`](crate::server::ConnOutcome::session)).
+//!    ended ([`ConnOutcome::session`](mcsched_service::server::ConnOutcome::session)).
 //! 2. **Recovered** — the session rebuilt from the journal by
 //!    [`Journal::recover`] + [`ClusterSession::restore`], i.e. what a
 //!    crashed server would come back with.
@@ -32,11 +35,12 @@
 //!
 //! Disagreements are collected as strings, never panics: the harness
 //! runs the server inside `catch_unwind` precisely because "no panic
-//! under faults" is one of the properties under test.
+//! under faults" is one of the properties under test, and a failing
+//! test prints the [`render_chaos`] table.
 
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mcsched_analysis::AdmissionState;
 use mcsched_core::{AlgorithmRegistry, AlgorithmSpec, ClusterSession};
@@ -45,11 +49,10 @@ use mcsched_oracle::CloneRetestState;
 use netframe::fault::{FaultConfig, FaultPlan, FaultyReader, FaultyWriter};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
 
-use crate::journal::Journal;
-use crate::protocol::{Envelope, Request, RequestId};
-use crate::server::{serve_connection_outcome, AdmissionTier, ServerConfig};
+use mcsched_service::journal::Journal;
+use mcsched_service::protocol::{Envelope, Request, RequestId};
+use mcsched_service::server::{serve_connection_outcome, AdmissionTier, ServerConfig};
 
 /// The algorithm line-up the chaos scripts rotate through — one name
 /// per schedulability test, so every admission path is exercised.
@@ -62,15 +65,15 @@ const ALGORITHMS: [&str; 5] = [
 ];
 
 /// Tuning knobs for [`run_chaos`].
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
+#[derive(Debug)]
+struct ChaosConfig {
     /// Seeds to run (`0..seeds`); each is an independent scripted
     /// session with its own fault schedule.
-    pub seeds: u64,
+    seeds: u64,
     /// Scripted operations per session (excluding the open).
-    pub steps: usize,
+    steps: usize,
     /// The fault profile injected into both byte lanes.
-    pub fault: FaultConfig,
+    fault: FaultConfig,
 }
 
 impl Default for ChaosConfig {
@@ -84,47 +87,45 @@ impl Default for ChaosConfig {
 }
 
 /// What one seed's run looked like, and whether it agreed with itself.
-#[derive(Debug, Clone, Serialize)]
-pub struct SeedReport {
+#[derive(Debug)]
+struct SeedReport {
     /// The seed (script + fault schedule).
-    pub seed: u64,
+    seed: u64,
     /// `"exact"` or `"degraded"` — which server pool served it.
-    pub tier: String,
+    tier: String,
     /// Registry name of the scripted algorithm.
-    pub algorithm: String,
+    algorithm: String,
     /// Processor count of the scripted session.
-    pub m: usize,
+    m: usize,
     /// Request lines the server saw (post-faults; torn tails excluded).
-    pub requests: u64,
+    requests: u64,
     /// Committed tasks in the recovered image (0 when the open itself
     /// was eaten by a fault).
-    pub recovered_tasks: usize,
+    recovered_tasks: usize,
     /// Disconnects injected across both lanes.
-    pub disconnects: u64,
+    disconnects: u64,
     /// Short reads/writes injected across both lanes.
-    pub shorts: u64,
+    shorts: u64,
     /// Bytes corrupted across both lanes.
-    pub corrupted_bytes: u64,
+    corrupted_bytes: u64,
     /// Read delays injected.
-    pub delays: u64,
-    /// Journal append/compaction I/O failures observed live.
-    pub journal_io_errors: u64,
+    delays: u64,
     /// Every disagreement found; empty means the seed passed.
-    pub mismatches: Vec<String>,
+    mismatches: Vec<String>,
 }
 
 /// The whole soak: one entry per seed.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosReport {
+#[derive(Debug)]
+struct ChaosReport {
     /// Operations scripted per seed.
-    pub steps: usize,
+    steps: usize,
     /// Per-seed outcomes.
-    pub seeds: Vec<SeedReport>,
+    seeds: Vec<SeedReport>,
 }
 
 impl ChaosReport {
     /// `true` when no seed panicked or diverged.
-    pub fn passed(&self) -> bool {
+    fn passed(&self) -> bool {
         self.seeds.iter().all(|s| s.mismatches.is_empty())
     }
 }
@@ -294,9 +295,14 @@ fn compare_clusters(
     }
 }
 
-/// A collision-free scratch path for one seed's journal.
+/// A collision-free scratch path for one seed's journal. The tests here
+/// run concurrently in one process, often on the same seeds, so each
+/// call gets its own number.
 fn journal_path(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("mcexp-chaos-{}-{seed}.jsonl", std::process::id()))
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("mcsched-chaos-{}-{call}-{seed}.jsonl", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 /// Runs one seed end to end and reports what happened.
@@ -321,7 +327,6 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
         shorts: 0,
         corrupted_bytes: 0,
         delays: 0,
-        journal_io_errors: 0,
         mismatches: Vec::new(),
     };
     let path = journal_path(seed);
@@ -354,7 +359,6 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
     report.shorts = faults.shorts;
     report.corrupted_bytes = faults.corrupted_bytes;
     report.delays = faults.delays;
-    report.journal_io_errors = journal.stats().io_errors;
     let outcome = match outcome {
         Ok(outcome) => outcome,
         Err(_) => {
@@ -464,7 +468,7 @@ fn run_seed(registry: &AlgorithmRegistry, seed: u64, config: &ChaosConfig) -> Se
 }
 
 /// Runs the whole soak: `config.seeds` independent scripted sessions.
-pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
+fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let registry = AlgorithmRegistry::standard();
     let seeds = (0..config.seeds)
         .map(|seed| run_seed(&registry, seed, config))
@@ -476,7 +480,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
 }
 
 /// Renders the report as a compact human-readable table.
-pub fn render_chaos(report: &ChaosReport) -> String {
+fn render_chaos(report: &ChaosReport) -> String {
     let mut out = format!(
         "chaos soak: {} seeds x {} ops\n\
          | seed | tier | algorithm | m | requests | recovered | faults (disc/short/corrupt/delay) | verdict |\n\
@@ -516,75 +520,81 @@ pub fn render_chaos(report: &ChaosReport) -> String {
     out
 }
 
-/// Writes the report as pretty JSON (the CI artifact `CHAOS.json`).
-pub fn write_chaos_json(report: &ChaosReport, path: &Path) -> io::Result<()> {
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json + "\n")
+#[test]
+fn eight_seed_soak_survives_and_agrees() {
+    let report = run_chaos(&ChaosConfig::default());
+    assert_eq!(report.seeds.len(), 8, "every seed reports");
+    assert!(report.passed(), "divergence:\n{}", render_chaos(&report));
+    // The soak is only meaningful if the faults actually fired and at
+    // least some sessions survived with committed state to compare.
+    let faults: u64 = report
+        .seeds
+        .iter()
+        .map(|s| s.disconnects + s.shorts + s.corrupted_bytes + s.delays)
+        .sum();
+    assert!(faults > 0, "fault plan injected nothing");
+    assert!(
+        report.seeds.iter().any(|s| s.recovered_tasks > 0),
+        "no seed recovered any committed state — nothing was compared"
+    );
+    assert!(
+        report.seeds.iter().any(|s| s.tier == "exact")
+            && report.seeds.iter().any(|s| s.tier == "degraded"),
+        "both admission tiers must be soaked"
+    );
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn scripts_are_deterministic() {
+    let a = scripted_session(3, 40);
+    let b = scripted_session(3, 40);
+    assert_eq!(a.input, b.input);
+    assert_eq!(a.algorithm, b.algorithm);
+    assert_eq!(a.m, b.m);
+}
 
-    #[test]
-    fn scripts_are_deterministic() {
-        let a = scripted_session(3, 40);
-        let b = scripted_session(3, 40);
-        assert_eq!(a.input, b.input);
-        assert_eq!(a.algorithm, b.algorithm);
-        assert_eq!(a.m, b.m);
-    }
+#[test]
+fn fault_free_run_round_trips_both_tiers() {
+    // With an all-zero fault profile every scripted op lands, so
+    // the three-way comparison must agree with zero mismatches.
+    let config = ChaosConfig {
+        seeds: 2,
+        steps: 30,
+        fault: FaultConfig::default(),
+    };
+    let report = run_chaos(&config);
+    assert!(report.passed(), "{}", render_chaos(&report));
+    assert!(report.seeds.iter().all(|s| s.recovered_tasks > 0));
+    assert_eq!(report.seeds[0].tier, "exact");
+    assert_eq!(report.seeds[1].tier, "degraded");
+}
 
-    #[test]
-    fn fault_free_run_round_trips_both_tiers() {
-        // With an all-zero fault profile every scripted op lands, so
-        // the three-way comparison must agree with zero mismatches.
-        let config = ChaosConfig {
-            seeds: 2,
-            steps: 30,
-            fault: FaultConfig::default(),
-        };
-        let report = run_chaos(&config);
-        assert!(report.passed(), "{}", render_chaos(&report));
-        assert!(report.seeds.iter().all(|s| s.recovered_tasks > 0));
-        assert_eq!(report.seeds[0].tier, "exact");
-        assert_eq!(report.seeds[1].tier, "degraded");
-    }
+#[test]
+fn chaotic_run_survives_and_agrees() {
+    let config = ChaosConfig {
+        seeds: 4,
+        steps: 40,
+        fault: FaultConfig::chaotic(),
+    };
+    let report = run_chaos(&config);
+    assert!(report.passed(), "{}", render_chaos(&report));
+    let faults: u64 = report
+        .seeds
+        .iter()
+        .map(|s| s.disconnects + s.shorts + s.corrupted_bytes + s.delays)
+        .sum();
+    assert!(faults > 0, "chaotic profile injected nothing");
+}
 
-    #[test]
-    fn chaotic_run_survives_and_agrees() {
-        let config = ChaosConfig {
-            seeds: 4,
-            steps: 40,
-            fault: FaultConfig::chaotic(),
-        };
-        let report = run_chaos(&config);
-        assert!(report.passed(), "{}", render_chaos(&report));
-        let faults: u64 = report
-            .seeds
-            .iter()
-            .map(|s| s.disconnects + s.shorts + s.corrupted_bytes + s.delays)
-            .sum();
-        assert!(faults > 0, "chaotic profile injected nothing");
-    }
-
-    #[test]
-    fn report_serializes_and_renders() {
-        let config = ChaosConfig {
-            seeds: 1,
-            steps: 10,
-            fault: FaultConfig::default(),
-        };
-        let report = run_chaos(&config);
-        let rendered = render_chaos(&report);
-        assert!(rendered.contains("chaos soak"));
-        assert!(rendered.contains("PASS"));
-        let path =
-            std::env::temp_dir().join(format!("mcexp-chaos-json-{}.json", std::process::id()));
-        write_chaos_json(&report, &path).expect("write json");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        assert!(body.contains("\"seeds\""));
-        let _ = std::fs::remove_file(&path);
-    }
+#[test]
+fn report_renders() {
+    let config = ChaosConfig {
+        seeds: 1,
+        steps: 10,
+        fault: FaultConfig::default(),
+    };
+    let report = run_chaos(&config);
+    let rendered = render_chaos(&report);
+    assert!(rendered.contains("chaos soak"));
+    assert!(rendered.contains("PASS"));
 }

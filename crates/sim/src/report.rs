@@ -1,7 +1,6 @@
 //! Simulation outcomes: traces, miss records, aggregate statistics.
 
 use mcsched_model::{Criticality, TaskId, Time};
-use serde::Serialize;
 use std::fmt;
 
 /// A deadline miss that the scheduler was required to prevent.
@@ -9,7 +8,7 @@ use std::fmt;
 /// By construction the simulator only records *required* misses: in low
 /// mode every job's real deadline counts; after a mode switch LC jobs are
 /// dropped (never counted) and HC jobs keep counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissRecord {
     /// The task whose job missed.
     pub task: TaskId,
@@ -32,7 +31,7 @@ impl fmt::Display for MissRecord {
 }
 
 /// One event in a simulation trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A job was released.
     Release {
@@ -103,7 +102,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// Aggregate outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     misses: Vec<MissRecord>,
     trace: Vec<TraceEvent>,

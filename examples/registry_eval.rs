@@ -5,10 +5,10 @@
 //! Run with: `cargo run --example registry_eval`
 
 use mcsched::exp::engine::{run_batch, Accumulator, Batch, Evaluator};
-use mcsched::exp::protocol::{parse_envelope, Request};
-use mcsched::exp::service::evaluate_request;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::prelude::*;
+use mcsched::service::protocol::{parse_envelope, Request};
+use mcsched::service::service::evaluate_request;
 use rand::rngs::StdRng;
 
 /// Counts how many generated task sets each named algorithm accepts —

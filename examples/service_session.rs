@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --example service_session`
 
-use mcsched::exp::protocol::{parse_reply, Envelope, Reply, Request, RequestId};
-use mcsched::exp::server::{Server, ServerConfig};
 use mcsched::prelude::*;
+use mcsched::service::protocol::{parse_reply, Envelope, Reply, Request, RequestId};
+use mcsched::service::server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 

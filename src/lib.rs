@@ -13,7 +13,9 @@
 //!   **CU-UDP** strategies and every baseline it compares against,
 //! * [`gen`] — the fair task-set generator of the paper's §IV,
 //! * [`sim`] — a discrete-event mixed-criticality scheduler simulator,
-//! * [`exp`] — the experiment harness that regenerates the paper's figures.
+//! * [`exp`] — the experiment harness that regenerates the paper's figures,
+//! * [`service`] — the admission-control service plane (wire protocol,
+//!   session server, journal) that `mcexp eval` and `mcexp serve` run.
 //!
 //! ## Quickstart
 //!
@@ -77,6 +79,7 @@ pub use mcsched_core as core;
 pub use mcsched_exp as exp;
 pub use mcsched_gen as gen;
 pub use mcsched_model as model;
+pub use mcsched_service as service;
 pub use mcsched_sim as sim;
 
 /// The most commonly used names in one import: the task model, the five

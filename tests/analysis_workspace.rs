@@ -14,7 +14,7 @@ use mcsched::analysis::amc::{amc_max_bound_streamed, amc_max_candidates_streamed
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
 };
-use mcsched::exp::ablation::seeded_corpus;
+use mcsched::gen::seeded_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use mcsched_oracle::amc as reference;
@@ -299,9 +299,7 @@ fn seeded_corpus_streaming_equivalence() {
         }
         generated += sets.len();
     }
-    let admission_sized = seeded_corpus(256, 2017, |p| {
-        mcsched::exp::analysis_perf::uniprocessor_spec(2, p)
-    });
+    let admission_sized = seeded_corpus(256, 2017, |p| mcsched::gen::uniprocessor_spec(2, p));
     assert_eq!(admission_sized.len(), 256);
     let point = GridPoint {
         u_hh: 0.3,

@@ -19,7 +19,7 @@
 
 use mcsched::analysis::dbf::VdTask;
 use mcsched::analysis::{AnalysisWorkspace, DemandKernel, Ecdf, Ey, SchedulabilityTest};
-use mcsched::exp::ablation::seeded_corpus;
+use mcsched::gen::seeded_corpus;
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet, Time};
 use mcsched_oracle::dbf as reference;
@@ -295,7 +295,7 @@ fn seeded_corpus_kernel_equivalence() {
     assert!(generated >= 200, "corpus too small: {generated}");
 
     let admission_sized = seeded_corpus(256, 2017 ^ 0xd50a, |p| {
-        mcsched::exp::analysis_perf::uniprocessor_spec(2, p)
+        mcsched::gen::uniprocessor_spec(2, p)
     });
     assert_eq!(admission_sized.len(), 256);
     let point = GridPoint {

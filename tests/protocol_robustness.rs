@@ -9,11 +9,11 @@
 //! answered on their own ids — the state machine resynchronizes at the
 //! next newline no matter what the damage did.
 
-use mcsched::exp::protocol::{
+use mcsched::model::{Task, TaskSet};
+use mcsched::service::protocol::{
     parse_envelope, parse_reply, Envelope, EvalRequest, Reply, Request, RequestId,
 };
-use mcsched::exp::server::{serve_connection, ServerConfig};
-use mcsched::model::{Task, TaskSet};
+use mcsched::service::server::{serve_connection, ServerConfig};
 use mcsched_core::AlgorithmRegistry;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};

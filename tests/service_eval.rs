@@ -5,8 +5,8 @@
 //! unknown algorithm names are answered with the registry's available
 //! names.
 
-use mcsched::exp::server::{serve_connection, ServerConfig};
 use mcsched::prelude::*;
+use mcsched::service::server::{serve_connection, ServerConfig};
 use serde_json::Value;
 
 const REQUESTS: [&str; 3] = [

@@ -13,11 +13,11 @@
 
 use mcsched::analysis::AdmissionState;
 use mcsched::core::ClusterSession;
-use mcsched::exp::protocol::{
+use mcsched::prelude::*;
+use mcsched::service::protocol::{
     parse_envelope, parse_reply, Envelope, EvalRequest, Reply, Request, RequestId,
 };
-use mcsched::exp::server::{serve_connection, Server, ServerConfig};
-use mcsched::prelude::*;
+use mcsched::service::server::{serve_connection, Server, ServerConfig};
 use mcsched_oracle::CloneRetestState;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

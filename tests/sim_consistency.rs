@@ -89,25 +89,6 @@ fn rta_bound_is_tight_for_synchronous_release() {
 }
 
 #[test]
-fn serde_traits_are_derived_everywhere_they_matter() {
-    // The data types that cross process boundaries (task sets, partitions,
-    // sweep results) must serialize; this is a compile-time proof.
-    fn assert_serde<T: serde::Serialize>() {}
-    assert_serde::<mcsched::model::Task>();
-    assert_serde::<mcsched::model::TaskSet>();
-    assert_serde::<mcsched::model::Time>();
-    assert_serde::<mcsched::model::Criticality>();
-    assert_serde::<mcsched::core::Partition>();
-    assert_serde::<mcsched::core::PartitionError>();
-    assert_serde::<mcsched::sim::SimReport>();
-    assert_serde::<mcsched::sim::MissRecord>();
-    assert_serde::<mcsched::gen::GridPoint>();
-    assert_serde::<mcsched::gen::TaskSetSpec>();
-    assert_serde::<mcsched::exp::SweepConfig>();
-    assert_serde::<mcsched::exp::AcceptanceCurve>();
-}
-
-#[test]
 fn simulator_work_conservation() {
     // Under LoOnly with total utilization ≤ 1, the number of completed
     // jobs over k hyperperiods equals releases minus the trailing window.

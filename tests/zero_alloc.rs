@@ -27,8 +27,8 @@
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
-use mcsched::exp::protocol::{parse_envelope, Envelope, EvalRequest, Request, RequestId};
 use mcsched::model::{Task, TaskId, TaskSet};
+use mcsched::service::protocol::{parse_envelope, Envelope, EvalRequest, Request, RequestId};
 use netframe::FrameReader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
