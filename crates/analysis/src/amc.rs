@@ -8,7 +8,9 @@
 //!
 //! Priorities here are **deadline-monotonic** (smaller relative deadline =
 //! higher priority, ties broken by task id), the standard choice for
-//! constrained-deadline fixed-priority systems.
+//! constrained-deadline fixed-priority systems. [`dm_order`] is the one
+//! place that order is computed; the simulator's fixed-priority policy
+//! calls it too, so the simulated priorities are the analysed ones.
 //!
 //! Three analyses:
 //!
@@ -78,104 +80,24 @@ use crate::SchedulabilityTest;
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
 
 /// Deadline-monotonic priority order: returns task indices from highest to
-/// lowest priority.
+/// lowest priority (smaller relative deadline first, ties broken by task
+/// id).
 // mclint: cold — owned-order convenience; the hot path fills workspace lanes via dm_order_into
-pub(crate) fn dm_order(ts: &TaskSet) -> Vec<usize> {
+pub fn dm_order(ts: &TaskSet) -> Vec<usize> {
     let mut idx = Vec::new();
     dm_order_into(ts.as_slice(), &mut idx);
     idx
 }
 
-/// Sorts 8 keys with the optimal 19-comparator network (Knuth, TAOCP
-/// vol. 3, Fig. 49); correctness is pinned by the exhaustive 0-1
-/// principle test below.
-fn cas_sort8<T: Ord>(keys: &mut [T; 8]) {
-    for [a, b] in [
-        [0, 2],
-        [1, 3],
-        [4, 6],
-        [5, 7],
-        [0, 4],
-        [1, 5],
-        [2, 6],
-        [3, 7],
-        [0, 1],
-        [2, 3],
-        [4, 5],
-        [6, 7],
-        [2, 4],
-        [3, 5],
-        [1, 4],
-        [3, 6],
-        [1, 2],
-        [3, 4],
-        [5, 6],
-    ] {
-        if keys[a] > keys[b] {
-            keys.swap(a, b);
-        }
-    }
-}
-
 /// [`dm_order`] into a caller-supplied buffer (cleared first), over a raw
-/// task slice — the incremental states and the workspace-backed one-shot
-/// path analyse `committed + candidate` unions without materialising a
-/// `TaskSet` or allocating the index vector.
+/// task slice, so the cache rebuilds and the one-shot path reuse one
+/// index buffer. The `(deadline, id)` key is unique, so the unstable
+/// sort (which never allocates, unlike the stable one) orders
+/// identically to a stable sort.
 fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
     idx.clear();
-    let n = tasks.len();
-    if n <= 8 {
-        // Sorting network on packed `(deadline, id, position)` keys:
-        // 19 compare-exchanges, branch-free, no length-dependent control
-        // flow. Empty slots are padded with the all-ones sentinel, which
-        // sinks past every real key (a real key's position field is at
-        // most 7, so it can never equal the sentinel). Small deadlines
-        // and ids — the overwhelmingly common case — pack into one `u64`
-        // per task; anything larger falls back to `u128` keys.
-        let mut k64 = [u64::MAX; 8];
-        let mut small = true;
-        for (p, (k, t)) in k64.iter_mut().zip(tasks).enumerate() {
-            let dl = t.deadline().as_ticks();
-            let id = t.id().0;
-            small &= dl < (1 << 32) && id < (1 << 16);
-            *k = dl.wrapping_shl(32) | u64::from(id) << 16 | p as u64;
-        }
-        if small {
-            cas_sort8(&mut k64);
-            idx.extend(k64[..n].iter().map(|&k| (k & 0xffff) as usize));
-            return;
-        }
-        let mut keys = [u128::MAX; 8];
-        for (p, (k, t)) in keys.iter_mut().zip(tasks).enumerate() {
-            *k = ((t.deadline().as_ticks() as u128) << 64) | ((t.id().0 as u128) << 32) | p as u128;
-        }
-        cas_sort8(&mut keys);
-        idx.extend(keys[..n].iter().map(|&k| (k as u32) as usize));
-        return;
-    }
-    if n <= 64 {
-        // Pack `(deadline, id, position)` into one `u128` per task: the
-        // unique `(deadline, id)` prefix decides the order and the
-        // position rides along in the low 32 bits, so the sort compares
-        // plain integers on the stack instead of chasing `tasks` through
-        // a comparator on every probe.
-        let mut keys = [0u128; 64];
-        for (p, (k, t)) in keys.iter_mut().zip(tasks).enumerate() {
-            *k = ((t.deadline().as_ticks() as u128) << 64) | ((t.id().0 as u128) << 32) | p as u128;
-        }
-        keys[..n].sort_unstable();
-        idx.extend(keys[..n].iter().map(|&k| (k as u32) as usize));
-        return;
-    }
-    idx.extend(0..n);
-    // The (deadline, id) key is unique, so the unstable sort (which never
-    // allocates, unlike the stable one) orders identically.
-    idx.sort_unstable_by(|&a, &b| {
-        tasks[a]
-            .deadline()
-            .cmp(&tasks[b].deadline())
-            .then_with(|| tasks[a].id().cmp(&tasks[b].id()))
-    });
+    idx.extend(0..tasks.len());
+    idx.sort_unstable_by_key(|&i| (tasks[i].deadline(), tasks[i].id()));
 }
 
 /// `⌈a / b⌉` over raw ticks, without the `(a + b − 1) / b` overflow
@@ -937,6 +859,9 @@ impl AmcCache {
 /// **warm-started** from the previous responses, which converge to the
 /// same least fixed points (see the module docs) — the verdict is
 /// exactly the one-shot test's, at a fraction of the iterations.
+/// A committed set that fails the test (only reachable through an
+/// unchecked `commit`) rejects every candidate outright, which is again
+/// the one-shot verdict on the union.
 /// All buffers — the committed cache, the candidate scratch cache and the
 /// shared [`AnalysisWorkspace`] — are reused across admission queries, so
 /// the steady-state probe path performs no heap allocations (pinned by
@@ -945,23 +870,22 @@ impl AmcCache {
 pub struct AmcState {
     variant: AmcVariant,
     committed: Committed,
-    /// The committed set's analysis; meaningful only while `cache_valid`
-    /// (an invalid cache forces the next query onto the full-analysis
-    /// path, exactly as the seed behaviour after an unchecked commit).
+    /// The committed set's analysis; complete only while `cache_valid`.
     cache: AmcCache,
+    /// Whether the committed set passes the test: `false` only after an
+    /// unchecked `commit` (one no admitting probe of the same task
+    /// preceded) left a failing set. Every probe then rejects without
+    /// analysis.
     cache_valid: bool,
-    /// The analysis computed by the last successful `try_admit`
-    /// (`pending` names its task), adopted by a matching `commit` with a
-    /// buffer swap instead of a re-run.
+    /// The analysis computed by the last successful `try_admit`, adopted
+    /// by a matching `commit` with a buffer swap instead of a re-run.
     scratch: AmcCache,
-    pending: Option<TaskId>,
-    /// Where `commit` must insert the pending task's lanes into `soa`
-    /// (`None` when the probing path already left `soa` holding the
-    /// union, as the full-analysis fallback does).
-    pending_insert: Option<usize>,
+    /// The task of the last successful `try_admit` and its DM insertion
+    /// position, where `commit` inserts its lanes into `soa`.
+    pending: Option<(TaskId, usize)>,
     /// SoA lane view of the committed set in `cache.order` — maintained
     /// by delta under probes/commits so the lane kernels never rebuild
-    /// it. Meaningful only while `cache_valid`.
+    /// it.
     soa: SoaTasks,
     /// Scratch buffers shared with the other states of the same
     /// partitioning run.
@@ -977,7 +901,6 @@ impl AmcState {
             cache_valid: true,
             scratch: AmcCache::default(),
             pending: None,
-            pending_insert: None,
             soa: SoaTasks::default(),
             ws,
         }
@@ -985,7 +908,6 @@ impl AmcState {
 
     fn rebuild_cache(&mut self) {
         self.pending = None;
-        self.pending_insert = None;
         let mut ws = self.ws.borrow_mut();
         let ws = &mut *ws;
         self.cache
@@ -1076,82 +998,59 @@ fn admit_incremental_into(
 
 impl AdmissionState for AmcState {
     fn try_admit(&mut self, task: &Task) -> bool {
+        self.pending = None;
+        if !self.cache_valid {
+            // The committed set already fails. Adding a task leaves every
+            // higher-priority task's interference unchanged and only adds
+            // interference (low-mode, and high-mode for AMC-rtb and
+            // AMC-max alike) to the tasks below it, so every response
+            // time can only grow: the task that misses its deadline still
+            // misses it in the union, which is exactly the one-shot
+            // verdict.
+            self.committed.record(true, false);
+            return false;
+        }
         let mut ws = self.ws.borrow_mut();
         let ws = &mut *ws;
-        let mut insert_at = None;
-        let ok = if self.cache_valid {
-            let committed = self.committed.tasks.as_slice();
-            let p = dm_insert_pos(committed, &self.cache, task);
-            // Fixpoints the probe can warm-start from cached bounds: the
-            // whole committed suffix at or below the insertion point.
-            let warm = (committed.len() - p)
-                + match self.variant {
-                    AmcVariant::RtbDm => self.soa.hc[p..].iter().filter(|&&hc| hc).count(),
-                    AmcVariant::Max => 0,
-                };
-            self.committed.stats.rta_seeded += warm as u64;
-            // Delta-update the lane view for the probe, undone below —
-            // commit() re-inserts if the probe's analysis is adopted.
-            self.soa.insert(p, task);
-            let ok = admit_incremental_into(
-                &self.cache,
-                p,
-                self.variant,
-                &self.soa,
-                &mut ws.streams,
-                &mut ws.hc,
-                &mut ws.rtb_pos,
-                &mut self.scratch,
-            );
-            self.soa.remove(p);
-            insert_at = Some(p);
-            self.committed.record(true, ok);
-            ok
-        } else {
-            // Committed set not known schedulable (e.g. after an
-            // unchecked commit): fall back to a full analysis of the
-            // union, exactly the one-shot verdict. The load leaves
-            // `soa` holding the union's lanes, which is precisely the
-            // committed view if this probe gets committed.
-            let AnalysisWorkspace {
-                tasks,
-                streams,
-                hc,
-                rtb_pos,
-                ..
-            } = ws;
-            tasks.clear();
-            tasks.extend_from_slice(self.committed.tasks.as_slice());
-            tasks.push(*task);
-            self.scratch.load(tasks, &mut self.soa);
-            let ok = analyze_from(
-                self.variant,
-                &self.soa,
-                0,
-                streams,
-                hc,
-                rtb_pos,
-                &mut self.scratch,
-            );
-            self.committed.record(false, ok);
-            ok
-        };
-        self.pending = if ok { Some(task.id()) } else { None };
-        self.pending_insert = if ok { insert_at } else { None };
+        let committed = self.committed.tasks.as_slice();
+        let p = dm_insert_pos(committed, &self.cache, task);
+        // Fixpoints the probe can warm-start from cached bounds: the
+        // whole committed suffix at or below the insertion point.
+        let warm = (committed.len() - p)
+            + match self.variant {
+                AmcVariant::RtbDm => self.soa.hc[p..].iter().filter(|&&hc| hc).count(),
+                AmcVariant::Max => 0,
+            };
+        self.committed.stats.rta_seeded += warm as u64;
+        // Delta-update the lane view for the probe, undone below —
+        // commit() re-inserts if the probe's analysis is adopted.
+        self.soa.insert(p, task);
+        let ok = admit_incremental_into(
+            &self.cache,
+            p,
+            self.variant,
+            &self.soa,
+            &mut ws.streams,
+            &mut ws.hc,
+            &mut ws.rtb_pos,
+            &mut self.scratch,
+        );
+        self.soa.remove(p);
+        self.committed.record(true, ok);
+        if ok {
+            self.pending = Some((task.id(), p));
+        }
         ok
     }
 
     fn commit(&mut self, task: Task) {
         match self.pending.take() {
-            Some(id) if id == task.id() => {
-                if let Some(p) = self.pending_insert.take() {
-                    self.soa.insert(p, &task);
-                }
+            Some((id, p)) if id == task.id() => {
+                self.soa.insert(p, &task);
                 self.committed.push(task);
                 // Adopt the probe's analysis by swapping buffers — the
                 // displaced cache becomes the next probe's scratch.
                 std::mem::swap(&mut self.cache, &mut self.scratch);
-                self.cache_valid = true;
             }
             _ => {
                 self.committed.push(task);
@@ -1179,7 +1078,6 @@ impl AdmissionState for AmcState {
     fn take_tasks(&mut self) -> TaskSet {
         let tasks = self.committed.take();
         self.pending = None;
-        self.pending_insert = None;
         self.cache.clear();
         self.soa.clear();
         self.cache_valid = true;
@@ -1317,52 +1215,14 @@ mod tests {
             Task::lo_constrained(2, 40, 1, 5).unwrap(),
         ]);
         assert_eq!(dm_order(&ts), vec![2, 1, 0]);
-    }
-
-    /// The 19-comparator 8-input network in `dm_order_into`, checked by
-    /// the 0-1 principle: a comparator network sorts every input iff it
-    /// sorts all 2^8 zero-one vectors.
-    #[test]
-    fn dm_sorting_network_is_correct() {
-        for bits in 0u16..256 {
-            let mut keys: [u128; 8] = core::array::from_fn(|i| u128::from(bits >> i & 1));
-            cas_sort8(&mut keys);
-            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "bits {bits:#010b}");
-        }
-    }
-
-    /// The network path (n ≤ 8), the packed-key path (n ≤ 64), and the
-    /// comparator fallback must order identically across the boundary
-    /// sizes, including deadline ties broken by id.
-    #[test]
-    fn dm_order_paths_agree() {
-        for n in [1usize, 7, 8, 9, 16] {
-            let tasks: Vec<Task> = (0..n)
-                .map(|i| {
-                    // Deliberate deadline collisions (i / 2) force the
-                    // id tiebreak.
-                    Task::lo_constrained(i as u32, 100, 1, 10 + (i as u64 / 2)).unwrap()
-                })
-                .collect();
-            let mut idx = Vec::new();
-            dm_order_into(&tasks, &mut idx);
-            let mut want: Vec<usize> = (0..n).collect();
-            want.sort_by_key(|&i| (tasks[i].deadline(), tasks[i].id()));
-            assert_eq!(idx, want, "n = {n}");
-        }
-        // Deadlines past 2^32 and ids past 2^16 leave the packed-u64
-        // route for the u128 network; the order must not change.
-        let tasks: Vec<Task> = (0..6)
-            .map(|i| {
-                Task::lo_constrained(u32::MAX - i, 1 << 40, 1, (1 << 33) + u64::from(i / 2))
-                    .unwrap()
-            })
-            .collect();
-        let mut idx = Vec::new();
-        dm_order_into(&tasks, &mut idx);
-        let mut want: Vec<usize> = (0..6).collect();
-        want.sort_by_key(|&i| (tasks[i].deadline(), tasks[i].id()));
-        assert_eq!(idx, want, "u128 fallback");
+        // Equal deadlines are ordered by task id, not by position.
+        let tied = set(vec![
+            Task::lo_constrained(7, 50, 1, 10).unwrap(),
+            Task::lo_constrained(3, 40, 1, 10).unwrap(),
+            Task::hi(5, 10, 1, 2).unwrap(),
+            Task::lo(1, 20, 1).unwrap(),
+        ]);
+        assert_eq!(dm_order(&tied), vec![1, 2, 0, 3]);
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //!   deadline-monotonic order and every response-time fixed point: tasks
 //!   with priority above the inserted task are reused verbatim, the rest
 //!   warm-start their fixed-point iteration from the previous response.
+//!   A committed set that already fails rejects every candidate without
+//!   analysis (adding a task only adds interference).
 //!
 //! **Equivalence guarantee.** Every state is *exactly* equivalent to the
 //! one-shot test on the union of committed tasks plus the candidate — same
@@ -89,12 +91,13 @@ pub struct AdmissionStats {
     /// Queries that answered "admit".
     pub admits: u64,
     /// Queries answered from cached incremental state (O(1) closed forms,
-    /// warm-started fixed points, cached prefixes, the EY / ECDF
-    /// committed tuning).
+    /// warm-started fixed points, cached prefixes, the cached AMC
+    /// verdict of a failing committed set, the EY / ECDF committed
+    /// tuning).
     pub incremental: u64,
-    /// Queries that fell back to a full from-scratch re-analysis (a
-    /// state whose cache was invalidated, or a clone-and-retest
-    /// reference state).
+    /// Queries that ran a from-scratch search: the EY / ECDF
+    /// virtual-deadline searches that skip the committed-tuning
+    /// shortcut, plus every query of a clone-and-retest reference state.
     pub full: u64,
     /// QPA descents the demand kernel started cold from the busy-window
     /// bound (EY / ECDF states; zero for the other tests).

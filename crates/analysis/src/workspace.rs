@@ -613,10 +613,6 @@ impl DemandSoa {
 /// the sets analysed through them and are then reused allocation-free.
 #[derive(Debug, Default)]
 pub struct AnalysisWorkspace {
-    /// Union buffer for `committed ∪ {candidate}`, built only by an
-    /// `AmcState` probe whose cache is invalid (the full-analysis
-    /// fallback). Incremental probes read the lanes alone.
-    pub(crate) tasks: Vec<Task>,
     /// Per-interferer step streams for the AMC-max candidate walk.
     pub(crate) streams: Vec<CandStream>,
     /// Per-hp-HC-task interference slots for the AMC-max candidate walk.

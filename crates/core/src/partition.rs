@@ -176,7 +176,7 @@ impl Partition {
     pub fn max_utilization_difference(&self) -> f64 {
         self.processors
             .iter()
-            .map(TaskSet::utilization_difference)
+            .map(|p| p.system_utilization().difference())
             .fold(0.0, f64::max)
     }
 
@@ -186,7 +186,7 @@ impl Partition {
         let diffs: Vec<f64> = self
             .processors
             .iter()
-            .map(TaskSet::utilization_difference)
+            .map(|p| p.system_utilization().difference())
             .collect();
         let max = diffs.iter().copied().fold(f64::MIN, f64::max);
         let min = diffs.iter().copied().fold(f64::MAX, f64::min);

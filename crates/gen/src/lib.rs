@@ -50,4 +50,4 @@ pub use corpus::{seeded_corpus, uniprocessor_spec};
 pub use grid::{bucket_of, bucketed_grid, utilization_grid, GridPoint, UbBucket};
 pub use periods::log_uniform_period;
 pub use spec::{DeadlineModel, GenError, TaskSetSpec};
-pub use uunifast::{paired_utilizations, uunifast, uunifast_bounded, uunifast_discard};
+pub use uunifast::{paired_utilizations, uunifast, uunifast_bounded};

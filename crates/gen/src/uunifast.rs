@@ -2,8 +2,8 @@
 //!
 //! [`uunifast`] samples a point uniformly from the simplex
 //! `{u : Σ u_i = total, u_i ≥ 0}` (Bini & Buttazzo 2005);
-//! [`uunifast_discard`] adds the `umin`/`umax` per-element bounds of the
-//! DATE 2017 setup by rejection; [`paired_utilizations`] produces the
+//! [`uunifast_bounded`] adds the `umin`/`umax` per-element bounds of the
+//! DATE 2017 setup by truncated-marginal sampling; [`paired_utilizations`] produces the
 //! `(u^L_i ≤ u^H_i)` pairs for HC tasks whose sums hit both normalized
 //! targets, using the sort-and-pair + excess-redistribution approach of the
 //! fair WATERS 2016 generator.
@@ -43,43 +43,11 @@ pub fn uunifast(rng: &mut impl Rng, n: usize, total: f64) -> Vec<f64> {
     out
 }
 
-/// UUniFast with per-element bounds (`umin ≤ u_i ≤ umax`), by rejection.
-///
-/// Returns `None` if no sample satisfying the bounds is found within
-/// `max_tries` attempts (the caller should treat the configuration as
-/// infeasible or retry with different structure). Feasibility requires
-/// `n·umin ≤ total ≤ n·umax`.
-pub fn uunifast_discard(
-    rng: &mut impl Rng,
-    n: usize,
-    total: f64,
-    umin: f64,
-    umax: f64,
-    max_tries: usize,
-) -> Option<Vec<f64>> {
-    if n == 0 {
-        return if total.abs() < 1e-12 {
-            Some(Vec::new())
-        } else {
-            None
-        };
-    }
-    if total < n as f64 * umin - 1e-12 || total > n as f64 * umax + 1e-12 {
-        return None;
-    }
-    for _ in 0..max_tries {
-        let u = uunifast(rng, n, total);
-        if u.iter().all(|&x| x >= umin - 1e-12 && x <= umax + 1e-12) {
-            return Some(u);
-        }
-    }
-    None
-}
-
 /// UUniFast with per-element bounds, by sequential truncated-marginal
 /// inverse-CDF sampling — succeeds on **every** feasible input, unlike
-/// rejection ([`uunifast_discard`]), whose acceptance probability vanishes
-/// as `total → n·umax` (exactly the paper's `U_H^H = 0.99` corner).
+/// rejection sampling (redraw plain [`uunifast`] until the bounds hold),
+/// whose acceptance probability vanishes as `total → n·umax` (exactly
+/// the paper's `U_H^H = 0.99` corner).
 ///
 /// The first coordinate of a uniform simplex with `k` coordinates summing
 /// to `s` has CDF `F(x) = 1 − (1 − x/s)^(k−1)`; each coordinate is drawn
@@ -254,33 +222,6 @@ mod tests {
                 "quartiles should be flat: {counts:?}"
             );
         }
-    }
-
-    #[test]
-    fn discard_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let u = uunifast_discard(&mut rng, 5, 2.0, 0.05, 0.9, 1000).unwrap();
-        assert!(u.iter().all(|&x| (0.05..=0.9).contains(&x)));
-        assert!((u.iter().sum::<f64>() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn discard_infeasible_returns_none() {
-        let mut rng = StdRng::seed_from_u64(15);
-        // total above n·umax.
-        assert!(uunifast_discard(&mut rng, 2, 3.0, 0.0, 0.99, 100).is_none());
-        // total below n·umin.
-        assert!(uunifast_discard(&mut rng, 4, 0.001, 0.01, 0.99, 100).is_none());
-    }
-
-    #[test]
-    fn discard_zero_n() {
-        let mut rng = StdRng::seed_from_u64(16);
-        assert_eq!(
-            uunifast_discard(&mut rng, 0, 0.0, 0.0, 1.0, 10),
-            Some(vec![])
-        );
-        assert_eq!(uunifast_discard(&mut rng, 0, 0.5, 0.0, 1.0, 10), None);
     }
 
     #[test]

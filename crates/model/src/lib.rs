@@ -32,8 +32,8 @@
 //!
 //! assert_eq!(tasks.len(), 3);
 //! assert_eq!(tasks.hi_tasks().count(), 2);
-//! // Utilization difference of the HC tasks: Σ (u^H − u^L).
-//! let diff = tasks.utilization_difference();
+//! // Utilization difference of the HC tasks: U_H^H − U_H^L.
+//! let diff = tasks.system_utilization().difference();
 //! assert!(diff > 0.0);
 //! # Ok(())
 //! # }

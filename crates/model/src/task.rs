@@ -273,13 +273,6 @@ impl Task {
         self.wcet_own().as_f64() / self.period.as_f64()
     }
 
-    /// The per-task utilization difference `u^H_i − u^L_i`
-    /// (zero for LC tasks).
-    #[inline]
-    pub fn utilization_difference(&self) -> f64 {
-        self.utilization_hi() - self.utilization_lo()
-    }
-
     /// Low-mode density `C^L_i / min(Di, Ti)`.
     #[inline]
     pub fn density_lo(&self) -> f64 {
@@ -413,7 +406,7 @@ mod tests {
         assert_eq!(t.deadline(), t.period());
         assert!(t.is_implicit_deadline());
         assert_eq!(t.utilization_lo(), 0.3);
-        assert_eq!(t.utilization_difference(), 0.0);
+        assert_eq!(t.utilization_hi(), t.utilization_lo());
         assert_eq!(t.wcet_own(), Time::new(3));
     }
 
@@ -422,7 +415,6 @@ mod tests {
         let t = Task::hi(1, 20, 4, 10).unwrap();
         assert_eq!(t.utilization_lo(), 0.2);
         assert_eq!(t.utilization_hi(), 0.5);
-        assert!((t.utilization_difference() - 0.3).abs() < 1e-12);
         assert_eq!(t.wcet_at(Criticality::Low), Time::new(4));
         assert_eq!(t.wcet_at(Criticality::High), Time::new(10));
         assert_eq!(t.wcet_own(), Time::new(10));

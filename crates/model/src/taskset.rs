@@ -202,21 +202,6 @@ impl TaskSet {
         u
     }
 
-    /// The utilization difference of this set:
-    /// `Σ_{HC} u^H_i − Σ_{HC} u^L_i`.
-    ///
-    /// This is the quantity the UDP strategies balance across processors
-    /// (`U_H^H(φk) − U_H^L(φk)` in the paper).
-    pub fn utilization_difference(&self) -> f64 {
-        // Insertion-order sum: verdicts compare this against thresholds,
-        // so the accumulation order must never reassociate.
-        let mut u = 0.0;
-        for t in self.hi_tasks() {
-            u += t.utilization_difference();
-        }
-        u
-    }
-
     /// The largest period in the set, or zero when empty.
     pub fn max_period(&self) -> Time {
         self.tasks
@@ -352,7 +337,6 @@ mod tests {
         assert!((u.u_ll - 0.55).abs() < 1e-12);
         assert!((u.difference() - 0.5).abs() < 1e-12);
         assert!((u.lo_mode_total() - 0.85).abs() < 1e-12);
-        assert!((ts.utilization_difference() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -423,6 +407,6 @@ mod tests {
         assert_eq!(u.u_ll, 0.0);
         assert_eq!(u.u_hl, 0.0);
         assert_eq!(u.u_hh, 0.0);
-        assert_eq!(ts.utilization_difference(), 0.0);
+        assert_eq!(u.difference(), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Runtime scheduling policies.
 
-use mcsched_analysis::{EdfVd, VdAssignment};
+use mcsched_analysis::{amc, EdfVd, VdAssignment};
 use mcsched_model::{TaskSet, Time};
 
 /// The scheduling policy a simulated processor runs.
@@ -45,19 +45,12 @@ impl Policy {
         }
     }
 
-    /// Deadline-monotonic fixed priorities (the assignment used by the AMC
-    /// analyses in `mcsched-analysis`).
+    /// Deadline-monotonic fixed priorities: exactly the order the AMC
+    /// analyses judge ([`mcsched_analysis::amc::dm_order`]; smaller
+    /// relative deadline first, ties broken by task id).
     pub fn deadline_monotonic(ts: &TaskSet) -> Policy {
-        let mut order: Vec<usize> = (0..ts.len()).collect();
-        let tasks = ts.as_slice();
-        order.sort_by(|&a, &b| {
-            tasks[a]
-                .deadline()
-                .cmp(&tasks[b].deadline())
-                .then_with(|| tasks[a].id().cmp(&tasks[b].id()))
-        });
         Policy::FixedPriority {
-            priority_order: order,
+            priority_order: amc::dm_order(ts),
         }
     }
 }

@@ -247,6 +247,61 @@ fn edfvd_states_never_run_full_analyses() {
     assert_eq!(stats.incremental, stats.attempts);
 }
 
+/// An AMC state whose committed set fails (built with unchecked
+/// commits) must reject every candidate, LC or HC, above or below the
+/// failing task in DM order, exactly as the one-shot test rejects the
+/// union, and without a full re-analysis. Once a `remove` makes the set
+/// pass again, probes must track the one-shot verdict again.
+#[test]
+fn amc_states_with_a_failing_committed_set_reject_every_candidate() {
+    // Each committed set fails at its D = 20 task: in low mode (17 + 2·3
+    // > 20), or in high mode only (12 + 6·2 > 20 under both AMC-rtb and
+    // AMC-max).
+    let failing_sets = [
+        [Task::hi(0, 10, 2, 5).unwrap(), Task::lo(1, 20, 17).unwrap()],
+        [
+            Task::hi(0, 10, 2, 6).unwrap(),
+            Task::hi(1, 20, 4, 12).unwrap(),
+        ],
+    ];
+    let candidates = [
+        Task::lo_constrained(10, 50, 1, 5).unwrap(),
+        Task::lo(11, 100, 1).unwrap(),
+        Task::hi_constrained(12, 50, 1, 2, 8).unwrap(),
+        Task::hi(13, 100, 1, 2).unwrap(),
+    ];
+    let tests: [Box<dyn SchedulabilityTest>; 2] =
+        [Box::new(AmcRtb::new()), Box::new(AmcMax::new())];
+    for test in &tests {
+        for committed in &failing_sets {
+            let ws = WorkspaceRef::new();
+            let mut state = test.admission_state_in(&ws);
+            for &t in committed {
+                state.commit(t);
+            }
+            assert!(!test.is_schedulable(state.tasks()), "{}", test.name());
+            let probe_all = |state: &mut dyn AdmissionState| {
+                for cand in &candidates {
+                    let mut union = state.tasks().clone();
+                    union.push_unchecked(*cand);
+                    let expected = test.is_schedulable(&union);
+                    assert_eq!(state.try_admit(cand), expected, "{}: {cand:?}", test.name());
+                }
+            };
+            probe_all(&mut *state);
+            assert_eq!(state.stats().attempts, candidates.len() as u64);
+            assert_eq!(state.stats().admits, 0, "{}", test.name());
+            assert_eq!(state.stats().full, 0, "{}", test.name());
+
+            assert!(state.remove(committed[1].id()));
+            assert!(test.is_schedulable(state.tasks()));
+            probe_all(&mut *state);
+            assert!(state.stats().admits > 0, "{}", test.name());
+            assert_eq!(state.stats().full, 0, "{}", test.name());
+        }
+    }
+}
+
 /// One step of an EY / ECDF admission-state lifecycle.
 #[derive(Debug, Clone, Copy)]
 enum Step {

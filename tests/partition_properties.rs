@@ -137,9 +137,8 @@ proptest! {
 
     #[test]
     fn utilization_difference_nonnegative(ts in arb_taskset()) {
-        prop_assert!(ts.utilization_difference() >= -1e-12);
         let u = ts.system_utilization();
-        prop_assert!(u.u_hh + 1e-12 >= u.u_hl, "C^H ≥ C^L must imply U_HH ≥ U_HL");
+        prop_assert!(u.difference() >= -1e-12, "C^H ≥ C^L must imply U_HH ≥ U_HL");
     }
 
     #[test]
