@@ -48,8 +48,10 @@
 //! one per-position rtb fixpoint (`rtb_at`), which hoists the LC
 //! interference `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
 //! depends only on the already-fixed low-mode response) and then
-//! touches only the hp-HC positions; AMC-max through the streaming
-//! switch-instant walk over the same lists. The low-mode and rtb kernels
+//! touches only the hp-HC positions; AMC-max through that same rtb
+//! fixpoint first (a bound within the deadline already proves the task,
+//! since no switch instant exceeds it) and the streaming switch-instant
+//! walk over the same lists only when it fails. The low-mode and rtb kernels
 //! each have one body, monomorphised on the fast-kernel certificate
 //! (`SoaTasks::fast`): the certified instance drops the saturation
 //! guards and the reciprocal fixup, which the certificate proves are
@@ -266,13 +268,17 @@ fn lo_rta_kernel<const FAST: bool>(
 }
 
 /// The high-mode bounds of the HC tasks at positions `from..`, one task
-/// at a time: the AMC-rtb fixpoint for [`AmcVariant::RtbDm`], the
-/// switch-instant walk for [`AmcVariant::Max`]. Seeding (AMC-rtb reads
+/// at a time: the AMC-rtb fixpoint for [`AmcVariant::RtbDm`]; for
+/// [`AmcVariant::Max`] the same fixpoint (cold), then the switch-instant
+/// walk only for a task that fixpoint fails. Seeding (AMC-rtb reads
 /// `hi_resp` on entry, `None` as 0) and saturation are as in [`lo_rta`];
 /// `hp` is scratch for [`walk_hc`]'s position lists and `streams` /
 /// `slots` for the AMC-max candidate walk. Returns `false` at the first
 /// HC task without a bound within its deadline.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the caller's workspace lends each scratch buffer separately"
+)]
 fn hi_bounds(
     variant: AmcVariant,
     soa: &SoaTasks,
@@ -290,9 +296,19 @@ fn hi_bounds(
             rtb_kernel::<true>(soa, order, from, lo_resp, hp, hi_resp)
         }
         AmcVariant::RtbDm => rtb_kernel::<false>(soa, order, from, lo_resp, hp, hi_resp),
-        AmcVariant::Max => walk_hc(soa, from, hp, |p, hj, lj, _| {
+        // No switch instant's fixpoint exceeds the AMC-rtb bound (module
+        // docs), so a task that AMC-rtb proves passes AMC-max without the
+        // walk; its stored bound is then the rtb one, which no verdict
+        // reads. The rtb fixpoint starts cold (seed 0).
+        AmcVariant::Max => walk_hc(soa, from, hp, |p, hj, lj, below| {
             let i = order[p];
-            let bound = max_bound_at(soa, p, hj, lj, lo_resp[i].as_ticks(), streams, slots);
+            let lo_cap = lo_resp[i].as_ticks();
+            let rtb = if soa.fast() {
+                rtb_at::<true>(soa, p, hj, lj, below, lo_cap, 0)
+            } else {
+                rtb_at::<false>(soa, p, hj, lj, below, lo_cap, 0)
+            };
+            let bound = rtb.or_else(|| max_bound_at(soa, p, hj, lj, lo_cap, streams, slots));
             store(&mut hi_resp[i], bound)
         }),
     }
@@ -554,7 +570,10 @@ fn max_response_at(ch: u64, dl: u64, lc: u64, slots: &[HcSlot]) -> Option<u64> {
 /// their completed-job bounds `M(k, s)` up to date; returning `None`
 /// aborts the walk. (Slot and stream order never matters: every sum
 /// over them is an order-free saturating sum of non-negative terms.)
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the caller's workspace lends each scratch buffer separately"
+)]
 fn fold_candidates<T>(
     soa: &SoaTasks,
     hj: &[usize],
@@ -968,7 +987,10 @@ fn dm_insert_pos(committed: &[Task], cache: &AmcCache, cand: &Task) -> usize {
 /// (the caller's delta update); the analysis reads nothing else of the
 /// candidate. The analysis lands in `out`, reused across probes. Returns
 /// `false` iff the one-shot test rejects the union.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the caller's workspace lends each scratch buffer separately"
+)]
 fn admit_incremental_into(
     cache: &AmcCache,
     p: usize,
@@ -1325,6 +1347,60 @@ mod tests {
         ]);
         assert!(!AmcRtb::new().is_schedulable(&ts), "rtb should reject");
         assert!(AmcMax::new().is_schedulable(&ts), "max should accept");
+    }
+
+    #[test]
+    fn amc_max_walks_no_switch_instants_for_tasks_rtb_proves() {
+        // Every HC task passes AMC-rtb, so AMC-max needs no walk: the
+        // walk's scratch (`streams` / `hc`) stays untouched, one-shot and
+        // through an admission state.
+        let ts = set(vec![
+            Task::lo(0, 8, 1).unwrap(),
+            Task::hi(1, 10, 2, 4).unwrap(),
+            Task::hi(2, 30, 3, 6).unwrap(),
+        ]);
+        let mut ws = AnalysisWorkspace::new();
+        assert!(AmcRtb::new().is_schedulable_in(&ts, &mut ws));
+        assert!(AmcMax::new().is_schedulable_in(&ts, &mut ws));
+        assert!(ws.streams.is_empty() && ws.hc.is_empty());
+
+        let (test, ws) = (AmcMax::new(), WorkspaceRef::new());
+        let mut state = test.admission_state_in(&ws);
+        for t in ts.iter() {
+            assert!(state.try_admit(t), "{t}");
+            state.commit(*t);
+        }
+        let ws = ws.borrow_mut();
+        assert!(ws.streams.is_empty() && ws.hc.is_empty());
+    }
+
+    #[test]
+    fn amc_max_accepts_witness_a_without_the_walk() {
+        // One HC task with a 4·10^9 period below six short-period LC
+        // tasks: its low-mode response spans about 8.7·10^8 switch
+        // instants. AMC-rtb proves the task, so AMC-max accepts without
+        // walking them.
+        let witness = set(vec![
+            Task::hi(0, 4_000_000_000, 1_000_000_000, 1_500_000_000).unwrap(),
+            Task::lo(1, 7, 1).unwrap(),
+            Task::lo(2, 11, 1).unwrap(),
+            Task::lo(3, 13, 1).unwrap(),
+            Task::lo(4, 17, 1).unwrap(),
+            Task::lo(5, 19, 1).unwrap(),
+            Task::lo(6, 23, 1).unwrap(),
+        ]);
+        let mut ws = AnalysisWorkspace::new();
+        assert!(AmcMax::new().is_schedulable_in(&witness, &mut ws));
+        assert!(ws.streams.is_empty() && ws.hc.is_empty());
+
+        let (test, ws) = (AmcMax::new(), WorkspaceRef::new());
+        let mut state = test.admission_state_in(&ws);
+        for t in witness.iter() {
+            assert!(state.try_admit(t), "{t}");
+            state.commit(*t);
+        }
+        let ws = ws.borrow_mut();
+        assert!(ws.streams.is_empty() && ws.hc.is_empty());
     }
 
     #[test]

@@ -43,6 +43,19 @@
 //! # }
 //! ```
 
+// Panic-free request path: a panic here kills the serving worker
+// instead of answering with a typed error reply. `clippy.toml` exempts
+// `#[cfg(test)]` code; CI's clippy job enforces this, `cargo test` does not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::partition::{self, total_stats};
 use crate::strategy::PartitionStrategy;
 use mcsched_analysis::{AdmissionState, AdmissionStats};
@@ -209,10 +222,8 @@ impl ClusterSession {
                 processor_loads: self.states.iter().map(|s| s.tasks().len()).collect(),
             });
         };
-        let id = task.id();
-        self.states[k].commit(task);
-        self.summaries[k] = self.states[k].summary();
-        self.placements.push((id, k));
+        let placed = self.commit_at(task, k);
+        debug_assert!(placed, "place chose processor {k}, which does not exist");
         Ok(k)
     }
 
@@ -225,18 +236,22 @@ impl ClusterSession {
     /// an out-of-range processor — a corrupt journal row, which the
     /// caller reports rather than replays.
     pub fn restore(&mut self, task: Task, processor: usize) -> bool {
-        if self.processor_of(task.id()).is_some() {
-            return false;
-        }
-        let Some(state) = self.states.get_mut(processor) else {
+        self.processor_of(task.id()).is_none() && self.commit_at(task, processor)
+    }
+
+    /// Commits `task` on `processor` and refreshes that processor's
+    /// cached summary; `false` (cluster unchanged) if `processor` is out
+    /// of range.
+    fn commit_at(&mut self, task: Task, processor: usize) -> bool {
+        let (Some(state), Some(summary)) = (
+            self.states.get_mut(processor),
+            self.summaries.get_mut(processor),
+        ) else {
             return false;
         };
         let id = task.id();
         state.commit(task);
-        let summary = state.summary();
-        if let Some(slot) = self.summaries.get_mut(processor) {
-            *slot = summary;
-        }
+        *summary = state.summary();
         self.placements.push((id, processor));
         true
     }
@@ -268,9 +283,11 @@ impl ClusterSession {
     pub fn remove(&mut self, id: TaskId) -> Option<usize> {
         let pos = self.placements.iter().position(|&(tid, _)| tid == id)?;
         let (_, k) = self.placements.swap_remove(pos);
-        let removed = self.states[k].remove(id);
-        debug_assert!(removed, "placement table out of sync with state {k}");
-        self.summaries[k] = self.states[k].summary();
+        if let (Some(state), Some(summary)) = (self.states.get_mut(k), self.summaries.get_mut(k)) {
+            let removed = state.remove(id);
+            debug_assert!(removed, "placement table out of sync with state {k}");
+            *summary = state.summary();
+        }
         Some(k)
     }
 }

@@ -196,6 +196,10 @@ pub fn run_batch<E: Evaluator>(batch: &Batch, evaluator: &E) -> E::Acc {
     }
 
     let mut worker_accs: Vec<Option<E::Acc>> = (0..threads).map(|_| None).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the batch engine is the one home of scoped threads"
+    )]
     std::thread::scope(|scope| {
         for (worker, slot) in worker_accs.iter_mut().enumerate() {
             scope.spawn(move || {

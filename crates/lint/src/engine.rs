@@ -9,7 +9,7 @@
 //! not find is a finding too, so a moved file cannot leave its rule's
 //! scope unnoticed.
 
-use crate::rules::{lint_file, rule, scoped_paths, Finding, Severity};
+use crate::rules::{lint_file, scoped_paths, Finding};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -100,7 +100,6 @@ pub fn run(opts: &Options) -> Result<LintReport, String> {
         if !files.iter().any(|(rel, _)| rel == path) {
             report.findings.push(Finding {
                 rule: rule_id,
-                severity: rule(rule_id).map_or(Severity::Error, |r| r.severity),
                 path: path.to_owned(),
                 line: 1,
                 col: 1,
@@ -127,8 +126,8 @@ mod tests {
     #[test]
     fn scope_paths_missing_from_the_walk_are_findings() {
         let root = std::env::temp_dir().join(format!("mclint-stale-{}", std::process::id()));
-        fs::create_dir_all(root.join("crates/exp/src")).unwrap();
-        fs::write(root.join("crates/exp/src/engine.rs"), "fn main() {}\n").unwrap();
+        fs::create_dir_all(root.join("crates/analysis/src")).unwrap();
+        fs::write(root.join("crates/analysis/src/dbf.rs"), "fn main() {}\n").unwrap();
         let report = run(&Options { root: root.clone() });
         let _ = fs::remove_dir_all(&root);
         let missing: Vec<_> = report
@@ -138,7 +137,7 @@ mod tests {
             .map(|f| (f.rule, f.path.clone()))
             .collect();
         let mut expected: Vec<_> = scoped_paths()
-            .filter(|(_, path)| *path != "crates/exp/src/engine.rs")
+            .filter(|(_, path)| *path != "crates/analysis/src/dbf.rs")
             .map(|(rule, path)| (rule, path.to_owned()))
             .collect();
         expected.sort_by(|a, b| (&a.1, a.0).cmp(&(&b.1, b.0)));
@@ -149,6 +148,6 @@ mod tests {
     fn fixture_paths_are_excluded() {
         assert!(SKIP_FRAGMENTS
             .iter()
-            .any(|f| "crates/lint/tests/fixtures/no_panic.rs".starts_with(f)));
+            .any(|f| "crates/lint/tests/fixtures/reply_id.rs".starts_with(f)));
     }
 }

@@ -24,13 +24,8 @@ pub fn render_human(report: &LintReport) -> String {
     for f in &report.findings {
         let _ = writeln!(
             out,
-            "{}:{}:{}: {}[{}]: {}",
-            f.path,
-            f.line,
-            f.col,
-            f.severity.as_str(),
-            f.rule,
-            f.message
+            "{}:{}:{}: error[{}]: {}",
+            f.path, f.line, f.col, f.rule, f.message
         );
     }
     let _ = writeln!(
@@ -69,10 +64,9 @@ pub fn render_json(report: &LintReport) -> String {
 
 fn finding_json(f: &Finding) -> String {
     format!(
-        "    {{\"rule\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \"col\": {}, \
+        "    {{\"rule\": {}, \"severity\": \"error\", \"path\": {}, \"line\": {}, \"col\": {}, \
          \"len\": {}, \"snippet\": {}, \"message\": {}}}",
         json_str(f.rule),
-        json_str(f.severity.as_str()),
         json_str(&f.path),
         f.line,
         f.col,
@@ -107,7 +101,7 @@ fn json_str(s: &str) -> String {
 pub fn render_rules() -> String {
     let mut out = String::new();
     for r in crate::rules::RULES {
-        let _ = writeln!(out, "{:<15} {:<7} {}", r.id, r.severity.as_str(), r.summary);
+        let _ = writeln!(out, "{:<15} error   {}", r.id, r.summary);
     }
     out
 }

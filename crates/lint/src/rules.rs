@@ -1,11 +1,12 @@
-//! The data-driven rule set: every invariant the hot path lives on,
-//! machine-checked.
+//! The data-driven rule set: the project invariants that neither rustc
+//! nor clippy can state, machine-checked.
 //!
 //! Each rule exists because a previous PR made correctness depend on a
 //! convention no compiler checks (see the README's rule table and each
-//! rule's `rationale`). Rules are entries in [`RULES`]; checks run over
-//! the token stream with the structural scopes of
-//! [`FileCtx`]. Everything is heuristic by
+//! rule's `rationale`); what clippy can say lives in `clippy.toml` and
+//! per-file `#![deny(…)]` attributes instead. Rules are entries in
+//! [`RULES`]; checks run over the token stream with the structural
+//! scopes of [`FileCtx`]. Everything is heuristic by
 //! design — a hand-rolled lexer cannot do type inference — so each rule
 //! documents its approximation and the `// mclint: allow(rule)
 //! reason="…"` escape hatch covers the (audited) exceptions.
@@ -13,34 +14,11 @@
 use crate::source::{Allow, FileCtx};
 use crate::TokenKind;
 
-/// Finding severity. Everything the launch rules emit is an error —
-/// they gate CI — but the field keeps the reporter honest when softer
-/// rules arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint run.
-    Error,
-    /// Reported, never fatal.
-    Warning,
-}
-
-impl Severity {
-    /// Lowercase name, as serialized.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
 /// One rule's identity and documentation.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Stable kebab-case id — what `allow(…)` names.
     pub id: &'static str,
-    /// Default severity.
-    pub severity: Severity,
     /// One-line summary (what is flagged).
     pub summary: &'static str,
     /// Why the invariant exists, naming the PR that introduced it.
@@ -50,17 +28,7 @@ pub struct RuleInfo {
 /// The launch rule set.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "no-panic",
-        severity: Severity::Error,
-        summary: "no unwrap/expect/panic!/indexing-by-literal in server-path files",
-        rationale: "PR 6's server must answer every request with a typed, id-echoing reply; \
-                    a panic in the connection path kills the worker instead (the \
-                    mcsched-service server.rs, service.rs, protocol.rs and journal.rs, and \
-                    core's cluster.rs).",
-    },
-    RuleInfo {
         id: "no-partial-cmp",
-        severity: Severity::Error,
         summary: "partial_cmp is forbidden; use total_cmp",
         rationale: "PR 2 totalised every float comparator so verdicts are bit-identical and \
                     NaN can never panic an admission; partial_cmp().unwrap() reintroduces both \
@@ -68,16 +36,15 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "hot-path-alloc",
-        severity: Severity::Error,
-        summary: "no allocation constructors in `// mclint: hot-path` files outside \
-                  `// mclint: cold` items",
-        rationale: "PR 4 made the analysis steady state allocation-free (pinned by \
-                    tests/zero_alloc.rs); an innocent clone()/collect() in amc/demand/\
-                    workspace/incremental silently re-adds per-probe mallocs.",
+        summary: "no allocation constructors or stable sorts in `// mclint: hot-path` \
+                  files outside `// mclint: cold` items",
+        rationale: "The analysis steady state is allocation-free (pinned by \
+                    tests/zero_alloc.rs); an innocent clone()/collect() or a stable \
+                    sort_by (its merge buffer) in amc/demand/workspace/incremental \
+                    silently re-adds per-probe mallocs.",
     },
     RuleInfo {
         id: "time-arith",
-        severity: Severity::Error,
         summary: "unchecked +/*/<< on time-lane values in kernel files outside certified \
                   fast blocks",
         rationale: "PR 7's fast-kernel certificate is the only licence for plain u64 \
@@ -86,7 +53,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "float-sum",
-        severity: Severity::Error,
         summary: "f64 iterator reductions in analysis/model crates; use a documented \
                   insertion-order loop",
         rationale: "PR 2/PR 5 pinned verdicts bit-identical by summing utilizations in \
@@ -95,38 +61,19 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "reply-id",
-        severity: Severity::Error,
         summary: "every Reply render site must bind the request id",
         rationale: "PR 6's protocol echoes `id` on every reply including error paths; a \
                     render(None) on a path that has an id silently breaks client \
                     correlation.",
     },
     RuleInfo {
-        id: "unstable-sort",
-        severity: Severity::Error,
-        summary: "sort_by in hot-path files must be sort_unstable_by",
-        rationale: "PR 4 switched hot-path sorts to sort_unstable_by over totalised \
-                    comparators: same order, no merge-buffer allocation — a stable sort \
-                    breaks the zero-allocation pin.",
-    },
-    RuleInfo {
-        id: "scoped-threads",
-        severity: Severity::Error,
-        summary: "no thread::scope outside exp/src/engine.rs",
-        rationale: "PR 3 unified every experiment loop on one deterministic batch engine; \
-                    ad-hoc scoped threads fork the worker-merge order and break seeded \
-                    reproducibility (generalizes tests/engine_equivalence.rs).",
-    },
-    RuleInfo {
         id: "bad-allow",
-        severity: Severity::Error,
         summary: "mclint: allow(…) must name a known rule and carry reason=\"…\"",
         rationale: "Suppressions are part of the audited surface: a reasonless or dangling \
                     allow is how invariants rot.",
     },
     RuleInfo {
         id: "unused-allow",
-        severity: Severity::Error,
         summary: "mclint: allow(…) that suppressed nothing",
         rationale: "A stale allow hides the next real finding at that site; delete it when \
                     the code it excused is gone.",
@@ -143,8 +90,6 @@ pub fn rule(id: &str) -> Option<&'static RuleInfo> {
 pub struct Finding {
     /// The rule id.
     pub rule: &'static str,
-    /// Severity (from the rule).
-    pub severity: Severity,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line.
@@ -158,17 +103,6 @@ pub struct Finding {
     /// Human explanation with the required fix.
     pub message: String,
 }
-
-/// Files that must stay panic-free outside `#[cfg(test)]` (rule
-/// `no-panic`): the request-serving path, including the durability
-/// layer a crashed-and-recovering server replays through.
-pub const PANIC_FREE_FILES: &[&str] = &[
-    "crates/service/src/server.rs",
-    "crates/service/src/service.rs",
-    "crates/service/src/protocol.rs",
-    "crates/service/src/journal.rs",
-    "crates/core/src/cluster.rs",
-];
 
 /// Kernel files where raw time arithmetic needs the fast-kernel
 /// certificate (rule `time-arith`).
@@ -196,19 +130,14 @@ pub const REPLY_FILES: &[&str] = &[
     "crates/service/src/protocol.rs",
 ];
 
-/// The one file allowed to call `thread::scope` (rule `scoped-threads`).
-pub const ENGINE_FILE: &str = "crates/exp/src/engine.rs";
-
 /// Every `(rule, path)` a path-scoped rule names. A rule picks its files
 /// by exact path, so a moved file would silently drop out of its scope;
 /// [`run`](crate::run) reports each path here that the walk did not find.
 pub fn scoped_paths() -> impl Iterator<Item = (&'static str, &'static str)> {
-    let scopes: [(&'static str, &[&'static str]); 5] = [
-        ("no-panic", PANIC_FREE_FILES),
+    let scopes: [(&'static str, &[&'static str]); 3] = [
         ("time-arith", KERNEL_FILES),
         ("hot-path-alloc", HOT_REQUIRED_FILES),
         ("reply-id", REPLY_FILES),
-        ("scoped-threads", &[ENGINE_FILE]),
     ];
     scopes
         .into_iter()
@@ -258,15 +187,24 @@ const FLOAT_MARKERS: &[&str] = &[
     "utilization",
     "utilization_lo",
     "utilization_hi",
-    "utilization_difference",
     "density",
     "util",
     "hi_util",
     "lo_util",
 ];
 
-/// Allocation method names (called as `.name(…)`).
-const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string", "collect"];
+/// Allocation method names (called as `.name(…)`). The stable sorts
+/// allocate their merge buffer; `sort_unstable*` does not.
+const ALLOC_METHODS: &[&str] = &[
+    "clone",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "collect",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+];
 
 /// Allocating `Type::ctor` pairs.
 const ALLOC_TYPES: &[&str] = &[
@@ -283,14 +221,11 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 pub fn lint_file(path: &str, src: &str) -> (Vec<Finding>, usize) {
     let ctx = FileCtx::parse(path, src);
     let mut findings = Vec::new();
-    check_no_panic(&ctx, &mut findings);
     check_no_partial_cmp(&ctx, &mut findings);
     check_hot_path_alloc(&ctx, &mut findings);
     check_time_arith(&ctx, &mut findings);
     check_float_sum(&ctx, &mut findings);
     check_reply_id(&ctx, &mut findings);
-    check_unstable_sort(&ctx, &mut findings);
-    check_scoped_threads(&ctx, &mut findings);
     let suppressed = apply_allows(&ctx, &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     (findings, suppressed)
@@ -307,7 +242,6 @@ fn emit(
     let (line, col) = ctx.line_col(tok.start);
     out.push(Finding {
         rule: rule_id,
-        severity: rule(rule_id).map(|r| r.severity).unwrap_or(Severity::Error),
         path: ctx.path.clone(),
         line,
         col,
@@ -315,62 +249,6 @@ fn emit(
         snippet: ctx.ctext(ci).to_owned(),
         message,
     });
-}
-
-/// Rule `no-panic`: `.unwrap()`, `.expect(`, `panic!`/`unreachable!`/
-/// `todo!`/`unimplemented!`, and `x[<int literal>]` indexing in the
-/// server-path files, outside `#[cfg(test)]`.
-fn check_no_panic(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !PANIC_FREE_FILES.contains(&ctx.path.as_str()) {
-        return;
-    }
-    for ci in 0..ctx.code.len() {
-        if ctx.in_test(ctx.ctok(ci).start) {
-            continue;
-        }
-        let t = ctx.ctext(ci);
-        let next = |k: usize| ctx.code.get(ci + k).map(|_| ctx.ctext(ci + k));
-        let prev = |k: usize| ci.checked_sub(k).map(|j| ctx.ctext(j));
-        match t {
-            "unwrap" | "expect" if prev(1) == Some(".") && next(1) == Some("(") => {
-                emit(
-                    ctx,
-                    out,
-                    "no-panic",
-                    ci,
-                    format!("`.{t}()` can panic the request path; return a typed error reply"),
-                );
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if next(1) == Some("!") => {
-                emit(
-                    ctx,
-                    out,
-                    "no-panic",
-                    ci,
-                    format!("`{t}!` kills the serving worker; answer with Reply::error instead"),
-                );
-            }
-            "[" => {
-                let indexing = ci > 0
-                    && (ctx.ckind(ci - 1) == TokenKind::Ident
-                        || matches!(ctx.ctext(ci - 1), ")" | "]" | "?"));
-                if indexing
-                    && ci + 2 < ctx.code.len()
-                    && ctx.ckind(ci + 1) == TokenKind::Int
-                    && ctx.ctext(ci + 2) == "]"
-                {
-                    emit(
-                        ctx,
-                        out,
-                        "no-panic",
-                        ci + 1,
-                        "indexing by literal can panic; use .get(…) and handle None".to_owned(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Rule `no-partial-cmp`: the identifier anywhere in code (tests
@@ -398,7 +276,6 @@ fn check_hot_path_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if required && !ctx.hot_path {
         out.push(Finding {
             rule: "hot-path-alloc",
-            severity: Severity::Error,
             path: ctx.path.clone(),
             line: 1,
             col: 1,
@@ -431,8 +308,13 @@ fn check_hot_path_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 "hot-path-alloc",
                 ci,
                 format!(
-                    "`.{t}(…)` allocates on the hot path; reuse a workspace buffer or mark \
-                     the item `// mclint: cold`"
+                    "`.{t}(…)` allocates on the hot path; {} or mark the item \
+                     `// mclint: cold`",
+                    if t.starts_with("sort") {
+                        "use the `sort_unstable` form with a total comparator"
+                    } else {
+                        "reuse a workspace buffer"
+                    }
                 ),
             );
         } else if ALLOC_TYPES.contains(&t)
@@ -672,66 +554,6 @@ fn check_reply_id(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule `unstable-sort`: stable sorts in hot-path files allocate merge
-/// buffers; require the `sort_unstable*` forms.
-fn check_unstable_sort(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.hot_path {
-        return;
-    }
-    for ci in 0..ctx.code.len() {
-        if ctx.ckind(ci) != TokenKind::Ident
-            || !matches!(ctx.ctext(ci), "sort" | "sort_by" | "sort_by_key")
-        {
-            continue;
-        }
-        let pos = ctx.ctok(ci).start;
-        if ctx.in_test(pos) || ctx.in_cold(pos) {
-            continue;
-        }
-        if ci > 0
-            && ctx.ctext(ci - 1) == "."
-            && ctx
-                .code
-                .get(ci + 1)
-                .is_some_and(|_| ctx.ctext(ci + 1) == "(")
-        {
-            let t = ctx.ctext(ci);
-            emit(
-                ctx,
-                out,
-                "unstable-sort",
-                ci,
-                format!(
-                    "stable `.{t}` allocates a merge buffer on the hot path; use \
-                     `.sort_unstable{}` with a total comparator",
-                    t.strip_prefix("sort").unwrap_or("")
-                ),
-            );
-        }
-    }
-}
-
-/// Rule `scoped-threads`: `thread::scope` anywhere outside the batch
-/// engine.
-fn check_scoped_threads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.path == ENGINE_FILE {
-        return;
-    }
-    for ci in 0..ctx.code.len().saturating_sub(2) {
-        if ctx.ctext(ci) == "thread" && ctx.ctext(ci + 1) == "::" && ctx.ctext(ci + 2) == "scope" {
-            emit(
-                ctx,
-                out,
-                "scoped-threads",
-                ci + 2,
-                "thread::scope outside the batch engine forks the deterministic worker-merge \
-                 order; route parallelism through mcsched_exp::engine"
-                    .to_owned(),
-            );
-        }
-    }
-}
-
 /// Applies suppressions and reports suppression hygiene. A valid allow
 /// (known rule + non-empty reason) removes the matching findings on its
 /// target line; invalid allows suppress nothing and are themselves
@@ -742,7 +564,6 @@ fn apply_allows(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) -> usize {
     for allow in &ctx.allows {
         let bad = |message: String, allow: &Allow| Finding {
             rule: "bad-allow",
-            severity: Severity::Error,
             path: ctx.path.clone(),
             line: allow.line,
             col: allow.col,
@@ -779,7 +600,6 @@ fn apply_allows(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) -> usize {
         if matched == 0 {
             meta.push(Finding {
                 rule: "unused-allow",
-                severity: Severity::Error,
                 path: ctx.path.clone(),
                 line: allow.line,
                 col: allow.col,

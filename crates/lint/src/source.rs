@@ -17,7 +17,8 @@
 //!   constructors and entry-point APIs inside hot-path files that may
 //!   allocate because they run once per judgement, not once per probe.
 //! * **The hot-path header** — `// mclint: hot-path` anywhere in the
-//!   file opts the whole file into the allocation and stable-sort rules.
+//!   file opts the whole file into the allocation rule (stable sorts
+//!   included).
 //! * **Suppressions** — `// mclint: allow(rule) reason="…"` comments.
 //!   A trailing comment covers its own line; a standalone comment covers
 //!   the next code line. The engine reports allows that lack a reason
@@ -396,13 +397,13 @@ mod tests {
 
     #[test]
     fn allow_parsing_trailing_and_standalone() {
-        let src = "x.unwrap(); // mclint: allow(no-panic) reason=\"test only\"\n// mclint: allow(no-partial-cmp)\ny();\n";
+        let src = "x.clone(); // mclint: allow(hot-path-alloc) reason=\"test only\"\n// mclint: allow(time-arith)\ny();\n";
         let ctx = FileCtx::parse("x.rs", src);
         assert_eq!(ctx.allows.len(), 2);
-        assert_eq!(ctx.allows[0].rule, "no-panic");
+        assert_eq!(ctx.allows[0].rule, "hot-path-alloc");
         assert_eq!(ctx.allows[0].target_line, 1);
         assert_eq!(ctx.allows[0].reason.as_deref(), Some("test only"));
-        assert_eq!(ctx.allows[1].rule, "no-partial-cmp");
+        assert_eq!(ctx.allows[1].rule, "time-arith");
         assert_eq!(ctx.allows[1].target_line, 3);
         assert!(ctx.allows[1].reason.is_none());
     }

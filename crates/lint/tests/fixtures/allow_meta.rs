@@ -1,12 +1,13 @@
+// mclint: hot-path
 // Fixture for rules `bad-allow` / `unused-allow` (path-independent).
 
-fn compare(a: f64, b: f64) -> std::cmp::Ordering {
-    // mclint: allow(no-partial-cmp)
-    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+fn copy(xs: &[u64]) -> Vec<u64> {
+    // mclint: allow(hot-path-alloc)
+    xs.to_vec()
 }
 
 // mclint: allow(not-a-rule) reason="names a rule that does not exist"
 fn unknown() {}
 
-// mclint: allow(no-partial-cmp) reason="nothing here to suppress"
+// mclint: allow(hot-path-alloc) reason="nothing here to suppress"
 fn unused() {}

@@ -10,6 +10,14 @@ fn probe(xs: &[u64]) -> Vec<u64> {
     out
 }
 
+fn order(xs: &mut [u64], keys: &[u64]) {
+    xs.sort_by(|a, b| keys[*a as usize].cmp(&keys[*b as usize]));
+}
+
+fn fine(xs: &mut [u64], keys: &[u64]) {
+    xs.sort_unstable_by(|a, b| keys[*a as usize].cmp(&keys[*b as usize]));
+}
+
 // mclint: cold — constructors may allocate
 fn build() -> Vec<u64> {
     let v = Vec::with_capacity(8);

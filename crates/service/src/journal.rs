@@ -49,6 +49,19 @@
 //! `TaskSet::remove`), replaying a snapshot is bit-identical to
 //! replaying the full history it collapsed.
 
+// Panic-free request path: a panic here kills the serving worker
+// instead of answering with a typed error reply. `clippy.toml` exempts
+// `#[cfg(test)]` code; CI's clippy job enforces this, `cargo test` does not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};

@@ -53,6 +53,19 @@
 //! ([`parse_reply`]) and for cold paths: reports, the algorithm
 //! registry and journal recovery.
 
+// Panic-free request path: a panic here kills the serving worker
+// instead of answering with a typed error reply. `clippy.toml` exempts
+// `#[cfg(test)]` code; CI's clippy job enforces this, `cargo test` does not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use mcsched_model::{Criticality, Task, TaskId, TaskSet};
 use serde::Value;
 use serde_json::{Scanner, Token};
@@ -1084,6 +1097,10 @@ impl<'a> JsonObject<'a> {
         self
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "write_array passes each i < tasks.len()"
+    )]
     fn tasks(&mut self, key: &'static str, tasks: &TaskSet) -> &mut Self {
         let tasks = tasks.as_slice();
         serde_json::write_array(self.key(key), tasks.len(), |out, i| {
@@ -1093,6 +1110,10 @@ impl<'a> JsonObject<'a> {
     }
 
     /// Task ids per processor, as an array of arrays.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "write_array passes each index below the length it was given"
+    )]
     fn partition(&mut self, key: &'static str, partition: &[Vec<u32>]) -> &mut Self {
         serde_json::write_array(self.key(key), partition.len(), |out, k| {
             let ids = &partition[k];

@@ -50,6 +50,19 @@
 //!   enabled) stops the acceptor, drains queued connections, lets
 //!   in-flight requests finish, and returns the run's totals.
 
+// Panic-free request path: a panic here kills the serving worker
+// instead of answering with a typed error reply. `clippy.toml` exempts
+// `#[cfg(test)]` code; CI's clippy job enforces this, `cargo test` does not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::journal::{Journal, OpKind};
 use crate::protocol::{
     parse_envelope, AdmitReply, ProbeReply, QueryReply, RemoveReply, Reply, Request, RequestId,
@@ -284,7 +297,11 @@ impl Server {
             }
             totals
         };
-        // mclint: allow(scoped-threads) reason="the accept/worker pool is a server runtime, not an experiment batch; engine.rs only covers deterministic result merging"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the accept/worker pool is a server runtime, not an experiment batch; \
+                      the batch engine only covers deterministic result merging"
+        )]
         let worker_totals = std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(config.workers.max(1) + config.degraded_workers);
             let serve = &serve;
@@ -346,11 +363,7 @@ impl Server {
             // Drain: workers finish queued + in-flight connections.
             queue.close();
             degraded_queue.close();
-            workers
-                .into_iter()
-                // mclint: allow(no-panic) reason="join() only errs if a worker panicked; serve_connection is panic-free, so this propagates a bug rather than masking it"
-                .map(|w| w.join().expect("worker thread panicked"))
-                .collect::<Vec<_>>()
+            workers.into_iter().map(join_worker).collect::<Vec<_>>()
         });
         for totals in worker_totals {
             stats.connections += totals.connections;
@@ -360,6 +373,16 @@ impl Server {
         }
         Ok(stats)
     }
+}
+
+/// Joins a pool worker, propagating its panic.
+#[expect(
+    clippy::expect_used,
+    reason = "join() only errs if the worker panicked; serve_connection is panic-free, \
+              so this propagates a bug rather than masking it"
+)]
+fn join_worker<T>(worker: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    worker.join().expect("worker thread panicked")
 }
 
 /// Sheds a connection the queue cannot take: one typed overload reply,

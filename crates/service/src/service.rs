@@ -4,6 +4,19 @@
 //! (`mcexp eval`). The line shapes are the [`protocol`](crate::protocol)
 //! module's.
 
+// Panic-free request path: a panic here kills the serving worker
+// instead of answering with a typed error reply. `clippy.toml` exempts
+// `#[cfg(test)]` code; CI's clippy job enforces this, `cargo test` does not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::protocol::{EvalRequest, EvalResponse};
 use mcsched_core::AlgorithmRegistry;
 

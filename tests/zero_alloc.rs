@@ -20,9 +20,11 @@
 //! a warm `FrameReader` allocates nothing, and decoding a request line
 //! allocates only the owned strings of the request it returns.
 
-// The counting allocator is the one place the workspace needs `unsafe`:
-// a thin pass-through to `System` with a relaxed atomic counter.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator is the one place the workspace needs `unsafe`: \
+              a thin pass-through to `System` with a relaxed atomic counter"
+)]
 
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
