@@ -852,7 +852,7 @@ pub(crate) struct AmcCache {
 
 impl AmcCache {
     /// Empties the cache, keeping the buffers for reuse.
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.order.clear();
         self.lo_resp.clear();
         self.hi_resp.clear();
@@ -884,7 +884,9 @@ impl AmcCache {
 /// All buffers — the committed cache, the candidate scratch cache and the
 /// shared [`AnalysisWorkspace`] — are reused across admission queries, so
 /// the steady-state probe path performs no heap allocations (pinned by
-/// `tests/zero_alloc.rs`).
+/// `tests/zero_alloc.rs`). The state draws its committed set, caches and
+/// lane view from the workspace's idle buffers and hands them back on
+/// drop, so the next state of the same workspace starts warm.
 #[derive(Debug, Clone)]
 pub struct AmcState {
     variant: AmcVariant,
@@ -913,14 +915,17 @@ pub struct AmcState {
 
 impl AmcState {
     fn with_workspace(variant: AmcVariant, ws: WorkspaceRef) -> Self {
+        let (tasks, (cache, scratch, soa)) = ws
+            .with_idle(|idle| (idle.task_set(), idle.amc()))
+            .unwrap_or_default();
         AmcState {
             variant,
-            committed: Committed::default(),
-            cache: AmcCache::default(),
+            committed: Committed::with_tasks(tasks),
+            cache,
             cache_valid: true,
-            scratch: AmcCache::default(),
+            scratch,
             pending: None,
-            soa: SoaTasks::default(),
+            soa,
             ws,
         }
     }
@@ -1016,6 +1021,21 @@ fn admit_incremental_into(
     out.hi_resp.extend_from_slice(&cache.hi_resp);
     out.hi_resp.push(None);
     analyze_from(variant, soa, p, streams, slots, hp, out)
+}
+
+impl Drop for AmcState {
+    fn drop(&mut self) {
+        let tasks = std::mem::take(&mut self.committed.tasks);
+        let buffers = (
+            std::mem::take(&mut self.cache),
+            std::mem::take(&mut self.scratch),
+            std::mem::take(&mut self.soa),
+        );
+        self.ws.with_idle(|idle| {
+            idle.put_task_set(tasks);
+            idle.put_amc(buffers);
+        });
+    }
 }
 
 impl AdmissionState for AmcState {

@@ -332,6 +332,14 @@ impl DemandKernel {
         self.hi_prev = None;
     }
 
+    /// [`clear`](Self::clear) plus zeroed counters: the kernel as a
+    /// fresh one would be, its buffers kept (how a workspace recycles
+    /// the kernel of a dropped admission state).
+    pub(crate) fn reset(&mut self) {
+        self.clear();
+        self.counters = QpaCounters::default();
+    }
+
     /// Replaces the contents with `tasks` (memos cleared: samples of a
     /// different set are meaningless). The lanes are rebuilt in one
     /// fused pass; the bookkeeping sums accumulate in insertion order,

@@ -190,8 +190,12 @@ impl SchedulabilityTest for EdfVd {
     }
 
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        let _ = ws;
-        Box::new(EdfVdState::default())
+        let tasks = ws.with_idle(|idle| idle.task_set()).unwrap_or_default();
+        Box::new(EdfVdState {
+            committed: Committed::with_tasks(tasks),
+            sums: Sums::default(),
+            ws: ws.clone(),
+        })
     }
 }
 
@@ -201,11 +205,21 @@ impl SchedulabilityTest for EdfVd {
 ///
 /// Because the running sums accumulate in insertion order — the same order
 /// a one-shot analysis of the union would use — the verdicts are
-/// bit-identical to clone-and-retest.
-#[derive(Debug, Clone, Default)]
+/// bit-identical to clone-and-retest. The committed set's buffer comes
+/// from the workspace and returns to it when the state is dropped.
+#[derive(Debug, Clone)]
 pub struct EdfVdState {
     committed: Committed,
     sums: Sums,
+    /// The workspace the committed set's buffer returns to.
+    ws: WorkspaceRef,
+}
+
+impl Drop for EdfVdState {
+    fn drop(&mut self) {
+        let tasks = std::mem::take(&mut self.committed.tasks);
+        self.ws.with_idle(|idle| idle.put_task_set(tasks));
+    }
 }
 
 impl AdmissionState for EdfVdState {

@@ -168,6 +168,9 @@ impl fmt::Display for AdmissionStats {
 ///
 /// Each test creates its own state type through
 /// [`SchedulabilityTest::admission_state_in`](crate::SchedulabilityTest::admission_state_in).
+/// The native states draw their buffers from that workspace's idle ones
+/// and return them, cleared, to the workspace when dropped; a recycled
+/// state answers and counts exactly like a fresh one.
 ///
 /// # Example
 ///
@@ -228,6 +231,15 @@ pub(crate) struct Committed {
 }
 
 impl Committed {
+    /// Empty contents over `tasks`, a cleared buffer from the workspace.
+    pub(crate) fn with_tasks(tasks: TaskSet) -> Self {
+        debug_assert!(tasks.is_empty(), "idle task sets are cleared");
+        Committed {
+            tasks,
+            ..Committed::default()
+        }
+    }
+
     /// Appends a task, keeping the summary in sync (accumulated in
     /// insertion order, hence bit-identical to a recomputation).
     pub(crate) fn push(&mut self, task: Task) {

@@ -80,7 +80,7 @@ pub use demand::{DemandKernel, QpaCounters};
 pub use edfvd::{EdfVd, EdfVdState};
 pub use incremental::{AdmissionState, AdmissionStats};
 pub use vdtune::{Ecdf, Ey, VdAssignment, VdTuneState};
-pub use workspace::{AnalysisWorkspace, PooledWorkspace, WorkspaceRef};
+pub use workspace::{AnalysisWorkspace, PartitionScratch, PooledWorkspace, WorkspaceRef};
 
 use mcsched_model::TaskSet;
 
@@ -130,8 +130,11 @@ pub trait SchedulabilityTest {
     /// `Partition::build_reporting_in` passes one [`WorkspaceRef`] to all `m`
     /// per-processor states of a run, so the whole build shares a single
     /// set of scratch buffers and the admission path allocates nothing in
-    /// steady state. Verdicts never depend on `ws` — it holds scratch
-    /// only.
+    /// steady state. The state also takes its own buffers (committed
+    /// set, kernels, caches) from the idle ones `ws` keeps, and hands them
+    /// back cleared when it is dropped, so the next run's states start
+    /// warm. Verdicts and counters never depend on `ws` — it holds
+    /// scratch only.
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_>;
 }
 

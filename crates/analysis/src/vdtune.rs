@@ -432,6 +432,10 @@ impl SchedulabilityTest for Ecdf {
 ///   [`take_tasks`](AdmissionState::take_tasks) drop it;
 /// * the utilization summary the partitioning fit rules read.
 ///
+/// The kernel, the committed set and both tuning lists come from the
+/// workspace's idle buffers and go back to it, cleared, when the state
+/// is dropped (see [`crate::workspace`]).
+///
 /// **The LC shortcut.** An LC candidate `c` whose union with `A`
 /// (`c` at its real deadline) passes the low-mode check is admitted
 /// without a search, and the answer is exactly the one-shot verdict.
@@ -459,8 +463,9 @@ pub struct VdTuneState {
     committed: Committed,
     ecdf: bool,
     /// The warm demand kernel: holds `untightened(committed)` between
-    /// probes; owned (not workspace-shared) so its memoised state is
-    /// never clobbered by other processors' states.
+    /// probes; drawn from the workspace's idle buffers but owned while
+    /// the state lives, so its memoised state is never clobbered by
+    /// other processors' states.
     kernel: DemandKernel,
     /// Shared workspace for the per-round candidate-move buffer.
     ws: WorkspaceRef,
@@ -476,14 +481,17 @@ pub struct VdTuneState {
 
 impl VdTuneState {
     fn with_workspace(ecdf: bool, ws: WorkspaceRef) -> Self {
+        let (tasks, kernel, tuned, pending) = ws
+            .with_idle(|idle| (idle.task_set(), idle.kernel(), idle.vds(), idle.vds()))
+            .unwrap_or_default();
         VdTuneState {
-            committed: Committed::default(),
+            committed: Committed::with_tasks(tasks),
             ecdf,
-            kernel: DemandKernel::new(),
+            kernel,
             ws,
-            tuned: Vec::new(),
+            tuned,
             tuned_valid: false,
-            pending: Vec::new(),
+            pending,
             pending_task: None,
         }
     }
@@ -493,6 +501,25 @@ impl VdTuneState {
     fn forget_tuning(&mut self) {
         self.tuned_valid = false;
         self.pending_task = None;
+    }
+}
+
+impl Drop for VdTuneState {
+    fn drop(&mut self) {
+        let tasks = std::mem::take(&mut self.committed.tasks);
+        let kernel = std::mem::take(&mut self.kernel);
+        let (tuned, pending) = (
+            std::mem::take(&mut self.tuned),
+            std::mem::take(&mut self.pending),
+        );
+        self.ws.with_idle(|idle| {
+            idle.put_task_set(tasks);
+            idle.put_kernel(kernel);
+            // Reverse of the take order, so the next state's `tuned`
+            // is this one's.
+            idle.put_vds(pending);
+            idle.put_vds(tuned);
+        });
     }
 }
 

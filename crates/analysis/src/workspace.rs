@@ -23,17 +23,29 @@
 //!   run shares a single set of scratch buffers. The experiment engine
 //!   creates one handle per worker thread.
 //!
+//! The workspace also keeps the **idle buffers of dropped admission
+//! states**: a state takes its committed `TaskSet`, demand kernel, AMC
+//! caches and lane view from the workspace when it is created, and its
+//! `Drop` hands them back cleared. So the `m` states of a partitioning
+//! run start from the buffers the previous run's states grew, and a warm
+//! run allocates only the state boxes themselves. The workspace holds
+//! buffers, never states, so no `Rc` cycle forms; a state dropped while
+//! the workspace is borrowed simply frees its buffers.
+//!
 //! No *verdict* ever depends on a workspace buffer's previous contents,
 //! so sharing or pooling workspaces cannot change an analysis outcome
 //! (the equivalence suites in `tests/` pin this). Two caveats for
-//! maintainers: the embedded demand kernel's reuse *counters* survive
+//! maintainers. The embedded demand kernel's reuse *counters* survive
 //! `load()`/`clear()` by design (they describe the kernel's lifetime,
-//! and accumulate across whatever analyses share a pooled workspace),
-//! and warm kernel state is only *useful* when it describes one
-//! processor's committed set — which is why `VdTuneState` owns a
-//! private kernel instead of sharing `ws.demand` (a shared one would be
-//! clobbered between probes; verdicts would stay correct, but the
-//! probe-to-probe memo reuse would silently vanish).
+//! and accumulate across whatever analyses share a pooled workspace);
+//! a state's kernel, by contrast, is reset with its counters before it
+//! goes idle, so a state's counters describe that state alone. And warm
+//! kernel state is only *useful* when it describes one processor's
+//! committed set — which is why `VdTuneState` draws a kernel of its own
+//! from the idle buffers and owns it while alive instead of sharing
+//! `ws.demand` (a shared one would be clobbered between probes; verdicts
+//! would stay correct, but the probe-to-probe memo reuse would silently
+//! vanish).
 //!
 //! ## The demand fast-kernel certificate
 //!
@@ -63,7 +75,7 @@
 use crate::amc::{AmcCache, CandStream, HcSlot};
 use crate::demand::DemandKernel;
 use crate::vdtune::Move;
-use mcsched_model::{Criticality, Task};
+use mcsched_model::{Criticality, SystemUtilization, Task, TaskSet, Time};
 use std::cell::{RefCell, RefMut};
 use std::ops::Deref;
 use std::rc::Rc;
@@ -634,6 +646,104 @@ pub struct AnalysisWorkspace {
     pub(crate) demand: DemandKernel,
     /// Candidate tightening moves of one greedy round (EY / ECDF).
     pub(crate) moves: Vec<Move>,
+    /// Idle, cleared buffers of dropped admission states.
+    idle: IdleStates,
+    /// The partitioning engine's per-run scratch, lent out by
+    /// [`WorkspaceRef::with_partition_scratch`].
+    partition: PartitionScratch,
+}
+
+/// The buffers of one [`AmcState`](crate::AmcState): the committed
+/// analysis, the probe's scratch analysis and the lane view.
+pub(crate) type AmcBuffers = (AmcCache, AmcCache, SoaTasks);
+
+/// Ceiling on idle buffers of each kind: a partitioning run holds `m`
+/// states at once, so this covers every processor count the experiments
+/// use while bounding what a workspace keeps after a wide run.
+const MAX_IDLE: usize = 32;
+
+/// Idle buffers of dropped admission states, each cleared when it came
+/// back, so a new state takes them as good as new (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct IdleStates {
+    task_sets: Vec<TaskSet>,
+    kernels: Vec<DemandKernel>,
+    amc: Vec<AmcBuffers>,
+    vds: Vec<Vec<Time>>,
+}
+
+/// Keeps `item` idle unless `list` is at [`MAX_IDLE`].
+fn keep<T>(list: &mut Vec<T>, item: T) {
+    if list.len() < MAX_IDLE {
+        list.push(item);
+    }
+}
+
+impl IdleStates {
+    /// An empty committed task set.
+    pub(crate) fn task_set(&mut self) -> TaskSet {
+        self.task_sets.pop().unwrap_or_default()
+    }
+
+    /// Takes back a committed task set.
+    pub(crate) fn put_task_set(&mut self, mut ts: TaskSet) {
+        ts.clear();
+        keep(&mut self.task_sets, ts);
+    }
+
+    /// An empty demand kernel with zeroed counters.
+    pub(crate) fn kernel(&mut self) -> DemandKernel {
+        self.kernels.pop().unwrap_or_default()
+    }
+
+    /// Takes back a demand kernel, resetting its memos and counters.
+    pub(crate) fn put_kernel(&mut self, mut kernel: DemandKernel) {
+        kernel.reset();
+        keep(&mut self.kernels, kernel);
+    }
+
+    /// Empty AMC state buffers.
+    pub(crate) fn amc(&mut self) -> AmcBuffers {
+        self.amc.pop().unwrap_or_default()
+    }
+
+    /// Takes back AMC state buffers.
+    pub(crate) fn put_amc(&mut self, (mut cache, mut scratch, mut soa): AmcBuffers) {
+        cache.clear();
+        scratch.clear();
+        soa.clear();
+        keep(&mut self.amc, (cache, scratch, soa));
+    }
+
+    /// An empty virtual-deadline list.
+    pub(crate) fn vds(&mut self) -> Vec<Time> {
+        self.vds.pop().unwrap_or_default()
+    }
+
+    /// Takes back a virtual-deadline list.
+    pub(crate) fn put_vds(&mut self, mut vds: Vec<Time>) {
+        vds.clear();
+        keep(&mut self.vds, vds);
+    }
+}
+
+/// The scratch of one partitioning run (`Partition::build_reporting_in`
+/// of `mcsched-core`): the allocation sequence and its sort keys, the
+/// per-processor utilization summaries and the fit-order buffer. Lent
+/// out by [`WorkspaceRef::with_partition_scratch`], so repeated runs
+/// through one workspace reuse the grown buffers.
+#[derive(Debug, Default)]
+pub struct PartitionScratch {
+    /// The tasks in allocation order.
+    pub sequence: Vec<Task>,
+    /// Sort keys of the allocation order: `(class, utilization, input
+    /// position)` per task.
+    pub keys: Vec<(u8, f64, usize)>,
+    /// The cached utilization summary of each processor.
+    pub summaries: Vec<SystemUtilization>,
+    /// The processors in the order the current task's fit rule tries
+    /// them.
+    pub order: Vec<usize>,
 }
 
 impl AnalysisWorkspace {
@@ -687,6 +797,30 @@ impl WorkspaceRef {
     /// the public API).
     pub fn borrow_mut(&self) -> RefMut<'_, AnalysisWorkspace> {
         self.inner.borrow_mut()
+    }
+
+    /// Runs `f` on the idle state buffers; `None` when the workspace is
+    /// already borrowed (a state then makes or frees its own buffers).
+    pub(crate) fn with_idle<R>(&self, f: impl FnOnce(&mut IdleStates) -> R) -> Option<R> {
+        let mut ws = self.inner.try_borrow_mut().ok()?;
+        Some(f(&mut ws.idle))
+    }
+
+    /// Runs `f` with the workspace's [`PartitionScratch`], checked out for
+    /// the duration of the call so the admission states of the run can
+    /// borrow the workspace meanwhile. A nested call, or one made while
+    /// the workspace is borrowed, gets fresh empty buffers.
+    pub fn with_partition_scratch<R>(&self, f: impl FnOnce(&mut PartitionScratch) -> R) -> R {
+        let mut scratch = self
+            .inner
+            .try_borrow_mut()
+            .map(|mut ws| std::mem::take(&mut ws.partition))
+            .unwrap_or_default();
+        let r = f(&mut scratch);
+        if let Ok(mut ws) = self.inner.try_borrow_mut() {
+            ws.partition = scratch;
+        }
+        r
     }
 }
 
@@ -975,6 +1109,44 @@ mod tests {
         let b = a.clone();
         a.borrow_mut().rtb_pos.push(3);
         assert_eq!(b.borrow_mut().rtb_pos.pop(), Some(3));
+    }
+
+    #[test]
+    fn dropped_states_return_their_buffers() {
+        use crate::{Ecdf, SchedulabilityTest};
+        let ws = WorkspaceRef::new();
+        let test = Ecdf::new();
+        let mut state = test.admission_state_in(&ws);
+        state.commit(Task::hi(0, 10, 2, 4).unwrap());
+        drop(state);
+        let idle = |ws: &WorkspaceRef| {
+            let ws = ws.borrow_mut();
+            (
+                ws.idle.task_sets.len(),
+                ws.idle.kernels.len(),
+                ws.idle.vds.len(),
+            )
+        };
+        assert_eq!(idle(&ws), (1, 1, 2));
+        let kept = ws.borrow_mut().idle.task_sets[0].clone();
+        assert!(kept.is_empty(), "idle task sets are cleared");
+        // A state made or dropped while the workspace is borrowed makes
+        // or frees its own buffers instead of panicking.
+        let held = ws.borrow_mut();
+        drop(test.admission_state_in(&ws));
+        drop(held);
+        assert_eq!(idle(&ws), (1, 1, 2));
+    }
+
+    #[test]
+    fn partition_scratch_is_lent_and_returned() {
+        let ws = WorkspaceRef::new();
+        ws.with_partition_scratch(|s| s.order.extend(0..64));
+        ws.with_partition_scratch(|outer| {
+            assert!(outer.order.capacity() >= 64, "the grown buffer came back");
+            // A nested checkout gets empty buffers of its own.
+            ws.with_partition_scratch(|inner| assert_eq!(inner.order.capacity(), 0));
+        });
     }
 
     #[test]

@@ -104,9 +104,12 @@ impl Partition {
     ///
     /// Every per-processor admission state shares the caller's analysis
     /// workspace: the `m` states of the build borrow `ws`'s scratch
-    /// buffers one admission query at a time, so the whole inner loop runs
-    /// allocation-free once the buffers are warm. The resulting partition
-    /// is identical — the workspace holds scratch only.
+    /// buffers one admission query at a time, take their own buffers from
+    /// the idle ones `ws` keeps (and return them when the run ends), and
+    /// the allocation sequence, summaries and fit order live in `ws` too.
+    /// So a warm run allocates only the `m` state boxes, their `Vec` and
+    /// the result it returns. The resulting partition is identical — the
+    /// workspace holds scratch only.
     pub fn build_reporting_in(
         strategy: &PartitionStrategy,
         test: &dyn SchedulabilityTest,
@@ -114,28 +117,23 @@ impl Partition {
         m: usize,
         ws: &WorkspaceRef,
     ) -> (Result<Self, PartitionError>, AdmissionStats) {
-        let mut states: Vec<Box<dyn AdmissionState + '_>> =
-            (0..m).map(|_| test.admission_state_in(ws)).collect();
-        let sequence = strategy.order().sequence(ts);
-        let mut summaries: Vec<SystemUtilization> = vec![SystemUtilization::default(); m];
-        let mut order: Vec<usize> = Vec::with_capacity(m);
-        for (placed, task) in sequence.iter().enumerate() {
-            if let Some(k) = place(strategy, task, &mut states, &summaries, &mut order) {
-                states[k].commit(*task);
-                summaries[k] = states[k].summary();
-            } else {
-                let error = PartitionError {
-                    task: task.id(),
-                    placed,
-                    processors: m,
-                    processor_loads: states.iter().map(|s| s.tasks().len()).collect(),
-                };
-                return (Err(error), total_stats(&states));
-            }
-        }
+        let mut states = open_states(test, m, ws);
+        let placed = place_all(strategy, ts, &mut states, ws);
         let stats = total_stats(&states);
-        let processors = states.iter_mut().map(|s| s.take_tasks()).collect();
-        (Ok(Partition { processors }), stats)
+        let result = match placed {
+            // Copies, so the states hand their grown buffers back to `ws`.
+            Ok(()) => Ok(Partition {
+                processors: states.iter().map(|s| s.tasks().clone()).collect(),
+            }),
+            Err((task, placed)) => Err(PartitionError {
+                task,
+                placed,
+                processors: m,
+                processor_loads: states.iter().map(|s| s.tasks().len()).collect(),
+            }),
+        };
+        close_states(states);
+        (result, stats)
     }
 
     /// Number of processors.
@@ -201,6 +199,67 @@ impl Partition {
     pub fn task_count(&self) -> usize {
         self.processors.iter().map(TaskSet::len).sum()
     }
+}
+
+/// Whether `strategy` places every task of `ts` on `m` processors under
+/// `test` — [`Partition::build_reporting_in`]'s verdict, from the same
+/// placement loop, without copying the committed sets into a partition.
+pub(crate) fn partitions_in(
+    strategy: &PartitionStrategy,
+    test: &dyn SchedulabilityTest,
+    ts: &TaskSet,
+    m: usize,
+    ws: &WorkspaceRef,
+) -> bool {
+    let mut states = open_states(test, m, ws);
+    let placed = place_all(strategy, ts, &mut states, ws).is_ok();
+    close_states(states);
+    placed
+}
+
+/// `m` empty admission states of `test`, all sharing `ws`.
+fn open_states<'a>(
+    test: &'a dyn SchedulabilityTest,
+    m: usize,
+    ws: &WorkspaceRef,
+) -> Vec<Box<dyn AdmissionState + 'a>> {
+    (0..m).map(|_| test.admission_state_in(ws)).collect()
+}
+
+/// Drops `states` last first. Each state pushes its buffers onto the
+/// workspace's idle stacks, and [`open_states`] pops them first to last,
+/// so the next run's processor `k` takes back processor `k`'s buffers,
+/// already grown to what that processor held.
+fn close_states(mut states: Vec<Box<dyn AdmissionState + '_>>) {
+    while states.pop().is_some() {}
+}
+
+/// Algorithm 1's loop: offers the tasks of `ts` in the strategy's
+/// allocation order and commits each to the first processor that admits
+/// it. On failure, returns the task no processor admitted and how many
+/// were placed before it. The sequence, summaries and fit order are the
+/// workspace's [`PartitionScratch`](mcsched_analysis::PartitionScratch).
+fn place_all(
+    strategy: &PartitionStrategy,
+    ts: &TaskSet,
+    states: &mut [Box<dyn AdmissionState + '_>],
+    ws: &WorkspaceRef,
+) -> Result<(), (TaskId, usize)> {
+    ws.with_partition_scratch(|s| {
+        strategy
+            .order()
+            .sequence_into(ts, &mut s.keys, &mut s.sequence);
+        s.summaries.clear();
+        s.summaries
+            .resize(states.len(), SystemUtilization::default());
+        for (placed, task) in s.sequence.iter().enumerate() {
+            let k = place(strategy, task, states, &s.summaries, &mut s.order)
+                .ok_or((task.id(), placed))?;
+            states[k].commit(*task);
+            s.summaries[k] = states[k].summary();
+        }
+        Ok(())
+    })
 }
 
 /// The placement step shared by [`Partition::build_reporting_in`] and

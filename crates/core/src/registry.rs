@@ -240,12 +240,16 @@ impl AlgorithmSpec {
 
     /// `true` if the algorithm schedules `ts` on `m` processors.
     pub fn accepts(&self, ts: &TaskSet, m: usize) -> bool {
-        self.try_partition(ts, m).is_ok()
+        self.accepts_in(ts, m, &WorkspaceRef::pooled())
     }
 
-    /// As [`accepts`](Self::accepts), in the caller's workspace.
+    /// As [`accepts`](Self::accepts), in the caller's workspace: the
+    /// placement loop of
+    /// [`try_partition_reporting_in`](Self::try_partition_reporting_in)
+    /// without building the partition, so a warm call allocates only
+    /// its `m` admission states and their `Vec`.
     pub fn accepts_in(&self, ts: &TaskSet, m: usize, ws: &WorkspaceRef) -> bool {
-        self.try_partition_reporting_in(ts, m, ws).0.is_ok()
+        crate::partition::partitions_in(&self.strategy, self.test.test(), ts, m, ws)
     }
 
     /// Opens a live [`ClusterSession`](crate::ClusterSession) over `m`

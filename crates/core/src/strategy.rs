@@ -37,42 +37,66 @@ pub enum AllocationOrder {
 impl AllocationOrder {
     /// Builds the allocation sequence for a task set.
     pub fn sequence(&self, ts: &TaskSet) -> Vec<Task> {
-        let mut tasks: Vec<Task> = ts.iter().copied().collect();
-        let by_own_desc = |a: &Task, b: &Task| {
-            b.utilization_own()
-                .total_cmp(&a.utilization_own())
-                .then_with(|| a.id().cmp(&b.id()))
-        };
-        match *self {
-            AllocationOrder::CriticalityAware { sorted } => {
-                let (mut hi, mut lo): (Vec<Task>, Vec<Task>) =
-                    tasks.into_iter().partition(|t| t.criticality().is_high());
-                if sorted {
-                    hi.sort_by(by_own_desc);
-                    lo.sort_by(by_own_desc);
+        let mut out = Vec::with_capacity(ts.len());
+        self.sequence_into(ts, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// As [`sequence`](Self::sequence), into `out` (cleared first), with
+    /// `keys` as sort scratch: the partitioning engine passes buffers it
+    /// reuses across runs, so ordering a set allocates nothing once they
+    /// have grown.
+    ///
+    /// Each task's own-level utilization is computed once into its key
+    /// `(class, utilization, input position)`; the keys sort by class,
+    /// then decreasing utilization, then increasing id, then input
+    /// position. That is a total order, so the unstable sort yields
+    /// exactly the order a stable sort of each class by
+    /// `(utilization desc, id)` gives.
+    pub fn sequence_into(
+        &self,
+        ts: &TaskSet,
+        keys: &mut Vec<(u8, f64, usize)>,
+        out: &mut Vec<Task>,
+    ) {
+        let tasks = ts.as_slice();
+        out.clear();
+        keys.clear();
+        let class = |t: &Task| -> u8 {
+            match *self {
+                AllocationOrder::CriticalityAware { .. } => u8::from(t.criticality().is_low()),
+                AllocationOrder::CriticalityUnaware => 0,
+                AllocationOrder::HeavyLcFirst { threshold_millis } => {
+                    let threshold = f64::from(threshold_millis) / 1000.0;
+                    if t.criticality().is_high() {
+                        1
+                    } else if t.utilization_lo() >= threshold {
+                        0
+                    } else {
+                        2
+                    }
                 }
-                hi.extend(lo);
-                hi
             }
-            AllocationOrder::CriticalityUnaware => {
-                tasks.sort_by(by_own_desc);
-                tasks
-            }
-            AllocationOrder::HeavyLcFirst { threshold_millis } => {
-                let threshold = f64::from(threshold_millis) / 1000.0;
-                let (mut heavy, rest): (Vec<Task>, Vec<Task>) = tasks
-                    .drain(..)
-                    .partition(|t| t.criticality().is_low() && t.utilization_lo() >= threshold);
-                let (mut hi, mut lo): (Vec<Task>, Vec<Task>) =
-                    rest.into_iter().partition(|t| t.criticality().is_high());
-                heavy.sort_by(by_own_desc);
-                hi.sort_by(by_own_desc);
-                lo.sort_by(by_own_desc);
-                heavy.extend(hi);
-                heavy.extend(lo);
-                heavy
-            }
+        };
+        if *self == (AllocationOrder::CriticalityAware { sorted: false }) {
+            // Input order inside each class.
+            out.extend(tasks.iter().filter(|t| class(t) == 0));
+            out.extend(tasks.iter().filter(|t| class(t) == 1));
+            return;
         }
+        keys.extend(
+            tasks
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (class(t), t.utilization_own(), i)),
+        );
+        keys.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then(b.1.total_cmp(&a.1))
+                .then_with(|| tasks[a.2].id().cmp(&tasks[b.2].id()))
+                .then(a.2.cmp(&b.2))
+        });
+        out.extend(keys.iter().map(|&(_, _, i)| tasks[i]));
     }
 }
 
@@ -340,6 +364,80 @@ mod tests {
         let ids: Vec<u32> = seq.iter().map(|t| t.id().0).collect();
         // Heavy LC τ0 (0.6 ≥ 0.5) first, then HC τ3, τ1, then light LC τ2.
         assert_eq!(ids, vec![0, 3, 1, 2]);
+    }
+
+    /// The allocation order as a stable sort of each class by
+    /// `(own-level utilization desc, id)` builds it — what
+    /// [`AllocationOrder::sequence_into`]'s keyed unstable sort must
+    /// reproduce exactly.
+    fn stable_sequence(order: AllocationOrder, ts: &TaskSet) -> Vec<Task> {
+        let by_own_desc = |a: &Task, b: &Task| {
+            b.utilization_own()
+                .total_cmp(&a.utilization_own())
+                .then_with(|| a.id().cmp(&b.id()))
+        };
+        let (heavy, rest): (Vec<Task>, Vec<Task>) = ts.iter().partition(|t| match order {
+            AllocationOrder::HeavyLcFirst { threshold_millis } => {
+                t.criticality().is_low()
+                    && t.utilization_lo() >= f64::from(threshold_millis) / 1000.0
+            }
+            _ => false,
+        });
+        let (mut hi, mut lo): (Vec<Task>, Vec<Task>) = match order {
+            AllocationOrder::CriticalityUnaware => (rest, Vec::new()),
+            _ => rest.into_iter().partition(|t| t.criticality().is_high()),
+        };
+        let mut heavy = heavy;
+        if order != (AllocationOrder::CriticalityAware { sorted: false }) {
+            heavy.sort_by(by_own_desc);
+            hi.sort_by(by_own_desc);
+            lo.sort_by(by_own_desc);
+        }
+        heavy.into_iter().chain(hi).chain(lo).collect()
+    }
+
+    #[test]
+    fn keyed_sequence_matches_the_stable_sort() {
+        let orders = [
+            AllocationOrder::CriticalityAware { sorted: true },
+            AllocationOrder::CriticalityAware { sorted: false },
+            AllocationOrder::CriticalityUnaware,
+            AllocationOrder::HeavyLcFirst {
+                threshold_millis: 500,
+            },
+        ];
+        // Equal utilizations at distinct ids, a duplicate id at an equal
+        // utilization (unchecked sets allow one), and LC tasks on both
+        // sides of the threshold.
+        let mut ts = TaskSet::new();
+        for (i, (t, c, h)) in [
+            (10, 6, 0),
+            (20, 4, 8),
+            (10, 2, 4),
+            (20, 12, 0),
+            (5, 1, 2),
+            (10, 5, 0),
+            (40, 8, 16),
+            (50, 30, 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let id = u32::try_from(i).unwrap() % 7;
+            ts.push_unchecked(if h == 0 {
+                Task::lo(id, t, c).unwrap()
+            } else {
+                Task::hi(id, t, c, h).unwrap()
+            });
+        }
+        let (mut keys, mut out) = (Vec::new(), vec![Task::lo(99, 10, 1).unwrap()]);
+        for set in [sample(), ts] {
+            for order in orders {
+                order.sequence_into(&set, &mut keys, &mut out);
+                assert_eq!(out, stable_sequence(order, &set), "{order:?}");
+                assert_eq!(order.sequence(&set), out, "{order:?}");
+            }
+        }
     }
 
     #[test]

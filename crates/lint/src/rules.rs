@@ -530,10 +530,9 @@ fn check_reply_id(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         if ci == 0 || ctx.ctext(ci - 1) != "." {
             continue; // the definition site, not a call
         }
-        let Some(open) = ctx.code.get(ci + 1).filter(|_| ctx.ctext(ci + 1) == "(") else {
+        if ci + 1 == ctx.code.len() || ctx.ctext(ci + 1) != "(" {
             continue;
-        };
-        let _ = open;
+        }
         let Some(close) = ctx.match_paren(ci + 1) else {
             continue;
         };

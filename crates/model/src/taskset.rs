@@ -147,6 +147,11 @@ impl TaskSet {
         self.tasks.push(task);
     }
 
+    /// Removes every task, keeping the buffer for reuse.
+    pub fn clear(&mut self) {
+        self.tasks.clear();
+    }
+
     /// Number of tasks.
     #[inline]
     pub fn len(&self) -> usize {
@@ -295,6 +300,10 @@ mod tests {
         assert!(!ts.is_empty());
         assert!(TaskSet::new().is_empty());
         assert_eq!(TaskSet::with_capacity(8).len(), 0);
+        let mut cleared = sample();
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(cleared, TaskSet::new());
     }
 
     #[test]

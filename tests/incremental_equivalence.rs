@@ -19,6 +19,9 @@
 //!   m = 8 batch), matching the acceptance criterion of the
 //!   incremental-admission milestone.
 //!
+//! States recycled through a long-lived workspace must answer and count
+//! exactly like fresh ones.
+//!
 //! The EY / ECDF states also reuse the tuning of the committed set
 //! across probes, so their lifecycles (probes without commits,
 //! commits, removes, LC and HC candidates, and a commit of a different
@@ -29,8 +32,8 @@
 use mcsched::analysis::{
     AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
-use mcsched::core::{presets, Partition};
-use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
+use mcsched::core::{presets, AlgorithmSpec, Partition, TestName};
+use mcsched::gen::{seeded_corpus, DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use mcsched_oracle::vdtune as seed;
 use mcsched_oracle::OneShot;
@@ -219,6 +222,41 @@ fn seeded_corpus_equivalence() {
     }
     assert!(generated >= 500, "corpus too small: {generated}");
     assert!(compared >= 500 * 5, "comparisons too few: {compared}");
+}
+
+/// Admission states recycle their buffers through the workspace: a
+/// state created from a long-lived workspace takes the cleared kernels,
+/// caches and task sets earlier states returned on drop. Recycled states
+/// must answer and count exactly like fresh ones — same partition or
+/// error, same `AdmissionStats` (QPA counters and anchor-rejected checks
+/// included) — for every test, every preset strategy and m ∈ {2, 4, 8},
+/// with one workspace carrying buffers across tests, strategies and
+/// processor counts.
+#[test]
+fn recycled_states_match_fresh_ones() {
+    let warm = WorkspaceRef::new();
+    let mut judged = 0usize;
+    for m in [2usize, 4, 8] {
+        let corpus = seeded_corpus(12, 0x2ec1 ^ m as u64, |p| {
+            TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
+        });
+        assert!(corpus.len() >= 10, "corpus came out short at m={m}");
+        for ts in &corpus {
+            for test in TestName::ALL {
+                for strategy in presets::all() {
+                    let algo = AlgorithmSpec::new(strategy, test);
+                    let (fresh, fresh_stats) =
+                        algo.try_partition_reporting_in(ts, m, &WorkspaceRef::new());
+                    let (recycled, recycled_stats) = algo.try_partition_reporting_in(ts, m, &warm);
+                    assert_eq!(fresh, recycled, "{} m={m}", algo.name());
+                    assert_eq!(fresh_stats, recycled_stats, "{} m={m}", algo.name());
+                    assert_eq!(algo.accepts_in(ts, m, &warm), fresh.is_ok());
+                    judged += 1;
+                }
+            }
+        }
+    }
+    assert!(judged >= 3 * 10 * 30, "too few judgements: {judged}");
 }
 
 /// EDF-VD states answer every query in O(1); a full sweep-sized build

@@ -16,6 +16,12 @@
 //! warm kernel across probes — all of it allocation-free once the
 //! anchor/snapshot buffers reach their (bounded) high-water mark.
 //!
+//! Whole partitioning runs are pinned as well: a warm run allocates its
+//! `m` admission-state boxes and their `Vec` and nothing else, because
+//! the states draw their buffers from the workspace and return them on
+//! drop (`try_partition_reporting_in` additionally allocates the result
+//! it hands back).
+//!
 //! The service plane's request path is pinned too: reading a frame from
 //! a warm `FrameReader` allocates nothing, and decoding a request line
 //! allocates only the owned strings of the request it returns.
@@ -29,6 +35,8 @@
 use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
 };
+use mcsched::core::{presets, AlgorithmSpec, TestName};
+use mcsched::gen::{seeded_corpus, DeadlineModel, TaskSetSpec};
 use mcsched::model::{Task, TaskId, TaskSet};
 use mcsched::service::protocol::{parse_envelope, Envelope, EvalRequest, Request, RequestId};
 use netframe::FrameReader;
@@ -329,6 +337,77 @@ fn admission_and_one_shot_paths_are_allocation_free() {
     }
     assert_zero_alloc_warm_qpa();
     assert_zero_alloc_wide_lanes();
+}
+
+/// Allocations `try_partition_reporting_in` makes for the value it
+/// returns: the partition's `Vec` plus one buffer per non-empty
+/// processor, or the error's per-processor load `Vec`.
+fn result_allocations(
+    result: &Result<mcsched::core::Partition, mcsched::core::PartitionError>,
+) -> u64 {
+    match result {
+        Ok(p) => 1 + p.iter().filter(|ts| !ts.is_empty()).count() as u64,
+        Err(_) => 1,
+    }
+}
+
+/// Warm partitioning runs through one workspace allocate only their `m`
+/// state boxes and the `Vec` holding them (plus, for
+/// `try_partition_reporting_in`, the returned value): every test, every
+/// preset strategy, m = 2 and 4, over a seeded corpus of mixed verdicts.
+#[test]
+fn warm_partition_runs_allocate_only_their_states() {
+    for m in [2usize, 4] {
+        let corpus = seeded_corpus(16, 0xa110c ^ m as u64, |p| {
+            TaskSetSpec::paper_defaults(m, p, DeadlineModel::Implicit)
+        });
+        assert!(corpus.len() >= 12, "corpus came out short");
+        for test in TestName::ALL {
+            for strategy in presets::all() {
+                let algo = AlgorithmSpec::new(strategy, test);
+                let ws = WorkspaceRef::new();
+                // Warm-up pass: every buffer reaches the high-water mark
+                // of the roles it plays over the corpus.
+                for ts in &corpus {
+                    let _ = algo.accepts_in(ts, m, &ws);
+                    let _ = algo.try_partition_reporting_in(ts, m, &ws);
+                }
+                let bound = m as u64 + 1;
+                let mut accepted = 0usize;
+                for ts in &corpus {
+                    let mut verdict = false;
+                    let allocs = count_allocations(|| {
+                        verdict = algo.accepts_in(std::hint::black_box(ts), m, &ws);
+                    });
+                    assert!(
+                        allocs <= bound,
+                        "{} m={m}: warm accepts_in allocated {allocs} times (bound {bound})",
+                        algo.name()
+                    );
+                    let mut run = None;
+                    let allocs = count_allocations(|| {
+                        run =
+                            Some(algo.try_partition_reporting_in(std::hint::black_box(ts), m, &ws));
+                    });
+                    let (result, _) = run.expect("ran");
+                    let owned = result_allocations(&result);
+                    assert!(
+                        allocs <= bound + owned,
+                        "{} m={m}: warm try_partition_reporting_in allocated {allocs} times \
+                         (bound {bound} + {owned} for the result)",
+                        algo.name()
+                    );
+                    assert_eq!(verdict, result.is_ok(), "{}", algo.name());
+                    accepted += usize::from(verdict);
+                }
+                assert!(
+                    accepted < corpus.len(),
+                    "{} m={m}: the corpus must exercise rejections too",
+                    algo.name()
+                );
+            }
+        }
+    }
 }
 
 /// Allocations of one warm `parse_envelope` of `request`, rendered with
