@@ -298,12 +298,18 @@ impl DemandKernel {
         self.lanes.fast()
     }
 
-    /// The EY / ECDF structural overload rule `Σ_HC C^H/T > 1 or
-    /// Σ C^L/T > 1` over the running sums — bit-identical to the seed
-    /// tuner's overload rule in `mcsched_oracle::vdtune`, which sums the
-    /// loaded tasks in the same task order.
+    /// The EY / ECDF structural overload rule over the running sums:
+    /// `Σ C^L/T > 1`, or `Σ_HC C^H/T > 1`, or `Σ_HC C^H/T` in the band
+    /// where [`check_hi`](Self::check_hi) answers
+    /// [`DemandCheck::Unbounded`] for every assignment
+    /// (`hi_util_unbounded`). The sums are the seed tuner's
+    /// (`mcsched_oracle::vdtune`, which adds the loaded tasks in the same
+    /// order), but its rule only tests `> 1`: on a set in the band it
+    /// runs the greedy starts, each of which stops at that `Unbounded`
+    /// and rejects. So the verdict is the seed's; the work before it
+    /// (and the QPA counters it leaves) is not.
     pub fn overloaded(&self) -> bool {
-        self.hi_util > 1.0 || self.lo_util > 1.0
+        self.hi_util > 1.0 || hi_util_unbounded(self.hi_util) || self.lo_util > 1.0
     }
 
     /// [`overloaded`](Self::overloaded) as it would read after
@@ -316,7 +322,7 @@ impl DemandKernel {
         } else {
             self.hi_util
         };
-        hi_util > 1.0 || self.lo_util + task.utilization_lo() > 1.0
+        hi_util > 1.0 || hi_util_unbounded(hi_util) || self.lo_util + task.utilization_lo() > 1.0
     }
 
     /// Drops all tasks and memos (counters are kept — they describe the
@@ -711,7 +717,7 @@ impl DemandKernel {
             self.hi_prev = None;
             return DemandCheck::Violation(self.horizon_hi(util));
         }
-        if util >= 1.0 - UTIL_EPS {
+        if hi_util_unbounded(util) {
             self.hi_snap_valid = false;
             self.hi_prev = None;
             return DemandCheck::Unbounded;
@@ -951,6 +957,16 @@ fn lo_at_lane(cl: u64, vd: u64, per: u64, inv: u64, t: u64) -> u64 {
         return 0;
     }
     cl.saturating_mul(df_inv(t - vd, per, inv).saturating_add(1))
+}
+
+/// Whether a high-mode utilization `Σ_HC C^H/T` lies in
+/// `[1 − UTIL_EPS, 1 + UTIL_EPS]`, the band where
+/// [`DemandKernel::check_hi`] answers [`DemandCheck::Unbounded`] (its
+/// busy-window bound degenerates) whatever the virtual deadlines, so the
+/// EY / ECDF search rejects before it starts
+/// ([`DemandKernel::overloaded`]).
+fn hi_util_unbounded(util: f64) -> bool {
+    (1.0 - UTIL_EPS..=1.0 + UTIL_EPS).contains(&util)
 }
 
 /// The busy-window QPA start `ceil(K / (1 − U))`, or `None` when it is

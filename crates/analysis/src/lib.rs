@@ -41,8 +41,9 @@
 //! ([`mcsched_model::Time`]). Some verdict-bearing utilization
 //! comparisons are still f64 sums: the closed-form EDF-VD test, the
 //! demand prelude's `U ≤ 1 ± UTIL_EPS` thresholds and busy-window bound
-//! ([`dbf`], [`demand`]) and the EY / ECDF overload rule `U > 1`
-//! ([`DemandKernel::overloaded`]). Making them exact is ROADMAP item 1.
+//! ([`dbf`], [`demand`]) and the EY / ECDF overload rule `U > 1`, with
+//! its high-mode `U ≥ 1 − UTIL_EPS` band ([`DemandKernel::overloaded`]).
+//! Making them exact is ROADMAP item 1.
 //!
 //! ## Example
 //!

@@ -266,7 +266,10 @@ fn greedy_kernel(kernel: &mut DemandKernel, effort: Effort, moves: &mut Vec<Move
 /// [`DemandKernel::reseed`], so the demand memos survive every switch.
 /// Same starts, in the same order, as the allocating seed tuner of
 /// `mcsched-oracle` — identical verdicts and identical chosen
-/// assignments.
+/// assignments — except on a set whose high-mode utilization lies in
+/// the band where every high-mode check is unbounded: the seed runs its
+/// starts into that check, this search rejects before the first one
+/// ([`DemandKernel::overloaded`]).
 fn search(kernel: &mut DemandKernel, ecdf: bool, moves: &mut Vec<Move>) -> bool {
     if kernel.overloaded() {
         return false;

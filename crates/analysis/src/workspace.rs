@@ -728,7 +728,7 @@ impl IdleStates {
 }
 
 /// The scratch of one partitioning run (`Partition::build_reporting_in`
-/// of `mcsched-core`): the allocation sequence and its sort keys, the
+/// of `mcsched-core`): the allocation sequence, the sort keys, the
 /// per-processor utilization summaries and the fit-order buffer. Lent
 /// out by [`WorkspaceRef::with_partition_scratch`], so repeated runs
 /// through one workspace reuse the grown buffers.
@@ -736,9 +736,12 @@ impl IdleStates {
 pub struct PartitionScratch {
     /// The tasks in allocation order.
     pub sequence: Vec<Task>,
-    /// Sort keys of the allocation order: `(class, utilization, input
-    /// position)` per task.
-    pub keys: Vec<(u8, f64, usize)>,
+    /// Integer sort keys, used first by `AllocationOrder::sequence_into`
+    /// (one `!utilization << 64 | id << 32 | position` key per task) and
+    /// then, task by task, by `FitRule::order_into` (one
+    /// `metric << 64 | processor` key per processor). Utilization and
+    /// metric enter as `u64`s that sort in `f64::total_cmp`'s order.
+    pub keys: Vec<u128>,
     /// The cached utilization summary of each processor.
     pub summaries: Vec<SystemUtilization>,
     /// The processors in the order the current task's fit rule tries

@@ -124,7 +124,9 @@ pub struct ClusterSession {
     strategy: PartitionStrategy,
     states: Vec<Box<dyn AdmissionState>>,
     summaries: Vec<SystemUtilization>,
-    /// Scratch for fit-rule processor ordering (reused across requests).
+    /// Scratch for fit-rule processor ordering: the sort keys and the
+    /// order, both sized for `m` up front and reused across requests.
+    keys: Vec<u128>,
     order: Vec<usize>,
     /// Where each committed task lives: `(id, processor)` in admission
     /// order. Authoritative for `remove` without scanning every state.
@@ -152,6 +154,7 @@ impl ClusterSession {
             strategy,
             states,
             summaries: vec![SystemUtilization::default(); m],
+            keys: Vec::with_capacity(m),
             order: Vec::with_capacity(m),
             placements: Vec::new(),
         }
@@ -273,6 +276,7 @@ impl ClusterSession {
             task,
             &mut self.states,
             &self.summaries,
+            &mut self.keys,
             &mut self.order,
         )
     }

@@ -253,8 +253,15 @@ fn place_all(
         s.summaries
             .resize(states.len(), SystemUtilization::default());
         for (placed, task) in s.sequence.iter().enumerate() {
-            let k = place(strategy, task, states, &s.summaries, &mut s.order)
-                .ok_or((task.id(), placed))?;
+            let k = place(
+                strategy,
+                task,
+                states,
+                &s.summaries,
+                &mut s.keys,
+                &mut s.order,
+            )
+            .ok_or((task.id(), placed))?;
             states[k].commit(*task);
             s.summaries[k] = states[k].summary();
         }
@@ -265,17 +272,16 @@ fn place_all(
 /// The placement step shared by [`Partition::build_reporting_in`] and
 /// [`ClusterSession`](crate::ClusterSession): the first processor, in the
 /// task's fit order over the cached `summaries`, whose state admits
-/// `task`. `order` is reused scratch; nothing is committed.
+/// `task`. `keys` and `order` are reused scratch; nothing is committed.
 pub(crate) fn place<'a>(
     strategy: &PartitionStrategy,
     task: &Task,
     states: &mut [Box<dyn AdmissionState + 'a>],
     summaries: &[SystemUtilization],
+    keys: &mut Vec<u128>,
     order: &mut Vec<usize>,
 ) -> Option<usize> {
-    strategy
-        .fit_for(task)
-        .processor_order_by_summary_into(summaries, order);
+    strategy.fit_for(task).order_into(summaries, keys, order);
     order.iter().copied().find(|&k| states[k].try_admit(task))
 }
 

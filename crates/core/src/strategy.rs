@@ -35,7 +35,10 @@ pub enum AllocationOrder {
 }
 
 impl AllocationOrder {
-    /// Builds the allocation sequence for a task set.
+    /// Builds the allocation sequence for a task set. Allocates the
+    /// returned `Vec` and, for a sorted order, a key buffer on every
+    /// call; the partitioning engine calls
+    /// [`sequence_into`](Self::sequence_into) instead.
     pub fn sequence(&self, ts: &TaskSet) -> Vec<Task> {
         let mut out = Vec::with_capacity(ts.len());
         self.sequence_into(ts, &mut Vec::new(), &mut out);
@@ -47,24 +50,28 @@ impl AllocationOrder {
     /// reuses across runs, so ordering a set allocates nothing once they
     /// have grown.
     ///
-    /// Each task's own-level utilization is computed once into its key
-    /// `(class, utilization, input position)`; the keys sort by class,
-    /// then decreasing utilization, then increasing id, then input
-    /// position. That is a total order, so the unstable sort yields
-    /// exactly the order a stable sort of each class by
-    /// `(utilization desc, id)` gives.
-    pub fn sequence_into(
-        &self,
-        ts: &TaskSet,
-        keys: &mut Vec<(u8, f64, usize)>,
-        out: &mut Vec<Task>,
-    ) {
+    /// The keys are bucketed into one block per class, in class order,
+    /// and each block is sorted as plain integers. A task's key is the
+    /// `u128` `!util << 64 | id << 32 | position`: `util` is its
+    /// own-level utilization mapped to a `u64` by the bit transform of
+    /// `f64::total_cmp` (inverted, so larger utilizations sort first),
+    /// `id` its task id and `position` its index in `ts`. The order is
+    /// therefore class, then decreasing utilization (in `total_cmp`'s
+    /// order), then increasing id, then input position: exactly the
+    /// order a stable sort of each class by `(utilization desc, id)`
+    /// gives, duplicate ids included.
+    ///
+    /// # Panics
+    ///
+    /// If `ts` holds more than 2^32 tasks, the most a 32-bit position
+    /// field can tell apart.
+    pub fn sequence_into(&self, ts: &TaskSet, keys: &mut Vec<u128>, out: &mut Vec<Task>) {
         let tasks = ts.as_slice();
         out.clear();
         keys.clear();
-        let class = |t: &Task| -> u8 {
+        let class = |t: &Task| -> usize {
             match *self {
-                AllocationOrder::CriticalityAware { .. } => u8::from(t.criticality().is_low()),
+                AllocationOrder::CriticalityAware { .. } => usize::from(t.criticality().is_low()),
                 AllocationOrder::CriticalityUnaware => 0,
                 AllocationOrder::HeavyLcFirst { threshold_millis } => {
                     let threshold = f64::from(threshold_millis) / 1000.0;
@@ -84,20 +91,44 @@ impl AllocationOrder {
             out.extend(tasks.iter().filter(|t| class(t) == 1));
             return;
         }
-        keys.extend(
-            tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (class(t), t.utilization_own(), i)),
+        assert!(
+            tasks.len() as u128 <= 1 << 32,
+            "allocation order of {} tasks: positions need more than 32 bits",
+            tasks.len()
         );
-        keys.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(b.1.total_cmp(&a.1))
-                .then_with(|| tasks[a.2].id().cmp(&tasks[b.2].id()))
-                .then(a.2.cmp(&b.2))
-        });
-        out.extend(keys.iter().map(|&(_, _, i)| tasks[i]));
+        // `block[c]..block[c + 1]` is class `c`'s block of keys.
+        let mut block = [0usize; 4];
+        for t in tasks {
+            block[class(t) + 1] += 1;
+        }
+        for c in 1..block.len() {
+            block[c] += block[c - 1];
+        }
+        let mut next = block;
+        keys.resize(tasks.len(), 0);
+        for (i, t) in tasks.iter().enumerate() {
+            let slot = &mut next[class(t)];
+            keys[*slot] = u128::from(!total_key(t.utilization_own())) << 64
+                | u128::from(t.id().0) << 32
+                | i as u128;
+            *slot += 1;
+        }
+        for w in block.windows(2) {
+            keys[w[0]..w[1]].sort_unstable();
+        }
+        out.extend(keys.iter().map(|&k| tasks[k as u32 as usize]));
     }
+}
+
+/// `x`'s bits mapped to a `u64` whose unsigned order is exactly
+/// `f64::total_cmp`'s order on the `f64`s: negative values (sign bit set)
+/// have every bit flipped, the others only their sign bit. It is the
+/// transform `total_cmp` itself applies, shifted into unsigned range, so
+/// integer keys built on it sort as the comparator sorts.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let negative = (bits as i64 >> 63) as u64;
+    bits ^ (negative | 1 << 63)
 }
 
 /// A per-processor load statistic that worst-/best-fit rules order
@@ -157,40 +188,52 @@ pub enum FitRule {
 impl FitRule {
     /// Writes into `out` (cleared first) the processor indices in the order
     /// this rule tries them, given each processor's utilization triple (the
-    /// cached summaries of the incremental admission states). The
-    /// partitioning inner loop reuses one buffer across tasks, so fit
-    /// ordering allocates nothing. The metric is a
-    /// pure function of the summary, so evaluating it inside the
-    /// comparator yields exactly the order of the precomputed-keys path.
+    /// cached summaries of the incremental admission states), with `keys`
+    /// as sort scratch. The partitioning inner loop reuses both buffers
+    /// across tasks, so fit ordering allocates nothing once they have
+    /// grown.
+    ///
+    /// The metric is evaluated once per processor into the `u128` key
+    /// `metric << 64 | index`, where `metric` is the metric mapped to a
+    /// `u64` by the bit transform of `f64::total_cmp` (inverted for
+    /// best-fit), and the keys sort as plain integers: worst-fit orders
+    /// by increasing metric and best-fit by decreasing metric (both in
+    /// `total_cmp`'s order, NaN included), each with ties broken by
+    /// increasing index. First-fit is index order and leaves `keys`
+    /// untouched.
+    pub fn order_into(
+        &self,
+        summaries: &[SystemUtilization],
+        keys: &mut Vec<u128>,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        let (metric, invert) = match *self {
+            FitRule::FirstFit => {
+                out.extend(0..summaries.len());
+                return;
+            }
+            FitRule::WorstFit(metric) => (metric, 0),
+            FitRule::BestFit(metric) => (metric, u64::MAX),
+        };
+        keys.clear();
+        keys.extend(summaries.iter().enumerate().map(|(k, u)| {
+            u128::from(total_key(metric.evaluate_summary(u)) ^ invert) << 64 | k as u128
+        }));
+        keys.sort_unstable();
+        out.extend(keys.iter().map(|&key| key as u64 as usize));
+    }
+
+    /// [`order_into`](Self::order_into) with a fresh key buffer, so it
+    /// allocates one on every worst- or best-fit call; the partitioning
+    /// engine and [`ClusterSession`](crate::ClusterSession) keep theirs
+    /// and call `order_into`.
     pub fn processor_order_by_summary_into(
         &self,
         summaries: &[SystemUtilization],
         out: &mut Vec<usize>,
     ) {
-        out.clear();
-        out.extend(0..summaries.len());
-        // The index tiebreak makes both comparators total orders, so the
-        // unstable sort (no temp-buffer allocation) orders identically to
-        // the seed's stable sort.
-        match self {
-            FitRule::FirstFit => {}
-            FitRule::WorstFit(metric) => {
-                out.sort_unstable_by(|&a, &b| {
-                    metric
-                        .evaluate_summary(&summaries[a])
-                        .total_cmp(&metric.evaluate_summary(&summaries[b]))
-                        .then_with(|| a.cmp(&b))
-                });
-            }
-            FitRule::BestFit(metric) => {
-                out.sort_unstable_by(|&a, &b| {
-                    metric
-                        .evaluate_summary(&summaries[b])
-                        .total_cmp(&metric.evaluate_summary(&summaries[a]))
-                        .then_with(|| a.cmp(&b))
-                });
-            }
-        }
+        self.order_into(summaries, &mut Vec::new(), out);
     }
 }
 
@@ -396,6 +439,26 @@ mod tests {
         heavy.into_iter().chain(hi).chain(lo).collect()
     }
 
+    /// 48 tasks (past `sort_unstable`'s insertion-sort cutoff of 20):
+    /// seven utilizations `k/10` over three periods, so many tie; ids
+    /// repeat every 5 tasks, so tasks 35 apart tie on both utilization
+    /// and id and only their input position orders them; both
+    /// criticalities, and LC tasks on both sides of a 0.5 threshold.
+    fn wide_set() -> TaskSet {
+        let mut ts = TaskSet::new();
+        for i in 0..48u32 {
+            let period = [10, 20, 40][(i % 3) as usize];
+            let c = period / 10 * u64::from(1 + i % 7);
+            let id = i % 5;
+            ts.push_unchecked(if i % 4 == 1 {
+                Task::hi(id, period, c.div_ceil(2), c).unwrap()
+            } else {
+                Task::lo(id, period, c).unwrap()
+            });
+        }
+        ts
+    }
+
     #[test]
     fn keyed_sequence_matches_the_stable_sort() {
         let orders = [
@@ -430,8 +493,8 @@ mod tests {
                 Task::hi(id, t, c, h).unwrap()
             });
         }
-        let (mut keys, mut out) = (Vec::new(), vec![Task::lo(99, 10, 1).unwrap()]);
-        for set in [sample(), ts] {
+        let (mut keys, mut out) = (vec![7u128; 3], vec![Task::lo(99, 10, 1).unwrap()]);
+        for set in [sample(), ts, wide_set()] {
             for order in orders {
                 order.sequence_into(&set, &mut keys, &mut out);
                 assert_eq!(out, stable_sequence(order, &set), "{order:?}");
@@ -457,9 +520,117 @@ mod tests {
 
     /// `fit`'s processor order over these utilization triples.
     fn order_by(fit: FitRule, summaries: &[SystemUtilization]) -> Vec<usize> {
-        let mut out = vec![usize::MAX; 7];
-        fit.processor_order_by_summary_into(summaries, &mut out);
+        let (mut keys, mut out) = (vec![7u128; 5], vec![usize::MAX; 7]);
+        fit.order_into(summaries, &mut keys, &mut out);
+        let mut wrapped = vec![usize::MAX; 3];
+        fit.processor_order_by_summary_into(summaries, &mut wrapped);
+        assert_eq!(wrapped, out, "{fit}");
         out
+    }
+
+    /// The fit order as a comparator sort builds it, evaluating the
+    /// metric inside the comparator with an index tiebreak — what
+    /// [`FitRule::order_into`]'s keyed sort must reproduce exactly.
+    fn comparator_order(fit: FitRule, summaries: &[SystemUtilization]) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..summaries.len()).collect();
+        match fit {
+            FitRule::FirstFit => {}
+            FitRule::WorstFit(metric) => out.sort_unstable_by(|&a, &b| {
+                metric
+                    .evaluate_summary(&summaries[a])
+                    .total_cmp(&metric.evaluate_summary(&summaries[b]))
+                    .then_with(|| a.cmp(&b))
+            }),
+            FitRule::BestFit(metric) => out.sort_unstable_by(|&a, &b| {
+                metric
+                    .evaluate_summary(&summaries[b])
+                    .total_cmp(&metric.evaluate_summary(&summaries[a]))
+                    .then_with(|| a.cmp(&b))
+            }),
+        }
+        out
+    }
+
+    #[test]
+    fn total_key_orders_as_total_cmp() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e-300,
+            -1e-300,
+            0.5,
+            -0.5,
+            1.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_fit_order_matches_the_comparator_sort() {
+        // Few distinct values, so metrics tie often; NaN of both signs,
+        // both zeros and negatives (a difference goes negative when
+        // `u_hl > u_hh`).
+        let palette = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -0.25,
+            0.25,
+            0.5,
+            0.75,
+            1.0,
+            f64::INFINITY,
+        ];
+        let mut state = 0x5eed_u64;
+        let mut pick = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            palette[(state >> 33) as usize % palette.len()]
+        };
+        let metrics = [
+            BalanceMetric::UtilizationDifference,
+            BalanceMetric::HiUtilization,
+            BalanceMetric::LoModeLoad,
+            BalanceMetric::OwnLevelLoad,
+        ];
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        for m in 1..=64 {
+            for _ in 0..4 {
+                let summaries: Vec<SystemUtilization> = (0..m)
+                    .map(|_| SystemUtilization {
+                        u_ll: pick(),
+                        u_hl: pick(),
+                        u_hh: pick(),
+                    })
+                    .collect();
+                for metric in metrics {
+                    for fit in [FitRule::WorstFit(metric), FitRule::BestFit(metric)] {
+                        fit.order_into(&summaries, &mut keys, &mut out);
+                        assert_eq!(out, comparator_order(fit, &summaries), "{fit} m={m}");
+                    }
+                }
+                FitRule::FirstFit.order_into(&summaries, &mut keys, &mut out);
+                assert_eq!(out, comparator_order(FitRule::FirstFit, &summaries));
+            }
+        }
     }
 
     /// `fit`'s processor order over processors holding `procs`.

@@ -351,3 +351,56 @@ fn admission_probes_reuse_fixpoints() {
         );
     }
 }
+
+/// A set whose high-mode utilization `Σ_HC C^H/T` is exactly 1 sits in
+/// the band where every high-mode check is unbounded, so EY / ECDF must
+/// reject it. The kernel's overload rule says so before any search: the
+/// one-shot tests, the seed tuners and an admission state all reject,
+/// the kernel's own high-mode check agrees that the band is unbounded,
+/// and the rejecting probe starts no QPA descent.
+#[test]
+fn hi_utilization_band_rejects_without_a_search() {
+    use mcsched::analysis::dbf::DemandCheck;
+    use mcsched::analysis::WorkspaceRef;
+    // One HC task with C^H = T, and two HC tasks with C^H/T = 1/2 each.
+    let band_sets = [
+        vec![Task::hi(0, 10, 5, 10).unwrap()],
+        vec![
+            Task::hi(0, 10, 2, 5).unwrap(),
+            Task::hi(1, 10, 2, 5).unwrap(),
+        ],
+    ];
+    for tasks in band_sets {
+        let ts = TaskSet::try_from_tasks(tasks.clone()).unwrap();
+        let mut kernel = DemandKernel::new();
+        kernel.load_untightened(&ts);
+        assert!(kernel.overloaded(), "{ts}");
+        assert_eq!(kernel.check_hi(), DemandCheck::Unbounded, "{ts}");
+        assert!(!vd_reference::ey_is_schedulable(&ts), "seed EY on {ts}");
+        assert!(!vd_reference::ecdf_is_schedulable(&ts), "seed ECDF on {ts}");
+        let (last, committed) = tasks.split_last().unwrap();
+        for test in [&Ey::new() as &dyn SchedulabilityTest, &Ecdf::new()] {
+            assert!(!test.is_schedulable(&ts), "{} on {ts}", test.name());
+            let mut state = test.admission_state_in(&WorkspaceRef::new());
+            for t in committed {
+                assert!(state.try_admit(t), "{} on {t}", test.name());
+                state.commit(*t);
+            }
+            let before = state.stats();
+            assert!(!state.try_admit(last), "{} on {last}", test.name());
+            let after = state.stats();
+            assert_eq!(
+                after.qpa_cold,
+                before.qpa_cold,
+                "{}: {after:?}",
+                test.name()
+            );
+            assert_eq!(
+                after.incremental,
+                before.incremental + 1,
+                "{}: the band reject is O(1): {after:?}",
+                test.name()
+            );
+        }
+    }
+}

@@ -410,6 +410,48 @@ fn warm_partition_runs_allocate_only_their_states() {
     }
 }
 
+/// A warm `ClusterSession::probe` allocates nothing: CU-UDP places HC
+/// tasks by worst-fit over the utilization difference, so every probe
+/// of an HC task builds a keyed fit order in the session's own scratch,
+/// and an LC probe takes the first-fit order. Probes both land and fail.
+#[test]
+fn warm_session_probes_are_allocation_free() {
+    for test in [TestName::EdfVd, TestName::Ecdf, TestName::AmcMax] {
+        // Worst-fit spreads three heavy HC tasks over the three
+        // processors, so a fourth fits nowhere.
+        let mut session = AlgorithmSpec::new(presets::cu_udp(), test).open_cluster(3);
+        for id in 0..3 {
+            assert!(session.admit(Task::hi(id, 10, 5, 9).unwrap()).is_ok());
+        }
+        let probes = [
+            Task::hi(90, 100, 1, 2).unwrap(),
+            Task::hi(91, 10, 5, 9).unwrap(),
+            Task::lo(92, 100, 1).unwrap(),
+        ];
+        let mut landed = Vec::new();
+        for p in &probes {
+            landed.push(session.probe(p).is_some()); // warm-up
+        }
+        assert!(
+            landed.contains(&true) && landed.contains(&false),
+            "{landed:?}"
+        );
+        let allocs = count_allocations(|| {
+            for _ in 0..64 {
+                for p in &probes {
+                    std::hint::black_box(session.probe(std::hint::black_box(p)));
+                }
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{}: warm session probes allocated {allocs} times",
+            session.name()
+        );
+    }
+}
+
 /// Allocations of one warm `parse_envelope` of `request`, rendered with
 /// a numeric id.
 fn decode_allocations(request: Request) -> u64 {
